@@ -30,7 +30,6 @@ from .linalg import (
 from .scanning import (
     PointCloud,
     ScanConfig,
-    box_vectors,
     covering_radius,
     fibonacci_sphere,
     scan_algebraic,

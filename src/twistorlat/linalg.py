@@ -23,10 +23,6 @@ def vector(entries) -> Vector:
     return tuple(Fraction(e) for e in entries)
 
 
-def int_vector(entries) -> tuple[int, ...]:
-    return tuple(int(e) for e in entries)
-
-
 def clear_denominators(v: Vector) -> tuple[int, ...]:
     """Smallest positive multiple of v with integer entries."""
     m = 1
@@ -295,16 +291,14 @@ def expand_in_V(triple: HyperTriple, coeffs) -> Vector:
 def triple_gram_rows(lattice: GramLattice, triple: HyperTriple):
     """Integer rows r_a with r_a . v proportional (same positive factor
     for all three) to q(v, w_a); shared backend for kernels and scans."""
-    rows = [gram_row(lattice, w) for w in triple.vectors]
-    m = 1
-    for row in rows:
-        for e in row:
-            m = m * e.denominator // gcd(m, e.denominator)
-    return [tuple(int(e * m) for e in row) for row in rows]
+    flat = clear_denominators(
+        [e for w in triple.vectors for e in gram_row(lattice, w)])
+    r = lattice.rank
+    return [flat[a * r:(a + 1) * r] for a in range(3)]
 
 
 def perp_V_basis(lattice: GramLattice, triple: HyperTriple):
     """Basis of the saturated sublattice of integral vectors q-orthogonal
     to all three triple vectors; size rank - 3 for a valid triple."""
-    triple.validate(lattice)
+    _validated_norm(lattice, triple)
     return integer_kernel(triple_gram_rows(lattice, triple))

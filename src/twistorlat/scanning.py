@@ -1,13 +1,16 @@
 """Deterministic box enumeration and the density experiments.
 
 Scans enumerate integer vectors in a coordinate box in lexicographic
-order, project them onto V, and collect exact signed rays. Covering
-radius against a Fibonacci-sphere grid is the desk-scale measure of
-density. No randomness anywhere in this module.
+order, as int64 blocks of bounded memory, project them onto V, and
+collect exact signed rays, each with its first witness. The bounded
+general-type search walks the same blocks. Covering radius against a
+Fibonacci-sphere grid, also taken in blocks, is the desk-scale measure
+of density. No randomness anywhere in this module.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -15,7 +18,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyCloud, InvalidBound, InvalidSignature
-from .linalg import GramLattice, HyperTriple, signature, triple_gram_rows
+from .linalg import (GramLattice, HyperTriple, _validated_norm, signature,
+                     triple_gram_rows)
 from .twistor import TwistorPoint, stereographic
 
 
@@ -77,96 +81,95 @@ class PointCloud:
         return np.array([p.unit for p in self._entries])
 
 
-def box_vectors(rank: int, config: ScanConfig) -> Iterator[tuple[int, ...]]:
-    """All nonzero integer vectors with masked coordinates in
-    [-B, B], lexicographic order, unmasked coordinates fixed to 0."""
+# Memory budget of one block: box rows (int64) in the scans and the
+# bounded search, grid-by-cloud cosines (float64) in covering_radius.
+_BLOCK_BYTES = 4 << 20
+
+
+def _box_blocks(rank: int, config: ScanConfig) -> Iterator[np.ndarray]:
+    """All integer vectors with masked coordinates in [-B, B] and the
+    others 0, as int64 blocks of rows in lexicographic order, the zero
+    vector included. Each block fixes just enough leading masked
+    coordinates to stay within _BLOCK_BYTES."""
     active = config.active_indices(rank)
     b = config.box_bound
-    k = len(active)
-    counter = [-b] * k
-    while True:
-        if any(counter):
-            v = [0] * rank
-            for i, c in zip(active, counter):
-                v[i] = c
-            yield tuple(v)
-        # increment like an odometer, last coordinate fastest
-        pos = k - 1
-        while pos >= 0 and counter[pos] == b:
-            counter[pos] = -b
-            pos -= 1
-        if pos < 0:
-            return
-        counter[pos] += 1
+    side = 2 * b + 1
+    free = len(active)
+    while free and side ** free * rank * 8 > _BLOCK_BYTES:
+        free -= 1
+    fixed = len(active) - free
+    powers = side ** np.arange(free - 1, -1, -1, dtype=np.int64)
+    tail = np.arange(side ** free, dtype=np.int64)[:, None] // powers % side - b
+    for prefix in itertools.product(range(-b, b + 1), repeat=fixed):
+        block = np.zeros((tail.shape[0], rank), dtype=np.int64)
+        block[:, list(active[:fixed])] = prefix
+        block[:, list(active[fixed:])] = tail
+        yield block
 
 
-def _box_array(rank: int, config: ScanConfig) -> np.ndarray:
-    """Same vectors as box_vectors, as an int64 array (rows in the same
-    lexicographic order, zero row removed)."""
-    active = config.active_indices(rank)
-    b = config.box_bound
-    rng = np.arange(-b, b + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * len(active)), indexing="ij")
-    block = np.stack(grids, axis=-1).reshape(-1, len(active))
-    block = block[np.any(block != 0, axis=1)]
-    out = np.zeros((block.shape[0], rank), dtype=np.int64)
-    out[:, list(active)] = block
-    return out
+def _first_rows(rays: np.ndarray) -> np.ndarray:
+    """Indices of the first occurrence of each distinct row of an
+    (n, 3) integer array, in increasing order."""
+    m = int(np.abs(rays).max(initial=0))
+    base = 2 * m + 1
+    if base ** 3 <= np.iinfo(np.int64).max:
+        keys = ((rays[:, 0] + m) * base + rays[:, 1] + m) * base + rays[:, 2] + m
+    else:  # too large to pack into one int64: compare the rows' bytes
+        keys = np.ascontiguousarray(rays).view(np.dtype((np.void, 3 * rays.itemsize)))
+    return np.sort(np.unique(keys.ravel(), return_index=True)[1])
 
 
-def _check_hyperkahler_signature(lattice: GramLattice):
-    sig = signature(lattice)
-    if sig.as_tuple() != (3, lattice.rank - 3, 0):
-        raise InvalidSignature(
-            f"twistor scans need signature (3, r-3, 0); got {sig.as_tuple()}")
-
-
-def _projection_rays(lattice: GramLattice, triple: HyperTriple,
-                     config: ScanConfig):
-    """Box vectors with their q-norms and primitive projection rays."""
-    triple.validate(lattice)
-    vecs = _box_array(lattice.rank, config)
-    gram = np.array(lattice.gram, dtype=np.int64)
+def _scan(lattice: GramLattice, triple: HyperTriple, config: ScanConfig,
+          keep) -> PointCloud:
+    """The block loop of the scans: keep(vecs, t, g) picks a block's rays
+    and witnesses, in order, from its box vectors, their projections and
+    the gcds of those; each ray keeps its first witness."""
+    sig = signature(lattice).as_tuple()
+    if sig != (3, lattice.rank - 3, 0):
+        raise InvalidSignature(f"twistor scans need signature (3, r-3, 0); got {sig}")
+    _validated_norm(lattice, triple)
     rows = np.array(triple_gram_rows(lattice, triple), dtype=np.int64)
-    qvv = np.einsum("ij,jk,ik->i", vecs, gram, vecs)
-    t = vecs @ rows.T
-    g = np.gcd.reduce(np.abs(t), axis=1)
-    return vecs, qvv, t, g
+    rays, witnesses = [], []
+    for vecs in _box_blocks(lattice.rank, config):
+        t = vecs @ rows.T
+        r, w = keep(vecs, t, np.gcd.reduce(np.abs(t), axis=1))
+        first = _first_rows(r)
+        rays.append(r[first])
+        witnesses.append(w[first])
+    rays, witnesses = np.concatenate(rays), np.concatenate(witnesses)
+    cloud = PointCloud()
+    for i in _first_rows(rays):
+        cloud.add(TwistorPoint.from_ray(*rays[i].tolist()),
+                  tuple(witnesses[i].tolist()))
+    return cloud
 
 
 def scan_algebraic(lattice: GramLattice, triple: HyperTriple,
                    config: ScanConfig) -> PointCloud:
     """Projections of all positive integral box vectors: the box
     truncation of the set of algebraic twistor points."""
-    _check_hyperkahler_signature(lattice)
-    vecs, qvv, t, g = _projection_rays(lattice, triple, config)
-    cloud = PointCloud()
-    for i in np.nonzero(qvv > 0)[0]:
-        gi = g[i]
-        if gi == 0:
+    gram = np.array(lattice.gram, dtype=np.int64)
+
+    def positive(vecs, t, g):
+        pos = (vecs @ gram * vecs).sum(axis=1) > 0
+        if not g[pos].all():
             raise InvalidSignature(
                 "positive vector with zero projection; V^perp not negative definite")
-        ray = (int(t[i, 0] // gi), int(t[i, 1] // gi), int(t[i, 2] // gi))
-        cloud.add(TwistorPoint.from_ray(*ray), tuple(int(e) for e in vecs[i]))
-    return cloud
+        return t[pos] // g[pos, None], vecs[pos]
+    return _scan(lattice, triple, config, positive)
 
 
 def scan_non_general_type(lattice: GramLattice, triple: HyperTriple,
                           config: ScanConfig) -> PointCloud:
     """Signed projection rays of all integral box vectors with nonzero
     projection: the box truncation of the non-general-type points.
-    Both orientations of each ray are included."""
-    _check_hyperkahler_signature(lattice)
-    vecs, _, t, g = _projection_rays(lattice, triple, config)
-    cloud = PointCloud()
-    for i in np.nonzero(g > 0)[0]:
-        gi = g[i]
-        ray = (int(t[i, 0] // gi), int(t[i, 1] // gi), int(t[i, 2] // gi))
-        witness = tuple(int(e) for e in vecs[i])
-        point = TwistorPoint.from_ray(*ray)
-        cloud.add(point, witness)
-        cloud.add(TwistorPoint.from_ray(-ray[0], -ray[1], -ray[2]), witness)
-    return cloud
+    Both orientations of each ray are included, +ray first."""
+    def both_signs(vecs, t, g):
+        nonzero = g > 0
+        rays = t[nonzero] // g[nonzero, None]
+        return (np.stack([rays, -rays], axis=1).reshape(-1, 3),
+                np.repeat(vecs[nonzero], 2, axis=0))
+    return _scan(lattice, triple, config, both_signs)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -185,13 +188,12 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
         raise EmptyCloud("covering radius of an empty cloud is undefined")
     grid = fibonacci_sphere(grid_resolution * grid_resolution)
     units = cloud.unit_array()
-    # nearest neighbor by max cosine; chunk the grid to bound memory
-    worst = -1.0
-    for start in range(0, grid.shape[0], 65536):
-        block = grid[start:start + 65536]
-        best = np.max(block @ units.T, axis=1)
-        worst = max(worst, float(np.max(np.arccos(np.clip(best, -1.0, 1.0)))))
-    return worst
+    # nearest neighbour by max cosine, a block of grid rows at a time;
+    # arccos is decreasing, so one arccos of the least best cosine is exact
+    step = max(1, _BLOCK_BYTES // (8 * len(units)))
+    least = min(float(np.max(grid[i:i + step] @ units.T, axis=1).min())
+                for i in range(0, grid.shape[0], step))
+    return float(np.arccos(np.clip(least, -1.0, 1.0)))
 
 
 def _fmt(x: float) -> str:

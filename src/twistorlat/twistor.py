@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+import numpy as np
+
 from .errors import (
     InvalidBound,
     InvariantViolation,
@@ -24,6 +26,7 @@ from .linalg import (
     GramLattice,
     HyperTriple,
     Vector,
+    clear_denominators,
     expand_in_V,
     integer_kernel,
     primitive,
@@ -58,10 +61,7 @@ class TwistorPoint:
         fr = (Fraction(a), Fraction(b), Fraction(c))
         if fr == (0, 0, 0):
             raise InvariantViolation("zero ray is not a twistor point")
-        m = 1
-        for e in fr:
-            m = m * e.denominator // math.gcd(m, e.denominator)
-        d = primitive(tuple(int(e * m) for e in fr))
+        d = primitive(clear_denominators(fr))
         n = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
         return TwistorPoint(dir=d, unit=(d[0] / n, d[1] / n, d[2] / n))
 
@@ -215,7 +215,8 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
     Exact mode (rational ray): solve the integer system p(lambda)
     parallel to the ray; with a rational triple this always produces a
     witness, so rational points are never of general type. Bounded mode
-    (irrational point): scan the coordinate box [-bound, bound]^r for a
+    (irrational point): search the coordinate box [-bound, bound]^r, in
+    lexicographic order and in blocks of bounded memory, for the first
     witness with sine of the collinearity angle below 1e-9; absence is
     reported as general type up to the bound, not as a proof.
     """
@@ -244,21 +245,18 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
         return GeneralTypeVerdict(witness=witness)
 
     # bounded mode: floating direction
-    from .scanning import box_vectors, ScanConfig
+    from .scanning import ScanConfig, _box_blocks
 
-    ux, uy, uz = point.unit
-    cfg = ScanConfig(box_bound=bound)
-    for v in box_vectors(lattice.rank, cfg):
-        t = [float(sum(r[j] * v[j] for j in range(lattice.rank))) for r in rows]
-        n = math.sqrt(t[0] ** 2 + t[1] ** 2 + t[2] ** 2)
-        if n == 0.0:
-            continue
-        cx = t[1] * uz - t[2] * uy
-        cy = t[2] * ux - t[0] * uz
-        cz = t[0] * uy - t[1] * ux
-        sine = math.sqrt(cx * cx + cy * cy + cz * cz) / n
-        if sine <= 1e-9:
-            return GeneralTypeVerdict(witness=tuple(v))
+    rows = np.array(rows, dtype=np.int64)
+    for vecs in _box_blocks(lattice.rank, ScanConfig(box_bound=bound)):
+        t = (vecs @ rows.T).astype(float)
+        n = np.sqrt((t * t).sum(axis=1))
+        c = np.cross(t, point.unit)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sine = np.sqrt((c * c).sum(axis=1)) / n
+        hits = np.flatnonzero((n > 0.0) & (sine <= 1e-9))
+        if hits.size:
+            return GeneralTypeVerdict(witness=tuple(vecs[hits[0]].tolist()))
     return GeneralTypeVerdict(witness=None, bound=bound)
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from click.testing import CliRunner
@@ -76,6 +77,13 @@ class TestScans:
         out2 = invoke("scan-algebraic", "--lattice", "U3", "--bound", "3")
         assert out1.exit_code == 0
         assert out1.output == out2.output
+
+    def test_u3_bound3_sha256(self):
+        # stdout of the per-vector implementation this scan replaced
+        res = invoke("scan-algebraic", "--lattice", "U3", "--bound", "3")
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.output.encode()).hexdigest() == (
+            "cf34dbf4d3fbbf63df3341ee8eecc16fd4fe1f2eb52636d07bb9a82fbc20fe4a")
 
     def test_csv_to_file_and_svg(self, tmp_path):
         csv_path = tmp_path / "cloud.csv"

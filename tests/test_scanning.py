@@ -1,6 +1,8 @@
 import io
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from twistorlat import (
@@ -10,7 +12,6 @@ from twistorlat import (
     PointCloud,
     ScanConfig,
     TwistorPoint,
-    box_vectors,
     covering_radius,
     load_lattice,
     pi_map,
@@ -20,7 +21,9 @@ from twistorlat import (
     write_csv,
     write_svg,
 )
-from twistorlat.scanning import _box_array, fibonacci_sphere
+from twistorlat import scanning
+from twistorlat.linalg import triple_gram_rows
+from twistorlat.scanning import _box_blocks, _first_rows, fibonacci_sphere
 
 U3, TRIPLE = load_lattice("U3")
 K3, K3_TRIPLE = load_lattice("K3")
@@ -30,33 +33,61 @@ D222, D222_TRIPLE = load_lattice("diag222")
 ORACLE_CLOUD_SIZES = {1: 98, 2: 578, 3: 1730, 4: 4034}
 
 
+def box_rows(rank, config):
+    """Every row of the box blocks, in order, as tuples."""
+    return [tuple(row) for block in _box_blocks(rank, config)
+            for row in block.tolist()]
+
+
+def reference_box(rank, config):
+    """itertools reference: masked coordinates over [-B, B] in
+    lexicographic order, the others 0."""
+    active = config.active_indices(rank)
+    b = config.box_bound
+    out = []
+    for c in itertools.product(range(-b, b + 1), repeat=len(active)):
+        v = [0] * rank
+        for i, e in zip(active, c):
+            v[i] = e
+        out.append(tuple(v))
+    return out
+
+
+# room for 5^4 rows of rank 6: a [-2, 2]^6 box splits over its first
+# two coordinates into 25 blocks
+TINY_BLOCK_BYTES = 5 ** 4 * 6 * 8
+
+
 class TestBoxVectors:
     def test_count_rank2(self):
-        vecs = list(box_vectors(2, ScanConfig(box_bound=1)))
-        assert len(vecs) == 8
+        vecs = box_rows(2, ScanConfig(box_bound=1))
+        assert len(vecs) == 3 ** 2  # the zero vector is included
 
     def test_first_vector(self):
-        vecs = box_vectors(2, ScanConfig(box_bound=1))
-        assert next(vecs) == (-1, -1)
+        assert box_rows(2, ScanConfig(box_bound=1))[0] == (-1, -1)
 
     def test_masked(self):
         cfg = ScanConfig(box_bound=1, coordinate_mask=(0, 1))
-        vecs = list(box_vectors(6, cfg))
-        assert len(vecs) == 8
+        vecs = box_rows(6, cfg)
+        assert len(vecs) == 9
         assert all(v[2:] == (0, 0, 0, 0) for v in vecs)
 
     def test_no_repeats_lexicographic(self):
-        vecs = list(box_vectors(3, ScanConfig(box_bound=2)))
-        assert len(vecs) == 5 ** 3 - 1
+        vecs = box_rows(3, ScanConfig(box_bound=2))
+        assert len(vecs) == 5 ** 3
         assert len(set(vecs)) == len(vecs)
         assert vecs == sorted(vecs)
 
-    def test_array_agrees_with_generator(self):
-        for cfg in (ScanConfig(box_bound=2),
-                    ScanConfig(box_bound=1, coordinate_mask=(1, 3))):
-            gen = list(box_vectors(4, cfg))
-            arr = [tuple(int(e) for e in row) for row in _box_array(4, cfg)]
-            assert gen == arr
+    def test_array_agrees_with_generator(self, monkeypatch):
+        monkeypatch.setattr(scanning, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
+        for rank, cfg, n_blocks in (
+                (6, ScanConfig(box_bound=2), 25),
+                (6, ScanConfig(box_bound=1, coordinate_mask=(1, 3, 4)), 1),
+                (8, ScanConfig(box_bound=2, coordinate_mask=(0, 2, 3, 5, 7)), 25)):
+            blocks = list(_box_blocks(rank, cfg))
+            assert len(blocks) == n_blocks
+            assert all(b.dtype == np.int64 for b in blocks)
+            assert box_rows(rank, cfg) == reference_box(rank, cfg)
 
     def test_invalid_bound(self):
         with pytest.raises(InvalidBound):
@@ -128,6 +159,59 @@ class TestScanNonGeneralType:
         small = scan_non_general_type(U3, TRIPLE, ScanConfig(box_bound=1))
         big = scan_non_general_type(U3, TRIPLE, ScanConfig(box_bound=2))
         assert small.rays() <= big.rays()
+
+
+def reference_cloud(both_signs):
+    """Plain per-vector loop over the U3 B=2 box: each ray with its
+    first witness, in order of first occurrence (+ray, then -ray)."""
+    rows = triple_gram_rows(U3, TRIPLE)
+    cloud = {}
+    for v in reference_box(6, ScanConfig(box_bound=2)):
+        t = tuple(sum(r[j] * v[j] for j in range(6)) for r in rows)
+        qvv = sum(U3.gram[i][j] * v[i] * v[j] for i in range(6) for j in range(6))
+        if not any(t) or not (both_signs or qvv > 0):
+            continue
+        g = math.gcd(*t)
+        ray = tuple(e // g for e in t)
+        cloud.setdefault(ray, v)
+        if both_signs:
+            cloud.setdefault(tuple(-e for e in ray), v)
+    return list(cloud.items())
+
+
+@pytest.mark.parametrize("scan,both_signs", [(scan_algebraic, False),
+                                             (scan_non_general_type, True)])
+def test_clouds_independent_of_block_budget(scan, both_signs, monkeypatch):
+    calls = []
+    from_ray = TwistorPoint.from_ray
+
+    def counting_from_ray(*ray):
+        calls.append(ray)
+        return from_ray(*ray)
+
+    monkeypatch.setattr(TwistorPoint, "from_ray", staticmethod(counting_from_ray))
+
+    def entries():
+        calls.clear()
+        cloud = scan(U3, TRIPLE, ScanConfig(box_bound=2))
+        assert len(calls) == len(cloud)  # one point built per distinct ray
+        return [(p.dir, cloud.witness(p)) for p in cloud]
+
+    default = entries()
+    monkeypatch.setattr(scanning, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
+    assert entries() == default == reference_cloud(both_signs)
+
+
+@pytest.mark.parametrize("rays,first", [
+    ([[1, 0, -2], [0, 1, 1], [1, 0, -2], [-1, 0, 2], [0, 1, 1], [0, 0, 1]],
+     [0, 1, 3, 5]),
+    # entries up to 2^31 would be packed in base 2^32 + 1, where (1, 0, 1)
+    # and (0, 2, 0) wrap to the same int64 key
+    ([[2 ** 31, 0, 0], [1, 0, 1], [0, 2, 0], [1, 0, 1]], [0, 1, 2]),
+    ([], []),
+])
+def test_first_rows(rays, first):
+    assert _first_rows(np.array(rays, dtype=np.int64).reshape(-1, 3)).tolist() == first
 
 
 class TestCoveringRadius:

@@ -25,6 +25,7 @@ from twistorlat import (
     two_zero_plane,
     vector,
 )
+from twistorlat import scanning
 from twistorlat.linalg import expand_in_V
 
 from support import random_positive_class, random_rational_vector
@@ -230,6 +231,27 @@ class TestGeneralType:
             if t == (0, 0, 0):
                 continue
             assert not (t[2] == 0 and t[1] ** 2 == 2 * t[0] ** 2)
+
+    @pytest.mark.parametrize("block_bytes", [None, 5 ** 4 * 6 * 8])
+    def test_bounded_float_image_finds_first_witness(self, block_bytes,
+                                                     monkeypatch):
+        # a float direction of a rational ray gets the lexicographically
+        # first box vector whose projection t is exactly collinear with
+        # it, also when the box is searched in 25 blocks
+        if block_bytes:
+            monkeypatch.setattr(scanning, "_BLOCK_BYTES", block_bytes)
+
+        def collinear(t, d):
+            return (any(t) and t[1] * d[2] == t[2] * d[1]
+                    and t[2] * d[0] == t[0] * d[2] and t[0] * d[1] == t[1] * d[0])
+
+        for d in ((1, 2, 0), (2, -1, 1), (0, 0, -1), (3, 1, -2)):
+            expected = next(
+                v for v in itertools.product(range(-2, 3), repeat=6)
+                if collinear((v[0] + v[1], v[2] + v[3], v[4] + v[5]), d))
+            n = math.sqrt(sum(e * e for e in d))
+            point = TwistorPoint.from_unit(*(e / n for e in d))
+            assert is_general_type(U3, TRIPLE, point, bound=2).witness == expected
 
     def test_random_rational_rays_always_have_witness(self):
         rng = random.Random(33)
