@@ -4,6 +4,12 @@ Vectors are tuples of Fraction; lattices carry an integer Gram matrix.
 Signature is computed by exact congruence diagonalization, integer
 kernels by unimodular column reduction (so the result is automatically
 saturated: the quotient by the kernel sublattice is torsion-free).
+
+Every pairing with the hyperkahler triple goes through one cached
+kernel, pairing_rows: it validates the triple once and returns three
+primitive integer rows and an exact scale, so that
+q(x, w_a) / q(w_a, w_a) = scale * (rows[a] . x). Projection, V-perp
+bases, pi, Hodge type, witnesses and the scans all read it.
 """
 
 from __future__ import annotations
@@ -265,18 +271,32 @@ class HyperTriple:
 
 
 @lru_cache(maxsize=64)
-def _validated_norm(lattice: GramLattice, triple: HyperTriple) -> Fraction:
-    # validation is pure and both types are immutable, so cache it: the
-    # scans and sample loops revalidate the same pair constantly
-    return triple.validate(lattice)
+def pairing_rows(lattice: GramLattice, triple: HyperTriple):
+    """The one pairing kernel: validate the triple and return (rows,
+    scale), three integer rows with their joint gcd divided out and the
+    exact positive Fraction with q(x, w_a) / q(w_a, w_a) equal to
+    scale * (rows[a] . x). Cached: it is pure, both types are immutable,
+    and every projection, scan and witness search asks for it."""
+    norm = triple.validate(lattice)
+    pairing = [e for w in triple.vectors for e in gram_row(lattice, w)]
+    flat = primitive(clear_denominators(pairing))
+    k = next(i for i, e in enumerate(flat) if e)
+    r = lattice.rank
+    return (tuple(flat[a * r:(a + 1) * r] for a in range(3)),
+            pairing[k] / (flat[k] * norm))
+
+
+def dot_rows(rows, x) -> tuple:
+    """The products rows[a] . x."""
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in rows)
 
 
 def project_to_V(lattice: GramLattice, triple: HyperTriple, x: Vector):
     """Coefficients (a, b, c) of the q-orthogonal projection of x onto V,
     so p(x) = a w_I + b w_J + c w_K and x - p(x) is q-orthogonal to V."""
-    norm = _validated_norm(lattice, triple)
+    rows, scale = pairing_rows(lattice, triple)
     lattice.check_length(x)
-    return tuple(q_eval(lattice, x, w) / norm for w in triple.vectors)
+    return tuple(scale * t for t in dot_rows(rows, x))
 
 
 def expand_in_V(triple: HyperTriple, coeffs) -> Vector:
@@ -288,17 +308,7 @@ def expand_in_V(triple: HyperTriple, coeffs) -> Vector:
     )
 
 
-def triple_gram_rows(lattice: GramLattice, triple: HyperTriple):
-    """Integer rows r_a with r_a . v proportional (same positive factor
-    for all three) to q(v, w_a); shared backend for kernels and scans."""
-    flat = clear_denominators(
-        [e for w in triple.vectors for e in gram_row(lattice, w)])
-    r = lattice.rank
-    return [flat[a * r:(a + 1) * r] for a in range(3)]
-
-
 def perp_V_basis(lattice: GramLattice, triple: HyperTriple):
     """Basis of the saturated sublattice of integral vectors q-orthogonal
     to all three triple vectors; size rank - 3 for a valid triple."""
-    _validated_norm(lattice, triple)
-    return integer_kernel(triple_gram_rows(lattice, triple))
+    return integer_kernel(pairing_rows(lattice, triple)[0])

@@ -17,9 +17,9 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyCloud, InvalidBound, InvalidSignature
-from .linalg import (GramLattice, HyperTriple, _validated_norm, signature,
-                     triple_gram_rows)
+from .errors import (DimensionMismatch, EmptyCloud, InvalidBound,
+                     InvalidSignature, Unsupported)
+from .linalg import GramLattice, HyperTriple, pairing_rows, q_eval, signature
 from .twistor import TwistorPoint, stereographic
 
 
@@ -85,6 +85,20 @@ class PointCloud:
 # bounded search, grid-by-cloud cosines (float64) in covering_radius.
 _BLOCK_BYTES = 4 << 20
 
+# Largest box a scan or bounded search walks; bigger ones would run for
+# hours (K3 at B=1 has 3^22, about 3.1e10, vectors).
+_MAX_BOX_VECTORS = 10 ** 9
+
+
+def _int64(matrix, reach: int, bound: str) -> np.ndarray:
+    """The integer matrix as an int64 array, after checking a priori that
+    reach * max|entry|, the largest value a box computation with it can
+    take, fits: numpy would wrap past 2^63 without a word."""
+    worst = reach * max(abs(e) for row in matrix for e in row)
+    if worst >= 2 ** 63:
+        raise Unsupported(f"int64 bound {bound} = {worst} is not below 2^63")
+    return np.array(matrix, dtype=np.int64)
+
 
 def _box_blocks(rank: int, config: ScanConfig) -> Iterator[np.ndarray]:
     """All integer vectors with masked coordinates in [-B, B] and the
@@ -95,6 +109,10 @@ def _box_blocks(rank: int, config: ScanConfig) -> Iterator[np.ndarray]:
     b = config.box_bound
     side = 2 * b + 1
     free = len(active)
+    if side ** free > _MAX_BOX_VECTORS:
+        raise InvalidBound(
+            f"box bound B={b} over k={free} coordinates gives (2B+1)^k = "
+            f"{side ** free} vectors, more than {_MAX_BOX_VECTORS}")
     while free and side ** free * rank * 8 > _BLOCK_BYTES:
         free -= 1
     fixed = len(active) - free
@@ -120,19 +138,39 @@ def _first_rows(rays: np.ndarray) -> np.ndarray:
 
 
 def _scan(lattice: GramLattice, triple: HyperTriple, config: ScanConfig,
-          keep) -> PointCloud:
-    """The block loop of the scans: keep(vecs, t, g) picks a block's rays
-    and witnesses, in order, from its box vectors, their projections and
-    the gcds of those; each ray keeps its first witness."""
+          both_signs: bool) -> PointCloud:
+    """The block loop of the scans. Each block keeps the projection rays
+    of its positive box vectors or, with both_signs, both orientations
+    (+ray first) of every nonzero projection; each ray keeps its first
+    witness."""
     sig = signature(lattice).as_tuple()
     if sig != (3, lattice.rank - 3, 0):
         raise InvalidSignature(f"twistor scans need signature (3, r-3, 0); got {sig}")
-    _validated_norm(lattice, triple)
-    rows = np.array(triple_gram_rows(lattice, triple), dtype=np.int64)
+    reach = config.box_bound * lattice.rank
+    rows = _int64(pairing_rows(lattice, triple)[0], reach, "max|rows|*B*r")
+    if not both_signs:
+        # only the sign of q(v, v) is used, so the Gram content is divided out
+        content = math.gcd(*(e for row in lattice.gram for e in row))
+        gram = _int64([[e // content for e in row] for row in lattice.gram],
+                      reach * reach, "max|G|*B^2*r^2")
     rays, witnesses = [], []
     for vecs in _box_blocks(lattice.rank, config):
         t = vecs @ rows.T
-        r, w = keep(vecs, t, np.gcd.reduce(np.abs(t), axis=1))
+        g = np.gcd.reduce(np.abs(t), axis=1)
+        if both_signs:
+            keep = g > 0
+            r = t[keep] // g[keep, None]
+            r = np.stack([r, -r], axis=1).reshape(-1, 3)
+            w = np.repeat(vecs[keep], 2, axis=0)
+        else:
+            keep = (vecs @ gram * vecs).sum(axis=1) > 0
+            zero = np.flatnonzero(keep & (g == 0))
+            if zero.size:
+                v = tuple(vecs[zero[0]].tolist())
+                raise InvalidSignature(
+                    f"positive vector {v} with q(v, v) = {q_eval(lattice, v, v)} "
+                    "has zero projection; V^perp not negative definite")
+            r, w = t[keep] // g[keep, None], vecs[keep]
         first = _first_rows(r)
         rays.append(r[first])
         witnesses.append(w[first])
@@ -148,15 +186,7 @@ def scan_algebraic(lattice: GramLattice, triple: HyperTriple,
                    config: ScanConfig) -> PointCloud:
     """Projections of all positive integral box vectors: the box
     truncation of the set of algebraic twistor points."""
-    gram = np.array(lattice.gram, dtype=np.int64)
-
-    def positive(vecs, t, g):
-        pos = (vecs @ gram * vecs).sum(axis=1) > 0
-        if not g[pos].all():
-            raise InvalidSignature(
-                "positive vector with zero projection; V^perp not negative definite")
-        return t[pos] // g[pos, None], vecs[pos]
-    return _scan(lattice, triple, config, positive)
+    return _scan(lattice, triple, config, both_signs=False)
 
 
 def scan_non_general_type(lattice: GramLattice, triple: HyperTriple,
@@ -164,12 +194,7 @@ def scan_non_general_type(lattice: GramLattice, triple: HyperTriple,
     """Signed projection rays of all integral box vectors with nonzero
     projection: the box truncation of the non-general-type points.
     Both orientations of each ray are included, +ray first."""
-    def both_signs(vecs, t, g):
-        nonzero = g > 0
-        rays = t[nonzero] // g[nonzero, None]
-        return (np.stack([rays, -rays], axis=1).reshape(-1, 3),
-                np.repeat(vecs[nonzero], 2, axis=0))
-    return _scan(lattice, triple, config, both_signs)
+    return _scan(lattice, triple, config, both_signs=True)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:

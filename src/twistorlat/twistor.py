@@ -27,12 +27,12 @@ from .linalg import (
     HyperTriple,
     Vector,
     clear_denominators,
+    dot_rows,
     expand_in_V,
     integer_kernel,
+    pairing_rows,
     primitive,
-    project_to_V,
     q_eval,
-    triple_gram_rows,
     vector,
 )
 
@@ -125,22 +125,21 @@ def omega_of(triple: HyperTriple, point: TwistorPoint) -> Vector:
 
 def pi_map(lattice: GramLattice, triple: HyperTriple, omega) -> PositiveClass:
     """The twistor projection: the unique point L with q(omega, omega_L) > 0
-    among the two orientations of the projection ray of omega."""
+    among the two orientations of the projection ray of omega.
+
+    With the pairing rows of the triple, that is the ray of
+    t = rows . omega itself, by construction: for L = t / gcd(t),
+    q(omega, omega_L) is a positive multiple of |t|^2."""
     omega = vector(omega)
     if q_eval(lattice, omega, omega) <= 0:
         raise NotPositive("pi_map needs q(omega, omega) > 0")
-    coeffs = project_to_V(lattice, triple, omega)
-    if coeffs == (0, 0, 0):
+    rows, _ = pairing_rows(lattice, triple)
+    t = dot_rows(rows, clear_denominators(omega))
+    if t == (0, 0, 0):
         raise InvariantViolation(
-            "projection of a positive class vanished; lattice or triple invalid")
-    point = TwistorPoint.from_ray(*coeffs)
-    pairing = q_eval(lattice, omega, omega_of(triple, point))
-    if pairing < 0:
-        point = antipode(point)
-        pairing = -pairing
-    if pairing <= 0:
-        raise InvariantViolation("no orientation pairs positively with omega")
-    return PositiveClass(vec=omega, point=point)
+            f"projection of the positive class omega = ({', '.join(map(str, omega))}) "
+            "vanished; lattice or triple invalid")
+    return PositiveClass(vec=omega, point=TwistorPoint.from_ray(*t))
 
 
 def antipode(point: TwistorPoint) -> TwistorPoint:
@@ -159,9 +158,11 @@ def hodge_type_11(lattice: GramLattice, triple: HyperTriple, x,
                   point: TwistorPoint) -> bool:
     """Whether x has Hodge type (1,1) at the point: the projection of x
     onto V is an exact rational multiple (possibly zero) of the ray."""
-    coeffs = project_to_V(lattice, triple, vector(x))
+    x = vector(x)
+    rows, _ = pairing_rows(lattice, triple)
+    lattice.check_length(x)
     d = point.require_exact()
-    return _cross(coeffs, d) == (0, 0, 0)
+    return _cross(dot_rows(rows, clear_denominators(x)), d) == (0, 0, 0)
 
 
 def two_zero_plane(triple: HyperTriple, point: TwistorPoint):
@@ -186,9 +187,6 @@ def _reduce_witness(w, others, rows):
     def norm(v):
         return max(abs(e) for e in v)
 
-    def proj_nonzero(v):
-        return any(sum(r[j] * v[j] for j in range(len(v))) != 0 for r in rows)
-
     improved = True
     while improved:
         improved = False
@@ -202,7 +200,7 @@ def _reduce_witness(w, others, rows):
                 if k == 0:
                     continue
                 cand = [wi - k * bi for wi, bi in zip(w, b)]
-                if norm(cand) < norm(w) and proj_nonzero(cand):
+                if norm(cand) < norm(w) and any(dot_rows(rows, cand)):
                     w = cand
                     improved = True
     return tuple(w)
@@ -218,26 +216,19 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
     (irrational point): search the coordinate box [-bound, bound]^r, in
     lexicographic order and in blocks of bounded memory, for the first
     witness with sine of the collinearity angle below 1e-9; absence is
-    reported as general type up to the bound, not as a proof.
+    reported as general type up to the bound, not as a proof. A box of
+    more than 10^9 vectors raises InvalidBound, and one whose int64
+    products could wrap raises Unsupported.
     """
     if bound < 1:
         raise InvalidBound("bound must be >= 1")
-    rows = triple_gram_rows(lattice, triple)
+    rows, _ = pairing_rows(lattice, triple)
 
     if point.is_exact:
-        d = point.dir
-        cross_rows = [
-            tuple(d[2] * rows[1][t] - d[1] * rows[2][t] for t in range(lattice.rank)),
-            tuple(d[0] * rows[2][t] - d[2] * rows[0][t] for t in range(lattice.rank)),
-            tuple(d[1] * rows[0][t] - d[0] * rows[1][t] for t in range(lattice.rank)),
-        ]
-        kernel = integer_kernel(cross_rows)
-        candidates = []
-        for i, v in enumerate(kernel):
-            t = tuple(sum(r[j] * v[j] for j in range(lattice.rank)) for r in rows)
-            if t != (0, 0, 0):
-                others = kernel[:i] + kernel[i + 1:]
-                candidates.append(_reduce_witness(v, others, rows))
+        # witnesses v solve (rows . v) x d = 0: one cross product per column
+        kernel = integer_kernel(zip(*(_cross(col, point.dir) for col in zip(*rows))))
+        candidates = [_reduce_witness(v, kernel[:i] + kernel[i + 1:], rows)
+                      for i, v in enumerate(kernel) if any(dot_rows(rows, v))]
         if not candidates:
             raise InvariantViolation(
                 "rational ray with no integral witness; triple does not span V")
@@ -245,9 +236,9 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
         return GeneralTypeVerdict(witness=witness)
 
     # bounded mode: floating direction
-    from .scanning import ScanConfig, _box_blocks
+    from .scanning import ScanConfig, _box_blocks, _int64
 
-    rows = np.array(rows, dtype=np.int64)
+    rows = _int64(rows, bound * lattice.rank, "max|rows|*B*r")
     for vecs in _box_blocks(lattice.rank, ScanConfig(box_bound=bound)):
         t = (vecs @ rows.T).astype(float)
         n = np.sqrt((t * t).sum(axis=1))

@@ -109,6 +109,27 @@ class TestScans:
         assert res.exit_code == 0
         assert len(res.output.splitlines()) == 99
 
+    def test_unmasked_k3_box_too_large(self):
+        res = invoke("scan-algebraic", "--lattice", "K3", "--bound", "1")
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "(2B+1)^k = 31381059609" in res.output
+
+    def test_int64_bound_is_a_domain_error(self, tmp_path):
+        # U3 + <-10^19>: q(v, v) over the box would not fit in int64
+        gram = [[0, 1, 0, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0, 0],
+                [0, 0, 0, 1, 0, 0, 0], [0, 0, 1, 0, 0, 0, 0],
+                [0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 1, 0, 0],
+                [0, 0, 0, 0, 0, 0, -10 ** 19]]
+        triple = [[1, 1, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0, 0],
+                  [0, 0, 0, 0, 1, 1, 0]]
+        f = tmp_path / "u3_big.json"
+        f.write_text(json.dumps({"rank": 7, "gram": gram, "triple": triple}))
+        res = invoke("scan-algebraic", "--lattice", str(f), "--bound", "1")
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert "error: int64 bound max|G|*B^2*r^2" in res.output
+
 
 class TestGeneralType:
     def test_rational_point(self):

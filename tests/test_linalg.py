@@ -19,7 +19,7 @@ from twistorlat import (
     signature,
     vector,
 )
-from twistorlat.linalg import expand_in_V, triple_gram_rows
+from twistorlat.linalg import expand_in_V
 
 from support import (
     conjugate_gram,
@@ -241,16 +241,3 @@ class TestPerpBasis:
                 g = gcd(g, abs(e))
             assert g == 1
 
-
-class TestTripleGramRows:
-    def test_rows_reproduce_pairing_direction(self):
-        rng = random.Random(12)
-        rows = triple_gram_rows(U3, U3_TRIPLE)
-        for _ in range(20):
-            x = tuple(Fraction(rng.randint(-5, 5)) for _ in range(6))
-            pair = [q_eval(U3, x, w) for w in U3_TRIPLE.vectors]
-            dots = [sum(Fraction(r[i]) * x[i] for i in range(6)) for r in rows]
-            # same triple up to one common positive factor
-            for a in range(3):
-                for b in range(3):
-                    assert pair[a] * dots[b] == pair[b] * dots[a]

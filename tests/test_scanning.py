@@ -1,18 +1,23 @@
 import io
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from twistorlat import (
     EmptyCloud,
+    GramLattice,
+    HyperTriple,
     InvalidBound,
     InvalidSignature,
     PointCloud,
     ScanConfig,
     TwistorPoint,
+    Unsupported,
     covering_radius,
+    is_general_type,
     load_lattice,
     pi_map,
     scan_algebraic,
@@ -22,7 +27,7 @@ from twistorlat import (
     write_svg,
 )
 from twistorlat import scanning
-from twistorlat.linalg import triple_gram_rows
+from twistorlat.linalg import pairing_rows
 from twistorlat.scanning import _box_blocks, _first_rows, fibonacci_sphere
 
 U3, TRIPLE = load_lattice("U3")
@@ -93,6 +98,17 @@ class TestBoxVectors:
         with pytest.raises(InvalidBound):
             ScanConfig(box_bound=0)
 
+    def test_box_size_guard(self):
+        # 9^6 = 531441, the largest box the suite and the bench walk
+        assert sum(len(b) for b in _box_blocks(6, ScanConfig(box_bound=4))) == 9 ** 6
+        with pytest.raises(InvalidBound, match=r"B=1 over k=22 .* 31381059609"):
+            next(_box_blocks(22, ScanConfig(box_bound=1)))
+
+    def test_k3_bounded_search_fails_fast(self):
+        point = TwistorPoint.from_unit(1.0, math.sqrt(2.0), 0.3)
+        with pytest.raises(InvalidBound, match="more than 1000000000"):
+            is_general_type(K3, K3_TRIPLE, point, bound=1)
+
 
 class TestScanAlgebraic:
     def test_contains_triple_points(self):
@@ -125,6 +141,15 @@ class TestScanAlgebraic:
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
         with pytest.raises(InvalidSignature):
             scan_algebraic(bad, tri, ScanConfig(box_bound=1))
+
+    def test_zero_projection_names_vector(self, monkeypatch):
+        # a valid triple never lets a positive vector project to 0, so
+        # fake all-zero pairing rows: the first positive box vector is named
+        monkeypatch.setattr(scanning, "pairing_rows",
+                            lambda lattice, triple: (((0,) * 6,) * 3, Fraction(1)))
+        with pytest.raises(InvalidSignature,
+                           match=r"\(-1, -1, -1, -1, -1, -1\) with q\(v, v\) = 6 "):
+            scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=1))
 
     def test_masked_k3(self):
         cfg = ScanConfig(box_bound=1, coordinate_mask=tuple(range(6)))
@@ -161,10 +186,57 @@ class TestScanNonGeneralType:
         assert small.rays() <= big.rays()
 
 
+def scaled_gram(lattice, k):
+    return GramLattice.from_rows([[k * e for e in row] for row in lattice.gram])
+
+
+def with_summand(lattice, triple, gram_entry, triple_entries=(0, 0, 0)):
+    """lattice + <gram_entry>, each triple vector padded by one entry."""
+    rows = [list(row) + [0] for row in lattice.gram]
+    rows.append([0] * lattice.rank + [gram_entry])
+    return (GramLattice.from_rows(rows),
+            HyperTriple.from_rows([list(w) + [e]
+                                   for w, e in zip(triple.vectors, triple_entries)]))
+
+
+class TestInt64Bound:
+    @pytest.mark.parametrize("k", [4 * 10 ** 18, 10 ** 19])
+    def test_scaled_gram_gives_u3_cloud(self, k):
+        # the Gram content is divided out and the pairing rows are
+        # primitive, so a huge common scale leaves the scan exact
+        cfg = ScanConfig(box_bound=1)
+        for scan in (scan_algebraic, scan_non_general_type):
+            expected = scan(U3, TRIPLE, cfg)
+            cloud = scan(scaled_gram(U3, k), TRIPLE, cfg)
+            assert [(p.dir, cloud.witness(p)) for p in cloud] == \
+                [(p.dir, expected.witness(p)) for p in expected]
+        assert len(cloud) == ORACLE_CLOUD_SIZES[1]
+
+    def test_huge_gram_entry_is_unsupported(self):
+        lattice, triple = with_summand(U3, TRIPLE, -10 ** 19)
+        with pytest.raises(Unsupported, match=r"max\|G\|\*B\^2\*r\^2 = 49"):
+            scan_algebraic(lattice, triple, ScanConfig(box_bound=1))
+
+    def test_huge_pairing_row_is_unsupported(self):
+        # U3 + <-2N> with w_I = (1, N + 1, 0, 0, 0, 0, 1): still a valid
+        # triple of norm 2, but its pairing row holds -2N = -2 * 10^18
+        n = 10 ** 18
+        lattice, triple = with_summand(U3, TRIPLE, -2 * n, (1, 0, 0))
+        triple = HyperTriple.from_rows(
+            [[1, n + 1] + [0] * 4 + [1], triple.w_j, triple.w_k])
+        cfg = ScanConfig(box_bound=1)
+        for scan in (scan_algebraic, scan_non_general_type):
+            with pytest.raises(Unsupported, match=r"max\|rows\|\*B\*r = 14"):
+                scan(lattice, triple, cfg)
+        with pytest.raises(Unsupported, match=r"max\|rows\|\*B\*r"):
+            is_general_type(lattice, triple, TwistorPoint.from_unit(1.0, 0.5, 0.25),
+                            bound=1)
+
+
 def reference_cloud(both_signs):
     """Plain per-vector loop over the U3 B=2 box: each ray with its
     first witness, in order of first occurrence (+ray, then -ray)."""
-    rows = triple_gram_rows(U3, TRIPLE)
+    rows, _ = pairing_rows(U3, TRIPLE)
     cloud = {}
     for v in reference_box(6, ScanConfig(box_bound=2)):
         t = tuple(sum(r[j] * v[j] for j in range(6)) for r in rows)

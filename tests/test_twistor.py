@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from twistorlat import (
+    GramLattice,
+    HyperTriple,
+    InvalidTriple,
     InvariantViolation,
     IrrationalPoint,
     NotPositive,
@@ -76,6 +79,14 @@ class TestPiMap:
             pi_map(U3, TRIPLE, [1, -1, 0, 0, 0, 0])
         with pytest.raises(NotPositive):
             pi_map(U3, TRIPLE, [1, 0, 0, 0, 0, 0])  # q = 0
+
+    def test_vanished_projection_names_omega(self):
+        # signature (4, 0): e4 is positive and q-orthogonal to the triple
+        lattice = GramLattice.from_rows(
+            [[1 if i == j else 0 for j in range(4)] for i in range(4)])
+        triple = HyperTriple.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+        with pytest.raises(InvariantViolation, match=r"omega = \(0, 0, 0, 1\)"):
+            pi_map(lattice, triple, [0, 0, 0, 1])
 
     def test_uniqueness_of_orientation(self):
         rng = random.Random(21)
@@ -273,6 +284,13 @@ class TestGeneralType:
             point = pi_map(U3, TRIPLE, v).point
             verdict = is_general_type(U3, TRIPLE, point)
             assert verdict.witness is not None
+
+    def test_rejects_invalid_triple(self):
+        bad = HyperTriple.from_rows([TRIPLE.w_i, TRIPLE.w_j, TRIPLE.w_j])
+        for point in (TwistorPoint.from_ray(1, 1, 0),
+                      TwistorPoint.from_unit(1.0, math.sqrt(2.0), 0.0)):
+            with pytest.raises(InvalidTriple):
+                is_general_type(U3, bad, point, bound=1)
 
     def test_k3_exact_mode(self):
         point = TwistorPoint.from_ray(1, 2, 3)
