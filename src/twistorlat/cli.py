@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import wraps
 
@@ -145,15 +146,12 @@ def general_type(lattice_source, point, bound):
         raise click.UsageError("--point needs three components a,b,c")
     # integers and p/q fractions select the exact test; anything with a
     # decimal point or exponent is treated as a floating direction
-    if all(re.fullmatch(r"-?\d+(/\d+)?", p) for p in parts):
-        pt = TwistorPoint.from_ray(*(Fraction(p) for p in parts))
-        exact = True
-    else:
-        try:
-            pt = TwistorPoint.from_unit(*(float(p) for p in parts))
-        except ValueError:
-            raise click.UsageError(f"cannot parse --point {point!r}")
-        exact = False
+    exact = all(re.fullmatch(r"-?\d+(/\d+)?", p) for p in parts)
+    try:
+        coords = [Fraction(p) if exact else float(p) for p in parts]
+    except (ValueError, ZeroDivisionError):
+        raise click.UsageError(f"cannot parse --point {point!r}")
+    pt = TwistorPoint.from_ray(*coords) if exact else TwistorPoint.from_unit(*coords)
     verdict = is_general_type(lattice, triple, pt, bound=bound)
     if verdict.witness is not None:
         mode = "exact" if exact else f"bounded (B={bound})"
@@ -176,11 +174,12 @@ def density(lattice_source, bound, grid, mask):
     """Covering radius of the algebraic cloud for bounds 1..B."""
     lattice, triple = _load(lattice_source)
     mask_idx = _parse_int_csv(mask, "--mask") if mask else None
+    # checks the arguments before the header is written
+    config = scanning.ScanConfig(box_bound=bound, coordinate_mask=mask_idx,
+                                 grid_resolution=grid)
     click.echo("bound,cloud_size,covering_radius")
     for b in range(1, bound + 1):
-        config = scanning.ScanConfig(box_bound=b, coordinate_mask=mask_idx,
-                                     grid_resolution=grid)
-        cloud = scanning.scan_algebraic(lattice, triple, config)
+        cloud = scanning.scan_algebraic(lattice, triple, replace(config, box_bound=b))
         radius = scanning.covering_radius(cloud, grid)
         click.echo(f"{b},{len(cloud)},{radius:.12f}")
 

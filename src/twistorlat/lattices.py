@@ -80,10 +80,11 @@ BUILTINS = {
 def _parse_rat(e) -> Fraction:
     if isinstance(e, bool):
         raise TwistorLatticeError("booleans are not rational entries")
-    if isinstance(e, int):
-        return Fraction(e)
-    if isinstance(e, str):
-        return Fraction(e)
+    if isinstance(e, (int, str)):
+        try:
+            return Fraction(e)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise TwistorLatticeError(f"cannot parse rational entry {e!r}")
 
 
@@ -103,7 +104,7 @@ def load_lattice(source: str):
     if "gram" not in data:
         raise TwistorLatticeError(f"{source} has no 'gram' key")
     lattice = GramLattice.from_rows(data["gram"])
-    if "rank" in data and int(data["rank"]) != lattice.rank:
+    if "rank" in data and data["rank"] != lattice.rank:
         raise TwistorLatticeError(
             f"declared rank {data['rank']} does not match gram size {lattice.rank}")
     triple = None

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from numbers import Integral
 
-from .errors import DimensionMismatch, InvalidTriple, NotSymmetric
+from .errors import DimensionMismatch, InvalidTriple, NotSymmetric, TwistorLatticeError
 
 Vector = tuple[Fraction, ...]
 
@@ -79,7 +80,10 @@ class GramLattice:
 
     @staticmethod
     def from_rows(rows) -> "GramLattice":
-        g = tuple(tuple(int(e) for e in row) for row in rows)
+        """The lattice of a Gram matrix given as rows of integers; any
+        other entry (a float, string or bool) is an error, not rounded."""
+        g = tuple(tuple(_gram_entry(e, i, j) for j, e in enumerate(row))
+                  for i, row in enumerate(rows))
         return GramLattice(rank=len(g), gram=g)
 
     def check_length(self, x):
@@ -88,18 +92,25 @@ class GramLattice:
                 f"vector has length {len(x)}, lattice rank is {self.rank}")
 
 
+def _gram_entry(e, i: int, j: int) -> int:
+    if isinstance(e, bool) or not isinstance(e, Integral):
+        raise TwistorLatticeError(f"gram entry ({i}, {j}) = {e!r} is not an integer")
+    return int(e)
+
+
 def q_eval(lattice: GramLattice, x: Vector, y: Vector) -> Fraction:
-    """The bilinear form x^T gram y, exact."""
+    """The bilinear form x^T gram y, exact; summed in ints for integer
+    vectors."""
     lattice.check_length(x)
     lattice.check_length(y)
     nz = [j for j, e in enumerate(y) if e != 0]
-    total = Fraction(0)
+    total = 0
     for i, xi in enumerate(x):
         if xi == 0:
             continue
         row = lattice.gram[i]
         total += xi * sum(row[j] * y[j] for j in nz)
-    return total
+    return Fraction(total)
 
 
 def gram_row(lattice: GramLattice, w: Vector) -> Vector:

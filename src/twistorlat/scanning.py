@@ -1,11 +1,13 @@
 """Deterministic box enumeration and the density experiments.
 
 Scans enumerate integer vectors in a coordinate box in lexicographic
-order, as int64 blocks of bounded memory, project them onto V, and
-collect exact signed rays, each with its first witness. The bounded
-general-type search walks the same blocks. Covering radius against a
-Fibonacci-sphere grid, also taken in blocks, is the desk-scale measure
-of density. No randomness anywhere in this module.
+order, as int64 blocks of bounded memory over the masked coordinates
+only, project them onto V, and collect exact signed rays, each with its
+first witness. A cloud is two int64 arrays, the rays and their
+witnesses; TwistorPoints are built only when it is iterated. The
+bounded general-type search walks the same blocks. Covering radius
+against a Fibonacci-sphere grid, also taken in blocks, is the desk-scale
+measure of density. No randomness anywhere in this module.
 """
 
 from __future__ import annotations
@@ -48,37 +50,38 @@ class ScanConfig:
         return self.coordinate_mask
 
 
+@dataclass(frozen=True, eq=False)
 class PointCloud:
-    """Finite set of exact twistor points, each with one witness vector.
+    """Exact twistor points as int64 arrays in enumeration order: dirs (n, 3),
+    primitive signed rays, and witnesses (n, r), their first witnesses."""
 
-    Insertion order is the enumeration order; emission sorts by ray."""
-
-    def __init__(self):
-        self._entries: dict[TwistorPoint, tuple[int, ...]] = {}
-
-    def add(self, point: TwistorPoint, witness: tuple[int, ...]):
-        self._entries.setdefault(point, witness)
+    dirs: np.ndarray
+    witnesses: np.ndarray
 
     def __len__(self):
-        return len(self._entries)
+        return len(self.dirs)
 
     def __contains__(self, point):
-        return point in self._entries
+        return bool((self.dirs == getattr(point, "dir", None)).all(axis=1).any())
 
     def __iter__(self):
-        return iter(self._entries)
+        for d, u in zip(self.dirs.tolist(), _units(self.dirs).tolist()):
+            yield TwistorPoint(dir=tuple(d), unit=tuple(u))
 
     def witness(self, point: TwistorPoint) -> tuple[int, ...]:
-        return self._entries[point]
+        if point not in self:
+            raise KeyError(point)
+        row = (self.dirs == point.dir).all(axis=1).argmax()
+        return tuple(self.witnesses[row].tolist())
 
     def rays(self) -> set[tuple[int, int, int]]:
-        return {p.dir for p in self._entries}
+        return set(map(tuple, self.dirs.tolist()))
 
-    def sorted_points(self) -> list[TwistorPoint]:
-        return sorted(self._entries, key=lambda p: p.dir)
 
-    def unit_array(self) -> np.ndarray:
-        return np.array([p.unit for p in self._entries])
+def _units(dirs: np.ndarray) -> np.ndarray:
+    """TwistorPoint.from_ray's units: exact int sums of squares, not int64."""
+    norms = np.sqrt((dirs.astype(object) ** 2).sum(axis=1).astype(float))
+    return dirs / norms[:, None]
 
 
 # Memory budget of one block: box rows (int64) in the scans and the
@@ -94,34 +97,30 @@ def _int64(matrix, reach: int, bound: str) -> np.ndarray:
     """The integer matrix as an int64 array, after checking a priori that
     reach * max|entry|, the largest value a box computation with it can
     take, fits: numpy would wrap past 2^63 without a word."""
-    worst = reach * max(abs(e) for row in matrix for e in row)
+    worst = reach * max((abs(e) for row in matrix for e in row), default=0)
     if worst >= 2 ** 63:
         raise Unsupported(f"int64 bound {bound} = {worst} is not below 2^63")
     return np.array(matrix, dtype=np.int64)
 
 
-def _box_blocks(rank: int, config: ScanConfig) -> Iterator[np.ndarray]:
-    """All integer vectors with masked coordinates in [-B, B] and the
-    others 0, as int64 blocks of rows in lexicographic order, the zero
-    vector included. Each block fixes just enough leading masked
-    coordinates to stay within _BLOCK_BYTES."""
-    active = config.active_indices(rank)
-    b = config.box_bound
+def _box_blocks(k: int, b: int) -> Iterator[np.ndarray]:
+    """All integer vectors in [-b, b]^k, as int64 blocks of rows in
+    lexicographic order, the zero vector included. Each block fixes just
+    enough leading coordinates to stay within _BLOCK_BYTES."""
     side = 2 * b + 1
-    free = len(active)
-    if side ** free > _MAX_BOX_VECTORS:
+    if side ** k > _MAX_BOX_VECTORS:
         raise InvalidBound(
-            f"box bound B={b} over k={free} coordinates gives (2B+1)^k = "
-            f"{side ** free} vectors, more than {_MAX_BOX_VECTORS}")
-    while free and side ** free * rank * 8 > _BLOCK_BYTES:
+            f"box bound B={b} over k={k} coordinates gives (2B+1)^k = "
+            f"{side ** k} vectors, more than {_MAX_BOX_VECTORS}")
+    free = k
+    while free and side ** free * k * 8 > _BLOCK_BYTES:
         free -= 1
-    fixed = len(active) - free
     powers = side ** np.arange(free - 1, -1, -1, dtype=np.int64)
     tail = np.arange(side ** free, dtype=np.int64)[:, None] // powers % side - b
-    for prefix in itertools.product(range(-b, b + 1), repeat=fixed):
-        block = np.zeros((tail.shape[0], rank), dtype=np.int64)
-        block[:, list(active[:fixed])] = prefix
-        block[:, list(active[fixed:])] = tail
+    for prefix in itertools.product(range(-b, b + 1), repeat=k - free):
+        block = np.empty((tail.shape[0], k), dtype=np.int64)
+        block[:, :k - free] = prefix
+        block[:, k - free:] = tail
         yield block
 
 
@@ -146,15 +145,26 @@ def _scan(lattice: GramLattice, triple: HyperTriple, config: ScanConfig,
     sig = signature(lattice).as_tuple()
     if sig != (3, lattice.rank - 3, 0):
         raise InvalidSignature(f"twistor scans need signature (3, r-3, 0); got {sig}")
-    reach = config.box_bound * lattice.rank
-    rows = _int64(pairing_rows(lattice, triple)[0], reach, "max|rows|*B*r")
+    # the box enumerates only the k masked coordinates, against the
+    # matching columns of the pairing rows and Gram submatrix
+    active = list(config.active_indices(lattice.rank))
+    reach = config.box_bound * len(active)
+    rows = _int64([[row[i] for i in active] for row in pairing_rows(lattice, triple)[0]],
+                  reach, "max|rows|*B*k")
     if not both_signs:
         # only the sign of q(v, v) is used, so the Gram content is divided out
-        content = math.gcd(*(e for row in lattice.gram for e in row))
-        gram = _int64([[e // content for e in row] for row in lattice.gram],
-                      reach * reach, "max|G|*B^2*r^2")
+        sub = [[lattice.gram[i][j] for j in active] for i in active]
+        content = math.gcd(*(e for row in sub for e in row)) or 1
+        gram = _int64([[e // content for e in row] for row in sub],
+                      reach * reach, "max|G|*B^2*k^2")
+
+    def spread(w):  # rows over the masked coordinates, as rank-r vectors
+        full = np.zeros((len(w), lattice.rank), dtype=np.int64)
+        full[:, active] = w
+        return full
+
     rays, witnesses = [], []
-    for vecs in _box_blocks(lattice.rank, config):
+    for vecs in _box_blocks(len(active), config.box_bound):
         t = vecs @ rows.T
         g = np.gcd.reduce(np.abs(t), axis=1)
         if both_signs:
@@ -166,7 +176,7 @@ def _scan(lattice: GramLattice, triple: HyperTriple, config: ScanConfig,
             keep = (vecs @ gram * vecs).sum(axis=1) > 0
             zero = np.flatnonzero(keep & (g == 0))
             if zero.size:
-                v = tuple(vecs[zero[0]].tolist())
+                v = tuple(spread(vecs[zero[:1]])[0].tolist())
                 raise InvalidSignature(
                     f"positive vector {v} with q(v, v) = {q_eval(lattice, v, v)} "
                     "has zero projection; V^perp not negative definite")
@@ -175,11 +185,8 @@ def _scan(lattice: GramLattice, triple: HyperTriple, config: ScanConfig,
         rays.append(r[first])
         witnesses.append(w[first])
     rays, witnesses = np.concatenate(rays), np.concatenate(witnesses)
-    cloud = PointCloud()
-    for i in _first_rows(rays):
-        cloud.add(TwistorPoint.from_ray(*rays[i].tolist()),
-                  tuple(witnesses[i].tolist()))
-    return cloud
+    first = _first_rows(rays)
+    return PointCloud(rays[first], spread(witnesses[first]))
 
 
 def scan_algebraic(lattice: GramLattice, triple: HyperTriple,
@@ -212,7 +219,7 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     if len(cloud) == 0:
         raise EmptyCloud("covering radius of an empty cloud is undefined")
     grid = fibonacci_sphere(grid_resolution * grid_resolution)
-    units = cloud.unit_array()
+    units = _units(cloud.dirs)
     # nearest neighbour by max cosine, a block of grid rows at a time;
     # arccos is decreasing, so one arccos of the least best cosine is exact
     step = max(1, _BLOCK_BYTES // (8 * len(units)))
@@ -221,20 +228,22 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     return float(np.arccos(np.clip(least, -1.0, 1.0)))
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def _by_ray(cloud: PointCloud) -> PointCloud:
+    order = np.lexsort(cloud.dirs.T[::-1])
+    return PointCloud(cloud.dirs[order], cloud.witnesses[order])
 
 
 def write_csv(cloud: PointCloud, stream):
     """Emit the cloud as CSV, sorted by exact ray."""
     stream.write("a,b,c,ux,uy,uz,cp1_re,cp1_im,witness\n")
-    for p in cloud.sorted_points():
+    cloud = _by_ray(cloud)
+    for p, w in zip(cloud, cloud.witnesses.tolist()):
         a, b, c = p.dir
         z = stereographic(p)
-        witness = ";".join(str(e) for e in cloud.witness(p))
+        witness = ";".join(str(e) for e in w)
         stream.write(
-            f"{a},{b},{c},{_fmt(p.unit[0])},{_fmt(p.unit[1])},{_fmt(p.unit[2])},"
-            f"{_fmt(z.real)},{_fmt(z.imag)},{witness}\n")
+            f"{a},{b},{c},{p.unit[0]:.17g},{p.unit[1]:.17g},{p.unit[2]:.17g},"
+            f"{z.real:.17g},{z.imag:.17g},{witness}\n")
 
 
 def _lambert(u, center_sign):
@@ -261,7 +270,7 @@ def write_svg(cloud: PointCloud, stream, size: int = 400):
         stream.write(
             f'<circle cx="{cx:.2f}" cy="{size / 2.0:.2f}" '
             f'r="{math.sqrt(2.0) * scale:.2f}" fill="none" stroke="black"/>\n')
-    for p in cloud.sorted_points():
+    for p in _by_ray(cloud):
         for cx, sgn in centers:
             if sgn * p.unit[0] < 0:
                 continue

@@ -68,8 +68,8 @@ class TwistorPoint:
     @staticmethod
     def from_unit(x: float, y: float, z: float) -> "TwistorPoint":
         n = math.sqrt(x * x + y * y + z * z)
-        if n == 0.0:
-            raise InvariantViolation("zero vector is not a direction")
+        if not 0.0 < n < math.inf:  # zero, nan or inf entries, or overflow
+            raise InvariantViolation(f"({x}, {y}, {z}) is not a direction: norm {n}")
         return TwistorPoint(dir=None, unit=(x / n, y / n, z / n))
 
     @property
@@ -131,10 +131,11 @@ def pi_map(lattice: GramLattice, triple: HyperTriple, omega) -> PositiveClass:
     t = rows . omega itself, by construction: for L = t / gcd(t),
     q(omega, omega_L) is a positive multiple of |t|^2."""
     omega = vector(omega)
-    if q_eval(lattice, omega, omega) <= 0:
+    cleared = clear_denominators(omega)  # a positive multiple: same sign of q
+    if q_eval(lattice, cleared, cleared) <= 0:
         raise NotPositive("pi_map needs q(omega, omega) > 0")
     rows, _ = pairing_rows(lattice, triple)
-    t = dot_rows(rows, clear_denominators(omega))
+    t = dot_rows(rows, cleared)
     if t == (0, 0, 0):
         raise InvariantViolation(
             f"projection of the positive class omega = ({', '.join(map(str, omega))}) "
@@ -236,10 +237,10 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
         return GeneralTypeVerdict(witness=witness)
 
     # bounded mode: floating direction
-    from .scanning import ScanConfig, _box_blocks, _int64
+    from .scanning import _box_blocks, _int64
 
-    rows = _int64(rows, bound * lattice.rank, "max|rows|*B*r")
-    for vecs in _box_blocks(lattice.rank, ScanConfig(box_bound=bound)):
+    rows = _int64(rows, bound * lattice.rank, "max|rows|*B*k")
+    for vecs in _box_blocks(lattice.rank, bound):
         t = (vecs @ rows.T).astype(float)
         n = np.sqrt((t * t).sum(axis=1))
         c = np.cross(t, point.unit)

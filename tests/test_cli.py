@@ -1,9 +1,16 @@
 import hashlib
 import json
 
+import pytest
+
 from click.testing import CliRunner
 
 from twistorlat.cli import main
+
+
+U3_GRAM = [[0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 0, 1, 0, 0],
+           [0, 0, 1, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0]]
+U3_TRIPLE = [[1, 1, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0], [0, 0, 0, 0, 1, 1]]
 
 
 def invoke(*args):
@@ -30,6 +37,37 @@ class TestValidate:
         res = invoke("validate", "--lattice", str(bad))
         assert res.exit_code == 1
         assert "symmetric" in res.output.lower()
+
+    @pytest.mark.parametrize("entry", [1.5, "a", True])
+    def test_non_integer_gram_entry(self, tmp_path, entry):
+        # a float used to be truncated, and validate passed another lattice
+        f = tmp_path / "u3.json"
+        gram = [[0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0], [0, 0, 0, entry, 0, 0],
+                [0, 0, entry, 0, 0, 0], [0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 1, 0]]
+        f.write_text(json.dumps({"rank": 6, "gram": gram, "triple": U3_TRIPLE}))
+        res = invoke("validate", "--lattice", str(f))
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert f"gram entry (2, 3) = {entry!r} is not an integer" in res.output
+
+    @pytest.mark.parametrize("entry", ["x", "1/0"])
+    def test_unparsable_triple_entry(self, tmp_path, entry):
+        f = tmp_path / "u3.json"
+        triple = [[entry] + w[1:] for w in U3_TRIPLE[:1]] + U3_TRIPLE[1:]
+        f.write_text(json.dumps({"rank": 6, "gram": U3_GRAM, "triple": triple}))
+        res = invoke("validate", "--lattice", str(f))
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert f"cannot parse rational entry {entry!r}" in res.output
+
+    @pytest.mark.parametrize("rank", ["x", 6.5])
+    def test_bad_declared_rank(self, tmp_path, rank):
+        f = tmp_path / "u3.json"
+        f.write_text(json.dumps({"rank": rank, "gram": U3_GRAM, "triple": U3_TRIPLE}))
+        res = invoke("validate", "--lattice", str(f))
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "does not match gram size 6" in res.output
 
     def test_missing_file(self):
         res = invoke("validate", "--lattice", "nosuch.json")
@@ -128,7 +166,7 @@ class TestScans:
         res = invoke("scan-algebraic", "--lattice", str(f), "--bound", "1")
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)  # no traceback
-        assert "error: int64 bound max|G|*B^2*r^2" in res.output
+        assert "error: int64 bound max|G|*B^2*k^2" in res.output
 
 
 class TestGeneralType:
@@ -148,6 +186,18 @@ class TestGeneralType:
         res = invoke("general-type", "--lattice", "U3", "--point", "x,y,z")
         assert res.exit_code == 2
 
+    def test_zero_denominator_is_usage_error(self):
+        res = invoke("general-type", "--lattice", "U3", "--point", "1/0,1,0")
+        assert res.exit_code == 2
+        assert "cannot parse --point '1/0,1,0'" in res.output
+
+    @pytest.mark.parametrize("point", ["nan,0,0", "1.0,inf,0"])
+    def test_non_finite_point_is_a_domain_error(self, point):
+        res = invoke("general-type", "--lattice", "U3", "--point", point)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "is not a direction" in res.output
+
 
 class TestDensity:
     def test_monotone_report(self):
@@ -160,6 +210,16 @@ class TestDensity:
         assert [int(r[0]) for r in rows] == [1, 2]
         assert [int(r[1]) for r in rows] == [98, 578]
         assert float(rows[1][2]) <= float(rows[0][2])
+
+
+    @pytest.mark.parametrize("args,message", [
+        (("--bound", "0"), "box_bound must be >= 1"),
+        (("--bound", "2", "--grid", "1"), "grid_resolution must be >= 2")])
+    def test_invalid_arguments_before_header(self, args, message):
+        res = invoke("density", "--lattice", "U3", *args)
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.output == f"error: {message}\n"
 
 
 class TestDemoQuaternion:

@@ -11,6 +11,7 @@ from twistorlat import (
     HyperTriple,
     InvalidTriple,
     NotSymmetric,
+    TwistorLatticeError,
     integer_kernel,
     load_lattice,
     perp_V_basis,
@@ -60,6 +61,13 @@ class TestQEval:
         with pytest.raises(DimensionMismatch):
             q_eval(U3, vector([1, 2]), vector([0] * 6))
 
+    def test_integer_and_rational_vectors_agree(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            x = tuple(rng.randint(-9, 9) for _ in range(22))
+            assert q_eval(K3, x, x) == q_eval(K3, vector(x), vector(x))
+            assert isinstance(q_eval(K3, x, x), Fraction)
+
 
 class TestSignature:
     def test_u3(self):
@@ -96,6 +104,12 @@ class TestSignature:
     def test_not_symmetric_rejected(self):
         with pytest.raises(NotSymmetric):
             GramLattice.from_rows([[1, 2], [3, 1]])
+
+    @pytest.mark.parametrize("entry", [1.5, 2.0, "a", "1", True, Fraction(1)])
+    def test_non_integer_gram_entry_rejected(self, entry):
+        # int(1.5) would silently give another lattice
+        with pytest.raises(TwistorLatticeError, match=r"gram entry \(0, 1\) = "):
+            GramLattice.from_rows([[0, entry], [entry, 0]])
 
 
 class TestProjection:

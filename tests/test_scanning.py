@@ -38,24 +38,14 @@ D222, D222_TRIPLE = load_lattice("diag222")
 ORACLE_CLOUD_SIZES = {1: 98, 2: 578, 3: 1730, 4: 4034}
 
 
-def box_rows(rank, config):
+def box_rows(k, b):
     """Every row of the box blocks, in order, as tuples."""
-    return [tuple(row) for block in _box_blocks(rank, config)
-            for row in block.tolist()]
+    return [tuple(row) for block in _box_blocks(k, b) for row in block.tolist()]
 
 
-def reference_box(rank, config):
-    """itertools reference: masked coordinates over [-B, B] in
-    lexicographic order, the others 0."""
-    active = config.active_indices(rank)
-    b = config.box_bound
-    out = []
-    for c in itertools.product(range(-b, b + 1), repeat=len(active)):
-        v = [0] * rank
-        for i, e in zip(active, c):
-            v[i] = e
-        out.append(tuple(v))
-    return out
+def reference_box(k, b):
+    """itertools reference: [-b, b]^k in lexicographic order."""
+    return list(itertools.product(range(-b, b + 1), repeat=k))
 
 
 # room for 5^4 rows of rank 6: a [-2, 2]^6 box splits over its first
@@ -65,34 +55,39 @@ TINY_BLOCK_BYTES = 5 ** 4 * 6 * 8
 
 class TestBoxVectors:
     def test_count_rank2(self):
-        vecs = box_rows(2, ScanConfig(box_bound=1))
+        vecs = box_rows(2, 1)
         assert len(vecs) == 3 ** 2  # the zero vector is included
 
     def test_first_vector(self):
-        assert box_rows(2, ScanConfig(box_bound=1))[0] == (-1, -1)
+        assert box_rows(2, 1)[0] == (-1, -1)
 
-    def test_masked(self):
-        cfg = ScanConfig(box_bound=1, coordinate_mask=(0, 1))
-        vecs = box_rows(6, cfg)
-        assert len(vecs) == 9
-        assert all(v[2:] == (0, 0, 0, 0) for v in vecs)
+    def test_masked(self, monkeypatch):
+        # a masked scan walks only its k coordinates (here 2 of 22); the
+        # witnesses are spread to rank r (TestScanAlgebraic.test_masked_k3)
+        blocks = []
+        box_blocks = scanning._box_blocks
+
+        def recording(k, b):
+            blocks.extend(box_blocks(k, b))
+            return iter(blocks)
+
+        monkeypatch.setattr(scanning, "_box_blocks", recording)
+        scan_algebraic(K3, K3_TRIPLE, ScanConfig(box_bound=1, coordinate_mask=(0, 1)))
+        assert [b.shape for b in blocks] == [(9, 2)]
 
     def test_no_repeats_lexicographic(self):
-        vecs = box_rows(3, ScanConfig(box_bound=2))
+        vecs = box_rows(3, 2)
         assert len(vecs) == 5 ** 3
         assert len(set(vecs)) == len(vecs)
         assert vecs == sorted(vecs)
 
     def test_array_agrees_with_generator(self, monkeypatch):
         monkeypatch.setattr(scanning, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
-        for rank, cfg, n_blocks in (
-                (6, ScanConfig(box_bound=2), 25),
-                (6, ScanConfig(box_bound=1, coordinate_mask=(1, 3, 4)), 1),
-                (8, ScanConfig(box_bound=2, coordinate_mask=(0, 2, 3, 5, 7)), 25)):
-            blocks = list(_box_blocks(rank, cfg))
+        for k, b, n_blocks in ((6, 2, 25), (3, 1, 1), (5, 2, 5)):
+            blocks = list(_box_blocks(k, b))
             assert len(blocks) == n_blocks
-            assert all(b.dtype == np.int64 for b in blocks)
-            assert box_rows(rank, cfg) == reference_box(rank, cfg)
+            assert all(block.dtype == np.int64 for block in blocks)
+            assert box_rows(k, b) == reference_box(k, b)
 
     def test_invalid_bound(self):
         with pytest.raises(InvalidBound):
@@ -100,9 +95,9 @@ class TestBoxVectors:
 
     def test_box_size_guard(self):
         # 9^6 = 531441, the largest box the suite and the bench walk
-        assert sum(len(b) for b in _box_blocks(6, ScanConfig(box_bound=4))) == 9 ** 6
+        assert sum(len(b) for b in _box_blocks(6, 4)) == 9 ** 6
         with pytest.raises(InvalidBound, match=r"B=1 over k=22 .* 31381059609"):
-            next(_box_blocks(22, ScanConfig(box_bound=1)))
+            next(_box_blocks(22, 1))
 
     def test_k3_bounded_search_fails_fast(self):
         point = TwistorPoint.from_unit(1.0, math.sqrt(2.0), 0.3)
@@ -150,12 +145,26 @@ class TestScanAlgebraic:
         with pytest.raises(InvalidSignature,
                            match=r"\(-1, -1, -1, -1, -1, -1\) with q\(v, v\) = 6 "):
             scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=1))
+        # under a mask, the vector named is the full rank-6 one
+        with pytest.raises(InvalidSignature,
+                           match=r"\(0, 0, -1, -1, 0, 0\) with q\(v, v\) = 2 "):
+            scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=1, coordinate_mask=(2, 3)))
 
     def test_masked_k3(self):
         cfg = ScanConfig(box_bound=1, coordinate_mask=tuple(range(6)))
         cloud = scan_algebraic(K3, K3_TRIPLE, cfg)
         # the masked sublattice is exactly U3, so counts agree
         assert len(cloud) == ORACLE_CLOUD_SIZES[1]
+        assert cloud.witnesses.shape == (98, 22)
+        assert not cloud.witnesses[:, 6:].any()  # unmasked coordinates are 0
+
+    def test_isotropic_mask(self):
+        # q vanishes on the masked coordinates (Gram submatrix 0 or
+        # empty), so no box vector is positive
+        for mask in ((0,), (1,), ()):
+            cfg = ScanConfig(box_bound=2, coordinate_mask=mask)
+            cloud = scan_algebraic(U3, TRIPLE, cfg)
+            assert len(cloud) == 0 and cloud.witnesses.shape == (0, 6)
 
     def test_determinism(self):
         a = scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=2))
@@ -214,8 +223,20 @@ class TestInt64Bound:
 
     def test_huge_gram_entry_is_unsupported(self):
         lattice, triple = with_summand(U3, TRIPLE, -10 ** 19)
-        with pytest.raises(Unsupported, match=r"max\|G\|\*B\^2\*r\^2 = 49"):
+        with pytest.raises(Unsupported, match=r"max\|G\|\*B\^2\*k\^2 = 49"):
             scan_algebraic(lattice, triple, ScanConfig(box_bound=1))
+
+    def test_huge_entry_outside_mask(self):
+        # the bounds read only the masked columns: the summand <-10^19>
+        # lies outside the mask, so the scans return the U3 B=1 cloud
+        lattice, triple = with_summand(U3, TRIPLE, -10 ** 19)
+        cfg = ScanConfig(box_bound=1, coordinate_mask=tuple(range(6)))
+        for scan in (scan_algebraic, scan_non_general_type):
+            expected = scan(U3, TRIPLE, ScanConfig(box_bound=1))
+            cloud = scan(lattice, triple, cfg)
+            assert cloud.dirs.tolist() == expected.dirs.tolist()
+            assert cloud.witnesses.tolist() == [w + [0] for w in expected.witnesses.tolist()]
+        assert len(cloud) == ORACLE_CLOUD_SIZES[1]
 
     def test_huge_pairing_row_is_unsupported(self):
         # U3 + <-2N> with w_I = (1, N + 1, 0, 0, 0, 0, 1): still a valid
@@ -226,9 +247,9 @@ class TestInt64Bound:
             [[1, n + 1] + [0] * 4 + [1], triple.w_j, triple.w_k])
         cfg = ScanConfig(box_bound=1)
         for scan in (scan_algebraic, scan_non_general_type):
-            with pytest.raises(Unsupported, match=r"max\|rows\|\*B\*r = 14"):
+            with pytest.raises(Unsupported, match=r"max\|rows\|\*B\*k = 14"):
                 scan(lattice, triple, cfg)
-        with pytest.raises(Unsupported, match=r"max\|rows\|\*B\*r"):
+        with pytest.raises(Unsupported, match=r"max\|rows\|\*B\*k"):
             is_general_type(lattice, triple, TwistorPoint.from_unit(1.0, 0.5, 0.25),
                             bound=1)
 
@@ -238,7 +259,7 @@ def reference_cloud(both_signs):
     first witness, in order of first occurrence (+ray, then -ray)."""
     rows, _ = pairing_rows(U3, TRIPLE)
     cloud = {}
-    for v in reference_box(6, ScanConfig(box_bound=2)):
+    for v in reference_box(6, 2):
         t = tuple(sum(r[j] * v[j] for j in range(6)) for r in rows)
         qvv = sum(U3.gram[i][j] * v[i] * v[j] for i in range(6) for j in range(6))
         if not any(t) or not (both_signs or qvv > 0):
@@ -254,19 +275,19 @@ def reference_cloud(both_signs):
 @pytest.mark.parametrize("scan,both_signs", [(scan_algebraic, False),
                                              (scan_non_general_type, True)])
 def test_clouds_independent_of_block_budget(scan, both_signs, monkeypatch):
-    calls = []
-    from_ray = TwistorPoint.from_ray
+    built = []
+    init = TwistorPoint.__init__
 
-    def counting_from_ray(*ray):
-        calls.append(ray)
-        return from_ray(*ray)
+    def counting_init(self, *args, **kwargs):
+        built.append(args or kwargs)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(TwistorPoint, "from_ray", staticmethod(counting_from_ray))
+    monkeypatch.setattr(TwistorPoint, "__init__", counting_init)
 
     def entries():
-        calls.clear()
+        built.clear()
         cloud = scan(U3, TRIPLE, ScanConfig(box_bound=2))
-        assert len(calls) == len(cloud)  # one point built per distinct ray
+        assert built == []  # the scan builds no point; iteration does
         return [(p.dir, cloud.witness(p)) for p in cloud]
 
     default = entries()
@@ -286,18 +307,38 @@ def test_first_rows(rays, first):
     assert _first_rows(np.array(rays, dtype=np.int64).reshape(-1, 3)).tolist() == first
 
 
+class TestPointCloud:
+    def test_units_match_from_ray(self):
+        # this ray's sum of squares wraps in int64, and float64 squares
+        # round it to a different unit
+        big = [2342548891, -2558966741, -2170644487]
+        for cloud in (scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=2)),
+                      PointCloud(np.array([big, [1, 0, 0]]), np.zeros((2, 6), np.int64))):
+            assert [p.unit for p in cloud] == \
+                [TwistorPoint.from_ray(*d).unit for d in cloud.dirs.tolist()]
+
+    def test_lookup(self):
+        cloud = PointCloud(np.array([[1, 0, 0], [0, -1, 2]]), np.array([[3, 4], [5, 6]]))
+        assert len(cloud) == 2
+        assert cloud.rays() == {(1, 0, 0), (0, -1, 2)}
+        assert [p.dir for p in cloud] == [(1, 0, 0), (0, -1, 2)]
+        assert cloud.witness(TwistorPoint.from_ray(0, -2, 4)) == (5, 6)
+        assert TwistorPoint.from_ray(0, 1, -2) not in cloud
+        assert TwistorPoint.from_unit(1.0, 0.0, 0.0) not in cloud
+        assert (1, 0, 0) not in cloud
+        with pytest.raises(KeyError):
+            cloud.witness(TwistorPoint.from_ray(0, 1, -2))
+
+
 class TestCoveringRadius:
     def test_single_point(self):
-        cloud = PointCloud()
-        cloud.add(TwistorPoint.from_ray(1, 0, 0), (1, 1, 0, 0, 0, 0))
+        cloud = PointCloud(np.array([[1, 0, 0]]), np.array([[1, 1, 0, 0, 0, 0]]))
         rad = covering_radius(cloud, 200)
         assert abs(rad - math.pi) <= 2.0 / 200
 
     def test_octahedron(self):
-        cloud = PointCloud()
-        for ray in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
-                    (0, 0, 1), (0, 0, -1)):
-            cloud.add(TwistorPoint.from_ray(*ray), (0,) * 6)
+        rays = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1))
+        cloud = PointCloud(np.array(rays), np.zeros((6, 6), dtype=np.int64))
         rad = covering_radius(cloud, 200)
         assert abs(rad - math.acos(1 / math.sqrt(3))) <= 2.0 / 200
 
@@ -310,7 +351,8 @@ class TestCoveringRadius:
 
     def test_empty_cloud(self):
         with pytest.raises(EmptyCloud):
-            covering_radius(PointCloud(), 100)
+            covering_radius(PointCloud(np.empty((0, 3), dtype=np.int64),
+                                       np.empty((0, 6), dtype=np.int64)), 100)
 
     def test_grid_is_unit(self):
         grid = fibonacci_sphere(500)
@@ -333,8 +375,7 @@ class TestEmission:
             assert pi_map(U3, TRIPLE, witness).point.dir == ray
 
     def test_csv_infinity(self):
-        cloud = PointCloud()
-        cloud.add(TwistorPoint.from_ray(1, 0, 0), (1, 1, 0, 0, 0, 0))
+        cloud = PointCloud(np.array([[1, 0, 0]]), np.array([[1, 1, 0, 0, 0, 0]]))
         buf = io.StringIO()
         write_csv(cloud, buf)
         row = buf.getvalue().splitlines()[1].split(",")

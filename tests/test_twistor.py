@@ -51,6 +51,13 @@ class TestTwistorPoint:
         with pytest.raises(InvariantViolation):
             TwistorPoint.from_ray(0, 0, 0)
 
+    @pytest.mark.parametrize("unit,norm", [
+        ((0.0, 0.0, 0.0), "0.0"), ((math.nan, 0.0, 0.0), "nan"),
+        ((1.0, math.inf, 0.0), "inf"), ((1e200, 0.0, 0.0), "inf")])
+    def test_unit_needs_finite_nonzero_norm(self, unit, norm):
+        with pytest.raises(InvariantViolation, match=f"is not a direction: norm {norm}$"):
+            TwistorPoint.from_unit(*unit)
+
     def test_irrational_point_has_no_ray(self):
         p = TwistorPoint.from_unit(1.0, math.sqrt(2.0), 0.0)
         assert not p.is_exact
