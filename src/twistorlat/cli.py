@@ -104,24 +104,21 @@ def _scan_command(name, scan_fn, doc):
     @click.option("--bound", type=int, required=True, help="Box bound B.")
     @click.option("--mask", default=None,
                   help="Comma-separated coordinate indices to enumerate.")
-    @click.option("--out", type=click.Path(writable=True), default=None,
+    # the files open lazily, on the first write: a scan that fails
+    # leaves none behind, and one that cannot be opened exits 1
+    @click.option("--out", type=click.File("w"), default="-",
                   help="CSV output path (default: stdout).")
-    @click.option("--svg", "svg_path", type=click.Path(writable=True),
-                  default=None, help="Also write an SVG scatter plot.")
+    @click.option("--svg", type=click.File("w"), default=None,
+                  help="Also write an SVG scatter plot.")
     @domain_errors
-    def cmd(lattice_source, bound, mask, out, svg_path):
+    def cmd(lattice_source, bound, mask, out, svg):
         lattice, triple = _load(lattice_source)
         mask_idx = _parse_int_csv(mask, "--mask") if mask else None
         config = scanning.ScanConfig(box_bound=bound, coordinate_mask=mask_idx)
         cloud = scan_fn(lattice, triple, config)
-        if out:
-            with open(out, "w") as fh:
-                scanning.write_csv(cloud, fh)
-        else:
-            scanning.write_csv(cloud, sys.stdout)
-        if svg_path:
-            with open(svg_path, "w") as fh:
-                scanning.write_svg(cloud, fh)
+        scanning.write_csv(cloud, out)
+        if svg is not None:
+            scanning.write_svg(cloud, svg)
     return cmd
 
 

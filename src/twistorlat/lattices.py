@@ -88,6 +88,11 @@ def _parse_rat(e) -> Fraction:
     raise TwistorLatticeError(f"cannot parse rational entry {e!r}")
 
 
+def _is_rows(value, count=None) -> bool:
+    return (isinstance(value, list) and all(isinstance(row, list) for row in value)
+            and count in (None, len(value)))
+
+
 def load_lattice(source: str):
     """Load (GramLattice, HyperTriple | None) from a built-in name or a
     JSON file path."""
@@ -101,8 +106,11 @@ def load_lattice(source: str):
         raise TwistorLatticeError(f"cannot open lattice file {source}: {exc}")
     except json.JSONDecodeError as exc:
         raise TwistorLatticeError(f"invalid JSON in {source}: {exc}")
-    if "gram" not in data:
-        raise TwistorLatticeError(f"{source} has no 'gram' key")
+    if not (isinstance(data, dict) and _is_rows(data.get("gram"))
+            and (data.get("triple") is None or _is_rows(data["triple"], 3))):
+        raise TwistorLatticeError(
+            f"{source} must hold an object with 'gram' a list of lists and, "
+            "if given, 'triple' a list of three lists")
     lattice = GramLattice.from_rows(data["gram"])
     if "rank" in data and data["rank"] != lattice.rank:
         raise TwistorLatticeError(

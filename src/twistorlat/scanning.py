@@ -1,28 +1,27 @@
-"""Deterministic box enumeration and the density experiments.
+"""Deterministic box scans and the density experiments.
 
-Scans enumerate integer vectors in a coordinate box in lexicographic
-order, as int64 blocks of bounded memory over the masked coordinates
-only, project them onto V, and collect exact signed rays, each with its
-first witness. A cloud is two int64 arrays, the rays and their
-witnesses; TwistorPoints are built only when it is iterated. The
-bounded general-type search walks the same blocks. Covering radius
+Scans walk the box of the masked coordinates in the int64 blocks of
+twistor._box_pairings and collect the exact signed rays of the
+projections onto V, each with its first witness. One key, _ray_order,
+decides both ray equality (the scans' dedup) and ray order (emission).
+A cloud is two int64 arrays, the distinct rays and their witnesses;
+TwistorPoints are built only when it is iterated. Covering radius
 against a Fibonacci-sphere grid, also taken in blocks, is the desk-scale
 measure of density. No randomness anywhere in this module.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
-from .errors import (DimensionMismatch, EmptyCloud, InvalidBound,
-                     InvalidSignature, Unsupported)
+from .errors import DimensionMismatch, EmptyCloud, InvalidBound, InvalidSignature
 from .linalg import GramLattice, HyperTriple, pairing_rows, q_eval, signature
-from .twistor import TwistorPoint, stereographic
+from .twistor import _BLOCK_BYTES, TwistorPoint, _box_pairings, _int64, stereographic
 
 
 @dataclass(frozen=True)
@@ -53,16 +52,20 @@ class ScanConfig:
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """Exact twistor points as int64 arrays in enumeration order: dirs (n, 3),
-    primitive signed rays, and witnesses (n, r), their first witnesses."""
+    distinct primitive signed rays, and witnesses (n, r), their first witnesses."""
 
     dirs: np.ndarray
     witnesses: np.ndarray
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, int, int], int]:
+        return {d: i for i, d in enumerate(map(tuple, self.dirs.tolist()))}
 
     def __len__(self):
         return len(self.dirs)
 
     def __contains__(self, point):
-        return bool((self.dirs == getattr(point, "dir", None)).all(axis=1).any())
+        return getattr(point, "dir", None) in self._index
 
     def __iter__(self):
         for d, u in zip(self.dirs.tolist(), _units(self.dirs).tolist()):
@@ -71,11 +74,10 @@ class PointCloud:
     def witness(self, point: TwistorPoint) -> tuple[int, ...]:
         if point not in self:
             raise KeyError(point)
-        row = (self.dirs == point.dir).all(axis=1).argmax()
-        return tuple(self.witnesses[row].tolist())
+        return tuple(self.witnesses[self._index[point.dir]].tolist())
 
     def rays(self) -> set[tuple[int, int, int]]:
-        return set(map(tuple, self.dirs.tolist()))
+        return set(self._index)
 
 
 def _units(dirs: np.ndarray) -> np.ndarray:
@@ -84,56 +86,16 @@ def _units(dirs: np.ndarray) -> np.ndarray:
     return dirs / norms[:, None]
 
 
-# Memory budget of one block: box rows (int64) in the scans and the
-# bounded search, grid-by-cloud cosines (float64) in covering_radius.
-_BLOCK_BYTES = 4 << 20
-
-# Largest box a scan or bounded search walks; bigger ones would run for
-# hours (K3 at B=1 has 3^22, about 3.1e10, vectors).
-_MAX_BOX_VECTORS = 10 ** 9
-
-
-def _int64(matrix, reach: int, bound: str) -> np.ndarray:
-    """The integer matrix as an int64 array, after checking a priori that
-    reach * max|entry|, the largest value a box computation with it can
-    take, fits: numpy would wrap past 2^63 without a word."""
-    worst = reach * max((abs(e) for row in matrix for e in row), default=0)
-    if worst >= 2 ** 63:
-        raise Unsupported(f"int64 bound {bound} = {worst} is not below 2^63")
-    return np.array(matrix, dtype=np.int64)
-
-
-def _box_blocks(k: int, b: int) -> Iterator[np.ndarray]:
-    """All integer vectors in [-b, b]^k, as int64 blocks of rows in
-    lexicographic order, the zero vector included. Each block fixes just
-    enough leading coordinates to stay within _BLOCK_BYTES."""
-    side = 2 * b + 1
-    if side ** k > _MAX_BOX_VECTORS:
-        raise InvalidBound(
-            f"box bound B={b} over k={k} coordinates gives (2B+1)^k = "
-            f"{side ** k} vectors, more than {_MAX_BOX_VECTORS}")
-    free = k
-    while free and side ** free * k * 8 > _BLOCK_BYTES:
-        free -= 1
-    powers = side ** np.arange(free - 1, -1, -1, dtype=np.int64)
-    tail = np.arange(side ** free, dtype=np.int64)[:, None] // powers % side - b
-    for prefix in itertools.product(range(-b, b + 1), repeat=k - free):
-        block = np.empty((tail.shape[0], k), dtype=np.int64)
-        block[:, :k - free] = prefix
-        block[:, k - free:] = tail
-        yield block
-
-
-def _first_rows(rays: np.ndarray) -> np.ndarray:
-    """Indices of the first occurrence of each distinct row of an
-    (n, 3) integer array, in increasing order."""
+def _ray_order(rays: np.ndarray) -> np.ndarray:
+    """Index of the first occurrence of each distinct row of an (n, 3)
+    integer array, in lexicographic order of the rows."""
     m = int(np.abs(rays).max(initial=0))
     base = 2 * m + 1
-    if base ** 3 <= np.iinfo(np.int64).max:
+    if base ** 3 <= np.iinfo(np.int64).max:  # digits below base: keys sort as rows
         keys = ((rays[:, 0] + m) * base + rays[:, 1] + m) * base + rays[:, 2] + m
-    else:  # too large to pack into one int64: compare the rows' bytes
-        keys = np.ascontiguousarray(rays).view(np.dtype((np.void, 3 * rays.itemsize)))
-    return np.sort(np.unique(keys.ravel(), return_index=True)[1])
+    else:  # too large to pack into one int64: records sort as rows too
+        keys = np.ascontiguousarray(rays).view([("", np.int64)] * 3).ravel()
+    return np.unique(keys, return_index=True)[1]
 
 
 def _scan(lattice: GramLattice, triple: HyperTriple, config: ScanConfig,
@@ -148,15 +110,14 @@ def _scan(lattice: GramLattice, triple: HyperTriple, config: ScanConfig,
     # the box enumerates only the k masked coordinates, against the
     # matching columns of the pairing rows and Gram submatrix
     active = list(config.active_indices(lattice.rank))
-    reach = config.box_bound * len(active)
-    rows = _int64([[row[i] for i in active] for row in pairing_rows(lattice, triple)[0]],
-                  reach, "max|rows|*B*k")
+    rows = [[row[i] for i in active] for row in pairing_rows(lattice, triple)[0]]
+    blocks = _box_pairings(rows, config.box_bound)
     if not both_signs:
         # only the sign of q(v, v) is used, so the Gram content is divided out
         sub = [[lattice.gram[i][j] for j in active] for i in active]
         content = math.gcd(*(e for row in sub for e in row)) or 1
         gram = _int64([[e // content for e in row] for row in sub],
-                      reach * reach, "max|G|*B^2*k^2")
+                      (config.box_bound * len(active)) ** 2, "max|G|*B^2*k^2")
 
     def spread(w):  # rows over the masked coordinates, as rank-r vectors
         full = np.zeros((len(w), lattice.rank), dtype=np.int64)
@@ -164,8 +125,7 @@ def _scan(lattice: GramLattice, triple: HyperTriple, config: ScanConfig,
         return full
 
     rays, witnesses = [], []
-    for vecs in _box_blocks(len(active), config.box_bound):
-        t = vecs @ rows.T
+    for vecs, t in blocks:
         g = np.gcd.reduce(np.abs(t), axis=1)
         if both_signs:
             keep = g > 0
@@ -181,11 +141,11 @@ def _scan(lattice: GramLattice, triple: HyperTriple, config: ScanConfig,
                     f"positive vector {v} with q(v, v) = {q_eval(lattice, v, v)} "
                     "has zero projection; V^perp not negative definite")
             r, w = t[keep] // g[keep, None], vecs[keep]
-        first = _first_rows(r)
+        first = np.sort(_ray_order(r))
         rays.append(r[first])
         witnesses.append(w[first])
     rays, witnesses = np.concatenate(rays), np.concatenate(witnesses)
-    first = _first_rows(rays)
+    first = np.sort(_ray_order(rays))
     return PointCloud(rays[first], spread(witnesses[first]))
 
 
@@ -216,6 +176,8 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     """Max over a grid_resolution^2 Fibonacci grid of the angular
     distance to the nearest cloud point, in radians."""
+    if grid_resolution < 2:
+        raise InvalidBound("grid_resolution must be >= 2")
     if len(cloud) == 0:
         raise EmptyCloud("covering radius of an empty cloud is undefined")
     grid = fibonacci_sphere(grid_resolution * grid_resolution)
@@ -229,19 +191,20 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
 
 
 def _by_ray(cloud: PointCloud) -> PointCloud:
-    order = np.lexsort(cloud.dirs.T[::-1])
+    order = _ray_order(cloud.dirs)
     return PointCloud(cloud.dirs[order], cloud.witnesses[order])
 
 
 def write_csv(cloud: PointCloud, stream):
     """Emit the cloud as CSV, sorted by exact ray."""
-    stream.write("a,b,c,ux,uy,uz,cp1_re,cp1_im,witness\n")
+    write = stream.write  # once: a lazy click.File forwards each lookup
+    write("a,b,c,ux,uy,uz,cp1_re,cp1_im,witness\n")
     cloud = _by_ray(cloud)
     for p, w in zip(cloud, cloud.witnesses.tolist()):
         a, b, c = p.dir
         z = stereographic(p)
         witness = ";".join(str(e) for e in w)
-        stream.write(
+        write(
             f"{a},{b},{c},{p.unit[0]:.17g},{p.unit[1]:.17g},{p.unit[2]:.17g},"
             f"{z.real:.17g},{z.imag:.17g},{witness}\n")
 
@@ -262,12 +225,13 @@ def write_svg(cloud: PointCloud, stream, size: int = 400):
     pad = 10
     scale = (size - 2 * pad) / (2.0 * math.sqrt(2.0))
     width = 2 * size + pad
-    stream.write(
+    write = stream.write  # once: a lazy click.File forwards each lookup
+    write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{size}" viewBox="0 0 {width} {size}">\n')
     centers = [(size / 2.0, 1.0), (size + pad + size / 2.0, -1.0)]
     for cx, _ in centers:
-        stream.write(
+        write(
             f'<circle cx="{cx:.2f}" cy="{size / 2.0:.2f}" '
             f'r="{math.sqrt(2.0) * scale:.2f}" fill="none" stroke="black"/>\n')
     for p in _by_ray(cloud):
@@ -279,5 +243,5 @@ def write_svg(cloud: PointCloud, stream, size: int = 400):
                 continue
             px = cx + xy[0] * scale
             py = size / 2.0 - xy[1] * scale
-            stream.write(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.5"/>\n')
-    stream.write("</svg>\n")
+            write(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.5"/>\n')
+    write("</svg>\n")

@@ -1,18 +1,20 @@
-"""Twistor points and the projection map.
+"""Twistor points, the projection map and the box walk.
 
 A twistor point is a signed ray in the positive 3-plane V, stored as a
 primitive integer triple of coordinates in the triple basis (w_I, w_J,
 w_K). Point equality is exact and includes the sign: L and -L are
 different points. Irrational directions (for the bounded general-type
-search) carry only a floating unit vector and no exact ray.
+search) carry only a floating unit vector and no exact ray. The box
+walk, _box_pairings, is shared by the bounded search and the scans.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .errors import (
     InvariantViolation,
     IrrationalPoint,
     NotPositive,
+    Unsupported,
 )
 from .linalg import (
     GramLattice,
@@ -35,6 +38,51 @@ from .linalg import (
     q_eval,
     vector,
 )
+
+
+# Memory budget of one block: box rows (int64) in the scans and the
+# bounded search, grid-by-cloud cosines (float64) in covering_radius.
+_BLOCK_BYTES = 4 << 20
+
+# Largest box a scan or bounded search walks; bigger ones would run for
+# hours (K3 at B=1 has 3^22, about 3.1e10, vectors).
+_MAX_BOX_VECTORS = 10 ** 9
+
+
+def _int64(matrix, reach: int, bound: str) -> np.ndarray:
+    """The integer matrix as an int64 array, after checking a priori that
+    reach * max|entry|, the largest value a box computation with it can
+    take, fits: numpy would wrap past 2^63 without a word."""
+    worst = reach * max((abs(e) for row in matrix for e in row), default=0)
+    if worst >= 2 ** 63:
+        raise Unsupported(f"int64 bound {bound} = {worst} is not below 2^63")
+    return np.array(matrix, dtype=np.int64)
+
+
+def _box_pairings(rows, b: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """[-b, b]^k, k the width of the rows, as int64 blocks (vecs, vecs @ rows.T),
+    vecs in lexicographic order with the zero vector, each within _BLOCK_BYTES.
+    The int64 bound and the box size are checked on the call, before any block."""
+    k = len(rows[0])
+    rows = _int64(rows, b * k, "max|rows|*B*k")
+    side = 2 * b + 1
+    if side ** k > _MAX_BOX_VECTORS:
+        raise InvalidBound(
+            f"box bound B={b} over k={k} coordinates gives (2B+1)^k = "
+            f"{side ** k} vectors, more than {_MAX_BOX_VECTORS}")
+    free = k
+    while free and side ** free * k * 8 > _BLOCK_BYTES:
+        free -= 1
+    powers = side ** np.arange(free - 1, -1, -1, dtype=np.int64)
+    tail = np.arange(side ** free, dtype=np.int64)[:, None] // powers % side - b
+
+    def blocks():
+        for prefix in itertools.product(range(-b, b + 1), repeat=k - free):
+            vecs = np.empty((len(tail), k), dtype=np.int64)
+            vecs[:, :k - free] = prefix
+            vecs[:, k - free:] = tail
+            yield vecs, vecs @ rows.T
+    return blocks()
 
 
 def _cross(a, b):
@@ -237,11 +285,8 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
         return GeneralTypeVerdict(witness=witness)
 
     # bounded mode: floating direction
-    from .scanning import _box_blocks, _int64
-
-    rows = _int64(rows, bound * lattice.rank, "max|rows|*B*k")
-    for vecs in _box_blocks(lattice.rank, bound):
-        t = (vecs @ rows.T).astype(float)
+    for vecs, t in _box_pairings(rows, bound):
+        t = t.astype(float)
         n = np.sqrt((t * t).sum(axis=1))
         c = np.cross(t, point.unit)
         with np.errstate(divide="ignore", invalid="ignore"):

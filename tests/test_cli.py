@@ -69,6 +69,19 @@ class TestValidate:
         assert isinstance(res.exception, SystemExit)
         assert "does not match gram size 6" in res.output
 
+    @pytest.mark.parametrize("data", [
+        5, {"gram": 5}, {"gram": [1, 2]}, {"gram": U3_GRAM, "triple": 5},
+        {"gram": U3_GRAM, "triple": [1, 2, 3]}])
+    def test_bad_json_shape(self, tmp_path, data):
+        # each used to end in a TypeError traceback
+        f = tmp_path / "bad.json"
+        f.write_text(json.dumps(data))
+        res = invoke("validate", "--lattice", str(f))
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert "must hold an object with 'gram' a list of lists" in res.output
+
     def test_missing_file(self):
         res = invoke("validate", "--lattice", "nosuch.json")
         assert res.exit_code == 1
@@ -133,6 +146,21 @@ class TestScans:
         assert lines[0].startswith("a,b,c,")
         assert len(lines) == 99  # header + 98 points at B=1
         assert svg_path.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("option", ["--out", "--svg"])
+    def test_unwritable_output_path(self, tmp_path, option):
+        path = tmp_path / "missing" / "cloud.out"
+        res = invoke("scan-algebraic", "--lattice", "U3", "--bound", "1", option, str(path))
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)  # no traceback
+        assert f"Could not open file '{path}'" in res.output
+
+    def test_failing_scan_leaves_no_file(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        res = invoke("scan-algebraic", "--lattice", "K3", "--bound", "1", "--out", str(path))
+        assert res.exit_code == 1
+        assert "(2B+1)^k = 31381059609" in res.output
+        assert not path.exists()
 
     def test_ngt_scan(self):
         # for U3 at B=1 every achievable signed ray also comes from a

@@ -26,9 +26,10 @@ from twistorlat import (
     write_csv,
     write_svg,
 )
-from twistorlat import scanning
+from twistorlat import scanning, twistor
 from twistorlat.linalg import pairing_rows
-from twistorlat.scanning import _box_blocks, _first_rows, fibonacci_sphere
+from twistorlat.scanning import _ray_order, fibonacci_sphere
+from twistorlat.twistor import _box_pairings
 
 U3, TRIPLE = load_lattice("U3")
 K3, K3_TRIPLE = load_lattice("K3")
@@ -38,9 +39,15 @@ D222, D222_TRIPLE = load_lattice("diag222")
 ORACLE_CLOUD_SIZES = {1: 98, 2: 578, 3: 1730, 4: 4034}
 
 
+def rows_of_width(k):
+    """Three integer rows of width k for the box walk to pair with."""
+    return [[1] * k, list(range(k)), [(-1) ** j * (j + 2) for j in range(k)]]
+
+
 def box_rows(k, b):
     """Every row of the box blocks, in order, as tuples."""
-    return [tuple(row) for block in _box_blocks(k, b) for row in block.tolist()]
+    return [tuple(row) for vecs, _ in _box_pairings(rows_of_width(k), b)
+            for row in vecs.tolist()]
 
 
 def reference_box(k, b):
@@ -65,15 +72,15 @@ class TestBoxVectors:
         # a masked scan walks only its k coordinates (here 2 of 22); the
         # witnesses are spread to rank r (TestScanAlgebraic.test_masked_k3)
         blocks = []
-        box_blocks = scanning._box_blocks
+        box_pairings = scanning._box_pairings
 
-        def recording(k, b):
-            blocks.extend(box_blocks(k, b))
+        def recording(rows, b):
+            blocks.extend(box_pairings(rows, b))
             return iter(blocks)
 
-        monkeypatch.setattr(scanning, "_box_blocks", recording)
+        monkeypatch.setattr(scanning, "_box_pairings", recording)
         scan_algebraic(K3, K3_TRIPLE, ScanConfig(box_bound=1, coordinate_mask=(0, 1)))
-        assert [b.shape for b in blocks] == [(9, 2)]
+        assert [(vecs.shape, t.shape) for vecs, t in blocks] == [((9, 2), (9, 3))]
 
     def test_no_repeats_lexicographic(self):
         vecs = box_rows(3, 2)
@@ -82,12 +89,15 @@ class TestBoxVectors:
         assert vecs == sorted(vecs)
 
     def test_array_agrees_with_generator(self, monkeypatch):
-        monkeypatch.setattr(scanning, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
+        monkeypatch.setattr(twistor, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
         for k, b, n_blocks in ((6, 2, 25), (3, 1, 1), (5, 2, 5)):
-            blocks = list(_box_blocks(k, b))
+            blocks = list(_box_pairings(rows_of_width(k), b))
             assert len(blocks) == n_blocks
-            assert all(block.dtype == np.int64 for block in blocks)
+            assert all(vecs.dtype == t.dtype == np.int64 for vecs, t in blocks)
             assert box_rows(k, b) == reference_box(k, b)
+            assert [tuple(row) for _, t in blocks for row in t.tolist()] == [
+                tuple(sum(r * e for r, e in zip(row, v)) for row in rows_of_width(k))
+                for v in reference_box(k, b)]
 
     def test_invalid_bound(self):
         with pytest.raises(InvalidBound):
@@ -95,9 +105,9 @@ class TestBoxVectors:
 
     def test_box_size_guard(self):
         # 9^6 = 531441, the largest box the suite and the bench walk
-        assert sum(len(b) for b in _box_blocks(6, 4)) == 9 ** 6
+        assert sum(len(vecs) for vecs, _ in _box_pairings(rows_of_width(6), 4)) == 9 ** 6
         with pytest.raises(InvalidBound, match=r"B=1 over k=22 .* 31381059609"):
-            next(_box_blocks(22, 1))
+            next(_box_pairings(rows_of_width(22), 1))
 
     def test_k3_bounded_search_fails_fast(self):
         point = TwistorPoint.from_unit(1.0, math.sqrt(2.0), 0.3)
@@ -291,20 +301,36 @@ def test_clouds_independent_of_block_budget(scan, both_signs, monkeypatch):
         return [(p.dir, cloud.witness(p)) for p in cloud]
 
     default = entries()
-    monkeypatch.setattr(scanning, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
+    monkeypatch.setattr(twistor, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
+    assert len(list(_box_pairings(pairing_rows(U3, TRIPLE)[0], 2))) == 25
     assert entries() == default == reference_cloud(both_signs)
 
 
-@pytest.mark.parametrize("rays,first", [
+@pytest.mark.parametrize("rays,order", [
     ([[1, 0, -2], [0, 1, 1], [1, 0, -2], [-1, 0, 2], [0, 1, 1], [0, 0, 1]],
-     [0, 1, 3, 5]),
+     [3, 5, 1, 0]),
     # entries up to 2^31 would be packed in base 2^32 + 1, where (1, 0, 1)
-    # and (0, 2, 0) wrap to the same int64 key
-    ([[2 ** 31, 0, 0], [1, 0, 1], [0, 2, 0], [1, 0, 1]], [0, 1, 2]),
+    # and (0, 2, 0) wrap to the same int64 key: the rows are compared as
+    # records instead
+    ([[2 ** 31, 0, 0], [1, 0, 1], [0, 2, 0], [1, 0, 1]], [2, 1, 0]),
     ([], []),
+    ([[2 ** 62, 0, 0], [-2 ** 62, 1, 0], [0, -1, 5], [-2 ** 62, 1, 0], [-2 ** 62, 0, 7]],
+     [4, 1, 2, 0]),
 ])
-def test_first_rows(rays, first):
-    assert _first_rows(np.array(rays, dtype=np.int64).reshape(-1, 3)).tolist() == first
+def test_ray_order(rays, order):
+    # the first index of each distinct row, in lexicographic row order
+    rays = np.array(rays, dtype=np.int64).reshape(-1, 3)
+    assert _ray_order(rays).tolist() == order
+    firsts = {}
+    for i, row in enumerate(map(tuple, rays.tolist())):
+        firsts.setdefault(row, i)
+    assert order == [firsts[row] for row in sorted(firsts)]
+
+
+# a cloud whose entries are too large for the packed int64 key
+BIG = 2 ** 62 - 1
+BIG_CLOUD = PointCloud(np.array([[BIG, 0, -1], [-BIG, 1, 0], [0, -1, BIG], [-BIG, 0, 1]]),
+                       np.arange(8).reshape(4, 2))
 
 
 class TestPointCloud:
@@ -328,6 +354,25 @@ class TestPointCloud:
         assert (1, 0, 0) not in cloud
         with pytest.raises(KeyError):
             cloud.witness(TwistorPoint.from_ray(0, 1, -2))
+
+    @pytest.mark.parametrize("cloud", [
+        scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=3)), BIG_CLOUD])
+    def test_lookup_agrees_with_dict(self, cloud):
+        expected = dict(zip(map(tuple, cloud.dirs.tolist()),
+                            map(tuple, cloud.witnesses.tolist())))
+        assert len(expected) == len(cloud)  # the rays are distinct
+        absent = [(BIG, 0, 1), (0, 1, BIG), (1, 0, 1000)] + [
+            ray for ray in itertools.product(range(-8, 9), repeat=3)
+            if math.gcd(*ray) == 1 and ray not in expected]
+        for ray, witness in expected.items():
+            point = TwistorPoint.from_ray(*ray)
+            assert point in cloud and cloud.witness(point) == witness
+        for ray in absent:
+            point = TwistorPoint.from_ray(*ray)
+            assert point not in cloud
+            with pytest.raises(KeyError):
+                cloud.witness(point)
+        assert cloud.rays() == set(expected)
 
 
 class TestCoveringRadius:
@@ -353,6 +398,12 @@ class TestCoveringRadius:
         with pytest.raises(EmptyCloud):
             covering_radius(PointCloud(np.empty((0, 3), dtype=np.int64),
                                        np.empty((0, 6), dtype=np.int64)), 100)
+
+    @pytest.mark.parametrize("resolution", [0, 1, -3])
+    def test_grid_resolution_checked(self, resolution):
+        cloud = PointCloud(np.array([[1, 0, 0]]), np.array([[1, 1, 0, 0, 0, 0]]))
+        with pytest.raises(InvalidBound, match="grid_resolution must be >= 2"):
+            covering_radius(cloud, resolution)
 
     def test_grid_is_unit(self):
         grid = fibonacci_sphere(500)
@@ -381,6 +432,13 @@ class TestEmission:
         row = buf.getvalue().splitlines()[1].split(",")
         assert row[6] == "inf"
         assert row[7] == "0"
+
+    def test_csv_sorted_by_ray(self):
+        buf = io.StringIO()
+        write_csv(BIG_CLOUD, buf)
+        rows = [tuple(int(e) for e in line.split(",")[:3])
+                for line in buf.getvalue().splitlines()[1:]]
+        assert rows == sorted(map(tuple, BIG_CLOUD.dirs.tolist()))
 
     def test_csv_deterministic(self):
         bufs = []

@@ -28,8 +28,8 @@ from twistorlat import (
     two_zero_plane,
     vector,
 )
-from twistorlat import scanning
-from twistorlat.linalg import expand_in_V
+from twistorlat import twistor
+from twistorlat.linalg import expand_in_V, pairing_rows
 
 from support import random_positive_class, random_rational_vector
 
@@ -257,7 +257,9 @@ class TestGeneralType:
         # first box vector whose projection t is exactly collinear with
         # it, also when the box is searched in 25 blocks
         if block_bytes:
-            monkeypatch.setattr(scanning, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(twistor, "_BLOCK_BYTES", block_bytes)
+            blocks = twistor._box_pairings(pairing_rows(U3, TRIPLE)[0], 2)
+            assert len(list(blocks)) == 25
 
         def collinear(t, d):
             return (any(t) and t[1] * d[2] == t[2] * d[1]
