@@ -6,8 +6,13 @@ projections onto V, each with its first witness. One key, _ray_order,
 decides both ray equality (the scans' dedup) and ray order (emission).
 A cloud is two int64 arrays, the distinct rays and their witnesses;
 TwistorPoints are built only when it is iterated. Covering radius
-against a Fibonacci-sphere grid, also taken in blocks, is the desk-scale
-measure of density. No randomness anywhere in this module.
+against a Fibonacci-sphere grid is the desk-scale measure of density.
+The grid is built a block of rows at a time and is sorted by y, so each
+block is compared only with the cloud points in a y-band around it; rows
+with no cloud point close enough fall back to the whole cloud, and the
+rows that decide the radius are recomputed in the blocks of the full
+grid-by-cloud product, so the radius is the same float as that product
+gives. No randomness anywhere in this module.
 """
 
 from __future__ import annotations
@@ -21,7 +26,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, EmptyCloud, InvalidBound, InvalidSignature
 from .linalg import GramLattice, HyperTriple, pairing_rows, q_eval, signature
-from .twistor import _BLOCK_BYTES, TwistorPoint, _box_pairings, _int64, stereographic
+from .twistor import (
+    _BLOCK_BYTES,
+    _MAX_BOX_VECTORS,
+    TwistorPoint,
+    _box_pairings,
+    _int64,
+    stereographic,
+)
 
 
 @dataclass(frozen=True)
@@ -33,8 +45,7 @@ class ScanConfig:
     def __post_init__(self):
         if self.box_bound < 1:
             raise InvalidBound("box_bound must be >= 1")
-        if self.grid_resolution < 2:
-            raise InvalidBound("grid_resolution must be >= 2")
+        _check_grid(self.grid_resolution)
         if self.coordinate_mask is not None:
             object.__setattr__(
                 self, "coordinate_mask",
@@ -165,28 +176,101 @@ def scan_non_general_type(lattice: GramLattice, triple: HyperTriple,
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
-    """Deterministic near-uniform grid of n points on S^2."""
-    i = np.arange(n)
+    """Deterministic near-uniform grid of n points on S^2, sorted by y."""
+    return _fibonacci_rows(n, 0, n)
+
+
+def _fibonacci_rows(n: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop (clipped to n) of fibonacci_sphere(n), bit for bit."""
+    i = np.arange(start, min(stop, n))
     y = (i * (2.0 / n)) - 1.0 + 1.0 / n
     r = np.sqrt(np.maximum(0.0, 1.0 - y * y))
     phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
     return np.column_stack((np.cos(phi) * r, y, np.sin(phi) * r))
 
 
-def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
-    """Max over a grid_resolution^2 Fibonacci grid of the angular
-    distance to the nearest cloud point, in radians."""
+def _check_grid(grid_resolution: int):
     if grid_resolution < 2:
         raise InvalidBound("grid_resolution must be >= 2")
+    if grid_resolution ** 2 > _MAX_BOX_VECTORS:
+        raise InvalidBound(
+            f"grid_resolution {grid_resolution} gives {grid_resolution ** 2} "
+            f"grid points, more than {_MAX_BOX_VECTORS}")
+
+
+def _best_cosines(points: np.ndarray, units: np.ndarray) -> np.ndarray:
+    """Max cosine of each point against the units, taken in blocks of
+    points whose cosines fill at most _BLOCK_BYTES."""
+    step = max(1, _BLOCK_BYTES // (8 * len(units)))
+    return np.concatenate([np.max(points[s:s + step] @ units.T, axis=1)
+                           for s in range(0, len(points), step)])
+
+
+def _near_least(n: int, units: np.ndarray, theta: float, h: float) -> np.ndarray:
+    """Rows of fibonacci_sphere(n) whose best cosine, found in the y-band
+    of half-height h, is within 1e-12 of the least one."""
+    band = units[np.argsort(units[:, 1])]
+    # blocks about h/4 high, as rows are 2/n apart in y, built in chunks
+    # whose dozen or so float64 temporaries fill a tenth of _BLOCK_BYTES
+    most = _BLOCK_BYTES // 1024
+    rows_per = max(1, min(int(h * n / 8), most))
+    chunk = rows_per * max(1, most // rows_per)
+    least, near = math.inf, []
+    for c in range(0, n, chunk):
+        grid = _fibonacci_rows(n, c, c + chunk)
+        y = grid[:, 1]  # ascending: a block lies between its first y and the next's
+        lo = np.searchsorted(band[:, 1], y[::rows_per] - h)
+        hi = np.searchsorted(band[:, 1], np.append(y[rows_per::rows_per], y[-1]) + h)
+        best = np.full(len(grid), -np.inf)
+        for s, a, b in zip(range(0, len(grid), rows_per), lo, hi):
+            if b > a:
+                best[s:s + rows_per] = _best_cosines(grid[s:s + rows_per], band[a:b])
+        # a point within theta of a row lies in its band; past theta a
+        # nearer point may lie outside it, so those rows take the whole cloud
+        far = best < math.cos(theta)
+        if far.any():
+            best[far] = _best_cosines(grid[far], units)
+        least = min(least, best.min())
+        i = np.flatnonzero(best <= least + 1e-12)
+        if i.size:  # chunks that cannot hold the least add nothing
+            near.append((c + i, best[i]))
+    rows, best = (np.concatenate(a) for a in zip(*near))
+    return rows[best <= least + 1e-12]
+
+
+def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
+    """Max over a grid_resolution^2 Fibonacci grid of the angular
+    distance to the nearest cloud point, in radians.
+
+    The nearest point of a grid row is its max cosine. The grid is sorted
+    by y, and a cloud point within angle theta = 2*sqrt(4*pi/len(cloud))
+    of a row differs from it in y by at most the chord h = 2*sin(theta/2)
+    (2 when theta >= pi; 1e-9 is added for rounding). So the grid is
+    walked in blocks about h/4 high, each against the cloud points within
+    h of it in y; a row whose best cosine there is below cos(theta) is
+    compared with the whole cloud instead.
+
+    Cosines from products of other shapes may differ in the last ulp, so
+    the rows within 1e-12 of the least best cosine are recomputed exactly
+    as the full product takes them: their whole blocks of _BLOCK_BYTES
+    against the cloud in enumeration order. arccos is decreasing, so one
+    arccos of that least cosine is the radius, the same float as the full
+    product gives. A cloud so small that h >= 1 takes every block of the
+    full product.
+    """
+    _check_grid(grid_resolution)
     if len(cloud) == 0:
         raise EmptyCloud("covering radius of an empty cloud is undefined")
-    grid = fibonacci_sphere(grid_resolution * grid_resolution)
+    n = grid_resolution * grid_resolution
     units = _units(cloud.dirs)
-    # nearest neighbour by max cosine, a block of grid rows at a time;
-    # arccos is decreasing, so one arccos of the least best cosine is exact
+    # the full product's blocks, each one product in _best_cosines
     step = max(1, _BLOCK_BYTES // (8 * len(units)))
-    least = min(float(np.max(grid[i:i + step] @ units.T, axis=1).min())
-                for i in range(0, grid.shape[0], step))
+    theta = 2 * math.sqrt(4 * math.pi / len(units))
+    h = 2 * math.sin(min(theta, math.pi) / 2) + 1e-9  # no chord exceeds 2
+    starts = (range(0, n, step) if h >= 1
+              else np.unique(_near_least(n, units, theta, h) // step) * step)
+    least = min(_best_cosines(_fibonacci_rows(n, s, s + step), units).min()
+                for s in starts)
     return float(np.arccos(np.clip(least, -1.0, 1.0)))
 
 

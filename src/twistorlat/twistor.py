@@ -44,8 +44,9 @@ from .linalg import (
 # bounded search, grid-by-cloud cosines (float64) in covering_radius.
 _BLOCK_BYTES = 4 << 20
 
-# Largest box a scan or bounded search walks; bigger ones would run for
-# hours (K3 at B=1 has 3^22, about 3.1e10, vectors).
+# Largest box a scan or bounded search walks, and largest covering-radius
+# grid; bigger ones would run for hours (K3 at B=1 has 3^22, about 3.1e10,
+# vectors).
 _MAX_BOX_VECTORS = 10 ** 9
 
 

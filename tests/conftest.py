@@ -1,0 +1,8 @@
+"""Test-wide settings."""
+
+from hypothesis import settings
+
+# fixed examples per run: a tier-1 suite must not change from run to run
+settings.register_profile("tier1", max_examples=40, deadline=None,
+                          derandomize=True, database=None)
+settings.load_profile("tier1")

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twistorlat.cli import main
 
@@ -242,7 +245,10 @@ class TestDensity:
 
     @pytest.mark.parametrize("args,message", [
         (("--bound", "0"), "box_bound must be >= 1"),
-        (("--bound", "2", "--grid", "1"), "grid_resolution must be >= 2")])
+        (("--bound", "2", "--grid", "1"), "grid_resolution must be >= 2"),
+        # used to ask numpy for the whole 1.6e9-point grid
+        (("--bound", "2", "--grid", "40000"),
+         "grid_resolution 40000 gives 1600000000 grid points, more than 1000000000")])
     def test_invalid_arguments_before_header(self, args, message):
         res = invoke("density", "--lattice", "U3", *args)
         assert res.exit_code == 1
@@ -264,3 +270,118 @@ class TestUsage:
 
     def test_missing_lattice(self):
         assert invoke("validate").exit_code == 2
+
+
+# Fuzz inputs: lattice files of any JSON (or none), and arguments that are
+# malformed, out of range, or valid but small enough to run in well under
+# a second. "{lattice}" and "{dir}" stand for the file and its directory.
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 3)
+               | st.sampled_from([10 ** 19, -2 ** 63, 1.5, float("nan"), "1/2", "1/0", "x"]))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(["gram", "triple", "rank"]),
+                                     inner, max_size=3)),
+    max_leaves=24)
+
+
+@st.composite
+def lattice_objects(draw):
+    """Gram and triple of matching size, often symmetric, sometimes U3."""
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 3))
+        gram = [[k * e for e in row] for row in U3_GRAM]
+        entries = st.integers(-1, 1)
+    else:
+        r = draw(st.integers(1, 7))
+        entries = st.integers(-2, 2) | JSON_LEAVES
+        gram = draw(st.lists(st.lists(entries, min_size=r, max_size=r),
+                             min_size=r, max_size=r))
+        if draw(st.booleans()):
+            gram = [[gram[min(i, j)][max(i, j)] for j in range(r)] for i in range(r)]
+    r = len(gram)
+    data = {"gram": gram}
+    if draw(st.booleans()):
+        data["triple"] = U3_TRIPLE if r == 6 and draw(st.booleans()) else draw(
+            st.lists(st.lists(entries, min_size=r, max_size=r), min_size=3, max_size=3))
+    if draw(st.booleans()):
+        data["rank"] = draw(st.integers(0, 8) | JSON_LEAVES)
+    return data
+
+
+LATTICE_FILES = st.one_of(JSON_VALUES.map(json.dumps), lattice_objects().map(json.dumps),
+                          st.text(st.characters(codec="utf-8"), max_size=12))
+
+
+def csv_of(values):
+    return st.lists(values, max_size=5).map(lambda v: ",".join(map(str, v)))
+
+
+def option(name, values):
+    return st.just([]) | values.map(lambda v: [name, v])
+
+
+def command(name, *options):
+    return st.tuples(*options).map(lambda opts: [name] + [a for o in opts for a in o])
+
+
+LATTICE = option("--lattice", st.sampled_from(["{lattice}"] * 4 + ["U3", "K3", "diag222", "x"]))
+BOUNDS = st.sampled_from(["-1", "0", "1", "2", "x", "1.5", str(2 ** 70)])
+MASKS = csv_of(st.integers(-2, 24)) | st.sampled_from(["a", ",", "0,,1"])
+OUTS = st.sampled_from(["-", "{dir}/out.csv", "{dir}", "{dir}/missing/out.csv"])
+ARGVS = st.one_of(
+    command("validate", LATTICE),
+    command("project", LATTICE, option("--omega", csv_of(st.integers(-3, 3))
+                                       | st.sampled_from(["a,b", str(10 ** 20)]))),
+    *(command(name, LATTICE, option("--bound", BOUNDS), option("--mask", MASKS),
+              option("--out", OUTS), option("--svg", OUTS))
+      for name in ("scan-algebraic", "scan-ngt")),
+    command("general-type", LATTICE, option("--bound", BOUNDS), option(
+        "--point", csv_of(st.sampled_from(
+            ["0", "1", "-2", "3/2", "1/0", "0.5", "nan", "inf", "1e308", "x", ""])))),
+    # density scans every bound up to --bound: only small ones stay fast
+    command("density", LATTICE, option("--bound", st.sampled_from(["-1", "0", "1", "2", "x"])),
+            option("--grid", st.sampled_from(["-3", "0", "1", "2", "7", "x", "40000",
+                                              str(10 ** 30)])),
+            option("--mask", MASKS)),
+    command("demo-quaternion"))
+
+U3_FILE = json.dumps({"gram": U3_GRAM, "triple": U3_TRIPLE})
+
+
+@settings(max_examples=80)
+@given(lattice=LATTICE_FILES, argv=ARGVS)
+# inputs that once ended in a traceback or ran out of memory
+@example(lattice="5", argv=["validate", "--lattice", "{lattice}"])
+@example(lattice='{"gram": 5}', argv=["validate", "--lattice", "{lattice}"])
+@example(lattice='{"gram": [1, 2]}', argv=["validate", "--lattice", "{lattice}"])
+@example(lattice=json.dumps({"gram": U3_GRAM, "triple": [1, 2, 3]}),
+         argv=["scan-ngt", "--lattice", "{lattice}", "--bound", "1"])
+@example(lattice=json.dumps({"gram": [[1.5]], "rank": "x"}),
+         argv=["validate", "--lattice", "{lattice}"])
+@example(lattice=json.dumps({"gram": U3_GRAM, "triple": [["1/0"] * 6] * 3}),
+         argv=["project", "--lattice", "{lattice}", "--omega", "1,1,0,0,0,0"])
+@example(lattice=json.dumps({"gram": U3_GRAM, "triple": U3_TRIPLE, "rank": 6.5}),
+         argv=["validate", "--lattice", "{lattice}"])
+@example(lattice=U3_FILE, argv=["scan-algebraic", "--lattice", "{lattice}", "--bound",
+                                "1", "--out", "{dir}/missing/out.csv"])
+@example(lattice=U3_FILE, argv=["scan-ngt", "--lattice", "{lattice}", "--bound", "1",
+                                "--svg", "{dir}/missing/out.svg"])
+@example(lattice=U3_FILE, argv=["scan-algebraic", "--lattice", "{lattice}",
+                                "--bound", str(2 ** 70)])
+@example(lattice=U3_FILE, argv=["general-type", "--lattice", "{lattice}", "--point", "1/0,1,0"])
+@example(lattice=U3_FILE, argv=["general-type", "--lattice", "{lattice}", "--point", "nan,0,0"])
+@example(lattice=U3_FILE, argv=["density", "--lattice", "{lattice}", "--bound", "2",
+                                "--grid", "40000"])
+@example(lattice=U3_FILE, argv=["scan-algebraic", "--lattice", "K3", "--bound", "1"])
+def test_no_traceback_for_any_input(lattice, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "lattice.json")
+        path.write_text(lattice)
+        argv = [a.replace("{lattice}", str(path)).replace("{dir}", tmp) for a in argv]
+        res = invoke(*argv)
+    assert res.exit_code in (0, 1, 2), argv
+    # CliRunner turns an uncaught exception into exit code 1: only
+    # SystemExit (sys.exit or a click usage error) is a handled exit
+    assert res.exception is None or isinstance(res.exception, SystemExit), argv
+    assert "Traceback" not in res.output

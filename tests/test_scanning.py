@@ -1,10 +1,13 @@
 import io
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from twistorlat import (
     EmptyCloud,
@@ -375,7 +378,82 @@ class TestPointCloud:
         assert cloud.rays() == set(expected)
 
 
+def reference_grid(n):
+    """fibonacci_sphere as it built the whole grid at once."""
+    i = np.arange(n)
+    y = (i * (2.0 / n)) - 1.0 + 1.0 / n
+    r = np.sqrt(np.maximum(0.0, 1.0 - y * y))
+    phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
+    return np.column_stack((np.cos(phi) * r, y, np.sin(phi) * r))
+
+
+def reference_covering_radius(cloud, grid_resolution):
+    """covering_radius as the full grid-by-cloud product in blocks."""
+    grid = reference_grid(grid_resolution * grid_resolution)
+    units = scanning._units(cloud.dirs)
+    step = max(1, scanning._BLOCK_BYTES // (8 * len(units)))
+    least = min(float(np.max(grid[i:i + step] @ units.T, axis=1).min())
+                for i in range(0, grid.shape[0], step))
+    return float(np.arccos(np.clip(least, -1.0, 1.0)))
+
+
+def random_cloud(seed, kind, size):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        dirs = rng.integers(-50, 51, (size, 3))
+    elif kind == "clustered":  # one tight cluster: far rows leave their band
+        dirs = rng.integers(-10 ** 4, 10 ** 4, 3) * 100 + rng.integers(-20, 21, (size, 3))
+    elif kind == "tiny":  # h >= 1: the full product alone
+        dirs = rng.integers(-3, 4, (size % 12 + 1, 3))
+    else:
+        dirs = rng.integers(-2 ** 62, 2 ** 62, (size, 3))
+    dirs = dirs[np.abs(dirs).sum(axis=1) > 0]
+    return PointCloud(dirs, np.zeros((len(dirs), 1), dtype=np.int64))
+
+
 class TestCoveringRadius:
+    @pytest.mark.parametrize("resolution,radii", [
+        (200, ("0.3072311285340005", "0.1697620260111539",
+               "0.1150178514695484", "0.08575841819935419")),
+        (37, ("0.3013454777065868", "0.1644588487896601",
+              "0.10477985817392532", "0.07557408257263193"))])
+    def test_frozen_u3_radii(self, resolution, radii):
+        # U3 at B=1..4, as the full product gave them
+        assert tuple(repr(covering_radius(
+            scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=b)), resolution))
+            for b in (1, 2, 3, 4)) == radii
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["uniform", "clustered", "tiny", "huge"]),
+           size=st.integers(1, 300), resolution=st.integers(2, 40),
+           block_bytes=st.sampled_from([64, 4096, 4 << 20]))
+    # band cosines of this cloud differ in the last ulp from the full product's
+    @example(seed=6, kind="uniform", size=60, resolution=2, block_bytes=4 << 20)
+    @example(seed=1, kind="clustered", size=300, resolution=40, block_bytes=4096)
+    @example(seed=2, kind="tiny", size=5, resolution=30, block_bytes=64)
+    def test_equals_full_product(self, seed, kind, size, resolution, block_bytes):
+        cloud = random_cloud(seed, kind, size)
+        assume(len(cloud))
+        with pytest.MonkeyPatch.context() as mp:
+            # small blocks put the rows near the least cosine in many blocks
+            mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
+            assert (repr(covering_radius(cloud, resolution))
+                    == repr(reference_covering_radius(cloud, resolution)))
+
+    def test_memory_independent_of_grid(self):
+        cloud = scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=4))
+        covering_radius(cloud, 100)  # numpy's first-call allocations
+
+        def peak(resolution):
+            tracemalloc.start()
+            try:
+                covering_radius(cloud, resolution)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(400) <= 1.1 * peak(100)
+
     def test_single_point(self):
         cloud = PointCloud(np.array([[1, 0, 0]]), np.array([[1, 1, 0, 0, 0, 0]]))
         rad = covering_radius(cloud, 200)
@@ -409,6 +487,19 @@ class TestCoveringRadius:
         grid = fibonacci_sphere(500)
         norms = (grid ** 2).sum(axis=1)
         assert abs(norms - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 500, 40000])
+    def test_grid_equals_reference(self, n):
+        assert np.array_equal(fibonacci_sphere(n), reference_grid(n))
+
+    def test_grid_size_checked(self):
+        # 31623^2 is just over 10^9 points: rejected before any is built
+        message = "grid_resolution 31623 gives 1000014129 grid points"
+        with pytest.raises(InvalidBound, match=message):
+            ScanConfig(box_bound=1, grid_resolution=31623)
+        cloud = PointCloud(np.array([[1, 0, 0]]), np.array([[1, 1, 0, 0, 0, 0]]))
+        with pytest.raises(InvalidBound, match=message):
+            covering_radius(cloud, 31623)
 
 
 class TestEmission:
