@@ -29,7 +29,6 @@ from .linalg import (
 )
 from .scanning import (
     PointCloud,
-    ScanConfig,
     covering_radius,
     fibonacci_sphere,
     scan_algebraic,

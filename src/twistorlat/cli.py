@@ -9,7 +9,6 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import wraps
 
@@ -114,8 +113,7 @@ def _scan_command(name, scan_fn, doc):
     def cmd(lattice_source, bound, mask, out, svg):
         lattice, triple = _load(lattice_source)
         mask_idx = _parse_int_csv(mask, "--mask") if mask else None
-        config = scanning.ScanConfig(box_bound=bound, coordinate_mask=mask_idx)
-        cloud = scan_fn(lattice, triple, config)
+        cloud = scan_fn(lattice, triple, bound, mask_idx)
         scanning.write_csv(cloud, out)
         if svg is not None:
             scanning.write_svg(cloud, svg)
@@ -171,14 +169,19 @@ def density(lattice_source, bound, grid, mask):
     """Covering radius of the algebraic cloud for bounds 1..B."""
     lattice, triple = _load(lattice_source)
     mask_idx = _parse_int_csv(mask, "--mask") if mask else None
-    # checks the arguments before the header is written
-    config = scanning.ScanConfig(box_bound=bound, coordinate_mask=mask_idx,
-                                 grid_resolution=grid)
+
+    def row(b):
+        cloud = scanning.scan_algebraic(lattice, triple, b, mask_idx)
+        return f"{b},{len(cloud)},{scanning.covering_radius(cloud, grid):.12f}"
+
+    # every argument fails before the header: the grid first, so that a
+    # bad one runs no scan, then the largest box, whose row is held back
+    scanning._check_grid(grid)
+    last = row(bound)
     click.echo("bound,cloud_size,covering_radius")
-    for b in range(1, bound + 1):
-        cloud = scanning.scan_algebraic(lattice, triple, replace(config, box_bound=b))
-        radius = scanning.covering_radius(cloud, grid)
-        click.echo(f"{b},{len(cloud)},{radius:.12f}")
+    for b in range(1, bound):
+        click.echo(row(b))
+    click.echo(last)
 
 
 @main.command(name="demo-quaternion")

@@ -9,7 +9,6 @@ raw linear algebra but required by the twistor layer.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .errors import TwistorLatticeError
 from .linalg import GramLattice, HyperTriple
@@ -77,17 +76,6 @@ BUILTINS = {
 }
 
 
-def _parse_rat(e) -> Fraction:
-    if isinstance(e, bool):
-        raise TwistorLatticeError("booleans are not rational entries")
-    if isinstance(e, (int, str)):
-        try:
-            return Fraction(e)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise TwistorLatticeError(f"cannot parse rational entry {e!r}")
-
-
 def _is_rows(value, count=None) -> bool:
     return (isinstance(value, list) and all(isinstance(row, list) for row in value)
             and count in (None, len(value)))
@@ -115,8 +103,5 @@ def load_lattice(source: str):
     if "rank" in data and data["rank"] != lattice.rank:
         raise TwistorLatticeError(
             f"declared rank {data['rank']} does not match gram size {lattice.rank}")
-    triple = None
-    if data.get("triple") is not None:
-        rows = [[_parse_rat(e) for e in row] for row in data["triple"]]
-        triple = HyperTriple.from_rows(rows)
-    return lattice, triple
+    triple = data.get("triple")
+    return lattice, None if triple is None else HyperTriple.from_rows(triple)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from numbers import Integral
+from numbers import Integral, Rational
 
 from .errors import DimensionMismatch, InvalidTriple, NotSymmetric, TwistorLatticeError
 
@@ -26,8 +26,20 @@ Vector = tuple[Fraction, ...]
 
 
 def vector(entries) -> Vector:
-    """Coerce a sequence of ints / Fractions / 'p/q' strings to a Vector."""
-    return tuple(Fraction(e) for e in entries)
+    """Coerce a sequence of ints, Fractions and 'p/q' strings to a Vector;
+    any other entry (a float, bool, None, ...) is an error, not rounded."""
+    return tuple(e if type(e) is Fraction else Fraction(e) if type(e) is int
+                 else _rational(e) for e in entries)
+
+
+def _rational(e) -> Fraction:
+    # exact ints and Fractions take the fast path of vector
+    if isinstance(e, str) or (isinstance(e, Rational) and not isinstance(e, bool)):
+        try:
+            return Fraction(e)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise TwistorLatticeError(f"cannot parse rational entry {e!r}")
 
 
 def clear_denominators(v: Vector) -> tuple[int, ...]:

@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -34,30 +33,6 @@ from .twistor import (
     _int64,
     stereographic,
 )
-
-
-@dataclass(frozen=True)
-class ScanConfig:
-    box_bound: int
-    coordinate_mask: Optional[tuple[int, ...]] = None
-    grid_resolution: int = 100
-
-    def __post_init__(self):
-        if self.box_bound < 1:
-            raise InvalidBound("box_bound must be >= 1")
-        _check_grid(self.grid_resolution)
-        if self.coordinate_mask is not None:
-            object.__setattr__(
-                self, "coordinate_mask",
-                tuple(sorted(set(int(i) for i in self.coordinate_mask))))
-
-    def active_indices(self, rank: int) -> tuple[int, ...]:
-        if self.coordinate_mask is None:
-            return tuple(range(rank))
-        for i in self.coordinate_mask:
-            if not 0 <= i < rank:
-                raise DimensionMismatch(f"mask index {i} out of range for rank {rank}")
-        return self.coordinate_mask
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +84,7 @@ def _ray_order(rays: np.ndarray) -> np.ndarray:
     return np.unique(keys, return_index=True)[1]
 
 
-def _scan(lattice: GramLattice, triple: HyperTriple, config: ScanConfig,
+def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
           both_signs: bool) -> PointCloud:
     """The block loop of the scans. Each block keeps the projection rays
     of its positive box vectors or, with both_signs, both orientations
@@ -118,17 +93,21 @@ def _scan(lattice: GramLattice, triple: HyperTriple, config: ScanConfig,
     sig = signature(lattice).as_tuple()
     if sig != (3, lattice.rank - 3, 0):
         raise InvalidSignature(f"twistor scans need signature (3, r-3, 0); got {sig}")
-    # the box enumerates only the k masked coordinates, against the
-    # matching columns of the pairing rows and Gram submatrix
-    active = list(config.active_indices(lattice.rank))
+    # the box enumerates only the masked coordinates (sorted, without
+    # repeats), against the matching columns of the pairing rows and Gram
+    # submatrix
+    active = list(range(lattice.rank)) if mask is None else sorted(set(map(int, mask)))
+    for i in active:
+        if not 0 <= i < lattice.rank:
+            raise DimensionMismatch(f"mask index {i} out of range for rank {lattice.rank}")
     rows = [[row[i] for i in active] for row in pairing_rows(lattice, triple)[0]]
-    blocks = _box_pairings(rows, config.box_bound)
+    blocks = _box_pairings(rows, bound)
     if not both_signs:
         # only the sign of q(v, v) is used, so the Gram content is divided out
         sub = [[lattice.gram[i][j] for j in active] for i in active]
         content = math.gcd(*(e for row in sub for e in row)) or 1
         gram = _int64([[e // content for e in row] for row in sub],
-                      (config.box_bound * len(active)) ** 2, "max|G|*B^2*k^2")
+                      (bound * len(active)) ** 2, "max|G|*B^2*k^2")
 
     def spread(w):  # rows over the masked coordinates, as rank-r vectors
         full = np.zeros((len(w), lattice.rank), dtype=np.int64)
@@ -160,19 +139,21 @@ def _scan(lattice: GramLattice, triple: HyperTriple, config: ScanConfig,
     return PointCloud(rays[first], spread(witnesses[first]))
 
 
-def scan_algebraic(lattice: GramLattice, triple: HyperTriple,
-                   config: ScanConfig) -> PointCloud:
-    """Projections of all positive integral box vectors: the box
+def scan_algebraic(lattice: GramLattice, triple: HyperTriple, bound: int,
+                   mask=None) -> PointCloud:
+    """Projections of all positive integral vectors of the box
+    [-bound, bound] over the mask's coordinates (all when None): the box
     truncation of the set of algebraic twistor points."""
-    return _scan(lattice, triple, config, both_signs=False)
+    return _scan(lattice, triple, bound, mask, both_signs=False)
 
 
-def scan_non_general_type(lattice: GramLattice, triple: HyperTriple,
-                          config: ScanConfig) -> PointCloud:
-    """Signed projection rays of all integral box vectors with nonzero
-    projection: the box truncation of the non-general-type points.
-    Both orientations of each ray are included, +ray first."""
-    return _scan(lattice, triple, config, both_signs=True)
+def scan_non_general_type(lattice: GramLattice, triple: HyperTriple, bound: int,
+                          mask=None) -> PointCloud:
+    """Signed projection rays of all integral vectors of the box, as in
+    scan_algebraic, with nonzero projection: the box truncation of the
+    non-general-type points. Both orientations of each ray are included,
+    +ray first."""
+    return _scan(lattice, triple, bound, mask, both_signs=True)
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
@@ -255,8 +236,7 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     as the full product takes them: their whole blocks of _BLOCK_BYTES
     against the cloud in enumeration order. arccos is decreasing, so one
     arccos of that least cosine is the radius, the same float as the full
-    product gives. A cloud so small that h >= 1 takes every block of the
-    full product.
+    product gives.
     """
     _check_grid(grid_resolution)
     if len(cloud) == 0:
@@ -267,8 +247,7 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     step = max(1, _BLOCK_BYTES // (8 * len(units)))
     theta = 2 * math.sqrt(4 * math.pi / len(units))
     h = 2 * math.sin(min(theta, math.pi) / 2) + 1e-9  # no chord exceeds 2
-    starts = (range(0, n, step) if h >= 1
-              else np.unique(_near_least(n, units, theta, h) // step) * step)
+    starts = np.unique(_near_least(n, units, theta, h) // step) * step
     least = min(_best_cosines(_fibonacci_rows(n, s, s + step), units).min()
                 for s in starts)
     return float(np.arccos(np.clip(least, -1.0, 1.0)))

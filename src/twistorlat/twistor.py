@@ -63,7 +63,10 @@ def _int64(matrix, reach: int, bound: str) -> np.ndarray:
 def _box_pairings(rows, b: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """[-b, b]^k, k the width of the rows, as int64 blocks (vecs, vecs @ rows.T),
     vecs in lexicographic order with the zero vector, each within _BLOCK_BYTES.
-    The int64 bound and the box size are checked on the call, before any block."""
+    The bound, the int64 reach and the box size are checked on the call,
+    before any block."""
+    if b < 1:
+        raise InvalidBound("box_bound must be >= 1")
     k = len(rows[0])
     rows = _int64(rows, b * k, "max|rows|*B*k")
     side = 2 * b + 1
@@ -194,14 +197,8 @@ def pi_map(lattice: GramLattice, triple: HyperTriple, omega) -> PositiveClass:
 
 def antipode(point: TwistorPoint) -> TwistorPoint:
     if point.dir is not None:
-        d = point.dir
-        n = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
-        return TwistorPoint(
-            dir=(-d[0], -d[1], -d[2]),
-            unit=(-d[0] / n, -d[1] / n, -d[2] / n),
-        )
-    u = point.unit
-    return TwistorPoint(dir=None, unit=(-u[0], -u[1], -u[2]))
+        return TwistorPoint.from_ray(*(-e for e in point.dir))
+    return TwistorPoint(dir=None, unit=tuple(-e for e in point.unit))
 
 
 def hodge_type_11(lattice: GramLattice, triple: HyperTriple, x,

@@ -8,7 +8,6 @@ import time
 from click.testing import CliRunner
 
 from twistorlat import (
-    ScanConfig,
     covering_radius,
     hodge_type_11,
     is_general_type,
@@ -91,7 +90,7 @@ def test_criterion_3_density():
     start = time.time()
     radii = []
     for b in (1, 2, 3, 4):
-        cloud = scan_algebraic(U3, U3_TRIPLE, ScanConfig(box_bound=b))
+        cloud = scan_algebraic(U3, U3_TRIPLE, b)
         assert len(cloud) == ORACLE_CLOUD_SIZES[b], \
             f"cloud size at B={b}: {len(cloud)} != {ORACLE_CLOUD_SIZES[b]}"
         radii.append(covering_radius(cloud, 200))
@@ -107,10 +106,10 @@ def test_criterion_3_density():
 def test_criterion_4_countable_superset():
     start = time.time()
     for b in (1, 2, 3):
-        alg = scan_algebraic(U3, U3_TRIPLE, ScanConfig(box_bound=b))
-        ngt = scan_non_general_type(U3, U3_TRIPLE, ScanConfig(box_bound=b))
+        alg = scan_algebraic(U3, U3_TRIPLE, b)
+        ngt = scan_non_general_type(U3, U3_TRIPLE, b)
         assert alg.rays() <= ngt.rays(), f"inclusion fails at B={b}"
-    alg2 = scan_algebraic(U3, U3_TRIPLE, ScanConfig(box_bound=2))
+    alg2 = scan_algebraic(U3, U3_TRIPLE, 2)
     for point in alg2:
         verdict = is_general_type(U3, U3_TRIPLE, point)
         assert verdict.witness is not None

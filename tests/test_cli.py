@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from twistorlat import scanning, twistor
 from twistorlat.cli import main
 
 
@@ -248,12 +249,31 @@ class TestDensity:
         (("--bound", "2", "--grid", "1"), "grid_resolution must be >= 2"),
         # used to ask numpy for the whole 1.6e9-point grid
         (("--bound", "2", "--grid", "40000"),
-         "grid_resolution 40000 gives 1600000000 grid points, more than 1000000000")])
+         "grid_resolution 40000 gives 1600000000 grid points, more than 1000000000"),
+        (("--bound", "2", "--mask", "0,6"), "mask index 6 out of range for rank 6")])
     def test_invalid_arguments_before_header(self, args, message):
         res = invoke("density", "--lattice", "U3", *args)
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
         assert res.output == f"error: {message}\n"
+
+    def test_largest_box_fails_before_header(self, monkeypatch):
+        # B=3 gives 7^6 vectors, over a limit of 1000; B=1 and B=2 would
+        # pass, and used to print the header and their rows first
+        monkeypatch.setattr(twistor, "_MAX_BOX_VECTORS", 1000)
+        res = invoke("density", "--lattice", "U3", "--bound", "3", "--grid", "20")
+        assert res.exit_code == 1
+        assert res.output == ("error: box bound B=3 over k=6 coordinates gives "
+                              "(2B+1)^k = 117649 vectors, more than 1000\n")
+
+    @pytest.mark.parametrize("grid", ["1", "40000"])
+    def test_bad_grid_runs_no_scan(self, monkeypatch, grid):
+        calls = []
+        monkeypatch.setattr(scanning, "scan_algebraic",
+                            lambda *args: calls.append(args))
+        res = invoke("density", "--lattice", "U3", "--bound", "2", "--grid", grid)
+        assert res.exit_code == 1
+        assert calls == []
 
 
 class TestDemoQuaternion:

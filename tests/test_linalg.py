@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd as gcd_int
 
@@ -12,9 +13,12 @@ from twistorlat import (
     InvalidTriple,
     NotSymmetric,
     TwistorLatticeError,
+    TwistorPoint,
+    hodge_type_11,
     integer_kernel,
     load_lattice,
     perp_V_basis,
+    pi_map,
     project_to_V,
     q_eval,
     signature,
@@ -67,6 +71,25 @@ class TestQEval:
             x = tuple(rng.randint(-9, 9) for _ in range(22))
             assert q_eval(K3, x, x) == q_eval(K3, vector(x), vector(x))
             assert isinstance(q_eval(K3, x, x), Fraction)
+
+
+class TestVector:
+    @pytest.mark.parametrize("entry", [1, Fraction(1, 2), "1/2", "-3", np.int64(2)])
+    def test_rationals_accepted(self, entry):
+        assert vector([entry]) == (Fraction(entry),)
+
+    @pytest.mark.parametrize("entry", ["x", None, True, 0.5, "1/0"])
+    def test_non_rational_entry_rejected(self, entry):
+        # a float used to be taken as a binary fraction and a bool as 1;
+        # "x" raised ValueError and None TypeError
+        message = f"cannot parse rational entry {entry!r}"
+        omega = [entry, 1, 1, 1, 0, 0]
+        with pytest.raises(TwistorLatticeError, match=re.escape(message)):
+            pi_map(U3, U3_TRIPLE, omega)
+        with pytest.raises(TwistorLatticeError, match=re.escape(message)):
+            hodge_type_11(U3, U3_TRIPLE, omega, TwistorPoint.from_ray(1, 0, 0))
+        with pytest.raises(TwistorLatticeError, match=re.escape(message)):
+            HyperTriple.from_rows([omega, U3_TRIPLE.w_j, U3_TRIPLE.w_k])
 
 
 class TestSignature:

@@ -10,13 +10,13 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from twistorlat import (
+    DimensionMismatch,
     EmptyCloud,
     GramLattice,
     HyperTriple,
     InvalidBound,
     InvalidSignature,
     PointCloud,
-    ScanConfig,
     TwistorPoint,
     Unsupported,
     covering_radius,
@@ -82,7 +82,7 @@ class TestBoxVectors:
             return iter(blocks)
 
         monkeypatch.setattr(scanning, "_box_pairings", recording)
-        scan_algebraic(K3, K3_TRIPLE, ScanConfig(box_bound=1, coordinate_mask=(0, 1)))
+        scan_algebraic(K3, K3_TRIPLE, 1, (0, 1))
         assert [(vecs.shape, t.shape) for vecs, t in blocks] == [((9, 2), (9, 3))]
 
     def test_no_repeats_lexicographic(self):
@@ -103,8 +103,8 @@ class TestBoxVectors:
                 for v in reference_box(k, b)]
 
     def test_invalid_bound(self):
-        with pytest.raises(InvalidBound):
-            ScanConfig(box_bound=0)
+        with pytest.raises(InvalidBound, match="box_bound must be >= 1"):
+            scan_algebraic(U3, TRIPLE, 0)
 
     def test_box_size_guard(self):
         # 9^6 = 531441, the largest box the suite and the bench walk
@@ -120,7 +120,7 @@ class TestBoxVectors:
 
 class TestScanAlgebraic:
     def test_contains_triple_points(self):
-        cloud = scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=1))
+        cloud = scan_algebraic(U3, TRIPLE, 1)
         for ray, w in (((1, 0, 0), TRIPLE.w_i), ((0, 1, 0), TRIPLE.w_j),
                        ((0, 0, 1), TRIPLE.w_k)):
             point = TwistorPoint.from_ray(*ray)
@@ -128,16 +128,16 @@ class TestScanAlgebraic:
             assert vector(cloud.witness(point)) == w
 
     def test_contains_diagonal(self):
-        cloud = scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=1))
+        cloud = scan_algebraic(U3, TRIPLE, 1)
         assert TwistorPoint.from_ray(1, 1, 1) in cloud
 
     def test_oracle_counts(self):
         for b in (1, 2):
-            cloud = scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=b))
+            cloud = scan_algebraic(U3, TRIPLE, b)
             assert len(cloud) == ORACLE_CLOUD_SIZES[b]
 
     def test_witnesses_replay(self):
-        cloud = scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=1))
+        cloud = scan_algebraic(U3, TRIPLE, 1)
         for point in cloud:
             assert pi_map(U3, TRIPLE, cloud.witness(point)).point == point
 
@@ -148,7 +148,7 @@ class TestScanAlgebraic:
         tri = HyperTriple.from_rows(
             [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
         with pytest.raises(InvalidSignature):
-            scan_algebraic(bad, tri, ScanConfig(box_bound=1))
+            scan_algebraic(bad, tri, 1)
 
     def test_zero_projection_names_vector(self, monkeypatch):
         # a valid triple never lets a positive vector project to 0, so
@@ -157,54 +157,65 @@ class TestScanAlgebraic:
                             lambda lattice, triple: (((0,) * 6,) * 3, Fraction(1)))
         with pytest.raises(InvalidSignature,
                            match=r"\(-1, -1, -1, -1, -1, -1\) with q\(v, v\) = 6 "):
-            scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=1))
+            scan_algebraic(U3, TRIPLE, 1)
         # under a mask, the vector named is the full rank-6 one
         with pytest.raises(InvalidSignature,
                            match=r"\(0, 0, -1, -1, 0, 0\) with q\(v, v\) = 2 "):
-            scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=1, coordinate_mask=(2, 3)))
+            scan_algebraic(U3, TRIPLE, 1, (2, 3))
 
     def test_masked_k3(self):
-        cfg = ScanConfig(box_bound=1, coordinate_mask=tuple(range(6)))
-        cloud = scan_algebraic(K3, K3_TRIPLE, cfg)
+        cloud = scan_algebraic(K3, K3_TRIPLE, 1, range(6))
         # the masked sublattice is exactly U3, so counts agree
         assert len(cloud) == ORACLE_CLOUD_SIZES[1]
         assert cloud.witnesses.shape == (98, 22)
         assert not cloud.witnesses[:, 6:].any()  # unmasked coordinates are 0
 
+    def test_mask_sorted_without_repeats(self):
+        expected = scan_algebraic(U3, TRIPLE, 1)
+        cloud = scan_algebraic(U3, TRIPLE, 1, (5, 3, 1, 4, 0, 2, 3))
+        assert cloud.dirs.tolist() == expected.dirs.tolist()
+        assert cloud.witnesses.tolist() == expected.witnesses.tolist()
+
+    @pytest.mark.parametrize("mask,index", [((0, 6), 6), ((-1, 7), -1)])
+    def test_mask_out_of_range(self, mask, index):
+        for scan in (scan_algebraic, scan_non_general_type):
+            with pytest.raises(DimensionMismatch,
+                               match=f"mask index {index} out of range for rank 6"):
+                scan(U3, TRIPLE, 1, mask)
+
     def test_isotropic_mask(self):
         # q vanishes on the masked coordinates (Gram submatrix 0 or
         # empty), so no box vector is positive
         for mask in ((0,), (1,), ()):
-            cfg = ScanConfig(box_bound=2, coordinate_mask=mask)
-            cloud = scan_algebraic(U3, TRIPLE, cfg)
+            cloud = scan_algebraic(U3, TRIPLE, 2, mask)
             assert len(cloud) == 0 and cloud.witnesses.shape == (0, 6)
 
     def test_determinism(self):
-        a = scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=2))
-        b = scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=2))
+        a = scan_algebraic(U3, TRIPLE, 2)
+        b = scan_algebraic(U3, TRIPLE, 2)
         assert list(a) == list(b)
         assert all(a.witness(p) == b.witness(p) for p in a)
 
 
 class TestScanNonGeneralType:
     def test_contains_signed_axis(self):
-        cloud = scan_non_general_type(U3, TRIPLE, ScanConfig(box_bound=1))
+        cloud = scan_non_general_type(U3, TRIPLE, 1)
         assert TwistorPoint.from_ray(1, 0, 0) in cloud
         assert TwistorPoint.from_ray(-1, 0, 0) in cloud
 
     def test_algebraic_subset(self):
         for b in (1, 2, 3):
-            alg = scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=b))
-            ngt = scan_non_general_type(U3, TRIPLE, ScanConfig(box_bound=b))
+            alg = scan_algebraic(U3, TRIPLE, b)
+            ngt = scan_non_general_type(U3, TRIPLE, b)
             assert alg.rays() <= ngt.rays()
 
     def test_diag222_count(self):
-        cloud = scan_non_general_type(D222, D222_TRIPLE, ScanConfig(box_bound=1))
+        cloud = scan_non_general_type(D222, D222_TRIPLE, 1)
         assert len(cloud) == 26
 
     def test_growing_bound_keeps_points(self):
-        small = scan_non_general_type(U3, TRIPLE, ScanConfig(box_bound=1))
-        big = scan_non_general_type(U3, TRIPLE, ScanConfig(box_bound=2))
+        small = scan_non_general_type(U3, TRIPLE, 1)
+        big = scan_non_general_type(U3, TRIPLE, 2)
         assert small.rays() <= big.rays()
 
 
@@ -226,10 +237,9 @@ class TestInt64Bound:
     def test_scaled_gram_gives_u3_cloud(self, k):
         # the Gram content is divided out and the pairing rows are
         # primitive, so a huge common scale leaves the scan exact
-        cfg = ScanConfig(box_bound=1)
         for scan in (scan_algebraic, scan_non_general_type):
-            expected = scan(U3, TRIPLE, cfg)
-            cloud = scan(scaled_gram(U3, k), TRIPLE, cfg)
+            expected = scan(U3, TRIPLE, 1)
+            cloud = scan(scaled_gram(U3, k), TRIPLE, 1)
             assert [(p.dir, cloud.witness(p)) for p in cloud] == \
                 [(p.dir, expected.witness(p)) for p in expected]
         assert len(cloud) == ORACLE_CLOUD_SIZES[1]
@@ -237,16 +247,15 @@ class TestInt64Bound:
     def test_huge_gram_entry_is_unsupported(self):
         lattice, triple = with_summand(U3, TRIPLE, -10 ** 19)
         with pytest.raises(Unsupported, match=r"max\|G\|\*B\^2\*k\^2 = 49"):
-            scan_algebraic(lattice, triple, ScanConfig(box_bound=1))
+            scan_algebraic(lattice, triple, 1)
 
     def test_huge_entry_outside_mask(self):
         # the bounds read only the masked columns: the summand <-10^19>
         # lies outside the mask, so the scans return the U3 B=1 cloud
         lattice, triple = with_summand(U3, TRIPLE, -10 ** 19)
-        cfg = ScanConfig(box_bound=1, coordinate_mask=tuple(range(6)))
         for scan in (scan_algebraic, scan_non_general_type):
-            expected = scan(U3, TRIPLE, ScanConfig(box_bound=1))
-            cloud = scan(lattice, triple, cfg)
+            expected = scan(U3, TRIPLE, 1)
+            cloud = scan(lattice, triple, 1, range(6))
             assert cloud.dirs.tolist() == expected.dirs.tolist()
             assert cloud.witnesses.tolist() == [w + [0] for w in expected.witnesses.tolist()]
         assert len(cloud) == ORACLE_CLOUD_SIZES[1]
@@ -258,10 +267,9 @@ class TestInt64Bound:
         lattice, triple = with_summand(U3, TRIPLE, -2 * n, (1, 0, 0))
         triple = HyperTriple.from_rows(
             [[1, n + 1] + [0] * 4 + [1], triple.w_j, triple.w_k])
-        cfg = ScanConfig(box_bound=1)
         for scan in (scan_algebraic, scan_non_general_type):
             with pytest.raises(Unsupported, match=r"max\|rows\|\*B\*k = 14"):
-                scan(lattice, triple, cfg)
+                scan(lattice, triple, 1)
         with pytest.raises(Unsupported, match=r"max\|rows\|\*B\*k"):
             is_general_type(lattice, triple, TwistorPoint.from_unit(1.0, 0.5, 0.25),
                             bound=1)
@@ -299,7 +307,7 @@ def test_clouds_independent_of_block_budget(scan, both_signs, monkeypatch):
 
     def entries():
         built.clear()
-        cloud = scan(U3, TRIPLE, ScanConfig(box_bound=2))
+        cloud = scan(U3, TRIPLE, 2)
         assert built == []  # the scan builds no point; iteration does
         return [(p.dir, cloud.witness(p)) for p in cloud]
 
@@ -341,7 +349,7 @@ class TestPointCloud:
         # this ray's sum of squares wraps in int64, and float64 squares
         # round it to a different unit
         big = [2342548891, -2558966741, -2170644487]
-        for cloud in (scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=2)),
+        for cloud in (scan_algebraic(U3, TRIPLE, 2),
                       PointCloud(np.array([big, [1, 0, 0]]), np.zeros((2, 6), np.int64))):
             assert [p.unit for p in cloud] == \
                 [TwistorPoint.from_ray(*d).unit for d in cloud.dirs.tolist()]
@@ -359,7 +367,7 @@ class TestPointCloud:
             cloud.witness(TwistorPoint.from_ray(0, 1, -2))
 
     @pytest.mark.parametrize("cloud", [
-        scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=3)), BIG_CLOUD])
+        scan_algebraic(U3, TRIPLE, 3), BIG_CLOUD])
     def test_lookup_agrees_with_dict(self, cloud):
         expected = dict(zip(map(tuple, cloud.dirs.tolist()),
                             map(tuple, cloud.witnesses.tolist())))
@@ -403,7 +411,7 @@ def random_cloud(seed, kind, size):
         dirs = rng.integers(-50, 51, (size, 3))
     elif kind == "clustered":  # one tight cluster: far rows leave their band
         dirs = rng.integers(-10 ** 4, 10 ** 4, 3) * 100 + rng.integers(-20, 21, (size, 3))
-    elif kind == "tiny":  # h >= 1: the full product alone
+    elif kind == "tiny":  # h >= 1: bands of up to the whole sphere
         dirs = rng.integers(-3, 4, (size % 12 + 1, 3))
     else:
         dirs = rng.integers(-2 ** 62, 2 ** 62, (size, 3))
@@ -420,7 +428,7 @@ class TestCoveringRadius:
     def test_frozen_u3_radii(self, resolution, radii):
         # U3 at B=1..4, as the full product gave them
         assert tuple(repr(covering_radius(
-            scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=b)), resolution))
+            scan_algebraic(U3, TRIPLE, b), resolution))
             for b in (1, 2, 3, 4)) == radii
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -441,7 +449,7 @@ class TestCoveringRadius:
                     == repr(reference_covering_radius(cloud, resolution)))
 
     def test_memory_independent_of_grid(self):
-        cloud = scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=4))
+        cloud = scan_algebraic(U3, TRIPLE, 4)
         covering_radius(cloud, 100)  # numpy's first-call allocations
 
         def peak(resolution):
@@ -467,9 +475,9 @@ class TestCoveringRadius:
 
     def test_monotone_in_bound(self):
         r2 = covering_radius(
-            scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=2)), 100)
+            scan_algebraic(U3, TRIPLE, 2), 100)
         r3 = covering_radius(
-            scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=3)), 100)
+            scan_algebraic(U3, TRIPLE, 3), 100)
         assert r3 <= r2
 
     def test_empty_cloud(self):
@@ -495,8 +503,6 @@ class TestCoveringRadius:
     def test_grid_size_checked(self):
         # 31623^2 is just over 10^9 points: rejected before any is built
         message = "grid_resolution 31623 gives 1000014129 grid points"
-        with pytest.raises(InvalidBound, match=message):
-            ScanConfig(box_bound=1, grid_resolution=31623)
         cloud = PointCloud(np.array([[1, 0, 0]]), np.array([[1, 1, 0, 0, 0, 0]]))
         with pytest.raises(InvalidBound, match=message):
             covering_radius(cloud, 31623)
@@ -504,7 +510,7 @@ class TestCoveringRadius:
 
 class TestEmission:
     def test_csv_roundtrip(self):
-        cloud = scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=1))
+        cloud = scan_algebraic(U3, TRIPLE, 1)
         buf = io.StringIO()
         write_csv(cloud, buf)
         lines = buf.getvalue().splitlines()
@@ -534,14 +540,14 @@ class TestEmission:
     def test_csv_deterministic(self):
         bufs = []
         for _ in range(2):
-            cloud = scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=2))
+            cloud = scan_algebraic(U3, TRIPLE, 2)
             buf = io.StringIO()
             write_csv(cloud, buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
 
     def test_svg_smoke(self):
-        cloud = scan_algebraic(U3, TRIPLE, ScanConfig(box_bound=1))
+        cloud = scan_algebraic(U3, TRIPLE, 1)
         buf = io.StringIO()
         write_svg(cloud, buf)
         text = buf.getvalue()
