@@ -5,11 +5,13 @@ Signature is computed by exact congruence diagonalization, integer
 kernels by unimodular column reduction (so the result is automatically
 saturated: the quotient by the kernel sublattice is torsion-free).
 
-Every pairing with the hyperkahler triple goes through one cached
-kernel, pairing_rows: it validates the triple once and returns three
-primitive integer rows and an exact scale, so that
-q(x, w_a) / q(w_a, w_a) = scale * (rows[a] . x). Projection, V-perp
-bases, pi, Hodge type, witnesses and the scans all read it.
+Every pairing with the hyperkahler triple goes through one kernel,
+pairing_rows: it checks the signature (3, r-3, 0), then the triple,
+each computed once and cached, and returns three primitive integer rows
+and an exact scale, so that q(x, w_a) / q(w_a, w_a) = scale * (rows[a] . x).
+Projection, V-perp bases, pi, Hodge type, witnesses and the scans all
+read it, so all reject a wrong signature and rely on V-perp being
+negative definite: a positive class never projects to 0.
 """
 
 from __future__ import annotations
@@ -20,7 +22,13 @@ from functools import lru_cache
 from math import gcd
 from numbers import Integral, Rational
 
-from .errors import DimensionMismatch, InvalidTriple, NotSymmetric, TwistorLatticeError
+from .errors import (
+    DimensionMismatch,
+    InvalidSignature,
+    InvalidTriple,
+    NotSymmetric,
+    TwistorLatticeError,
+)
 
 Vector = tuple[Fraction, ...]
 
@@ -89,13 +97,18 @@ class GramLattice:
                 if self.gram[i][j] != self.gram[j][i]:
                     raise NotSymmetric(
                         f"gram matrix is not symmetric at ({i}, {j})")
+        # hashed once: the kernel's two caches hash the lattice on every call
+        object.__setattr__(self, "_hash", hash((self.rank, self.gram)))
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def from_rows(rows) -> "GramLattice":
         """The lattice of a Gram matrix given as rows of integers; any
         other entry (a float, string or bool) is an error, not rounded."""
-        g = tuple(tuple(_gram_entry(e, i, j) for j, e in enumerate(row))
-                  for i, row in enumerate(rows))
+        g = tuple(tuple(integer(e, f"gram entry ({i}, {j})")
+                        for j, e in enumerate(row)) for i, row in enumerate(rows))
         return GramLattice(rank=len(g), gram=g)
 
     def check_length(self, x):
@@ -104,10 +117,11 @@ class GramLattice:
                 f"vector has length {len(x)}, lattice rank is {self.rank}")
 
 
-def _gram_entry(e, i: int, j: int) -> int:
-    if isinstance(e, bool) or not isinstance(e, Integral):
-        raise TwistorLatticeError(f"gram entry ({i}, {j}) = {e!r} is not an integer")
-    return int(e)
+def integer(value, what: str) -> int:
+    """An integer (numpy ints too) as an int; a float, string or bool is an error."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise TwistorLatticeError(f"{what} = {value!r} is not an integer")
+    return int(value)
 
 
 def q_eval(lattice: GramLattice, x: Vector, y: Vector) -> Fraction:
@@ -135,41 +149,32 @@ def gram_row(lattice: GramLattice, w: Vector) -> Vector:
     )
 
 
+@lru_cache(maxsize=64)
 def signature(lattice: GramLattice) -> SignatureReport:
     """Inertia (n_plus, n_minus, n_zero) by exact congruence reduction.
 
     Pivots are chosen at the lowest available index; by Sylvester's law
-    the result is basis-independent.
+    the result is basis-independent. Cached: every twistor call asks.
     """
     r = lattice.rank
     m = [[Fraction(e) for e in row] for row in lattice.gram]
     n_plus = n_minus = n_zero = 0
     for k in range(r):
         # find a nonzero diagonal pivot at or after k
-        piv = None
-        for i in range(k, r):
-            if m[i][i] != 0:
-                piv = i
-                break
+        piv = next((i for i in range(k, r) if m[i][i] != 0), None)
         if piv is None:
             # all diagonals zero: look for an off-diagonal entry and fold
             # its row/column in (2*m[i][j] lands on the diagonal)
-            found = False
-            for i in range(k, r):
-                for j in range(i + 1, r):
-                    if m[i][j] != 0:
-                        for t in range(k, r):
-                            m[i][t] += m[j][t]
-                        for t in range(k, r):
-                            m[t][i] += m[t][j]
-                        piv = i
-                        found = True
-                        break
-                if found:
-                    break
-            if not found:
+            pair = next(((i, j) for i in range(k, r) for j in range(i + 1, r)
+                         if m[i][j] != 0), None)
+            if pair is None:
                 n_zero += r - k
                 break
+            piv, j = pair
+            for t in range(k, r):
+                m[piv][t] += m[j][t]
+            for t in range(k, r):
+                m[t][piv] += m[t][j]
         if piv != k:
             m[k], m[piv] = m[piv], m[k]
             for t in range(r):
@@ -293,13 +298,20 @@ class HyperTriple:
         return norms[0]
 
 
-@lru_cache(maxsize=64)
 def pairing_rows(lattice: GramLattice, triple: HyperTriple):
-    """The one pairing kernel: validate the triple and return (rows,
-    scale), three integer rows with their joint gcd divided out and the
-    exact positive Fraction with q(x, w_a) / q(w_a, w_a) equal to
-    scale * (rows[a] . x). Cached: it is pure, both types are immutable,
-    and every projection, scan and witness search asks for it."""
+    """The one pairing kernel: check the signature (3, r-3, 0), then the
+    triple, and return (rows, scale), three integer rows with their joint
+    gcd divided out and the exact positive Fraction with q(x, w_a) /
+    q(w_a, w_a) = scale * (rows[a] . x). Every call checks; both checks are
+    cached, the signature per lattice and the rows per pair."""
+    sig = signature(lattice).as_tuple()
+    if sig != (3, lattice.rank - 3, 0):
+        raise InvalidSignature(f"twistor calls need signature (3, r-3, 0); got {sig}")
+    return _triple_rows(lattice, triple)
+
+
+@lru_cache(maxsize=64)
+def _triple_rows(lattice: GramLattice, triple: HyperTriple):
     norm = triple.validate(lattice)
     pairing = [e for w in triple.vectors for e in gram_row(lattice, w)]
     flat = primitive(clear_denominators(pairing))
@@ -333,5 +345,5 @@ def expand_in_V(triple: HyperTriple, coeffs) -> Vector:
 
 def perp_V_basis(lattice: GramLattice, triple: HyperTriple):
     """Basis of the saturated sublattice of integral vectors q-orthogonal
-    to all three triple vectors; size rank - 3 for a valid triple."""
+    to all three triple vectors; size rank - 3, as the kernel validates."""
     return integer_kernel(pairing_rows(lattice, triple)[0])

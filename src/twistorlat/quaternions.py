@@ -157,11 +157,9 @@ def two_form_coords(f: TwoForm) -> np.ndarray:
     return np.array([f.mat[a, b] for (a, b) in _PAIRS])
 
 
-def hodge_star_2forms(n: int = 1) -> np.ndarray:
-    """Hodge star on 2-forms of R^4 as a 6x6 matrix in the pair basis,
-    Euclidean metric, orientation dx0^dx1^dx2^dx3. Involution."""
-    if n != 1:
-        raise Unsupported("Hodge star implemented only for n = 1")
+def hodge_star_2forms() -> np.ndarray:
+    """Hodge star on 2-forms of R^4 (n = 1) as a 6x6 matrix in the pair
+    basis, Euclidean metric, orientation dx0^dx1^dx2^dx3. Involution."""
     star = np.zeros((6, 6))
     # e01 <-> e23, e02 <-> -e13, e03 <-> e12
     star[5, 0] = star[0, 5] = 1.0

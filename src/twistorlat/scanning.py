@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyCloud, InvalidBound, InvalidSignature
-from .linalg import GramLattice, HyperTriple, pairing_rows, q_eval, signature
+from .errors import DimensionMismatch, EmptyCloud, InvalidBound
+from .linalg import GramLattice, HyperTriple, integer, pairing_rows
 from .twistor import (
     _BLOCK_BYTES,
     _MAX_BOX_VECTORS,
@@ -90,17 +90,17 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
     of its positive box vectors or, with both_signs, both orientations
     (+ray first) of every nonzero projection; each ray keeps its first
     witness."""
-    sig = signature(lattice).as_tuple()
-    if sig != (3, lattice.rank - 3, 0):
-        raise InvalidSignature(f"twistor scans need signature (3, r-3, 0); got {sig}")
-    # the box enumerates only the masked coordinates (sorted, without
-    # repeats), against the matching columns of the pairing rows and Gram
-    # submatrix
-    active = list(range(lattice.rank)) if mask is None else sorted(set(map(int, mask)))
+    # the kernel checks the signature first; then the box enumerates only the
+    # masked coordinates (sorted, without repeats), against the matching
+    # columns of the pairing rows and Gram submatrix
+    full_rows, _ = pairing_rows(lattice, triple)
+    bound = integer(bound, "bound")
+    active = (list(range(lattice.rank)) if mask is None
+              else sorted({integer(i, "mask entry") for i in mask}))
     for i in active:
         if not 0 <= i < lattice.rank:
             raise DimensionMismatch(f"mask index {i} out of range for rank {lattice.rank}")
-    rows = [[row[i] for i in active] for row in pairing_rows(lattice, triple)[0]]
+    rows = [[row[i] for i in active] for row in full_rows]
     blocks = _box_pairings(rows, bound)
     if not both_signs:
         # only the sign of q(v, v) is used, so the Gram content is divided out
@@ -108,11 +108,6 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
         content = math.gcd(*(e for row in sub for e in row)) or 1
         gram = _int64([[e // content for e in row] for row in sub],
                       (bound * len(active)) ** 2, "max|G|*B^2*k^2")
-
-    def spread(w):  # rows over the masked coordinates, as rank-r vectors
-        full = np.zeros((len(w), lattice.rank), dtype=np.int64)
-        full[:, active] = w
-        return full
 
     rays, witnesses = [], []
     for vecs, t in blocks:
@@ -123,20 +118,17 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
             r = np.stack([r, -r], axis=1).reshape(-1, 3)
             w = np.repeat(vecs[keep], 2, axis=0)
         else:
+            # positive vectors are not in the negative definite V-perp: g > 0
             keep = (vecs @ gram * vecs).sum(axis=1) > 0
-            zero = np.flatnonzero(keep & (g == 0))
-            if zero.size:
-                v = tuple(spread(vecs[zero[:1]])[0].tolist())
-                raise InvalidSignature(
-                    f"positive vector {v} with q(v, v) = {q_eval(lattice, v, v)} "
-                    "has zero projection; V^perp not negative definite")
             r, w = t[keep] // g[keep, None], vecs[keep]
         first = np.sort(_ray_order(r))
         rays.append(r[first])
         witnesses.append(w[first])
     rays, witnesses = np.concatenate(rays), np.concatenate(witnesses)
     first = np.sort(_ray_order(rays))
-    return PointCloud(rays[first], spread(witnesses[first]))
+    full = np.zeros((len(first), lattice.rank), dtype=np.int64)  # rank-r witnesses
+    full[:, active] = witnesses[first]
+    return PointCloud(rays[first], full)
 
 
 def scan_algebraic(lattice: GramLattice, triple: HyperTriple, bound: int,
@@ -170,13 +162,15 @@ def _fibonacci_rows(n: int, start: int, stop: int) -> np.ndarray:
     return np.column_stack((np.cos(phi) * r, y, np.sin(phi) * r))
 
 
-def _check_grid(grid_resolution: int):
+def _check_grid(grid_resolution: int) -> int:
+    grid_resolution = integer(grid_resolution, "grid_resolution")
     if grid_resolution < 2:
         raise InvalidBound("grid_resolution must be >= 2")
     if grid_resolution ** 2 > _MAX_BOX_VECTORS:
         raise InvalidBound(
             f"grid_resolution {grid_resolution} gives {grid_resolution ** 2} "
             f"grid points, more than {_MAX_BOX_VECTORS}")
+    return grid_resolution
 
 
 def _best_cosines(points: np.ndarray, units: np.ndarray) -> np.ndarray:
@@ -238,10 +232,9 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     arccos of that least cosine is the radius, the same float as the full
     product gives.
     """
-    _check_grid(grid_resolution)
+    n = _check_grid(grid_resolution) ** 2
     if len(cloud) == 0:
         raise EmptyCloud("covering radius of an empty cloud is undefined")
-    n = grid_resolution * grid_resolution
     units = _units(cloud.dirs)
     # the full product's blocks, each one product in _best_cosines
     step = max(1, _BLOCK_BYTES // (8 * len(units)))
@@ -282,10 +275,10 @@ def _lambert(u, center_sign):
     return (f * y, f * center_sign * z)
 
 
-def write_svg(cloud: PointCloud, stream, size: int = 400):
+def write_svg(cloud: PointCloud, stream):
     """Scatter plot of the cloud: two Lambert equal-area hemispheres
-    (around +a and -a) side by side."""
-    pad = 10
+    (around +a and -a) side by side, each 400 pixels square."""
+    size, pad = 400, 10
     scale = (size - 2 * pad) / (2.0 * math.sqrt(2.0))
     width = 2 * size + pad
     write = stream.write  # once: a lazy click.File forwards each lookup

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterator, Optional
 
 import numpy as np
@@ -32,6 +31,7 @@ from .linalg import (
     clear_denominators,
     dot_rows,
     expand_in_V,
+    integer,
     integer_kernel,
     pairing_rows,
     primitive,
@@ -110,7 +110,7 @@ class TwistorPoint:
 
     @staticmethod
     def from_ray(a, b, c) -> "TwistorPoint":
-        fr = (Fraction(a), Fraction(b), Fraction(c))
+        fr = vector((a, b, c))
         if fr == (0, 0, 0):
             raise InvariantViolation("zero ray is not a twistor point")
         d = primitive(clear_denominators(fr))
@@ -181,17 +181,14 @@ def pi_map(lattice: GramLattice, triple: HyperTriple, omega) -> PositiveClass:
 
     With the pairing rows of the triple, that is the ray of
     t = rows . omega itself, by construction: for L = t / gcd(t),
-    q(omega, omega_L) is a positive multiple of |t|^2."""
+    q(omega, omega_L) is a positive multiple of |t|^2. The kernel checks
+    the signature first: V-perp is negative definite, so t != 0."""
+    rows, _ = pairing_rows(lattice, triple)
     omega = vector(omega)
     cleared = clear_denominators(omega)  # a positive multiple: same sign of q
     if q_eval(lattice, cleared, cleared) <= 0:
         raise NotPositive("pi_map needs q(omega, omega) > 0")
-    rows, _ = pairing_rows(lattice, triple)
     t = dot_rows(rows, cleared)
-    if t == (0, 0, 0):
-        raise InvariantViolation(
-            f"projection of the positive class omega = ({', '.join(map(str, omega))}) "
-            "vanished; lattice or triple invalid")
     return PositiveClass(vec=omega, point=TwistorPoint.from_ray(*t))
 
 
@@ -267,18 +264,17 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
     more than 10^9 vectors raises InvalidBound, and one whose int64
     products could wrap raises Unsupported.
     """
+    rows, _ = pairing_rows(lattice, triple)
+    bound = integer(bound, "bound")
     if bound < 1:
         raise InvalidBound("bound must be >= 1")
-    rows, _ = pairing_rows(lattice, triple)
 
     if point.is_exact:
         # witnesses v solve (rows . v) x d = 0: one cross product per column
         kernel = integer_kernel(zip(*(_cross(col, point.dir) for col in zip(*rows))))
+        # nonempty: the cleared class sum d_a w_a lies in the kernel, projecting to != 0
         candidates = [_reduce_witness(v, kernel[:i] + kernel[i + 1:], rows)
                       for i, v in enumerate(kernel) if any(dot_rows(rows, v))]
-        if not candidates:
-            raise InvariantViolation(
-                "rational ray with no integral witness; triple does not span V")
         witness = min(candidates, key=lambda v: (max(abs(e) for e in v), v))
         return GeneralTypeVerdict(witness=witness)
 

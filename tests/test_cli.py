@@ -105,6 +105,23 @@ class TestValidate:
         assert "1/2" in res.output  # common norm
 
 
+@pytest.mark.parametrize("args", [
+    ("project", "--omega", "1,0,0,0"), ("project", "--omega", "0,0,0,1"),
+    ("general-type", "--point", "1,0,0"), ("general-type", "--point", "1.0,0.5,0.0"),
+    ("scan-ngt", "--bound", "1")])
+def test_wrong_signature_is_a_domain_error(tmp_path, args):
+    # signature (4, 0, 0) with a valid triple: every command rejects it,
+    # including at e4, the positive class q-orthogonal to the triple
+    f = tmp_path / "diag4.json"
+    f.write_text(json.dumps({
+        "rank": 4, "gram": [[1 if i == j else 0 for j in range(4)] for i in range(4)],
+        "triple": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]}))
+    res = invoke(args[0], "--lattice", str(f), *args[1:])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert "got (4, 0, 0)" in res.output
+
+
 class TestProject:
     def test_mixed_class(self):
         res = invoke("project", "--lattice", "U3", "--omega", "1,1,1,0,0,0")

@@ -10,6 +10,7 @@ from twistorlat.quaternions import (
     QUAT_K,
     Quaternion,
     SU2Element,
+    TwoForm,
     complex_structure_from,
     hodge_star,
     hodge_star_2forms,
@@ -207,7 +208,7 @@ class TestHodgeStar:
 
     def test_n_2_unsupported(self):
         with pytest.raises(Unsupported):
-            hodge_star_2forms(n=2)
+            hodge_star(TwoForm(n=2, mat=np.zeros((8, 8))))
 
 
 def test_verify_model_all_pass():

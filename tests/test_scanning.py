@@ -1,8 +1,8 @@
 import io
 import itertools
 import math
+import re
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from twistorlat import (
     InvalidBound,
     InvalidSignature,
     PointCloud,
+    TwistorLatticeError,
     TwistorPoint,
     Unsupported,
     covering_radius,
@@ -30,7 +31,7 @@ from twistorlat import (
     write_svg,
 )
 from twistorlat import scanning, twistor
-from twistorlat.linalg import pairing_rows
+from twistorlat.linalg import pairing_rows, signature
 from twistorlat.scanning import _ray_order, fibonacci_sphere
 from twistorlat.twistor import _box_pairings
 
@@ -150,18 +151,15 @@ class TestScanAlgebraic:
         with pytest.raises(InvalidSignature):
             scan_algebraic(bad, tri, 1)
 
-    def test_zero_projection_names_vector(self, monkeypatch):
-        # a valid triple never lets a positive vector project to 0, so
-        # fake all-zero pairing rows: the first positive box vector is named
-        monkeypatch.setattr(scanning, "pairing_rows",
-                            lambda lattice, triple: (((0,) * 6,) * 3, Fraction(1)))
-        with pytest.raises(InvalidSignature,
-                           match=r"\(-1, -1, -1, -1, -1, -1\) with q\(v, v\) = 6 "):
-            scan_algebraic(U3, TRIPLE, 1)
-        # under a mask, the vector named is the full rank-6 one
-        with pytest.raises(InvalidSignature,
-                           match=r"\(0, 0, -1, -1, 0, 0\) with q\(v, v\) = 2 "):
-            scan_algebraic(U3, TRIPLE, 1, (2, 3))
+    def test_signature_computed_once_per_lattice(self):
+        # the pairing kernel checks the signature on every call, and the
+        # signature is computed once and cached
+        signature.cache_clear()
+        scan_algebraic(K3, K3_TRIPLE, 1, range(6))
+        scan_algebraic(K3, K3_TRIPLE, 1, range(4, 10))
+        pi_map(K3, K3_TRIPLE, K3_TRIPLE.w_i)
+        info = signature.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_masked_k3(self):
         cloud = scan_algebraic(K3, K3_TRIPLE, 1, range(6))
@@ -182,6 +180,13 @@ class TestScanAlgebraic:
             with pytest.raises(DimensionMismatch,
                                match=f"mask index {index} out of range for rank 6"):
                 scan(U3, TRIPLE, 1, mask)
+
+    @pytest.mark.parametrize("scan", [scan_algebraic, scan_non_general_type])
+    def test_numpy_integers_accepted(self, scan):
+        expected = scan(U3, TRIPLE, 1, (2, 3))
+        cloud = scan(U3, TRIPLE, np.int64(1), np.array([3, 2]))
+        assert cloud.dirs.tolist() == expected.dirs.tolist()
+        assert cloud.witnesses.tolist() == expected.witnesses.tolist()
 
     def test_isotropic_mask(self):
         # q vanishes on the masked coordinates (Gram submatrix 0 or
@@ -248,6 +253,12 @@ class TestInt64Bound:
         lattice, triple = with_summand(U3, TRIPLE, -10 ** 19)
         with pytest.raises(Unsupported, match=r"max\|G\|\*B\^2\*k\^2 = 49"):
             scan_algebraic(lattice, triple, 1)
+
+    def test_numpy_bound_reach_does_not_wrap(self):
+        # the reach (2 * 3)^2 * 2^60 = 36 * 2^60 would wrap in int64 to 2^62 < 2^63
+        lattice, triple = with_summand(U3, TRIPLE, -2 ** 60)
+        with pytest.raises(Unsupported, match=f"max.G..B.2.k.2 = {36 * 2 ** 60}"):
+            scan_algebraic(lattice, triple, np.int64(2), (6, 0, 1))
 
     def test_huge_entry_outside_mask(self):
         # the bounds read only the masked columns: the summand <-10^19>
@@ -491,6 +502,10 @@ class TestCoveringRadius:
         with pytest.raises(InvalidBound, match="grid_resolution must be >= 2"):
             covering_radius(cloud, resolution)
 
+    def test_numpy_grid_accepted(self):
+        cloud = scan_algebraic(U3, TRIPLE, 1)
+        assert covering_radius(cloud, np.int32(37)) == covering_radius(cloud, 37)
+
     def test_grid_is_unit(self):
         grid = fibonacci_sphere(500)
         norms = (grid ** 2).sum(axis=1)
@@ -506,6 +521,28 @@ class TestCoveringRadius:
         cloud = PointCloud(np.array([[1, 0, 0]]), np.array([[1, 1, 0, 0, 0, 0]]))
         with pytest.raises(InvalidBound, match=message):
             covering_radius(cloud, 31623)
+
+
+GT_POINTS = (TwistorPoint.from_ray(1, 1, 0), TwistorPoint.from_unit(1.0, 0.5, 0.0))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: scan_algebraic(U3, TRIPLE, 1, (2.7, 3.2)), "mask entry = 2.7"),
+    (lambda: scan_non_general_type(U3, TRIPLE, 1, ("a",)), "mask entry = 'a'"),
+    (lambda: scan_algebraic(U3, TRIPLE, 1, (True, 2)), "mask entry = True"),
+    (lambda: scan_algebraic(U3, TRIPLE, 1.5), "bound = 1.5"),
+    (lambda: scan_non_general_type(U3, TRIPLE, "2"), "bound = '2'"),
+    (lambda: covering_radius(scan_algebraic(U3, TRIPLE, 1), 2.5),
+     "grid_resolution = 2.5"),
+    (lambda: is_general_type(U3, TRIPLE, GT_POINTS[0], bound=1.5), "bound = 1.5"),
+    (lambda: is_general_type(U3, TRIPLE, GT_POINTS[1], bound=1.5), "bound = 1.5"),
+    (lambda: is_general_type(U3, TRIPLE, GT_POINTS[1], bound=None), "bound = None"),
+])
+def test_non_integer_argument_rejected(call, message):
+    # never truncated (2.7 is not the index 2), and never a bare ValueError
+    # or TypeError
+    with pytest.raises(TwistorLatticeError, match=re.escape(f"{message} is not an integer")):
+        call()
 
 
 class TestEmission:

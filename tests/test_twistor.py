@@ -9,10 +9,12 @@ import pytest
 from twistorlat import (
     GramLattice,
     HyperTriple,
+    InvalidSignature,
     InvalidTriple,
     InvariantViolation,
     IrrationalPoint,
     NotPositive,
+    TwistorLatticeError,
     TwistorPoint,
     antipode,
     hodge_type_11,
@@ -23,6 +25,8 @@ from twistorlat import (
     pi_map,
     project_to_V,
     q_eval,
+    scan_algebraic,
+    scan_non_general_type,
     stereographic,
     stereographic_inverse,
     two_zero_plane,
@@ -58,6 +62,18 @@ class TestTwistorPoint:
         with pytest.raises(InvariantViolation, match=f"is not a direction: norm {norm}$"):
             TwistorPoint.from_unit(*unit)
 
+    @pytest.mark.parametrize("ray,want", [
+        ((Fraction(1, 2), "2/3", 0), (3, 4, 0)), ((-2, 4, 6), (-1, 2, 3))])
+    def test_rational_entries_accepted(self, ray, want):
+        assert TwistorPoint.from_ray(*ray).dir == want
+
+    @pytest.mark.parametrize("entry", [0.5, True, "x", math.nan])
+    def test_non_rational_entry_rejected(self, entry):
+        # never rounded to a ray, and never a bare ValueError
+        with pytest.raises(TwistorLatticeError,
+                           match=f"cannot parse rational entry {entry!r}$"):
+            TwistorPoint.from_ray(entry, 0, 0)
+
     def test_irrational_point_has_no_ray(self):
         p = TwistorPoint.from_unit(1.0, math.sqrt(2.0), 0.0)
         assert not p.is_exact
@@ -86,14 +102,6 @@ class TestPiMap:
             pi_map(U3, TRIPLE, [1, -1, 0, 0, 0, 0])
         with pytest.raises(NotPositive):
             pi_map(U3, TRIPLE, [1, 0, 0, 0, 0, 0])  # q = 0
-
-    def test_vanished_projection_names_omega(self):
-        # signature (4, 0): e4 is positive and q-orthogonal to the triple
-        lattice = GramLattice.from_rows(
-            [[1 if i == j else 0 for j in range(4)] for i in range(4)])
-        triple = HyperTriple.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
-        with pytest.raises(InvariantViolation, match=r"omega = \(0, 0, 0, 1\)"):
-            pi_map(lattice, triple, [0, 0, 0, 1])
 
     def test_uniqueness_of_orientation(self):
         rng = random.Random(21)
@@ -164,6 +172,32 @@ class TestPiMap:
             assert angle <= bound + 1e-12
             checked += 1
         assert norm_sq == 2
+
+
+# signature (4, 0, 0) with a valid triple: e4 is positive and q-orthogonal
+# to the triple, so pi would be undefined at it; every call rejects the lattice
+DIAG4 = GramLattice.from_rows([[1 if i == j else 0 for j in range(4)] for i in range(4)])
+DIAG4_TRIPLE = HyperTriple.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
+
+
+@pytest.mark.parametrize("call", [
+    lambda lat, tri: pi_map(lat, tri, [1, 0, 0, 0]),
+    lambda lat, tri: pi_map(lat, tri, [0, 0, 0, 1]),
+    lambda lat, tri: hodge_type_11(lat, tri, [1, 0, 0, 0],
+                                   TwistorPoint.from_ray(1, 0, 0)),
+    lambda lat, tri: is_general_type(lat, tri, TwistorPoint.from_ray(1, 0, 0)),
+    lambda lat, tri: is_general_type(lat, tri, TwistorPoint.from_unit(1.0, 0.5, 0.0),
+                                     bound=1),
+    lambda lat, tri: project_to_V(lat, tri, vector([0, 0, 0, 1])),
+    lambda lat, tri: perp_V_basis(lat, tri),
+    lambda lat, tri: scan_algebraic(lat, tri, 1),
+    lambda lat, tri: scan_non_general_type(lat, tri, 1),
+], ids=["pi_map", "pi_map_perp", "hodge_type_11", "general_type_exact",
+        "general_type_bounded", "project_to_V", "perp_V_basis", "scan_algebraic",
+        "scan_non_general_type"])
+def test_wrong_signature_rejected_by_every_call(call):
+    with pytest.raises(InvalidSignature, match=r"\(4, 0, 0\)"):
+        call(DIAG4, DIAG4_TRIPLE)
 
 
 class TestHodgeType:
