@@ -16,6 +16,7 @@ negative definite: a positive class never projects to 0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -55,7 +56,7 @@ def clear_denominators(v: Vector) -> tuple[int, ...]:
     m = 1
     for e in v:
         m = m * e.denominator // gcd(m, e.denominator)
-    return tuple(int(e * m) for e in v)
+    return tuple(e.numerator * (m // e.denominator) for e in v)
 
 
 def primitive(v) -> tuple[int, ...]:
@@ -269,6 +270,14 @@ class HyperTriple:
     w_j: Vector
     w_k: Vector
 
+    def __post_init__(self):
+        # hashed once: the kernel's row cache hashes the triple on every
+        # call, and a Fraction hash costs about 0.4 us an entry
+        object.__setattr__(self, "_hash", hash(self.vectors))
+
+    def __hash__(self):
+        return self._hash
+
     @staticmethod
     def from_rows(rows) -> "HyperTriple":
         if len(rows) != 3:
@@ -323,7 +332,7 @@ def _triple_rows(lattice: GramLattice, triple: HyperTriple):
 
 def dot_rows(rows, x) -> tuple:
     """The products rows[a] . x."""
-    return tuple(sum(a * b for a, b in zip(row, x)) for row in rows)
+    return tuple(sum(map(operator.mul, row, x)) for row in rows)
 
 
 def project_to_V(lattice: GramLattice, triple: HyperTriple, x: Vector):

@@ -74,18 +74,28 @@ def _box_pairings(rows, b: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         raise InvalidBound(
             f"box bound B={b} over k={k} coordinates gives (2B+1)^k = "
             f"{side ** k} vectors, more than {_MAX_BOX_VECTORS}")
+    per_block = max(1, _BLOCK_BYTES // (8 * max(k, 1)))  # k = 0: one empty vector
     free = k
-    while free and side ** free * k * 8 > _BLOCK_BYTES:
+    while free > 1 and side ** free > per_block:
         free -= 1
+    # the last free coordinates, in parts of at most per_block rows: one
+    # part unless a single coordinate's range is over the budget
+    n = side ** free
+    parts = -(-n // per_block)
     powers = side ** np.arange(free - 1, -1, -1, dtype=np.int64)
-    tail = np.arange(side ** free, dtype=np.int64)[:, None] // powers % side - b
+
+    def tail(part):
+        index = np.arange(part * n // parts, (part + 1) * n // parts, dtype=np.int64)
+        return index[:, None] // powers % side - b
 
     def blocks():
+        whole = [tail(0)] if parts == 1 else None  # built once for every prefix
         for prefix in itertools.product(range(-b, b + 1), repeat=k - free):
-            vecs = np.empty((len(tail), k), dtype=np.int64)
-            vecs[:, :k - free] = prefix
-            vecs[:, k - free:] = tail
-            yield vecs, vecs @ rows.T
+            for chunk in whole or map(tail, range(parts)):
+                vecs = np.empty((len(chunk), k), dtype=np.int64)
+                vecs[:, :k - free] = prefix
+                vecs[:, k - free:] = chunk
+                yield vecs, vecs @ rows.T
     return blocks()
 
 
@@ -222,31 +232,61 @@ def two_zero_plane(triple: HyperTriple, point: TwistorPoint):
     return (expand_in_V(triple, primitive(v)), expand_in_V(triple, primitive(u)))
 
 
-def _reduce_witness(w, others, rows):
-    """Greedy infinity-norm reduction of a kernel vector by the rest of
-    the kernel basis; stays inside the kernel lattice and keeps the
-    projection (computed via the integer pairing rows) nonzero."""
+def _kernel_steps(kernel, rows):
+    """Each kernel vector b as the reduction reads it: (b, its support as
+    (index, entry) pairs, b . b, rows . b)."""
+    steps = []
+    for b in kernel:
+        support = [(i, e) for i, e in enumerate(b) if e]
+        steps.append((b, support, sum(e * e for _, e in support),
+                      tuple(sum([row[i] * e for i, e in support]) for row in rows)))
+    return steps
+
+
+def _reduce_witness(w, t, others):
+    """Greedy infinity-norm reduction of a kernel vector w, with pairing
+    t = rows . w, by the rest of the kernel basis (others, from
+    _kernel_steps); stays inside the kernel lattice and keeps the
+    projection nonzero.
+
+    Each pass visits the b in order and k in (k0 - 1, k0, k0 + 1),
+    k0 = round(w . b / b . b), and takes every w - k b of smaller norm and
+    nonzero projection. A step changes w only on supp(b), so it can lower
+    the norm only if supp(b) covers every index where |w| attains it: any
+    other b is skipped unbuilt, and a candidate is built on supp(b) alone,
+    with projection t - k (rows . b). Only candidates that rule would
+    reject are skipped, so the order, k0 and the rule, and with them the
+    witness, are those of the loop over whole vectors."""
     w = list(w)
 
-    def norm(v):
-        return max(abs(e) for e in v)
+    def peak():
+        norm = max(map(abs, w))
+        return norm, [i for i, e in enumerate(w) if abs(e) == norm]
 
+    norm, top = peak()
     improved = True
     while improved:
         improved = False
-        for b in others:
-            bb = sum(e * e for e in b)
-            if bb == 0:
+        for b, support, bb, tb in others:
+            if not all(b[i] for i in top):
                 continue
-            wb = sum(a * e for a, e in zip(w, b))
+            wb = sum(w[i] * e for i, e in support)
             k0 = (2 * wb + bb) // (2 * bb)  # round(wb / bb)
             for k in (k0 - 1, k0, k0 + 1):
                 if k == 0:
                     continue
-                cand = [wi - k * bi for wi, bi in zip(w, b)]
-                if norm(cand) < norm(w) and any(dot_rows(rows, cand)):
-                    w = cand
+                cand = [w[i] - k * e for i, e in support]
+                if max(map(abs, cand)) >= norm:
+                    continue
+                t_cand = tuple(a - k * e for a, e in zip(t, tb))
+                if any(t_cand):
+                    for (i, _), e in zip(support, cand):
+                        w[i] = e
+                    t = t_cand
+                    norm, top = peak()
                     improved = True
+                    if not all(b[i] for i in top):
+                        break  # supp(b) no longer covers the peak
     return tuple(w)
 
 
@@ -273,8 +313,9 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
         # witnesses v solve (rows . v) x d = 0: one cross product per column
         kernel = integer_kernel(zip(*(_cross(col, point.dir) for col in zip(*rows))))
         # nonempty: the cleared class sum d_a w_a lies in the kernel, projecting to != 0
-        candidates = [_reduce_witness(v, kernel[:i] + kernel[i + 1:], rows)
-                      for i, v in enumerate(kernel) if any(dot_rows(rows, v))]
+        steps = _kernel_steps(kernel, rows)
+        candidates = [_reduce_witness(v, t, steps[:i] + steps[i + 1:])
+                      for i, (v, _, _, t) in enumerate(steps) if any(t)]
         witness = min(candidates, key=lambda v: (max(abs(e) for e in v), v))
         return GeneralTypeVerdict(witness=witness)
 

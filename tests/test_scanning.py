@@ -103,6 +103,15 @@ class TestBoxVectors:
                 tuple(sum(r * e for r, e in zip(row, v)) for row in rows_of_width(k))
                 for v in reference_box(k, b)]
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_coordinate_over_budget_is_cut(self, k, monkeypatch):
+        # 64 bytes hold 8 // k rows, fewer than the 21 values of one
+        # coordinate at B=10: the last coordinate's range is cut into chunks
+        monkeypatch.setattr(twistor, "_BLOCK_BYTES", 64)
+        blocks = [vecs for vecs, _ in _box_pairings(rows_of_width(k), 10)]
+        assert all(1 < len(vecs) and vecs.nbytes <= 64 for vecs in blocks)
+        assert box_rows(k, 10) == reference_box(k, 10)
+
     def test_invalid_bound(self):
         with pytest.raises(InvalidBound, match="box_bound must be >= 1"):
             scan_algebraic(U3, TRIPLE, 0)

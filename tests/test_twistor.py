@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 import math
 import random
@@ -5,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistorlat import (
     GramLattice,
@@ -33,9 +37,15 @@ from twistorlat import (
     vector,
 )
 from twistorlat import twistor
-from twistorlat.linalg import expand_in_V, pairing_rows
+from twistorlat.linalg import dot_rows, expand_in_V, integer_kernel, pairing_rows
 
-from support import random_positive_class, random_rational_vector
+from support import (
+    conjugate_gram,
+    random_positive_class,
+    random_rational_vector,
+    random_unimodular,
+    rref,
+)
 
 U3, TRIPLE = load_lattice("U3")
 K3, K3_TRIPLE = load_lattice("K3")
@@ -335,12 +345,121 @@ class TestGeneralType:
             with pytest.raises(InvalidTriple):
                 is_general_type(U3, bad, point, bound=1)
 
+    def test_frozen_witnesses(self):
+        # the exact witness of every nonzero ray of [-3, 3]^3 on K3, U3 and
+        # diag222, as the full-vector greedy reduction gave them
+        witnesses = [is_general_type(lattice, triple, TwistorPoint.from_ray(*ray)).witness
+                     for lattice, triple in map(load_lattice, ("K3", "U3", "diag222"))
+                     for ray in itertools.product(range(-3, 4), repeat=3) if any(ray)]
+        assert len(witnesses) == 1026
+        assert (hashlib.sha256(repr(witnesses).encode()).hexdigest()
+                == "8e78a2fe6e611e9a2db3682538e0b8479343195b2373e92e59737ec4f7aaaa85")
+
     def test_k3_exact_mode(self):
         point = TwistorPoint.from_ray(1, 2, 3)
         verdict = is_general_type(K3, K3_TRIPLE, point)
         assert verdict.witness is not None
         coeffs = project_to_V(K3, K3_TRIPLE, vector(verdict.witness))
         assert coeffs != (0, 0, 0)
+
+
+def reference_reduce_witness(w, others, rows):
+    """Greedy infinity-norm reduction of a kernel vector by the rest of
+    the kernel basis; stays inside the kernel lattice and keeps the
+    projection (computed via the integer pairing rows) nonzero."""
+    w = list(w)
+
+    def norm(v):
+        return max(abs(e) for e in v)
+
+    improved = True
+    while improved:
+        improved = False
+        for b in others:
+            bb = sum(e * e for e in b)
+            if bb == 0:
+                continue
+            wb = sum(a * e for a, e in zip(w, b))
+            k0 = (2 * wb + bb) // (2 * bb)  # round(wb / bb)
+            for k in (k0 - 1, k0, k0 + 1):
+                if k == 0:
+                    continue
+                cand = [wi - k * bi for wi, bi in zip(w, b)]
+                if norm(cand) < norm(w) and any(dot_rows(rows, cand)):
+                    w = cand
+                    improved = True
+    return tuple(w)
+
+
+def assert_reference_witness(lattice, triple, ray):
+    """is_general_type, and _reduce_witness on each vector of the kernel it
+    builds, give what the full-vector greedy reduction gives."""
+    point = TwistorPoint.from_ray(*ray)
+    rows, _ = pairing_rows(lattice, triple)
+    kernel = integer_kernel(zip(*(twistor._cross(col, point.dir) for col in zip(*rows))))
+    steps = twistor._kernel_steps(kernel, rows)
+    candidates = []
+    for i, v in enumerate(kernel):
+        if any(dot_rows(rows, v)):
+            candidates.append(reference_reduce_witness(v, kernel[:i] + kernel[i + 1:], rows))
+            assert twistor._reduce_witness(
+                v, dot_rows(rows, v), steps[:i] + steps[i + 1:]) == candidates[-1]
+    expected = min(candidates, key=lambda v: (max(abs(e) for e in v), v))
+    assert is_general_type(lattice, triple, point).witness == expected
+
+
+def conjugated(lattice, triple, rng):
+    """The lattice and triple in the basis of a random unimodular u: Gram
+    u^T G u, triple vectors u^-1 w (the last columns of rref [u | w...])."""
+    n = lattice.rank
+    u = random_unimodular(rng, n, steps=10 * n)
+    reduced, _ = rref([row + [w[i] for w in triple.vectors] for i, row in enumerate(u)])
+    return (GramLattice.from_rows(conjugate_gram(lattice.gram, u)),
+            HyperTriple.from_rows(list(zip(*reduced))[n:]))
+
+
+RAYS = st.tuples(*[st.integers(-6, 6)] * 3).filter(any)
+
+
+class TestReduceWitness:
+    @given(ray=st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 3).filter(any))
+    def test_large_rays_on_k3(self, ray):
+        assert_reference_witness(K3, K3_TRIPLE, ray)
+
+    @settings(max_examples=20)
+    @given(name=st.sampled_from(["U3", "K3"]), rng=st.randoms(use_true_random=False),
+           ray=RAYS)
+    def test_unimodular_basis_change(self, name, rng, ray):
+        # dense kernel vectors: the support rule rarely skips a step
+        assert_reference_witness(*conjugated(*load_lattice(name), rng), ray)
+
+    @given(name=st.sampled_from(["U3", "K3"]), ray=RAYS)
+    def test_halved_triple(self, name, ray):
+        lattice, triple = load_lattice(name)
+        half = HyperTriple.from_rows([[e / 2 for e in w] for w in triple.vectors])
+        assert_reference_witness(lattice, half, ray)
+
+
+class TestTripleHash:
+    def test_warm_kernel_hashes_no_fraction(self, monkeypatch):
+        pairing_rows(K3, K3_TRIPLE)
+        calls = []
+        fraction_hash = Fraction.__hash__
+
+        def counting_hash(self):
+            calls.append(self)
+            return fraction_hash(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+        pairing_rows(K3, K3_TRIPLE)
+        assert calls == []
+
+    def test_equal_rows_equal_hash_and_frozen(self):
+        rows = [[1, Fraction(1, 2), 0], [0, 1, 0], ["2/3", 0, 1]]
+        a, b = HyperTriple.from_rows(rows), HyperTriple.from_rows(rows)
+        assert a == b and hash(a) == hash(b)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.w_i = b.w_j
 
 
 class TestStereographic:
