@@ -355,6 +355,25 @@ class TestGeneralType:
         assert (hashlib.sha256(repr(witnesses).encode()).hexdigest()
                 == "8e78a2fe6e611e9a2db3682538e0b8479343195b2373e92e59737ec4f7aaaa85")
 
+    def test_frozen_bounded_witnesses(self):
+        # the bounded witness of seeded Gaussian directions and of the
+        # float images of pi_map rays of seeded box vectors, as the walk of
+        # the full box in lexicographic order gave them
+        rng = random.Random(41)
+        witnesses = []
+        for name, bound in (("U3", 2), ("U3", 3), ("diag222", 3)):
+            lattice, triple = load_lattice(name)
+            units = [[rng.gauss(0.0, 1.0) for _ in range(3)] for _ in range(50)]
+            while len(units) < 100:
+                v = [rng.randint(-bound, bound) for _ in range(lattice.rank)]
+                if q_eval(lattice, vector(v), vector(v)) > 0:
+                    units.append(pi_map(lattice, triple, v).point.dir)
+            witnesses += [is_general_type(lattice, triple, TwistorPoint.from_unit(*u),
+                                          bound).witness for u in units]
+        assert sum(w is not None for w in witnesses) == 150
+        assert (hashlib.sha256(repr(witnesses).encode()).hexdigest()
+                == "b64bee38d7c9f2f33a118d61ab49547dcff8fdce31836725c11e5397c2e2a166")
+
     def test_k3_exact_mode(self):
         point = TwistorPoint.from_ray(1, 2, 3)
         verdict = is_general_type(K3, K3_TRIPLE, point)
