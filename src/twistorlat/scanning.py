@@ -1,8 +1,11 @@
 """Deterministic box scans and the density experiments.
 
-Scans walk the box of the masked coordinates in the int64 blocks of
-twistor._box_pairings and collect the exact signed rays of the
-projections onto V, each with its first witness. One key, _ray_order,
+Scans walk H-, the half of the box of the masked coordinates whose
+first nonzero entry is negative, in the int64 blocks of
+twistor._box_pairings, and collect the exact signed rays of the
+projections onto V, each with its first witness in the whole box: that
+box is H-, 0, -reverse(H-), so its rays follow from each block's first
+and last occurrence of each ray in H-. One key, _ray_order,
 decides both ray equality (the scans' dedup) and ray order (emission).
 A cloud is two int64 arrays, the distinct rays and their witnesses;
 TwistorPoints are built only when it is iterated. Covering radius
@@ -86,10 +89,10 @@ def _ray_order(rays: np.ndarray) -> np.ndarray:
 
 def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
           both_signs: bool) -> PointCloud:
-    """The block loop of the scans. Each block keeps the projection rays
-    of its positive box vectors or, with both_signs, both orientations
-    (+ray first) of every nonzero projection; each ray keeps its first
-    witness."""
+    """The block loop of the scans, over H-. Each block keeps the
+    projection rays of its positive box vectors or, with both_signs, both
+    orientations (+ray first) of every nonzero projection; each ray keeps
+    its first witness in the whole box."""
     # the kernel checks the signature first; then the box enumerates only the
     # masked coordinates (sorted, without repeats), against the matching
     # columns of the pairing rows and Gram submatrix
@@ -109,9 +112,12 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
         gram = _int64([[e // content for e in row] for row in sub],
                       (bound * len(active)) ** 2, "max|G|*B^2*k^2")
 
-    rays, witnesses = [], []
+    # each block's first and last occurrence of each ray, with its witness;
+    # an empty block first, as a walk over no coordinate yields none
+    empty = np.empty((0, 3), np.int64), np.empty((0, len(active)), np.int64)
+    firsts, lasts = [empty], [empty]
     for vecs, t in blocks:
-        g = np.gcd.reduce(np.abs(t), axis=1)
+        g = np.gcd(np.gcd(t[:, 0], t[:, 1]), t[:, 2])  # nonnegative
         if both_signs:
             keep = g > 0
             r = t[keep] // g[keep, None]
@@ -121,10 +127,16 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
             # positive vectors are not in the negative definite V-perp: g > 0
             keep = (vecs @ gram * vecs).sum(axis=1) > 0
             r, w = t[keep] // g[keep, None], vecs[keep]
-        first = np.sort(_ray_order(r))
-        rays.append(r[first])
-        witnesses.append(w[first])
-    rays, witnesses = np.concatenate(rays), np.concatenate(witnesses)
+        for kept, index in ((firsts, _ray_order(r)),
+                            (lasts, len(r) - 1 - _ray_order(r[::-1]))):
+            index = np.sort(index)
+            kept.append((r[index], w[index]))
+    # the blocks walk H-, and the whole box is H-, 0, -reverse(H-): its
+    # ray sequence is H-'s, then -reverse of it, whose first occurrences
+    # are the negated last occurrences in H-. With both signs each ray of
+    # the second half is already in the first.
+    rays, witnesses = (np.concatenate(a) for a in zip(
+        *firsts, *((-r[::-1], -w[::-1]) for r, w in reversed(lasts))))
     first = np.sort(_ray_order(rays))
     full = np.zeros((len(first), lattice.rank), dtype=np.int64)  # rank-r witnesses
     full[:, active] = witnesses[first]

@@ -5,7 +5,9 @@ primitive integer triple of coordinates in the triple basis (w_I, w_J,
 w_K). Point equality is exact and includes the sign: L and -L are
 different points. Irrational directions (for the bounded general-type
 search) carry only a floating unit vector and no exact ray. The box
-walk, _box_pairings, is shared by the bounded search and the scans.
+walk, _box_pairings, is shared by the bounded search and the scans; it
+walks H-, the half of the box whose first nonzero entry is negative,
+as every decision they take from a box vector v holds for -v too.
 """
 
 from __future__ import annotations
@@ -61,10 +63,19 @@ def _int64(matrix, reach: int, bound: str) -> np.ndarray:
 
 
 def _box_pairings(rows, b: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """[-b, b]^k, k the width of the rows, as int64 blocks (vecs, vecs @ rows.T),
-    vecs in lexicographic order with the zero vector, each within _BLOCK_BYTES.
-    The bound, the int64 reach and the box size are checked on the call,
-    before any block."""
+    """H-, the half of [-b, b]^k (k the width of the rows) whose first
+    nonzero entry is negative, as int64 blocks (vecs, vecs @ rows.T), vecs
+    in lexicographic order, each within _BLOCK_BYTES. The bound, the int64
+    reach and the size of the whole box are checked on the call, before
+    any block.
+
+    Index i of the lexicographic walk of the box, (2b+1)^k = N vectors,
+    is the vector -v for the v at index N-1-i. So the walk is H-, its
+    first (N-1)/2 vectors, then 0, then -reverse(H-). Every consumer
+    decides from v what it decides from -v: the norm and sine of
+    t = rows . v, q(v, v) and the ray pair {r, -r} are the same for both.
+    The first bounded witness thus lies in H- or nowhere, and a scan
+    rebuilds the walk of the whole box from H- alone (scanning._scan)."""
     if b < 1:
         raise InvalidBound("box_bound must be >= 1")
     k = len(rows[0])
@@ -74,7 +85,7 @@ def _box_pairings(rows, b: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         raise InvalidBound(
             f"box bound B={b} over k={k} coordinates gives (2B+1)^k = "
             f"{side ** k} vectors, more than {_MAX_BOX_VECTORS}")
-    per_block = max(1, _BLOCK_BYTES // (8 * max(k, 1)))  # k = 0: one empty vector
+    per_block = max(1, _BLOCK_BYTES // (8 * max(k, 1)))
     free = k
     while free > 1 and side ** free > per_block:
         free -= 1
@@ -82,16 +93,25 @@ def _box_pairings(rows, b: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     # part unless a single coordinate's range is over the budget
     n = side ** free
     parts = -(-n // per_block)
+    cuts = [part * n // parts for part in range(parts + 1)]
     powers = side ** np.arange(free - 1, -1, -1, dtype=np.int64)
 
-    def tail(part):
-        index = np.arange(part * n // parts, (part + 1) * n // parts, dtype=np.int64)
+    def tail(start, stop):
+        index = np.arange(start, stop, dtype=np.int64)
         return index[:, None] // powers % side - b
 
     def blocks():
-        whole = [tail(0)] if parts == 1 else None  # built once for every prefix
-        for prefix in itertools.product(range(-b, b + 1), repeat=k - free):
-            for chunk in whole or map(tail, range(parts)):
+        whole = tail(0, n) if parts == 1 else None  # built once for every prefix
+        # the prefixes up to the zero prefix; under it, H- of the free
+        # coordinates is the first n // 2 rows (none when k = 0)
+        prefixes = itertools.product(range(-b, b + 1), repeat=k - free)
+        for prefix in itertools.islice(prefixes, (side ** (k - free) + 1) // 2):
+            stop = n if any(prefix) else n // 2
+            for start, end in zip(cuts, cuts[1:]):
+                if start >= stop:
+                    break
+                end = min(end, stop)
+                chunk = tail(start, end) if whole is None else whole[:end]
                 vecs = np.empty((len(chunk), k), dtype=np.int64)
                 vecs[:, :k - free] = prefix
                 vecs[:, k - free:] = chunk
@@ -300,9 +320,11 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
     (irrational point): search the coordinate box [-bound, bound]^r, in
     lexicographic order and in blocks of bounded memory, for the first
     witness with sine of the collinearity angle below 1e-9; absence is
-    reported as general type up to the bound, not as a proof. A box of
-    more than 10^9 vectors raises InvalidBound, and one whose int64
-    products could wrap raises Unsupported.
+    reported as general type up to the bound, not as a proof. Only H-,
+    the vectors before 0, is searched: -v is a witness when v is, so the
+    first witness of the box lies there. A box of more than 10^9 vectors
+    raises InvalidBound, and one whose int64 products could wrap raises
+    Unsupported.
     """
     rows, _ = pairing_rows(lattice, triple)
     bound = integer(bound, "bound")

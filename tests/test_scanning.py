@@ -59,18 +59,24 @@ def reference_box(k, b):
     return list(itertools.product(range(-b, b + 1), repeat=k))
 
 
+def reference_half(k, b):
+    """H-: the first ((2b+1)^k - 1) / 2 vectors of reference_box(k, b)."""
+    return reference_box(k, b)[:((2 * b + 1) ** k - 1) // 2]
+
+
 # room for 5^4 rows of rank 6: a [-2, 2]^6 box splits over its first
-# two coordinates into 25 blocks
+# two coordinates into 25 blocks, and H- ends inside the 13th
 TINY_BLOCK_BYTES = 5 ** 4 * 6 * 8
 
 
 class TestBoxVectors:
     def test_count_rank2(self):
         vecs = box_rows(2, 1)
-        assert len(vecs) == 3 ** 2  # the zero vector is included
+        assert len(vecs) == 4  # (3^2 - 1) / 2: the zero vector is excluded
 
     def test_first_vector(self):
         assert box_rows(2, 1)[0] == (-1, -1)
+        assert box_rows(2, 1)[-1] == (0, -1)
 
     def test_masked(self, monkeypatch):
         # a masked scan walks only its k coordinates (here 2 of 22); the
@@ -84,24 +90,27 @@ class TestBoxVectors:
 
         monkeypatch.setattr(scanning, "_box_pairings", recording)
         scan_algebraic(K3, K3_TRIPLE, 1, (0, 1))
-        assert [(vecs.shape, t.shape) for vecs, t in blocks] == [((9, 2), (9, 3))]
+        assert [(vecs.shape, t.shape) for vecs, t in blocks] == [((4, 2), (4, 3))]
 
     def test_no_repeats_lexicographic(self):
         vecs = box_rows(3, 2)
-        assert len(vecs) == 5 ** 3
+        assert len(vecs) == (5 ** 3 - 1) // 2
         assert len(set(vecs)) == len(vecs)
         assert vecs == sorted(vecs)
+        # H-: the first nonzero entry of each vector is negative
+        assert all(next(e for e in v if e) < 0 for v in vecs)
 
     def test_array_agrees_with_generator(self, monkeypatch):
         monkeypatch.setattr(twistor, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
-        for k, b, n_blocks in ((6, 2, 25), (3, 1, 1), (5, 2, 5)):
+        # the full walk's 25, 1 and 5 blocks, up to the one where H- ends
+        for k, b, n_blocks in ((6, 2, 13), (3, 1, 1), (5, 2, 3)):
             blocks = list(_box_pairings(rows_of_width(k), b))
             assert len(blocks) == n_blocks
             assert all(vecs.dtype == t.dtype == np.int64 for vecs, t in blocks)
-            assert box_rows(k, b) == reference_box(k, b)
+            assert box_rows(k, b) == reference_half(k, b)
             assert [tuple(row) for _, t in blocks for row in t.tolist()] == [
                 tuple(sum(r * e for r, e in zip(row, v)) for row in rows_of_width(k))
-                for v in reference_box(k, b)]
+                for v in reference_half(k, b)]
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_coordinate_over_budget_is_cut(self, k, monkeypatch):
@@ -110,15 +119,17 @@ class TestBoxVectors:
         monkeypatch.setattr(twistor, "_BLOCK_BYTES", 64)
         blocks = [vecs for vecs, _ in _box_pairings(rows_of_width(k), 10)]
         assert all(1 < len(vecs) and vecs.nbytes <= 64 for vecs in blocks)
-        assert box_rows(k, 10) == reference_box(k, 10)
+        assert box_rows(k, 10) == reference_half(k, 10)
 
     def test_invalid_bound(self):
         with pytest.raises(InvalidBound, match="box_bound must be >= 1"):
             scan_algebraic(U3, TRIPLE, 0)
 
     def test_box_size_guard(self):
-        # 9^6 = 531441, the largest box the suite and the bench walk
-        assert sum(len(vecs) for vecs, _ in _box_pairings(rows_of_width(6), 4)) == 9 ** 6
+        # 9^6 = 531441, the largest box the suite and the bench walk: H- is
+        # (9^6 - 1) / 2 of it
+        assert (sum(len(vecs) for vecs, _ in _box_pairings(rows_of_width(6), 4))
+                == (9 ** 6 - 1) // 2)
         with pytest.raises(InvalidBound, match=r"B=1 over k=22 .* 31381059609"):
             next(_box_pairings(rows_of_width(22), 1))
 
@@ -333,8 +344,128 @@ def test_clouds_independent_of_block_budget(scan, both_signs, monkeypatch):
 
     default = entries()
     monkeypatch.setattr(twistor, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
-    assert len(list(_box_pairings(pairing_rows(U3, TRIPLE)[0], 2))) == 25
+    assert len(list(_box_pairings(pairing_rows(U3, TRIPLE)[0], 2))) == 13
     assert entries() == default == reference_cloud(both_signs)
+
+
+def reference_box_pairings(rows, b):
+    """The walk of the whole box [-b, b]^k, zero vector included, in
+    lexicographic order and int64 blocks (vecs, vecs @ rows.T): the walk
+    that _box_pairings cut to H-."""
+    k = len(rows[0])
+    rows = np.array(rows, dtype=np.int64)
+    side = 2 * b + 1
+    per_block = max(1, twistor._BLOCK_BYTES // (8 * max(k, 1)))
+    free = k
+    while free > 1 and side ** free > per_block:
+        free -= 1
+    n = side ** free
+    parts = -(-n // per_block)
+    powers = side ** np.arange(free - 1, -1, -1, dtype=np.int64)
+
+    def tail(part):
+        index = np.arange(part * n // parts, (part + 1) * n // parts, dtype=np.int64)
+        return index[:, None] // powers % side - b
+
+    whole = [tail(0)] if parts == 1 else None
+    for prefix in itertools.product(range(-b, b + 1), repeat=k - free):
+        for chunk in whole or map(tail, range(parts)):
+            vecs = np.empty((len(chunk), k), dtype=np.int64)
+            vecs[:, :k - free] = prefix
+            vecs[:, k - free:] = chunk
+            yield vecs, vecs @ rows.T
+
+
+def reference_scan(lattice, triple, bound, mask, both_signs):
+    """(dirs, witnesses) of a scan over the whole box: every ray of the walk,
+    +ray then -ray with both signs, with the first vector giving it."""
+    active = range(lattice.rank) if mask is None else sorted(set(mask))
+    rows = [[row[i] for i in active] for row in pairing_rows(lattice, triple)[0]]
+    gram = np.array([[lattice.gram[i][j] for j in active] for i in active],
+                    dtype=np.int64).reshape(len(active), len(active))
+    vecs, t = (np.concatenate(a) for a in zip(*reference_box_pairings(rows, bound)))
+    g = np.gcd.reduce(np.abs(t), axis=1)
+    keep = g > 0 if both_signs else (vecs @ gram * vecs).sum(axis=1) > 0
+    rays = t[keep] // g[keep, None]
+    vecs = vecs[keep]
+    if both_signs:
+        rays = np.stack([rays, -rays], axis=1).reshape(-1, 3)
+        vecs = np.repeat(vecs, 2, axis=0)
+    first = np.sort(np.unique(rays, axis=0, return_index=True)[1])
+    witnesses = np.zeros((len(first), lattice.rank), dtype=np.int64)
+    witnesses[:, list(active)] = vecs[first]
+    return rays[first], witnesses
+
+
+def reference_bounded_witness(lattice, triple, bound, unit):
+    """The first vector of the whole box that is_general_type's sine test
+    accepts for the unit, or None."""
+    for vecs, t in reference_box_pairings(pairing_rows(lattice, triple)[0], bound):
+        t = t.astype(float)
+        n = np.sqrt((t * t).sum(axis=1))
+        c = np.cross(t, unit)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sine = np.sqrt((c * c).sum(axis=1)) / n
+        hits = np.flatnonzero((n > 0.0) & (sine <= 1e-9))
+        if hits.size:
+            return tuple(vecs[hits[0]].tolist())
+    return None
+
+
+@st.composite
+def half_walk_cases(draw):
+    """A lattice, bound and mask, and a block budget: the default; room for
+    (2B+1)^(k-1) rows, so the walk splits over its first coordinate and H-
+    ends inside the block of prefix 0; or, on small boxes, 64 bytes, so a
+    coordinate's range is cut into parts."""
+    name = draw(st.sampled_from(["U3", "diag222", "K3"]))
+    lattice, triple = load_lattice(name)
+    if name == "K3":
+        mask = draw(st.lists(st.integers(0, 21), max_size=8))
+        bound = draw(st.integers(1, 2))
+    else:
+        mask, bound = None, draw(st.integers(1, 3))
+    k = lattice.rank if mask is None else len(set(mask))
+    side = 2 * bound + 1
+    budgets = [None, 8 * max(k, 1) * side ** max(k - 1, 0)]
+    if side ** k <= 3 ** 6:  # one or a few rows a block: small boxes only
+        budgets.append(64)
+    return lattice, triple, bound, mask, draw(st.sampled_from(budgets))
+
+
+@given(case=half_walk_cases(), picks=st.lists(st.integers(0, 10 ** 6), max_size=3),
+       gauss=st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+# a K3 mask of 8 coordinates, unsorted and with a repeat: H- in 3 blocks
+@example(case=(K3, K3_TRIPLE, 2, (21, 0, 13, 7, 5, 9, 3, 8, 5), 8 * 8 * 5 ** 7),
+         picks=[], gauss=(0.0, 0.0, 0.0))
+@example(case=(U3, TRIPLE, 1, None, 64), picks=[7, 400], gauss=(0.3, -0.2, 0.9))
+@example(case=(D222, D222_TRIPLE, 3, None, 64), picks=[5], gauss=(1.0, 0.0, 0.0))
+@example(case=(U3, TRIPLE, 3, None, None), picks=[1, 2, 3], gauss=(1.0, 2 ** 0.5, 0.0))
+def test_half_walk_gives_full_walk_results(case, picks, gauss):
+    # scans and bounded witnesses read from H- are those of the whole box,
+    # in the same order, whatever the block budget
+    lattice, triple, bound, mask, block_bytes = case
+    expected = {both: reference_scan(lattice, triple, bound, mask, both)
+                for both in (False, True)}
+    rays = expected[True][0]
+    points = [TwistorPoint.from_unit(*u) for u in
+              [gauss] * any(gauss) + [rays[p % len(rays)].tolist()
+                                      for p in picks if len(rays)]]
+    bounded = mask is None
+    if bounded:
+        witnesses = [reference_bounded_witness(lattice, triple, bound, p.unit)
+                     for p in points]
+    with pytest.MonkeyPatch.context() as mp:
+        if block_bytes:
+            mp.setattr(twistor, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
+        for scan, both in ((scan_algebraic, False), (scan_non_general_type, True)):
+            cloud = scan(lattice, triple, bound, mask)
+            assert cloud.dirs.tolist() == expected[both][0].tolist()
+            assert cloud.witnesses.tolist() == expected[both][1].tolist()
+        if bounded:
+            assert [is_general_type(lattice, triple, p, bound).witness
+                    for p in points] == witnesses
 
 
 @pytest.mark.parametrize("rays,order", [

@@ -299,11 +299,11 @@ class TestGeneralType:
                                                      monkeypatch):
         # a float direction of a rational ray gets the lexicographically
         # first box vector whose projection t is exactly collinear with
-        # it, also when the box is searched in 25 blocks
+        # it, also when H- is searched in 13 blocks
         if block_bytes:
             monkeypatch.setattr(twistor, "_BLOCK_BYTES", block_bytes)
             blocks = twistor._box_pairings(pairing_rows(U3, TRIPLE)[0], 2)
-            assert len(list(blocks)) == 25
+            assert len(list(blocks)) == 13
 
         def collinear(t, d):
             return (any(t) and t[1] * d[2] == t[2] * d[1]
