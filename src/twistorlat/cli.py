@@ -112,7 +112,7 @@ def _scan_command(name, scan_fn, doc):
     @domain_errors
     def cmd(lattice_source, bound, mask, out, svg):
         lattice, triple = _load(lattice_source)
-        mask_idx = _parse_int_csv(mask, "--mask") if mask else None
+        mask_idx = None if mask is None else _parse_int_csv(mask, "--mask")
         cloud = scan_fn(lattice, triple, bound, mask_idx)
         scanning.write_csv(cloud, out)
         if svg is not None:
@@ -168,7 +168,7 @@ def general_type(lattice_source, point, bound):
 def density(lattice_source, bound, grid, mask):
     """Covering radius of the algebraic cloud for bounds 1..B."""
     lattice, triple = _load(lattice_source)
-    mask_idx = _parse_int_csv(mask, "--mask") if mask else None
+    mask_idx = None if mask is None else _parse_int_csv(mask, "--mask")
 
     def row(b):
         cloud = scanning.scan_algebraic(lattice, triple, b, mask_idx)

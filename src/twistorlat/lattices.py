@@ -18,15 +18,15 @@ def _u_block():
     return [[0, 1], [1, 0]]
 
 
-def _e8_gram(sign: int = 1):
-    # Cartan matrix of E8: chain 0-1-2-3-4-5-6 with node 7 on node 2
-    # (arm lengths 1, 2, 4 around the branch node).
+def _e8_minus_gram():
+    # E8(-1), minus the Cartan matrix of E8: chain 0-1-2-3-4-5-6 with
+    # node 7 on node 2 (arm lengths 1, 2, 4 around the branch node).
     edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)]
     g = [[0] * 8 for _ in range(8)]
     for i in range(8):
-        g[i][i] = 2 * sign
+        g[i][i] = -2
     for a, b in edges:
-        g[a][b] = g[b][a] = -sign
+        g[a][b] = g[b][a] = 1
     return g
 
 
@@ -54,7 +54,7 @@ def _u3():
 
 def _k3():
     gram = _direct_sum(_u_block(), _u_block(), _u_block(),
-                       _e8_gram(-1), _e8_gram(-1))
+                       _e8_minus_gram(), _e8_minus_gram())
     triple = [
         [1, 1] + [0] * 20,
         [0, 0, 1, 1] + [0] * 18,

@@ -48,12 +48,12 @@ class Quaternion:
         n = self.norm()
         return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
 
-    def is_unit(self, tol: float = TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
+    def is_unit(self) -> bool:
+        return abs(self.norm() - 1.0) <= TOL
 
-    def is_unit_imaginary(self, tol: float = TOL) -> bool:
-        return abs(self.w) <= tol and abs(
-            self.x ** 2 + self.y ** 2 + self.z ** 2 - 1.0) <= tol
+    def is_unit_imaginary(self) -> bool:
+        return abs(self.w) <= TOL and abs(
+            self.x ** 2 + self.y ** 2 + self.z ** 2 - 1.0) <= TOL
 
     @staticmethod
     def unit_imaginary(x: float, y: float, z: float) -> "Quaternion":

@@ -278,12 +278,10 @@ def write_csv(cloud: PointCloud, stream):
 
 
 def _lambert(u, center_sign):
-    # Lambert azimuthal equal-area, centered at (center_sign, 0, 0)
+    # Lambert azimuthal equal-area, centered at (center_sign, 0, 0);
+    # write_svg passes only units with center_sign * x >= 0
     x, y, z = u
-    denom = 1.0 + center_sign * x
-    if denom <= 1e-15:
-        return None
-    f = math.sqrt(2.0 / denom)
+    f = math.sqrt(2.0 / (1.0 + center_sign * x))
     return (f * y, f * center_sign * z)
 
 
@@ -307,8 +305,6 @@ def write_svg(cloud: PointCloud, stream):
             if sgn * p.unit[0] < 0:
                 continue
             xy = _lambert(p.unit, sgn)
-            if xy is None:
-                continue
             px = cx + xy[0] * scale
             py = size / 2.0 - xy[1] * scale
             write(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.5"/>\n')

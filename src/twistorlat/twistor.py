@@ -12,7 +12,6 @@ as every decision they take from a box vector v holds for -v too.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -75,7 +74,15 @@ def _box_pairings(rows, b: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     decides from v what it decides from -v: the norm and sine of
     t = rows . v, q(v, v) and the ray pair {r, -r} are the same for both.
     The first bounded witness thus lies in H- or nowhere, and a scan
-    rebuilds the walk of the whole box from H- alone (scanning._scan)."""
+    rebuilds the walk of the whole box from H- alone (scanning._scan).
+
+    Blocks follow one rule. free is the largest number of trailing
+    coordinates whose (2b+1)^free rows fit in a block; it is 0 when one
+    coordinate's range alone is over the budget. Their digit table is
+    built once, and a block is one prefix of the other k - free
+    coordinates broadcast over it; when free = 0 a block is instead a
+    block's worth of consecutive vectors. The last block is cut where H-
+    ends, (N-1)/2 vectors in, so the zero vector needs no branch."""
     if b < 1:
         raise InvalidBound("box_bound must be >= 1")
     k = len(rows[0])
@@ -87,35 +94,25 @@ def _box_pairings(rows, b: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             f"{side ** k} vectors, more than {_MAX_BOX_VECTORS}")
     per_block = max(1, _BLOCK_BYTES // (8 * max(k, 1)))
     free = k
-    while free > 1 and side ** free > per_block:
+    while free > 0 and side ** free > per_block:
         free -= 1
-    # the last free coordinates, in parts of at most per_block rows: one
-    # part unless a single coordinate's range is over the budget
-    n = side ** free
-    parts = -(-n // per_block)
-    cuts = [part * n // parts for part in range(parts + 1)]
-    powers = side ** np.arange(free - 1, -1, -1, dtype=np.int64)
+    n, half = side ** free, (side ** k - 1) // 2
+    step = 1 if free else per_block  # prefixes a block
 
-    def tail(start, stop):
-        index = np.arange(start, stop, dtype=np.int64)
-        return index[:, None] // powers % side - b
+    def digits(start, stop, width):
+        # rows start..stop-1 of the lexicographic walk of [-b, b]^width
+        powers = side ** np.arange(width - 1, -1, -1, dtype=np.int64)
+        return np.arange(start, stop, dtype=np.int64)[:, None] // powers % side - b
 
     def blocks():
-        whole = tail(0, n) if parts == 1 else None  # built once for every prefix
-        # the prefixes up to the zero prefix; under it, H- of the free
-        # coordinates is the first n // 2 rows (none when k = 0)
-        prefixes = itertools.product(range(-b, b + 1), repeat=k - free)
-        for prefix in itertools.islice(prefixes, (side ** (k - free) + 1) // 2):
-            stop = n if any(prefix) else n // 2
-            for start, end in zip(cuts, cuts[1:]):
-                if start >= stop:
-                    break
-                end = min(end, stop)
-                chunk = tail(start, end) if whole is None else whole[:end]
-                vecs = np.empty((len(chunk), k), dtype=np.int64)
-                vecs[:, :k - free] = prefix
-                vecs[:, k - free:] = chunk
-                yield vecs, vecs @ rows.T
+        low = digits(0, n, free)  # built once for every prefix
+        last = -(-half // n)  # prefixes up to the one where H- ends
+        for p in range(0, last, step):
+            high = digits(p, min(p + step, last), k - free)
+            vecs = np.empty((min(len(high) * n, half - p * n), k), dtype=np.int64)
+            vecs[:, :k - free] = high  # one prefix, or a row a vector if free = 0
+            vecs[:, k - free:] = low[:len(vecs)]
+            yield vecs, vecs @ rows.T
     return blocks()
 
 

@@ -122,6 +122,24 @@ def test_wrong_signature_is_a_domain_error(tmp_path, args):
     assert "got (4, 0, 0)" in res.output
 
 
+@pytest.mark.parametrize("command,data,message", [
+    ("validate", {"gram": [[1 if i == j else 0 for j in range(4)] for i in range(4)],
+                  "triple": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]},
+     "signature (4, 0, 0) is not (3, r-3, 0)"),
+    ("validate", {"gram": U3_GRAM}, "no triple given"),
+    ("project", {"gram": U3_GRAM}, "carries no triple"),
+    ("validate", '{"gram": [[0, 1], [1, 0]]', "invalid JSON in"),
+])
+def test_lattice_file_domain_errors(tmp_path, command, data, message):
+    f = tmp_path / "lattice.json"
+    f.write_text(data if isinstance(data, str) else json.dumps(data))
+    args = ("--omega", "1,1,0,0,0,0") if command == "project" else ()
+    res = invoke(command, "--lattice", str(f), *args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)  # no traceback
+    assert message in res.output
+
+
 class TestProject:
     def test_mixed_class(self):
         res = invoke("project", "--lattice", "U3", "--omega", "1,1,1,0,0,0")
@@ -235,6 +253,11 @@ class TestGeneralType:
         res = invoke("general-type", "--lattice", "U3", "--point", "x,y,z")
         assert res.exit_code == 2
 
+    def test_two_components_is_usage_error(self):
+        res = invoke("general-type", "--lattice", "U3", "--point", "1,2")
+        assert res.exit_code == 2
+        assert "--point needs three components a,b,c" in res.output
+
     def test_zero_denominator_is_usage_error(self):
         res = invoke("general-type", "--lattice", "U3", "--point", "1/0,1,0")
         assert res.exit_code == 2
@@ -291,6 +314,14 @@ class TestDensity:
         res = invoke("density", "--lattice", "U3", "--bound", "2", "--grid", grid)
         assert res.exit_code == 1
         assert calls == []
+
+
+@pytest.mark.parametrize("command", ["scan-algebraic", "scan-ngt", "density"])
+def test_empty_mask_is_usage_error(command):
+    # used to be read as no mask: all 6 coordinates of U3 were scanned
+    res = invoke(command, "--lattice", "U3", "--bound", "1", "--mask", "")
+    assert res.exit_code == 2
+    assert "--mask must be comma-separated integers" in res.output
 
 
 class TestDemoQuaternion:

@@ -174,6 +174,18 @@ class TestProjection:
         with pytest.raises(InvalidTriple):
             project_to_V(U3, bad, vector([1, 0, 0, 0, 0, 0]))
 
+    @pytest.mark.parametrize("call,message", [
+        (lambda: HyperTriple.from_rows(U3_TRIPLE.vectors[:2]), "exactly three vectors"),
+        (lambda: HyperTriple.from_rows([w[:5] for w in U3_TRIPLE.vectors]).validate(U3),
+         "triple vector length differs from rank"),
+        # q(w_i, w_i) = -2
+        (lambda: HyperTriple.from_rows([[1, -1, 0, 0, 0, 0]] + list(U3_TRIPLE.vectors[1:]))
+         .validate(U3), "triple vectors must have positive norm"),
+    ])
+    def test_malformed_triple(self, call, message):
+        with pytest.raises(InvalidTriple, match=message):
+            call()
+
 
 class TestIntegerKernel:
     def test_identity_empty(self):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import math
@@ -120,6 +121,29 @@ class TestBoxVectors:
         blocks = [vecs for vecs, _ in _box_pairings(rows_of_width(k), 10)]
         assert all(1 < len(vecs) and vecs.nbytes <= 64 for vecs in blocks)
         assert box_rows(k, 10) == reference_half(k, 10)
+        # no coordinate fits: blocks of 8 // k consecutive vectors of H-
+        assert [len(vecs) for vecs in blocks] == {1: [8, 2], 2: [4] * 55}[k]
+
+    @pytest.mark.parametrize("block_bytes", [64, 4096, TINY_BLOCK_BYTES, None])
+    def test_block_rule(self, block_bytes, monkeypatch):
+        # free is the largest number of trailing coordinates whose
+        # (2B+1)^free rows fit a block: every block but the last holds one
+        # prefix over all of them, or per_block vectors when free = 0
+        if block_bytes:
+            monkeypatch.setattr(twistor, "_BLOCK_BYTES", block_bytes)
+        for k, b in itertools.product(range(1, 7), (1, 2, 10)):
+            side = 2 * b + 1
+            if side ** k > 10 ** 6:
+                continue
+            per_block = twistor._BLOCK_BYTES // (8 * k)
+            free = max(f for f in range(k + 1) if side ** f <= per_block)
+            size = side ** free if free else per_block
+            blocks = [vecs for vecs, _ in _box_pairings(rows_of_width(k), b)]
+            lengths = [len(vecs) for vecs in blocks]
+            assert lengths[:-1] == [size] * (len(blocks) - 1)
+            assert 0 < lengths[-1] <= size
+            assert sum(lengths) == (side ** k - 1) // 2
+            assert all(vecs.nbytes <= twistor._BLOCK_BYTES for vecs in blocks)
 
     def test_invalid_bound(self):
         with pytest.raises(InvalidBound, match="box_bound must be >= 1"):
@@ -416,8 +440,8 @@ def reference_bounded_witness(lattice, triple, bound, unit):
 def half_walk_cases(draw):
     """A lattice, bound and mask, and a block budget: the default; room for
     (2B+1)^(k-1) rows, so the walk splits over its first coordinate and H-
-    ends inside the block of prefix 0; or, on small boxes, 64 bytes, so a
-    coordinate's range is cut into parts."""
+    ends inside the block of prefix 0; or, on small boxes, 64 bytes, so no
+    coordinate's range fits a block and blocks are runs of vectors."""
     name = draw(st.sampled_from(["U3", "diag222", "K3"]))
     lattice, triple = load_lattice(name)
     if name == "K3":
@@ -731,3 +755,10 @@ class TestEmission:
         assert text.startswith("<svg")
         assert text.rstrip().endswith("</svg>")
         assert text.count("<circle") > len(cloud)
+
+    def test_svg_sha256(self):
+        # the bench's ngt.svg fixture: scan-ngt --lattice U3 --bound 3 --svg
+        buf = io.StringIO()
+        write_svg(scan_non_general_type(U3, TRIPLE, 3), buf)
+        assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
+            "52c75f12f871fb72282f7181073e734d3eb7cca75408ccad8333d678a0eae198")

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from twistorlat import (
     GramLattice,
     HyperTriple,
+    InvalidBound,
     InvalidSignature,
     InvalidTriple,
     InvariantViolation,
@@ -344,6 +345,12 @@ class TestGeneralType:
                       TwistorPoint.from_unit(1.0, math.sqrt(2.0), 0.0)):
             with pytest.raises(InvalidTriple):
                 is_general_type(U3, bad, point, bound=1)
+
+    @pytest.mark.parametrize("point", [TwistorPoint.from_ray(1, 1, 0),
+                                       TwistorPoint.from_unit(1.0, 0.5, 0.0)])
+    def test_bound_below_one(self, point):
+        with pytest.raises(InvalidBound, match="bound must be >= 1"):
+            is_general_type(U3, TRIPLE, point, bound=0)
 
     def test_frozen_witnesses(self):
         # the exact witness of every nonzero ray of [-3, 3]^3 on K3, U3 and
