@@ -1,9 +1,13 @@
 """Exact rational and integer linear algebra over a Gram form.
 
 Vectors are tuples of Fraction; lattices carry an integer Gram matrix.
-Signature is computed by exact congruence diagonalization, integer
-kernels by unimodular column reduction (so the result is automatically
-saturated: the quotient by the kernel sublattice is torsion-free).
+Both reductions work on Python lists. The signature comes from exact
+congruence diagonalization: each step pivots on the first nonzero
+diagonal entry and keeps its Schur complement. Integer kernels come from
+unimodular column reduction on A stacked over the identity, one list per
+column, Euclid pivoting on the least entry of each row (so the result is
+automatically saturated: the quotient by the kernel sublattice is
+torsion-free).
 
 Every pairing with the hyperkahler triple goes through one kernel,
 pairing_rows: it checks the signature (3, r-3, 0), then the triple,
@@ -154,111 +158,79 @@ def gram_row(lattice: GramLattice, w: Vector) -> Vector:
 def signature(lattice: GramLattice) -> SignatureReport:
     """Inertia (n_plus, n_minus, n_zero) by exact congruence reduction.
 
-    Pivots are chosen at the lowest available index; by Sylvester's law
-    the result is basis-independent. Cached: every twistor call asks.
+    The matrix is a list of Fraction rows. Each step pops the row and
+    column of the first nonzero diagonal entry d, counts its sign, and
+    updates only the rows with a nonzero entry in the pivot column: what
+    is left is the Schur complement. With the diagonal all zero, the first
+    nonzero m[i][j] is folded in (row and column j added to row and
+    column i, which puts 2 m[i][j] on the diagonal); with no such entry,
+    what is left is the zero form. By Sylvester's law the counts do not
+    depend on the pivot order. Cached: every twistor call asks.
     """
-    r = lattice.rank
     m = [[Fraction(e) for e in row] for row in lattice.gram]
-    n_plus = n_minus = n_zero = 0
-    for k in range(r):
-        # find a nonzero diagonal pivot at or after k
-        piv = next((i for i in range(k, r) if m[i][i] != 0), None)
+    counts = [0, 0]  # n_plus, n_minus
+    while m:
+        piv = next((i for i, row in enumerate(m) if row[i]), None)
         if piv is None:
-            # all diagonals zero: look for an off-diagonal entry and fold
-            # its row/column in (2*m[i][j] lands on the diagonal)
-            pair = next(((i, j) for i in range(k, r) for j in range(i + 1, r)
-                         if m[i][j] != 0), None)
-            if pair is None:
-                n_zero += r - k
+            piv, j = next(((i, j) for i, row in enumerate(m)
+                           for j in range(i + 1, len(m)) if row[j]), (None, None))
+            if piv is None:
                 break
-            piv, j = pair
-            for t in range(k, r):
-                m[piv][t] += m[j][t]
-            for t in range(k, r):
-                m[t][piv] += m[t][j]
-        if piv != k:
-            m[k], m[piv] = m[piv], m[k]
-            for t in range(r):
-                m[t][k], m[t][piv] = m[t][piv], m[t][k]
-        d = m[k][k]
-        if d > 0:
-            n_plus += 1
-        else:
-            n_minus += 1
-        for i in range(k + 1, r):
-            if m[i][k] != 0:
-                f = m[i][k] / d
-                for t in range(k, r):
-                    m[i][t] -= f * m[k][t]
-                for t in range(k, r):
-                    m[t][i] -= f * m[t][k]
-    return SignatureReport(n_plus, n_minus, n_zero)
+            m[piv] = [x + y for x, y in zip(m[piv], m[j])]
+            for row in m:
+                row[piv] += row[j]
+        p = m.pop(piv)
+        d = p.pop(piv)
+        counts[d < 0] += 1
+        for row in m:
+            f = row.pop(piv) / d
+            if f:
+                row[:] = [x - f * y for x, y in zip(row, p)]
+    return SignatureReport(*counts, lattice.rank - sum(counts))
 
 
 def integer_kernel(rows) -> list[tuple[int, ...]]:
     """Saturated basis of {v integral : A v = 0} for an integer matrix A.
 
-    Column reduction by unimodular operations with a transformation
-    matrix U: once A U is in column echelon form, the U-columns under
-    the zero columns of A U are a basis, and because U is unimodular
-    the basis generates all integral solutions (saturation for free).
+    Unimodular column reduction on A stacked over the identity, kept as
+    one list per column: a column operation builds one new list and a
+    swap exchanges two references, so a zero column of A never enters the
+    arithmetic. Row by row, Euclid runs across the columns not yet
+    pivoted (each reduced by the one of least absolute value in that row,
+    the first on ties) until one column is left nonzero there, which is
+    swapped into the pivot place. Once A U is in column echelon form, the
+    U-parts of the columns past the pivots are the basis (first nonzero
+    entry made positive); U is unimodular, so the basis generates all
+    integral solutions (saturation for free).
     """
-    a = [list(int(e) for e in row) for row in rows]
+    a = [[int(e) for e in row] for row in rows]
     if not a:
         return []
-    n = len(a[0])
-    for row in a:
-        if len(row) != n:
-            raise DimensionMismatch("kernel input rows have unequal lengths")
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    def col_op(dst, src, f):
-        # column_dst -= f * column_src, applied to both a and u
-        for row in a:
-            row[dst] -= f * row[src]
-        for row in u:
-            row[dst] -= f * row[src]
-
-    def col_swap(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in u:
-            row[i], row[j] = row[j], row[i]
-
+    m, n = len(a), len(a[0])
+    if any(len(row) != n for row in a):
+        raise DimensionMismatch("kernel input rows have unequal lengths")
+    cols = [[row[j] for row in a] + [0] * n for j in range(n)]  # A over I
+    for j in range(n):
+        cols[j][m + j] = 1
     col = 0
-    for r in range(len(a)):
-        if col >= n:
-            break
-        # Euclid across columns col..n-1 on row r
-        while True:
-            best = None
-            for j in range(col, n):
-                if a[r][j] != 0 and (best is None or abs(a[r][j]) < abs(a[r][best])):
-                    best = j
-            if best is None:
-                break  # row already zero beyond col
+    for r in range(m):
+        while col < n:  # Euclid across columns col..n-1 on row r
+            live = [j for j in range(col, n) if cols[j][r]]
+            if not live:
+                break
+            best = min(live, key=lambda j: abs(cols[j][r]))
             done = True
-            for j in range(col, n):
-                if j != best and a[r][j] != 0:
-                    col_op(j, best, a[r][j] // a[r][best])
-                    if a[r][j] != 0:
-                        done = False
+            for j in live:
+                if j != best:
+                    f = cols[j][r] // cols[best][r]
+                    cols[j] = [x - f * y for x, y in zip(cols[j], cols[best])]
+                    done = done and not cols[j][r]
             if done:
-                if best != col:
-                    col_swap(col, best)
+                cols[col], cols[best] = cols[best], cols[col]
                 col += 1
                 break
-    basis = []
-    for j in range(col, n):
-        v = tuple(u[i][j] for i in range(n))
-        # normalize: first nonzero entry positive
-        for e in v:
-            if e != 0:
-                if e < 0:
-                    v = tuple(-x for x in v)
-                break
-        basis.append(v)
-    return basis
+    basis = [v[m:] for v in cols[col:]]
+    return [tuple(v) if next(filter(None, v)) > 0 else tuple(-e for e in v) for v in basis]
 
 
 @dataclass(frozen=True)

@@ -182,7 +182,10 @@ def rotation_from_quaternion(q: Quaternion) -> np.ndarray:
     ])
 
 
-def verify_model(seed: int = 7, trials: int = 100):
+_TRIALS = 100  # random SU(2) elements per sampled identity
+
+
+def verify_model(seed: int = 7):
     """Run the flat-model identity checks; returns (name, ok, detail) rows.
 
     Backs the demo-quaternion CLI command.
@@ -233,7 +236,7 @@ def verify_model(seed: int = 7, trials: int = 100):
 
     # star commutes with the SU(2) pullback on the 6-space of 2-forms
     dev = 0.0
-    for _ in range(trials):
+    for _ in range(_TRIALS):
         g = SU2Element.from_quaternion(random_unit_quaternion())
         act = np.column_stack([
             two_form_coords(su2_act_on_form(g, two_form_from_coords(e)))
@@ -257,7 +260,7 @@ def verify_model(seed: int = 7, trials: int = 100):
 
     # the induced rotation of (x, y, z) matches the conjugation SO(3) matrix
     dev = 0.0
-    for _ in range(trials):
+    for _ in range(_TRIALS):
         g = SU2Element.from_quaternion(random_unit_quaternion())
         rot = rotation_from_quaternion(g.q.conjugate())
         for axis, L in ((0, I), (1, J), (2, K)):
@@ -274,7 +277,7 @@ def verify_model(seed: int = 7, trials: int = 100):
            np.array([0, 1, 0, 0, 1.0, 0]),
            np.array([0, 0, 1, -1.0, 0, 0])]
     dev = 0.0
-    for _ in range(trials):
+    for _ in range(_TRIALS):
         g = SU2Element.from_quaternion(random_unit_quaternion())
         for c in asd:
             out = two_form_coords(su2_act_on_form(g, two_form_from_coords(c)))

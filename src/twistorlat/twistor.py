@@ -140,9 +140,13 @@ class TwistorPoint:
         fr = vector((a, b, c))
         if fr == (0, 0, 0):
             raise InvariantViolation("zero ray is not a twistor point")
-        d = primitive(clear_denominators(fr))
-        n = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
-        return TwistorPoint(dir=d, unit=(d[0] / n, d[1] / n, d[2] / n))
+        d = x = primitive(clear_denominators(fr))
+        try:
+            n = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
+        except OverflowError:  # |d|^2 past the float range; int / int is correctly rounded
+            x = tuple(e / max(map(abs, d)) for e in d)
+            n = math.sqrt(x[0] ** 2 + x[1] ** 2 + x[2] ** 2)
+        return TwistorPoint(dir=d, unit=(x[0] / n, x[1] / n, x[2] / n))
 
     @staticmethod
     def from_unit(x: float, y: float, z: float) -> "TwistorPoint":

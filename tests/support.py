@@ -99,3 +99,105 @@ def conjugate_gram(gram, u):
           for i in range(n)]
     return [[sum(u[k][i] * gu[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)]
+
+
+def reference_integer_kernel(rows):
+    """The kernel basis by index loops over a whole matrix A and a
+    row-major n x n U, the reduction integer_kernel replaced; it applies
+    the same column operations in the same order, so it returns the same
+    list, order and signs included."""
+    a = [list(int(e) for e in row) for row in rows]
+    if not a:
+        return []
+    n = len(a[0])
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def col_op(dst, src, f):
+        # column_dst -= f * column_src, applied to both a and u
+        for row in a:
+            row[dst] -= f * row[src]
+        for row in u:
+            row[dst] -= f * row[src]
+
+    def col_swap(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in u:
+            row[i], row[j] = row[j], row[i]
+
+    col = 0
+    for r in range(len(a)):
+        if col >= n:
+            break
+        # Euclid across columns col..n-1 on row r
+        while True:
+            best = None
+            for j in range(col, n):
+                if a[r][j] != 0 and (best is None or abs(a[r][j]) < abs(a[r][best])):
+                    best = j
+            if best is None:
+                break  # row already zero beyond col
+            done = True
+            for j in range(col, n):
+                if j != best and a[r][j] != 0:
+                    col_op(j, best, a[r][j] // a[r][best])
+                    if a[r][j] != 0:
+                        done = False
+            if done:
+                if best != col:
+                    col_swap(col, best)
+                col += 1
+                break
+    basis = []
+    for j in range(col, n):
+        v = tuple(u[i][j] for i in range(n))
+        # normalize: first nonzero entry positive
+        for e in v:
+            if e != 0:
+                if e < 0:
+                    v = tuple(-x for x in v)
+                break
+        basis.append(v)
+    return basis
+
+
+def reference_signature(gram):
+    """(n_plus, n_minus, n_zero) of a symmetric integer matrix by
+    congruence reduction in place, pivot swapped to the lowest index and
+    every row operation mirrored on the columns."""
+    r = len(gram)
+    m = [[Fraction(e) for e in row] for row in gram]
+    n_plus = n_minus = n_zero = 0
+    for k in range(r):
+        # find a nonzero diagonal pivot at or after k
+        piv = next((i for i in range(k, r) if m[i][i] != 0), None)
+        if piv is None:
+            # all diagonals zero: look for an off-diagonal entry and fold
+            # its row/column in (2*m[i][j] lands on the diagonal)
+            pair = next(((i, j) for i in range(k, r) for j in range(i + 1, r)
+                         if m[i][j] != 0), None)
+            if pair is None:
+                n_zero += r - k
+                break
+            piv, j = pair
+            for t in range(k, r):
+                m[piv][t] += m[j][t]
+            for t in range(k, r):
+                m[t][piv] += m[t][j]
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            for t in range(r):
+                m[t][k], m[t][piv] = m[t][piv], m[t][k]
+        d = m[k][k]
+        if d > 0:
+            n_plus += 1
+        else:
+            n_minus += 1
+        for i in range(k + 1, r):
+            if m[i][k] != 0:
+                f = m[i][k] / d
+                for t in range(k, r):
+                    m[i][t] -= f * m[k][t]
+                for t in range(k, r):
+                    m[t][i] -= f * m[t][k]
+    return (n_plus, n_minus, n_zero)

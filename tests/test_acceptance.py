@@ -184,7 +184,7 @@ def test_criterion_6_continuity():
 
 def test_criterion_7_quaternionic_model():
     start = time.time()
-    rows = verify_model(trials=100)
+    rows = verify_model()
     elapsed = time.time() - start
     failed = [name for name, ok, _ in rows if not ok]
     assert not failed, f"failed identities: {failed}"

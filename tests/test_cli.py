@@ -406,7 +406,8 @@ ARGVS = st.one_of(
       for name in ("scan-algebraic", "scan-ngt")),
     command("general-type", LATTICE, option("--bound", BOUNDS), option(
         "--point", csv_of(st.sampled_from(
-            ["0", "1", "-2", "3/2", "1/0", "0.5", "nan", "inf", "1e308", "x", ""])))),
+            ["0", "1", "-2", "3/2", "1/0", "0.5", "nan", "inf", "1e308", "x", "",
+             str(10 ** 400)])))),
     # density scans every bound up to --bound: only small ones stay fast
     command("density", LATTICE, option("--bound", st.sampled_from(["-1", "0", "1", "2", "x"])),
             option("--grid", st.sampled_from(["-3", "0", "1", "2", "7", "x", "40000",
@@ -442,6 +443,9 @@ U3_FILE = json.dumps({"gram": U3_GRAM, "triple": U3_TRIPLE})
 @example(lattice=U3_FILE, argv=["density", "--lattice", "{lattice}", "--bound", "2",
                                 "--grid", "40000"])
 @example(lattice=U3_FILE, argv=["scan-algebraic", "--lattice", "K3", "--bound", "1"])
+@example(lattice=U3_FILE, argv=["project", "--lattice", "U3", "--omega",
+                                f"{10 ** 400},1,{10 ** 400 + 7},1,0,0"])
+@example(lattice=U3_FILE, argv=["general-type", "--lattice", "U3", "--point", f"{10 ** 400},1,0"])
 def test_no_traceback_for_any_input(lattice, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp, "lattice.json")

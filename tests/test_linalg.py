@@ -5,6 +5,8 @@ from math import gcd as gcd_int
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from twistorlat import (
     DimensionMismatch,
@@ -32,6 +34,8 @@ from support import (
     random_rational_vector,
     random_unimodular,
     rational_rank,
+    reference_integer_kernel,
+    reference_signature,
 )
 
 U3, U3_TRIPLE = load_lattice("U3")
@@ -92,7 +96,33 @@ class TestVector:
             HyperTriple.from_rows([omega, U3_TRIPLE.w_j, U3_TRIPLE.w_k])
 
 
+@st.composite
+def symmetric_matrices(draw):
+    """u^T g u for a k x k symmetric g (zero diagonal half the time) and a
+    k x r u, so rank <= k; half the time u only copies or drops coordinates
+    of g, which keeps its zero diagonal."""
+    r = draw(st.integers(1, 7))
+    k = draw(st.integers(0, r))
+    zero_diagonal = draw(st.booleans())
+    g = [[0] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(i if not zero_diagonal else i + 1, k):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        source = draw(st.lists(st.integers(-1, k - 1), min_size=r, max_size=r))
+        u = [[int(source[j] == i) for j in range(r)] for i in range(k)]
+    else:
+        u = [draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r)) for _ in range(k)]
+    return [[sum(u[a][i] * g[a][b] * u[b][j] for a in range(k) for b in range(k))
+             for j in range(r)] for i in range(r)]
+
+
 class TestSignature:
+    @given(symmetric_matrices())
+    def test_matches_reference(self, gram):
+        lat = GramLattice.from_rows(gram)
+        assert signature(lat).as_tuple() == reference_signature(gram)
+
     def test_u3(self):
         assert signature(U3).as_tuple() == (3, 3, 0)
 
@@ -187,7 +217,24 @@ class TestProjection:
             call()
 
 
+@st.composite
+def kernel_matrices(draw):
+    """m x n integer matrices, m in 0..5 and n in 0..10, with entries up
+    to 10^40 and zero columns interleaved with the others."""
+    m, n = draw(st.integers(0, 5)), draw(st.integers(0, 10))
+    live = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    bound = draw(st.sampled_from([1, 3, 10 ** 6, 10 ** 40]))
+    entry = st.just(0) | st.integers(-bound, bound)
+    return [[draw(entry) if c else 0 for c in live] for _ in range(m)]
+
+
 class TestIntegerKernel:
+    @given(kernel_matrices())
+    def test_matches_reference(self, rows):
+        # the same vectors in the same order with the same signs: the
+        # witnesses follow the basis order
+        assert integer_kernel(rows) == reference_integer_kernel(rows)
+
     def test_identity_empty(self):
         assert integer_kernel([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == []
 
