@@ -141,7 +141,7 @@ def general_type(lattice_source, point, bound):
         raise click.UsageError("--point needs three components a,b,c")
     # integers and p/q fractions select the exact test; anything with a
     # decimal point or exponent is treated as a floating direction
-    exact = all(re.fullmatch(r"-?\d+(/\d+)?", p) for p in parts)
+    exact = all(re.fullmatch(r"[+-]?\d+(/\d+)?", p) for p in parts)
     try:
         coords = [Fraction(p) if exact else float(p) for p in parts]
     except (ValueError, ZeroDivisionError):
@@ -197,7 +197,3 @@ def demo_quaternion():
         click.echo(f"{failed} identities failed", err=True)
         sys.exit(1)
     click.echo(f"all {len(rows)} identities hold")
-
-
-if __name__ == "__main__":
-    main()

@@ -7,7 +7,10 @@ diagonal entry and keeps its Schur complement. Integer kernels come from
 unimodular column reduction on A stacked over the identity, one list per
 column, Euclid pivoting on the least entry of each row (so the result is
 automatically saturated: the quotient by the kernel sublattice is
-torsion-free).
+torsion-free). A zero column of A is a placeholder, its index, that
+keeps its slot; the other columns carry their identity part on the
+nonzero columns of A only, and the basis is scattered to full length
+once, at the end.
 
 Every pairing with the hyperkahler triple goes through one kernel,
 pairing_rows: it checks the signature (3, r-3, 0), then the triple,
@@ -194,14 +197,20 @@ def integer_kernel(rows) -> list[tuple[int, ...]]:
 
     Unimodular column reduction on A stacked over the identity, kept as
     one list per column: a column operation builds one new list and a
-    swap exchanges two references, so a zero column of A never enters the
-    arithmetic. Row by row, Euclid runs across the columns not yet
-    pivoted (each reduced by the one of least absolute value in that row,
-    the first on ties) until one column is left nonzero there, which is
-    swapped into the pivot place. Once A U is in column echelon form, the
-    U-parts of the columns past the pivots are the basis (first nonzero
-    entry made positive); U is unimodular, so the basis generates all
-    integral solutions (saturation for free).
+    swap exchanges two references. Row by row, Euclid runs across the
+    columns not yet pivoted (each reduced by the one of least absolute
+    value in that row, the first on ties) until one column is left
+    nonzero there, which is swapped into the pivot place. Once A U is in
+    column echelon form, the U-parts of the columns past the pivots are
+    the basis (first nonzero entry made positive); U is unimodular, so
+    the basis generates all integral solutions (saturation for free).
+
+    A zero column j of A is never reduced and never reduces another, so
+    its U-part stays e_j: it is kept as the placeholder j, which a swap
+    moves like any column, so the basis order is that of the full
+    reduction. Every other column combines only nonzero columns of A, so
+    its identity part is kept on those live coordinates alone; the basis
+    is scattered into length-n tuples once, at the end.
     """
     a = [[int(e) for e in row] for row in rows]
     if not a:
@@ -209,18 +218,24 @@ def integer_kernel(rows) -> list[tuple[int, ...]]:
     m, n = len(a), len(a[0])
     if any(len(row) != n for row in a):
         raise DimensionMismatch("kernel input rows have unequal lengths")
-    cols = [[row[j] for row in a] + [0] * n for j in range(n)]  # A over I
-    for j in range(n):
-        cols[j][m + j] = 1
+    live = [j for j, c in enumerate(zip(*a)) if any(c)]
+    # a live column is A over I on the live coordinates, then one 0, which
+    # stands for coordinate j in at[j] when column j of A is zero
+    at = [-1] * n
+    cols = list(range(n))  # placeholders
+    for s, j in enumerate(live):
+        at[j] = m + s
+        cols[j] = [row[j] for row in a] + [0] * (len(live) + 1)
+        cols[j][m + s] = 1
     col = 0
     for r in range(m):
         while col < n:  # Euclid across columns col..n-1 on row r
-            live = [j for j in range(col, n) if cols[j][r]]
-            if not live:
+            nz = [j for j in range(col, n) if type(cols[j]) is list and cols[j][r]]
+            if not nz:
                 break
-            best = min(live, key=lambda j: abs(cols[j][r]))
+            best = min(nz, key=lambda j: abs(cols[j][r]))
             done = True
-            for j in live:
+            for j in nz:
                 if j != best:
                     f = cols[j][r] // cols[best][r]
                     cols[j] = [x - f * y for x, y in zip(cols[j], cols[best])]
@@ -229,8 +244,17 @@ def integer_kernel(rows) -> list[tuple[int, ...]]:
                 cols[col], cols[best] = cols[best], cols[col]
                 col += 1
                 break
-    basis = [v[m:] for v in cols[col:]]
-    return [tuple(v) if next(filter(None, v)) > 0 else tuple(-e for e in v) for v in basis]
+    basis = []
+    for v in cols[col:]:
+        if type(v) is int:
+            e = [0] * n
+            e[v] = 1
+            basis.append(tuple(e))
+        else:
+            if next(filter(None, v[m:])) < 0:
+                v = [-x for x in v]
+            basis.append(tuple(map(v.__getitem__, at)))
+    return basis
 
 
 @dataclass(frozen=True)

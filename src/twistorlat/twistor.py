@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional
 
 import numpy as np
@@ -151,7 +152,12 @@ class TwistorPoint:
     @staticmethod
     def from_unit(x: float, y: float, z: float) -> "TwistorPoint":
         n = math.sqrt(x * x + y * y + z * z)
-        if not 0.0 < n < math.inf:  # zero, nan or inf entries, or overflow
+        s = max(abs(x), abs(y), abs(z))
+        if n in (0.0, math.inf) and 0.0 < s < math.inf:
+            # finite and nonzero, but |x|^2 under- or overflowed: scale first
+            x, y, z = x / s, y / s, z / s
+            n = math.sqrt(x * x + y * y + z * z)
+        if not 0.0 < n < math.inf:  # zero, nan or inf entries
             raise InvariantViolation(f"({x}, {y}, {z}) is not a direction: norm {n}")
         return TwistorPoint(dir=None, unit=(x / n, y / n, z / n))
 
@@ -317,7 +323,11 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
 
     Exact mode (rational ray): solve the integer system p(lambda)
     parallel to the ray; with a rational triple this always produces a
-    witness, so rational points are never of general type. Bounded mode
+    witness, so rational points are never of general type. Only the
+    kernel vectors that meet a live coordinate, one where some pairing
+    row is nonzero, enter the reduction: any other projects to 0, so it
+    never starts one, and it never covers the peak of a vector that does,
+    so the witness is the one the whole kernel gives. Bounded mode
     (irrational point): search the coordinate box [-bound, bound]^r, in
     lexicographic order and in blocks of bounded memory, for the first
     witness with sine of the collinearity angle below 1e-9; absence is
@@ -334,9 +344,13 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
 
     if point.is_exact:
         # witnesses v solve (rows . v) x d = 0: one cross product per column
-        kernel = integer_kernel(zip(*(_cross(col, point.dir) for col in zip(*rows))))
+        cols = list(zip(*rows))
+        kernel = integer_kernel(zip(*(_cross(col, point.dir) for col in cols)))
         # nonempty: the cleared class sum d_a w_a lies in the kernel, projecting to != 0
-        steps = _kernel_steps(kernel, rows)
+        # the entries on the live coordinates; the three rows are independent,
+        # so there are at least three and itemgetter returns a tuple
+        on_live = itemgetter(*(j for j, col in enumerate(cols) if any(col)))
+        steps = _kernel_steps([v for v in kernel if any(on_live(v))], rows)
         candidates = [_reduce_witness(v, t, steps[:i] + steps[i + 1:])
                       for i, (v, _, _, t) in enumerate(steps) if any(t)]
         witness = min(candidates, key=lambda v: (max(abs(e) for e in v), v))

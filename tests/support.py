@@ -101,6 +101,21 @@ def conjugate_gram(gram, u):
             for i in range(n)]
 
 
+def permute_coordinates(gram, vectors, perm):
+    """The Gram matrix and vectors in coordinates reordered so that new
+    coordinate i is old coordinate perm[i]."""
+    return ([[gram[i][j] for j in perm] for i in perm],
+            [[v[i] for i in perm] for v in vectors])
+
+
+# K3 with its live coordinates 0..5 (where the pairing rows are nonzero)
+# moved, in order, to 1, 4, 8, 9, 15 and 20, between the dead ones. A
+# kernel of the live columns alone orders both the V-perp basis and the
+# exact kernel at the ray (1, 2, 3) differently from the full reduction.
+K3_INTERLEAVED = [6, 0, 7, 8, 1, 9, 10, 11, 2, 3, 12, 13, 14, 15, 16, 4,
+                  17, 18, 19, 20, 5, 21]
+
+
 def reference_integer_kernel(rows):
     """The kernel basis by index loops over a whole matrix A and a
     row-major n x n U, the reduction integer_kernel replaced; it applies

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -22,6 +25,15 @@ def invoke(*args):
 
 
 class TestValidate:
+    def test_python_dash_m(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run([sys.executable, "-m", "twistorlat", "validate", "--lattice", "U3"],
+                             env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert "signature: (3, 3, 0)" in res.stdout
+
     def test_u3(self):
         res = invoke("validate", "--lattice", "U3")
         assert res.exit_code == 0
@@ -269,6 +281,21 @@ class TestGeneralType:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
         assert "is not a direction" in res.output
+
+    def test_leading_plus_selects_the_exact_test(self):
+        plus = invoke("general-type", "--lattice", "U3", "--point", "+1,2,3")
+        bare = invoke("general-type", "--lattice", "U3", "--point", "1,2,3")
+        assert plus.exit_code == bare.exit_code == 0
+        assert plus.output == bare.output
+        assert "(exact mode)" in plus.output
+
+    @pytest.mark.parametrize("point", ["1e200,0,0", "1e-200,0,0"])
+    def test_huge_and_tiny_directions_are_answered(self, point):
+        # |x|^2 over- or underflows a float, the direction does not
+        res = invoke("general-type", "--lattice", "U3", "--point", point)
+        unit = invoke("general-type", "--lattice", "U3", "--point", "1.0,0.0,0.0")
+        assert res.exit_code == unit.exit_code == 0
+        assert res.output == unit.output
 
 
 class TestDensity:

@@ -5,7 +5,7 @@ from math import gcd as gcd_int
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from twistorlat import (
@@ -26,11 +26,13 @@ from twistorlat import (
     signature,
     vector,
 )
-from twistorlat.linalg import expand_in_V
+from twistorlat.linalg import expand_in_V, pairing_rows
 
 from support import (
+    K3_INTERLEAVED,
     conjugate_gram,
     in_integer_span,
+    permute_coordinates,
     random_rational_vector,
     random_unimodular,
     rational_rank,
@@ -234,6 +236,16 @@ class TestIntegerKernel:
         # the same vectors in the same order with the same signs: the
         # witnesses follow the basis order
         assert integer_kernel(rows) == reference_integer_kernel(rows)
+
+    @example(perm=K3_INTERLEAVED)
+    @given(perm=st.permutations(range(22)))
+    def test_perp_basis_on_interleaved_k3(self, perm):
+        # zero columns between live ones: a placeholder moved by a swap
+        # reorders the live columns, as in the full reduction
+        gram, vectors = permute_coordinates(K3.gram, K3_TRIPLE.vectors, perm)
+        lattice, triple = GramLattice.from_rows(gram), HyperTriple.from_rows(vectors)
+        rows = pairing_rows(lattice, triple)[0]
+        assert perp_V_basis(lattice, triple) == reference_integer_kernel(rows)
 
     def test_identity_empty(self):
         assert integer_kernel([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == []

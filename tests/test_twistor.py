@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistorlat import (
@@ -41,7 +41,9 @@ from twistorlat import twistor
 from twistorlat.linalg import dot_rows, expand_in_V, integer_kernel, pairing_rows
 
 from support import (
+    K3_INTERLEAVED,
     conjugate_gram,
+    permute_coordinates,
     random_positive_class,
     random_rational_vector,
     random_unimodular,
@@ -68,10 +70,27 @@ class TestTwistorPoint:
 
     @pytest.mark.parametrize("unit,norm", [
         ((0.0, 0.0, 0.0), "0.0"), ((math.nan, 0.0, 0.0), "nan"),
-        ((1.0, math.inf, 0.0), "inf"), ((1e200, 0.0, 0.0), "inf")])
+        ((1.0, math.inf, 0.0), "inf")])
     def test_unit_needs_finite_nonzero_norm(self, unit, norm):
         with pytest.raises(InvariantViolation, match=f"is not a direction: norm {norm}$"):
             TwistorPoint.from_unit(*unit)
+
+    @pytest.mark.parametrize("unit,want", [
+        ((1e200, 0.0, 0.0), (1.0, 0.0, 0.0)), ((1e-200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+        ((0.0, -5e-324, 0.0), (0.0, -1.0, 0.0)),
+        ((3e300, 0.0, -4e300), (0.6, 0.0, -0.8)),
+        ((1e308, 1e308, 0.0), (math.sqrt(0.5), math.sqrt(0.5), 0.0))])
+    def test_huge_and_tiny_units_accepted(self, unit, want):
+        # |x|^2 over- or underflows a float: the direction is scaled first
+        got = TwistorPoint.from_unit(*unit).unit
+        assert max(abs(a - b) for a, b in zip(got, want)) < 1e-15
+
+    @given(st.tuples(*[st.floats(-1e100, 1e100)] * 3).filter(any))
+    def test_unit_unchanged_where_the_norm_is_a_float(self, unit):
+        x, y, z = unit
+        n = math.sqrt(x * x + y * y + z * z)
+        if 0.0 < n:
+            assert TwistorPoint.from_unit(*unit).unit == (x / n, y / n, z / n)
 
     @pytest.mark.parametrize("ray,want", [
         ((Fraction(1, 2), "2/3", 0), (3, 4, 0)), ((-2, 4, 6), (-1, 2, 3))])
@@ -458,6 +477,15 @@ class TestReduceWitness:
     def test_unimodular_basis_change(self, name, rng, ray):
         # dense kernel vectors: the support rule rarely skips a step
         assert_reference_witness(*conjugated(*load_lattice(name), rng), ray)
+
+    @example(perm=K3_INTERLEAVED, ray=(1, 2, 3))
+    @given(perm=st.permutations(range(22)), ray=RAYS)
+    def test_k3_dead_coordinates_interleaved(self, perm, ray):
+        # dead coordinates between live ones: the kernel's placeholders
+        # move the live columns, and is_general_type drops dead vectors
+        gram, vectors = permute_coordinates(K3.gram, K3_TRIPLE.vectors, perm)
+        assert_reference_witness(GramLattice.from_rows(gram),
+                                 HyperTriple.from_rows(vectors), ray)
 
     @given(name=st.sampled_from(["U3", "K3"]), ray=RAYS)
     def test_halved_triple(self, name, ray):
