@@ -184,104 +184,68 @@ def rotation_from_quaternion(q: Quaternion) -> np.ndarray:
 
 _TRIALS = 100  # random SU(2) elements per sampled identity
 
+_BASIS = tuple(two_form_from_coords(e) for e in np.eye(6))
+
+# Columns: the anti-self-dual 2-forms, in the pair basis.
+_ASD = np.array([[1, 0, 0, 0, 0, -1.0],
+                 [0, 1, 0, 0, 1.0, 0],
+                 [0, 0, 1, -1.0, 0, 0]]).T
+
+
+def _action(g: SU2Element) -> np.ndarray:
+    """6x6 matrix of the pullback by g on 2-forms of R^4, pair basis."""
+    return np.column_stack([two_form_coords(su2_act_on_form(g, e)) for e in _BASIS])
+
 
 def verify_model(seed: int = 7):
     """Run the flat-model identity checks; returns (name, ok, detail) rows.
 
-    Backs the demo-quaternion CLI command.
+    Every sampled identity is read off the action matrix of one random
+    SU(2) element per trial. Backs the demo-quaternion CLI command.
     """
     rng = np.random.default_rng(seed)
     rows = []
 
-    def check(name, dev):
+    def check(name, *diffs):
+        dev = max(float(np.max(np.abs(d))) for d in diffs)
         rows.append((name, dev <= TOL, f"max deviation {dev:.3e}"))
 
-    I = complex_structure_from(QUAT_I)
-    J = complex_structure_from(QUAT_J)
-    K = complex_structure_from(QUAT_K)
-    check("I.J = K", float(np.max(np.abs(I.mat @ J.mat - K.mat))))
-    check("I.J = -J.I", float(np.max(np.abs(I.mat @ J.mat + J.mat @ I.mat))))
-    check("I^2 = -Id", float(np.max(np.abs(I.mat @ I.mat + np.eye(4)))))
+    def omega(u):
+        return two_form_coords(induced_two_form(complex_structure_from(u)))
+
+    I, J, K = (complex_structure_from(u) for u in (QUAT_I, QUAT_J, QUAT_K))
+    check("I.J = K", I.mat @ J.mat - K.mat)
+    check("I.J = -J.I", I.mat @ J.mat + J.mat @ I.mat)
+    check("I^2 = -Id", I.mat @ I.mat + np.eye(4))
 
     forms = [induced_two_form(L) for L in (I, J, K)]
-    dev = 0.0
-    for f in forms:
-        dev = max(dev, float(np.max(np.abs(f.mat + f.mat.T))))
-    check("omega_L antisymmetric", dev)
-    dev = 0.0
-    for f in forms:
-        dev = max(dev, abs(abs(np.linalg.det(f.mat)) - 1.0))
-    check("omega_L nondegenerate (|det| = 1)", dev)
-
-    # pairwise orthogonal, equal norm under the form inner product
-    coords = [two_form_coords(f) for f in forms]
-    common = float(coords[0] @ coords[0])
-    dev = 0.0
-    for a in range(3):
-        for b in range(3):
-            want = common if a == b else 0.0
-            dev = max(dev, abs(float(coords[a] @ coords[b]) - want))
-    check("omega_I, omega_J, omega_K orthogonal, equal norm", dev)
+    check("omega_L antisymmetric", *(f.mat + f.mat.T for f in forms))
+    check("omega_L nondegenerate (|det| = 1)",
+          *(abs(np.linalg.det(f.mat)) - 1.0 for f in forms))
+    # columns omega_I, omega_J, omega_K: orthogonal, of equal norm, self-dual
+    S = np.column_stack([two_form_coords(f) for f in forms])
+    check("omega_I, omega_J, omega_K orthogonal, equal norm",
+          S.T @ S - (S[:, 0] @ S[:, 0]) * np.eye(3))
 
     star = hodge_star_2forms()
-    check("star^2 = Id", float(np.max(np.abs(star @ star - np.eye(6)))))
-    sd = [two_form_coords(f) for f in forms]
-    dev = max(float(np.max(np.abs(star @ c - c))) for c in sd)
-    check("omega_I, omega_J, omega_K self-dual", dev)
+    check("star^2 = Id", star @ star - np.eye(6))
+    check("omega_I, omega_J, omega_K self-dual", star @ S - S)
 
-    def random_unit_quaternion():
+    def trial():
         v = rng.normal(size=4)
-        v /= np.linalg.norm(v)
-        return Quaternion(*v)
+        g = SU2Element.from_quaternion(Quaternion(*(v / np.linalg.norm(v))))
+        u = Quaternion.unit_imaginary(*rng.normal(size=3))
+        w = g.q.conjugate() * u * g.q
+        act = _action(g)
+        return (star @ act - act @ star,
+                act @ omega(u) - omega(Quaternion(0.0, w.x, w.y, w.z)),
+                act @ S - S @ rotation_from_quaternion(g.q.conjugate()),
+                act @ _ASD - _ASD)
 
-    # star commutes with the SU(2) pullback on the 6-space of 2-forms
-    dev = 0.0
-    for _ in range(_TRIALS):
-        g = SU2Element.from_quaternion(random_unit_quaternion())
-        act = np.column_stack([
-            two_form_coords(su2_act_on_form(g, two_form_from_coords(e)))
-            for e in np.eye(6)
-        ])
-        dev = max(dev, float(np.max(np.abs(star @ act - act @ star))))
-    check("SU(2) action commutes with Hodge star", dev)
-
-    # pullback of omega_{L_u} is omega_{L_{g^-1 u g}}
-    dev = 0.0
-    for _ in range(20):
-        g = SU2Element.from_quaternion(random_unit_quaternion())
-        v = rng.normal(size=3)
-        u = Quaternion.unit_imaginary(*v)
-        lhs = su2_act_on_form(g, induced_two_form(complex_structure_from(u)))
-        gc = g.q.conjugate()
-        u2 = (gc * u * g.q).normalized()
-        rhs = induced_two_form(complex_structure_from(Quaternion(0.0, u2.x, u2.y, u2.z)))
-        dev = max(dev, float(np.max(np.abs(lhs.mat - rhs.mat))))
-    check("pullback rotates u by conjugation g^-1 u g", dev)
-
-    # the induced rotation of (x, y, z) matches the conjugation SO(3) matrix
-    dev = 0.0
-    for _ in range(_TRIALS):
-        g = SU2Element.from_quaternion(random_unit_quaternion())
-        rot = rotation_from_quaternion(g.q.conjugate())
-        for axis, L in ((0, I), (1, J), (2, K)):
-            got = su2_act_on_form(g, induced_two_form(L))
-            want = np.zeros((4, 4))
-            col = rot[:, axis]
-            for c, M in zip(col, (I, J, K)):
-                want += c * M.mat
-            dev = max(dev, float(np.max(np.abs(got.mat - want))))
-    check("form-level rotation matches conjugation SO(3) matrix", dev)
-
-    # left SU(2) fixes the anti-self-dual 3-space pointwise
-    asd = [np.array([1, 0, 0, 0, 0, -1.0]),
-           np.array([0, 1, 0, 0, 1.0, 0]),
-           np.array([0, 0, 1, -1.0, 0, 0])]
-    dev = 0.0
-    for _ in range(_TRIALS):
-        g = SU2Element.from_quaternion(random_unit_quaternion())
-        for c in asd:
-            out = two_form_coords(su2_act_on_form(g, two_form_from_coords(c)))
-            dev = max(dev, float(np.max(np.abs(out - c))))
-    check("anti-self-dual forms are fixed by the action", dev)
-
+    sampled = ("SU(2) action commutes with Hodge star",
+               "pullback rotates u by conjugation g^-1 u g",
+               "form-level rotation matches conjugation SO(3) matrix",
+               "anti-self-dual forms are fixed by the action")
+    for name, diffs in zip(sampled, zip(*(trial() for _ in range(_TRIALS)))):
+        check(name, *diffs)
     return rows

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from twistorlat import quaternions
 from twistorlat.errors import NotUnitImaginary, Unsupported
 from twistorlat.quaternions import (
     QUAT_I,
@@ -216,3 +217,50 @@ def test_verify_model_all_pass():
     assert rows, "verification suite is empty"
     for name, ok, detail in rows:
         assert ok, f"{name}: {detail}"
+
+
+MODEL_ROWS = (
+    "I.J = K",
+    "I.J = -J.I",
+    "I^2 = -Id",
+    "omega_L antisymmetric",
+    "omega_L nondegenerate (|det| = 1)",
+    "omega_I, omega_J, omega_K orthogonal, equal norm",
+    "star^2 = Id",
+    "omega_I, omega_J, omega_K self-dual",
+    "SU(2) action commutes with Hodge star",
+    "pullback rotates u by conjugation g^-1 u g",
+    "form-level rotation matches conjugation SO(3) matrix",
+    "anti-self-dual forms are fixed by the action",
+)
+
+
+def test_verify_model_rows():
+    rows = verify_model()
+    assert tuple(name for name, _, _ in rows) == MODEL_ROWS
+    assert all(type(ok) is bool for _, ok, _ in rows)
+
+
+def _right_mult_element(q, n=1):
+    # p -> p q commutes with every left multiplication, so it fixes the
+    # self-dual forms and moves the anti-self-dual ones
+    images = [b * q for b in (Quaternion(1.0, 0.0, 0.0, 0.0), QUAT_I, QUAT_J, QUAT_K)]
+    rep = np.array([[p.w, p.x, p.y, p.z] for p in images]).T
+    return SU2Element(q=q, n=n, rep=rep)
+
+
+@pytest.mark.parametrize("owner, attr, fake, failing", [
+    (quaternions, "rotation_from_quaternion",
+     lambda q: rotation_from_quaternion(q).T,
+     {"form-level rotation matches conjugation SO(3) matrix"}),
+    (SU2Element, "from_quaternion", staticmethod(_right_mult_element),
+     {"pullback rotates u by conjugation g^-1 u g",
+      "form-level rotation matches conjugation SO(3) matrix",
+      "anti-self-dual forms are fixed by the action"}),
+    (quaternions, "hodge_star_2forms", lambda: -hodge_star_2forms(),
+     {"omega_I, omega_J, omega_K self-dual"}),
+], ids=["rotation-transposed", "right-multiplication", "star-negated"])
+def test_verify_model_catches_a_broken_model(monkeypatch, owner, attr, fake,
+                                             failing):
+    monkeypatch.setattr(owner, attr, fake)
+    assert {name for name, ok, _ in verify_model() if not ok} == failing
