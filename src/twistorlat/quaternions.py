@@ -17,8 +17,10 @@ from .errors import (
     DimensionMismatch,
     InvariantViolation,
     NotUnitImaginary,
+    TwistorLatticeError,
     Unsupported,
 )
+from .linalg import integer
 
 TOL = 1e-12
 
@@ -58,6 +60,8 @@ class Quaternion:
     @staticmethod
     def unit_imaginary(x: float, y: float, z: float) -> "Quaternion":
         n = math.sqrt(x * x + y * y + z * z)
+        if not 0.0 < n < math.inf:  # zero, nan or inf entries
+            raise NotUnitImaginary(f"({x}, {y}, {z}) has no direction: norm {n}")
         return Quaternion(0.0, x / n, y / n, z / n)
 
 
@@ -77,8 +81,25 @@ def left_mult_matrix(q: Quaternion) -> np.ndarray:
     ])
 
 
+def _dim(n) -> int:
+    """The real dimension 4n of H^n, for a model size n that is an integer >= 1."""
+    try:
+        if integer(n, "model size n") >= 1:
+            return 4 * int(n)
+    except TwistorLatticeError:
+        pass
+    raise DimensionMismatch(f"model size n = {n!r} is not an integer >= 1")
+
+
+def _check_shape(n, mat) -> None:
+    d = _dim(n)
+    if np.shape(mat) != (d, d):
+        raise DimensionMismatch(f"expected {d}x{d} matrix")
+
+
 def _block_diag(mat4: np.ndarray, n: int) -> np.ndarray:
-    out = np.zeros((4 * n, 4 * n))
+    d = _dim(n)
+    out = np.zeros((d, d))
     for b in range(n):
         out[4 * b:4 * b + 4, 4 * b:4 * b + 4] = mat4
     return out
@@ -90,15 +111,16 @@ class ComplexStructureMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        d = 4 * self.n
-        if self.mat.shape != (d, d):
-            raise DimensionMismatch(f"expected {d}x{d} matrix")
+        _check_shape(self.n, self.mat)
 
 
 @dataclass(frozen=True)
 class TwoForm:
     n: int
     mat: np.ndarray
+
+    def __post_init__(self):
+        _check_shape(self.n, self.mat)
 
     def __call__(self, x, y) -> float:
         return float(np.asarray(x) @ self.mat @ np.asarray(y))
@@ -144,6 +166,9 @@ _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 def two_form_from_coords(coords) -> TwoForm:
+    if np.shape(coords) != (6,):
+        raise DimensionMismatch(
+            f"a 2-form on R^4 has 6 coordinates, not shape {np.shape(coords)}")
     m = np.zeros((4, 4))
     for c, (a, b) in zip(coords, _PAIRS):
         m[a, b] = c

@@ -384,7 +384,15 @@ def stereographic(point: TwistorPoint) -> complex:
 def stereographic_inverse(zeta: complex) -> TwistorPoint:
     if math.isinf(zeta.real) or math.isinf(zeta.imag):
         return TwistorPoint.from_ray(1, 0, 0)
-    s = abs(zeta) ** 2
+    try:
+        s = abs(zeta) ** 2
+    except OverflowError:
+        # |zeta|^2 past the float range: the point is (1, 2 zeta / |zeta|^2) in
+        # floats; zeta is scaled by its largest part, as |zeta| may overflow too
+        m = max(abs(zeta.real), abs(zeta.imag))
+        w = zeta / m
+        v = 2.0 / abs(w) ** 2 * w / m
+        return TwistorPoint.from_unit(1.0, v.real, v.imag)
     return TwistorPoint.from_unit(
         (s - 1.0) / (s + 1.0),
         2.0 * zeta.real / (s + 1.0),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from twistorlat import quaternions
-from twistorlat.errors import NotUnitImaginary, Unsupported
+from twistorlat.errors import DimensionMismatch, NotUnitImaginary, Unsupported
 from twistorlat.quaternions import (
     QUAT_I,
     QUAT_J,
@@ -102,6 +102,22 @@ class TestComplexStructures:
         with pytest.raises(NotUnitImaginary):
             complex_structure_from(Quaternion(1.0, 0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("xyz", [(0.0, 0.0, 0.0), (math.nan, 0.0, 0.0),
+                                     (0.0, math.inf, 1.0)])
+    def test_unit_imaginary_needs_a_direction(self, xyz):
+        with pytest.raises(NotUnitImaginary):
+            Quaternion.unit_imaginary(*xyz)
+
+    @pytest.mark.parametrize("n", [-2, -1, 0, 1.5, True, "2"])
+    def test_model_size_is_an_integer_at_least_1(self, n):
+        with pytest.raises(DimensionMismatch):
+            complex_structure_from(QUAT_I, n=n)
+        with pytest.raises(DimensionMismatch):
+            SU2Element.from_quaternion(QUAT_J, n=n)
+
+    def test_numpy_model_size(self):
+        assert complex_structure_from(QUAT_K, n=np.int64(2)).mat.shape == (8, 8)
+
 
 class TestInducedForms:
     def test_omega_i_coordinates(self):
@@ -122,6 +138,16 @@ class TestInducedForms:
         f = induced_two_form(mu)
         g = induced_two_form(neg)
         assert np.max(np.abs(f.mat + g.mat)) < 1e-12
+
+    @pytest.mark.parametrize("coords", [[1.0] * 5, [1.0] * 7, np.eye(6)])
+    def test_six_coordinates(self, coords):
+        with pytest.raises(DimensionMismatch):
+            two_form_from_coords(coords)
+
+    @pytest.mark.parametrize("n, side", [(1, 8), (2, 4), (1, 3), (0, 0)])
+    def test_form_matrix_is_4n_square(self, n, side):
+        with pytest.raises(DimensionMismatch):
+            TwoForm(n=n, mat=np.zeros((side, side)))
 
     def test_nondegenerate(self):
         for n in (1, 2):

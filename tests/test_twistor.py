@@ -539,6 +539,18 @@ class TestStereographic:
         assert stereographic_inverse(stereographic(
             TwistorPoint.from_ray(1, 0, 0))).dir == (1, 0, 0)
 
+    @pytest.mark.parametrize("zeta", [
+        complex(1e150, 0), complex(1e200, 0), complex(0, 1e155),
+        complex(-1e308, 1e308)])
+    def test_huge_zeta_is_next_to_the_north_pole(self, zeta):
+        # |zeta|^2 overflows a float for all but the first
+        x, y, z = stereographic_inverse(zeta).unit
+        assert x == 1.0 and abs(y) < 1e-149 and abs(z) < 1e-149
+
+    def test_nan_is_no_point(self):
+        with pytest.raises(InvariantViolation):
+            stereographic_inverse(complex(math.nan, 0))
+
 
 class TestAntipode:
     def test_negates_ray(self):
