@@ -492,6 +492,24 @@ def test_half_walk_gives_full_walk_results(case, picks, gauss):
                     for p in points] == witnesses
 
 
+@pytest.mark.parametrize("scan,digest", [
+    (scan_algebraic, "525450b474dc0da33bbcbc2239e4a4ad685183d723972db785273547807db16f"),
+    (scan_non_general_type,
+     "3c663846f668b2ac3c71f1c0e18fd487dd64e6494e13db9615c53e65d234b66c"),
+])
+def test_frozen_enumeration_order(scan, digest):
+    # dirs and witnesses in enumeration order, which the ray-sorted CSV
+    # hash does not see, case by case into one hash
+    cases = ([(U3, TRIPLE, b, None) for b in range(1, 5)]
+             + [(D222, D222_TRIPLE, b, None) for b in range(1, 4)]
+             + [(K3, K3_TRIPLE, 2, mask) for mask in (range(8), (0, 3, 7, 9, 21))])
+    h = hashlib.sha256()
+    for lattice, triple, bound, mask in cases:
+        cloud = scan(lattice, triple, bound, mask)
+        h.update(repr((cloud.dirs.tolist(), cloud.witnesses.tolist())).encode())
+    assert h.hexdigest() == digest
+
+
 @pytest.mark.parametrize("rays,order", [
     ([[1, 0, -2], [0, 1, 1], [1, 0, -2], [-1, 0, 2], [0, 1, 1], [0, 0, 1]],
      [3, 5, 1, 0]),
