@@ -59,10 +59,20 @@ class Quaternion:
 
     @staticmethod
     def unit_imaginary(x: float, y: float, z: float) -> "Quaternion":
-        n = math.sqrt(x * x + y * y + z * z)
-        if not 0.0 < n < math.inf:  # zero, nan or inf entries
-            raise NotUnitImaginary(f"({x}, {y}, {z}) has no direction: norm {n}")
-        return Quaternion(0.0, x / n, y / n, z / n)
+        return Quaternion(0.0, *unit_direction(x, y, z, NotUnitImaginary))
+
+
+def unit_direction(x: float, y: float, z: float, error) -> tuple[float, float, float]:
+    """(x, y, z) over its norm, scaled by its largest entry first when the
+    squared norm under- or overflows; error for zero, nan or inf entries."""
+    n = math.sqrt(x * x + y * y + z * z)
+    s = max(abs(x), abs(y), abs(z))
+    if n in (0.0, math.inf) and 0.0 < s < math.inf:
+        # finite and nonzero, but |x|^2 under- or overflowed: scale first
+        return unit_direction(x / s, y / s, z / s, error)
+    if not 0.0 < n < math.inf:  # zero, nan or inf entries
+        raise error(f"({x}, {y}, {z}) is not a direction: norm {n}")
+    return x / n, y / n, z / n
 
 
 QUAT_I = Quaternion(0.0, 1.0, 0.0, 0.0)
@@ -132,10 +142,13 @@ class SU2Element:
     n: int
     rep: np.ndarray
 
+    def __post_init__(self):
+        if not self.q.is_unit():
+            raise NotUnitImaginary(f"not a unit quaternion: {self.q}")
+        _check_shape(self.n, self.rep)
+
     @staticmethod
     def from_quaternion(q: Quaternion, n: int = 1) -> "SU2Element":
-        if not q.is_unit():
-            raise NotUnitImaginary(f"not a unit quaternion: {q}")
         return SU2Element(q=q, n=n, rep=_block_diag(left_mult_matrix(q), n))
 
 

@@ -5,8 +5,9 @@ first nonzero entry is negative, in the int64 blocks of
 twistor._box_pairings, and collect the exact signed rays of the
 projections onto V, each with its first witness in the whole box: that
 box is H-, 0, -reverse(H-), so its rays follow from each block's first
-and last occurrence of each ray in H-. One key, _ray_order,
-decides both ray equality (the scans' dedup) and ray order (emission).
+and last occurrence of each ray in H-. One key, _ray_order, decides both
+ray equality (the scans' dedup) and ray order (emission): one stable
+sort of the keys gives the first and the last index of each distinct ray.
 A cloud is two int64 arrays, the distinct rays and their witnesses;
 TwistorPoints are built only when it is iterated. Covering radius
 against a Fibonacci-sphere grid is the desk-scale measure of density.
@@ -75,24 +76,34 @@ def _units(dirs: np.ndarray) -> np.ndarray:
     return dirs / norms[:, None]
 
 
-def _ray_order(rays: np.ndarray) -> np.ndarray:
-    """Index of the first occurrence of each distinct row of an (n, 3)
-    integer array, in lexicographic order of the rows."""
+def _ray_order(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(firsts, lasts): the index of the first and of the last occurrence
+    of each distinct row of an (n, 3) integer array, in lexicographic
+    order of the rows, from one stable sort of the row keys."""
     m = int(np.abs(rays).max(initial=0))
     base = 2 * m + 1
     if base ** 3 <= np.iinfo(np.int64).max:  # digits below base: keys sort as rows
         keys = ((rays[:, 0] + m) * base + rays[:, 1] + m) * base + rays[:, 2] + m
     else:  # too large to pack into one int64: records sort as rows too
         keys = np.ascontiguousarray(rays).view([("", np.int64)] * 3).ravel()
-    return np.unique(keys, return_index=True)[1]
+    order = np.argsort(keys, kind="stable")  # equal rows keep their order
+    edge = np.ones(len(keys) + 1, dtype=bool)  # edge[i]: a run ends before i
+    edge[1:-1] = keys[order[1:]] != keys[order[:-1]]
+    return order[edge[:-1]], order[edge[1:]]
 
 
 def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
           both_signs: bool) -> PointCloud:
     """The block loop of the scans, over H-. Each block keeps the
-    projection rays of its positive box vectors or, with both_signs, both
-    orientations (+ray first) of every nonzero projection; each ray keeps
-    its first witness in the whole box."""
+    projection rays of its positive box vectors or, with both_signs, of
+    every nonzero projection; one _ray_order of them gives the block's
+    first and last occurrence of each ray, with its witness. The whole
+    box is H-, 0, -reverse(H-), so its first occurrences are H-'s firsts,
+    then its lasts negated in reverse order. With both_signs, a ray s
+    first occurs at the first vector of H- whose ray is s or -s, a block
+    first, which stands for its ray and then the negation: the firsts
+    alone, each doubled, give the cloud. Each ray keeps its first
+    witness in the whole box."""
     # the kernel checks the signature first; then the box enumerates only the
     # masked coordinates (sorted, without repeats), against the matching
     # columns of the pairing rows and Gram submatrix
@@ -112,32 +123,25 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
         gram = _int64([[e // content for e in row] for row in sub],
                       (bound * len(active)) ** 2, "max|G|*B^2*k^2")
 
-    # each block's first and last occurrence of each ray, with its witness;
-    # an empty block first, as a walk over no coordinate yields none
+    # each block's first (and, one sign only, last) occurrence of each ray,
+    # with its witness; an empty block first, as a walk over no coordinate
+    # yields none
     empty = np.empty((0, 3), np.int64), np.empty((0, len(active)), np.int64)
     firsts, lasts = [empty], [empty]
+    held = (firsts,) if both_signs else (firsts, lasts)
     for vecs, t in blocks:
         g = np.gcd(np.gcd(t[:, 0], t[:, 1]), t[:, 2])  # nonnegative
-        if both_signs:
-            keep = g > 0
-            r = t[keep] // g[keep, None]
-            r = np.stack([r, -r], axis=1).reshape(-1, 3)
-            w = np.repeat(vecs[keep], 2, axis=0)
-        else:
-            # positive vectors are not in the negative definite V-perp: g > 0
-            keep = (vecs @ gram * vecs).sum(axis=1) > 0
-            r, w = t[keep] // g[keep, None], vecs[keep]
-        for kept, index in ((firsts, _ray_order(r)),
-                            (lasts, len(r) - 1 - _ray_order(r[::-1]))):
+        # positive vectors are not in the negative definite V-perp: g > 0
+        keep = g > 0 if both_signs else (vecs @ gram * vecs).sum(axis=1) > 0
+        r, w = t[keep] // g[keep, None], vecs[keep]
+        for kept, index in zip(held, _ray_order(r)):
             index = np.sort(index)
             kept.append((r[index], w[index]))
-    # the blocks walk H-, and the whole box is H-, 0, -reverse(H-): its
-    # ray sequence is H-'s, then -reverse of it, whose first occurrences
-    # are the negated last occurrences in H-. With both signs each ray of
-    # the second half is already in the first.
     rays, witnesses = (np.concatenate(a) for a in zip(
         *firsts, *((-r[::-1], -w[::-1]) for r, w in reversed(lasts))))
-    first = np.sort(_ray_order(rays))
+    if both_signs:  # +r, then -r, each with the witness of r
+        rays, witnesses = np.hstack([rays, -rays]).reshape(-1, 3), witnesses.repeat(2, 0)
+    first = np.sort(_ray_order(rays)[0])
     full = np.zeros((len(first), lattice.rank), dtype=np.int64)  # rank-r witnesses
     full[:, active] = witnesses[first]
     return PointCloud(rays[first], full)
@@ -259,7 +263,7 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
 
 
 def _by_ray(cloud: PointCloud) -> PointCloud:
-    order = _ray_order(cloud.dirs)
+    order = _ray_order(cloud.dirs)[0]
     return PointCloud(cloud.dirs[order], cloud.witnesses[order])
 
 

@@ -40,6 +40,7 @@ from .linalg import (
     q_eval,
     vector,
 )
+from .quaternions import unit_direction
 
 
 # Memory budget of one block: box rows (int64) in the scans and the
@@ -151,15 +152,7 @@ class TwistorPoint:
 
     @staticmethod
     def from_unit(x: float, y: float, z: float) -> "TwistorPoint":
-        n = math.sqrt(x * x + y * y + z * z)
-        s = max(abs(x), abs(y), abs(z))
-        if n in (0.0, math.inf) and 0.0 < s < math.inf:
-            # finite and nonzero, but |x|^2 under- or overflowed: scale first
-            x, y, z = x / s, y / s, z / s
-            n = math.sqrt(x * x + y * y + z * z)
-        if not 0.0 < n < math.inf:  # zero, nan or inf entries
-            raise InvariantViolation(f"({x}, {y}, {z}) is not a direction: norm {n}")
-        return TwistorPoint(dir=None, unit=(x / n, y / n, z / n))
+        return TwistorPoint(dir=None, unit=unit_direction(x, y, z, InvariantViolation))
 
     @property
     def is_exact(self) -> bool:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from twistorlat import quaternions
+from twistorlat import TwistorPoint, quaternions
 from twistorlat.errors import DimensionMismatch, NotUnitImaginary, Unsupported
 from twistorlat.quaternions import (
     QUAT_I,
@@ -108,6 +108,15 @@ class TestComplexStructures:
         with pytest.raises(NotUnitImaginary):
             Quaternion.unit_imaginary(*xyz)
 
+    @pytest.mark.parametrize("xyz", [(1e200, 0.0, 0.0), (1e-200, 0.0, 0.0),
+                                     (1e308, 1e308, 0.0)])
+    def test_huge_and_tiny_directions(self, xyz):
+        # |x|^2 over- or underflows: both constructors scale by the largest
+        # entry first, and give the same unit
+        u = Quaternion.unit_imaginary(*xyz)
+        assert (u.x, u.y, u.z) == TwistorPoint.from_unit(*xyz).unit
+        assert u.is_unit_imaginary()
+
     @pytest.mark.parametrize("n", [-2, -1, 0, 1.5, True, "2"])
     def test_model_size_is_an_integer_at_least_1(self, n):
         with pytest.raises(DimensionMismatch):
@@ -117,6 +126,18 @@ class TestComplexStructures:
 
     def test_numpy_model_size(self):
         assert complex_structure_from(QUAT_K, n=np.int64(2)).mat.shape == (8, 8)
+
+    @pytest.mark.parametrize("n, side", [(1, 3), (1, 8), (2, 4), (0, 0)])
+    def test_su2_rep_is_4n_square(self, n, side):
+        # the element is refused when built, not in the action's matrix product
+        f = induced_two_form(complex_structure_from(QUAT_J))
+        with pytest.raises(DimensionMismatch):
+            su2_act_on_form(SU2Element(QUAT_I, n, np.zeros((side, side))), f)
+
+    def test_su2_element_is_unit(self):
+        for make in (lambda q: SU2Element(q, 1, np.eye(4)), SU2Element.from_quaternion):
+            with pytest.raises(NotUnitImaginary, match="not a unit quaternion"):
+                make(Quaternion(2.0, 0.0, 0.0, 0.0))
 
 
 class TestInducedForms:

@@ -522,13 +522,17 @@ def test_frozen_enumeration_order(scan, digest):
      [4, 1, 2, 0]),
 ])
 def test_ray_order(rays, order):
-    # the first index of each distinct row, in lexicographic row order
+    # the first and the last index of each distinct row, in lexicographic
+    # row order
     rays = np.array(rays, dtype=np.int64).reshape(-1, 3)
-    assert _ray_order(rays).tolist() == order
-    firsts = {}
+    firsts, lasts = _ray_order(rays)
+    assert firsts.tolist() == order
+    first, last = {}, {}
     for i, row in enumerate(map(tuple, rays.tolist())):
-        firsts.setdefault(row, i)
-    assert order == [firsts[row] for row in sorted(firsts)]
+        first.setdefault(row, i)
+        last[row] = i
+    assert order == [first[row] for row in sorted(first)]
+    assert lasts.tolist() == [last[row] for row in sorted(last)]
 
 
 # a cloud whose entries are too large for the packed int64 key
