@@ -64,7 +64,8 @@ class Quaternion:
 
 def unit_direction(x: float, y: float, z: float, error) -> tuple[float, float, float]:
     """(x, y, z) over its norm, scaled by its largest entry first when the
-    squared norm under- or overflows; error for zero, nan or inf entries."""
+    squared norm under- or overflows. Raises error, the caller's
+    TwistorLatticeError class, for zero, nan or inf entries."""
     n = math.sqrt(x * x + y * y + z * z)
     s = max(abs(x), abs(y), abs(z))
     if n in (0.0, math.inf) and 0.0 < s < math.inf:

