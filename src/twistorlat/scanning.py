@@ -5,18 +5,23 @@ first nonzero entry is negative, in the int64 blocks of
 twistor._box_pairings, and collect the exact signed rays of the
 projections onto V, each with its first witness in the whole box: that
 box is H-, 0, -reverse(H-), so its rays follow from each block's first
-and last occurrence of each ray in H-. One key, _ray_order, decides both
-ray equality (the scans' dedup) and ray order (emission): one stable
-sort of the keys gives the first and the last index of each distinct ray.
-A cloud is two int64 arrays, the distinct rays and their witnesses;
-TwistorPoints are built only when it is iterated. Covering radius
-against a Fibonacci-sphere grid is the desk-scale measure of density.
-The grid is built a block of rows at a time and is sorted by y, so each
-block is compared only with the cloud points in a y-band around it; rows
-with no cloud point close enough fall back to the whole cloud, and the
-rows that decide the radius are recomputed in the blocks of the full
-grid-by-cloud product, so the radius is the same float as that product
-gives. No randomness anywhere in this module.
+and last occurrence of each ray in H-. A block comes as the distinct
+projections of its vectors, one a group of its digit table, so gcd,
+ray division and the ray dedup run on those d rows, not on every
+vector; the algebraic scan's positivity is a sum of per-table and
+per-prefix terms, and witnesses are built only for the vectors kept.
+One key, twistor._ray_order, decides ray equality and ray order
+(emission): one stable sort of the keys gives the first and the last
+index of each distinct ray. A cloud is two int64 arrays, the distinct
+rays and their witnesses; TwistorPoints are built only when it is
+iterated. Covering radius against a Fibonacci-sphere grid is the
+desk-scale measure of density. The grid is built a block of rows at a
+time and is sorted by y, so each block is compared only with the cloud
+points in a y-band around it; rows with no cloud point close enough
+fall back to the whole cloud, and the rows that decide the radius are
+recomputed in the blocks of the full grid-by-cloud product, so the
+radius is the same float as that product gives. No randomness anywhere
+in this module.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ from .twistor import (
     TwistorPoint,
     _box_pairings,
     _int64,
+    _ray_order,
+    _table,
     stereographic,
 )
 
@@ -76,34 +83,27 @@ def _units(dirs: np.ndarray) -> np.ndarray:
     return dirs / norms[:, None]
 
 
-def _ray_order(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(firsts, lasts): the index of the first and of the last occurrence
-    of each distinct row of an (n, 3) integer array, in lexicographic
-    order of the rows, from one stable sort of the row keys."""
-    m = int(np.abs(rays).max(initial=0))
-    base = 2 * m + 1
-    if base ** 3 <= np.iinfo(np.int64).max:  # digits below base: keys sort as rows
-        keys = ((rays[:, 0] + m) * base + rays[:, 1] + m) * base + rays[:, 2] + m
-    else:  # too large to pack into one int64: records sort as rows too
-        keys = np.ascontiguousarray(rays).view([("", np.int64)] * 3).ravel()
-    order = np.argsort(keys, kind="stable")  # equal rows keep their order
-    edge = np.ones(len(keys) + 1, dtype=bool)  # edge[i]: a run ends before i
-    edge[1:-1] = keys[order[1:]] != keys[order[:-1]]
-    return order[edge[:-1]], order[edge[1:]]
-
-
 def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
           both_signs: bool) -> PointCloud:
-    """The block loop of the scans, over H-. Each block keeps the
-    projection rays of its positive box vectors or, with both_signs, of
-    every nonzero projection; one _ray_order of them gives the block's
-    first and last occurrence of each ray, with its witness. The whole
-    box is H-, 0, -reverse(H-), so its first occurrences are H-'s firsts,
-    then its lasts negated in reverse order. With both_signs, a ray s
-    first occurs at the first vector of H- whose ray is s or -s, a block
-    first, which stands for its ray and then the negation: the firsts
-    alone, each doubled, give the cloud. Each ray keeps its first
-    witness in the whole box."""
+    """The block loop of the scans, over H-, on the distinct pairings of
+    each block (twistor._Walk): every row of t is a group of box vectors
+    with one projection. A group counts from its first positive vector
+    or, with both_signs, from its first vector if its projection is
+    nonzero, and up to its last positive vector. Among the groups of a
+    block with one ray, _ray_order keeps the one that counts first and,
+    one sign only, the one that counts last, with the box vector there as
+    witness. The whole box is H-, 0, -reverse(H-), so its first
+    occurrences are H-'s firsts, then its lasts negated in reverse order.
+    With both_signs, a ray s first occurs at the first vector of H- whose
+    ray is s or -s, a block first, which stands for its ray and then the
+    negation: the firsts alone, each doubled, give the cloud. Each ray
+    keeps its first witness in the whole box.
+
+    Positivity is separable over the table: with v = high + low,
+    q(v, v) = Q_low + 2 P_low . high + q(high), where Q_low = q(low, low)
+    and P_low = low @ G_lh are built once, as outer sums (twistor._table).
+    Every partial sum is a partial sum of sum_ij |G_ij v_i v_j|, so at
+    most max|G|*B^2*k^2 in absolute value: the bound the int64 check takes."""
     # the kernel checks the signature first; then the box enumerates only the
     # masked coordinates (sorted, without repeats), against the matching
     # columns of the pairing rows and Gram submatrix
@@ -115,13 +115,19 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
         if not 0 <= i < lattice.rank:
             raise DimensionMismatch(f"mask index {i} out of range for rank {lattice.rank}")
     rows = [[row[i] for i in active] for row in full_rows]
-    blocks = _box_pairings(rows, bound)
+    walk = _box_pairings(rows, bound)
+    n, d = len(walk.groups), len(walk.firsts)
     if not both_signs:
         # only the sign of q(v, v) is used, so the Gram content is divided out
         sub = [[lattice.gram[i][j] for j in active] for i in active]
         content = math.gcd(*(e for row in sub for e in row)) or 1
+        k = len(active)
         gram = _int64([[e // content for e in row] for row in sub],
-                      (bound * len(active)) ** 2, "max|G|*B^2*k^2")
+                      (bound * k) ** 2, "max|G|*B^2*k^2").reshape(k, k)
+        lo = k - walk.free  # the first table coordinate
+        low = _table(np.eye(walk.free, dtype=np.int64), bound)
+        q_low = (_table(gram[lo:, lo:], bound) * low).sum(axis=1)
+        p_low, g_high = _table(gram[lo:, :lo], bound), gram[:lo, :lo]
 
     # each block's first (and, one sign only, last) occurrence of each ray,
     # with its witness; an empty block first, as a walk over no coordinate
@@ -129,14 +135,24 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
     empty = np.empty((0, 3), np.int64), np.empty((0, len(active)), np.int64)
     firsts, lasts = [empty], [empty]
     held = (firsts,) if both_signs else (firsts, lasts)
-    for vecs, t in blocks:
+    for high, m, t in walk.blocks:
         g = np.gcd(np.gcd(t[:, 0], t[:, 1]), t[:, 2])  # nonnegative
+        if both_signs:
+            first = last = walk.position(np.arange(len(t)))
+        else:  # the positive vectors of H-, by position, and their groups
+            q = q_low + 2 * (high @ p_low.T) + ((high @ g_high) * high).sum(axis=1)[:, None]
+            at = np.flatnonzero(q.ravel()[:m] > 0)
+            group = at // n * d + walk.groups[at % n]
+            first, last = np.full(len(t), m), np.full(len(t), -1)
+            np.minimum.at(first, group, at)
+            np.maximum.at(last, group, at)
         # positive vectors are not in the negative definite V-perp: g > 0
-        keep = g > 0 if both_signs else (vecs @ gram * vecs).sum(axis=1) > 0
-        r, w = t[keep] // g[keep, None], vecs[keep]
-        for kept, index in zip(held, _ray_order(r)):
-            index = np.sort(index)
-            kept.append((r[index], w[index]))
+        keep = g > 0 if both_signs else last >= 0
+        r = t[keep] // g[keep, None]
+        for kept, at, which in zip(held, (first[keep], last[keep]), (0, 1)):
+            order = np.argsort(at)  # the groups as they count
+            index = order[np.sort(_ray_order(r[order])[which])]
+            kept.append((r[index], walk.vectors(high, at[index])))
     rays, witnesses = (np.concatenate(a) for a in zip(
         *firsts, *((-r[::-1], -w[::-1]) for r, w in reversed(lasts))))
     if both_signs:  # +r, then -r, each with the witness of r
@@ -181,7 +197,7 @@ def _fibonacci_rows(n: int, start: int, stop: int) -> np.ndarray:
 def _check_grid(grid_resolution: int) -> int:
     grid_resolution = integer(grid_resolution, "grid_resolution")
     if grid_resolution < 2:
-        raise InvalidBound("grid_resolution must be >= 2")
+        raise InvalidBound(f"grid_resolution must be >= 2, got {grid_resolution}")
     if grid_resolution ** 2 > _MAX_BOX_VECTORS:
         raise InvalidBound(
             f"grid_resolution {grid_resolution} gives {grid_resolution ** 2} "
@@ -250,7 +266,8 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     """
     n = _check_grid(grid_resolution) ** 2
     if len(cloud) == 0:
-        raise EmptyCloud("covering radius of an empty cloud is undefined")
+        raise EmptyCloud("covering radius of an empty cloud is undefined: 0 rays, "
+                         f"witnesses of shape {cloud.witnesses.shape}")
     units = _units(cloud.dirs)
     # the full product's blocks, each one product in _best_cosines
     step = max(1, _BLOCK_BYTES // (8 * len(units)))

@@ -7,7 +7,14 @@ different points. Irrational directions (for the bounded general-type
 search) carry only a floating unit vector and no exact ray. The box
 walk, _box_pairings, is shared by the bounded search and the scans; it
 walks H-, the half of the box whose first nonzero entry is negative,
-as every decision they take from a box vector v holds for -v too.
+as every decision they take from a box vector v holds for -v too. A
+block of the walk is one prefix over a fixed digit table, and the
+projection t = rows . v of a box vector is its table row's pairing plus
+the prefix's; the walk hands its consumers the table's distinct
+pairings, so they decide on d rows a block instead of one a vector,
+and build box vectors only for the rows they keep. One key, _ray_order,
+decides ray equality (the table's and the scans' dedup) and ray order
+(emission).
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -63,12 +70,86 @@ def _int64(matrix, reach: int, bound: str) -> np.ndarray:
     return np.array(matrix, dtype=np.int64)
 
 
-def _box_pairings(rows, b: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _ray_keys(rays: np.ndarray) -> np.ndarray:
+    """One key per row of an (n, 3) integer array; keys sort as the rows
+    do, lexicographically, and are equal exactly when the rows are."""
+    m = int(np.abs(rays).max(initial=0))
+    base = 2 * m + 1
+    if base ** 3 <= np.iinfo(np.int64).max:  # digits below base: keys sort as rows
+        return ((rays[:, 0] + m) * base + rays[:, 1] + m) * base + rays[:, 2] + m
+    # too large to pack into one int64: records sort as rows too
+    return np.ascontiguousarray(rays).view([("", np.int64)] * 3).ravel()
+
+
+def _ray_order(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(firsts, lasts, groups): the index of the first and of the last
+    occurrence of each distinct row of an (n, 3) integer array, in
+    lexicographic order of the rows, and for each row the position of
+    its distinct row in that order, from one stable sort of _ray_keys."""
+    keys = _ray_keys(rays)
+    order = np.argsort(keys, kind="stable")  # equal rows keep their order
+    keys = keys[order]
+    edge = np.ones(len(keys) + 1, dtype=bool)  # edge[i]: a run ends before i
+    edge[1:-1] = keys[1:] != keys[:-1]
+    groups = np.empty(len(keys), dtype=np.intp)
+    groups[order] = np.cumsum(edge[:-1]) - 1
+    return order[edge[:-1]], order[edge[1:]], groups
+
+
+def _table(cols: np.ndarray, b: int) -> np.ndarray:
+    """x @ cols for every x of [-b, b]^f (f = len(cols)) in lexicographic
+    order, built as outer sums over the coordinates, the leading one
+    major; one zero row when f = 0. Every entry, and every partial sum
+    taken on the way, is a partial sum of x @ cols."""
+    out = np.zeros((1, cols.shape[1]), dtype=np.int64)
+    x = np.arange(-b, b + 1, dtype=np.int64)[:, None, None]
+    for col in cols[::-1]:  # the last coordinate first: it ends minor
+        out = (x * col + out).reshape(len(x) * len(out), cols.shape[1])
+    return out
+
+
+def _digits(index: np.ndarray, width: int, b: int) -> np.ndarray:
+    """Rows index of the lexicographic walk of [-b, b]^width."""
+    side = 2 * b + 1
+    powers = side ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    return index[:, None] // powers % side - b
+
+
+class _Walk(NamedTuple):
+    """H- of a box as _box_pairings walks it. The box vectors are the
+    prefix rows of k - free leading coordinates, each followed by every
+    row of the digit table of the free trailing ones, n = (2b+1)^free
+    rows in lexicographic order. Table rows with the same pairing
+    rows . low form one group: groups maps each table row to its group,
+    firsts (ascending) gives each group's first table row and pairings
+    its rows . low. blocks yields (high, m, t): prefix rows high, the
+    number m of the block's len(high) * n vectors that lie in H-, and
+    t = pairings + high @ rows_high.T, high-major, one row per group
+    whose first vector lies in H-."""
+
+    b: int
+    free: int
+    groups: np.ndarray
+    firsts: np.ndarray
+    pairings: np.ndarray
+    blocks: Iterator[tuple[np.ndarray, int, np.ndarray]]
+
+    def position(self, j: np.ndarray) -> np.ndarray:
+        """The position in its block of the first vector of each row j of t."""
+        d = len(self.firsts)
+        return j // d * len(self.groups) + self.firsts[j % d]
+
+    def vectors(self, high: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """The box vectors at positions at of the block of prefix rows high."""
+        n = len(self.groups)
+        return np.hstack([high[at // n], _digits(at % n, self.free, self.b)])
+
+
+def _box_pairings(rows, b: int) -> _Walk:
     """H-, the half of [-b, b]^k (k the width of the rows) whose first
-    nonzero entry is negative, as int64 blocks (vecs, vecs @ rows.T), vecs
-    in lexicographic order, each within _BLOCK_BYTES. The bound, the int64
-    reach and the size of the whole box are checked on the call, before
-    any block.
+    nonzero entry is negative, walked over the distinct pairings of its
+    digit table (see _Walk). The bound, the int64 reach and the size of
+    the whole box are checked on the call, before any block.
 
     Index i of the lexicographic walk of the box, (2b+1)^k = N vectors,
     is the vector -v for the v at index N-1-i. So the walk is H-, its
@@ -80,13 +161,23 @@ def _box_pairings(rows, b: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
 
     Blocks follow one rule. free is the largest number of trailing
     coordinates whose (2b+1)^free rows fit in a block; it is 0 when one
-    coordinate's range alone is over the budget. Their digit table is
-    built once, and a block is one prefix of the other k - free
-    coordinates broadcast over it; when free = 0 a block is instead a
-    block's worth of consecutive vectors. The last block is cut where H-
-    ends, (N-1)/2 vectors in, so the zero vector needs no branch."""
+    coordinate's range alone is over the budget. Their table pairings
+    rows_low . low are built once, as outer sums with no digit table,
+    and deduplicated by _ray_order, each distinct value numbered by its
+    first table row. A block is one prefix of the other k - free
+    coordinates over the table; when free = 0 the table is one empty row
+    and a block is a block's worth of prefixes, so t is the same outer
+    sum. t needs no per-vector product: its rows hold the d distinct
+    pairings, not the n table rows (U3 at B=3: 1,183 of 16,807). The last
+    block is cut where H- ends, (N-1)/2 vectors in, so the zero vector
+    needs no branch; the groups whose first row lies before the cut are a
+    prefix of t, as firsts ascend.
+
+    Every partial sum of t = rows_low . low + rows_high . high is one of
+    rows . v, and so at most max|rows|*B*k in absolute value: the bound
+    the int64 check takes."""
     if b < 1:
-        raise InvalidBound("box_bound must be >= 1")
+        raise InvalidBound(f"box_bound must be >= 1, got {b}")
     k = len(rows[0])
     rows = _int64(rows, b * k, "max|rows|*B*k")
     side = 2 * b + 1
@@ -100,22 +191,21 @@ def _box_pairings(rows, b: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         free -= 1
     n, half = side ** free, (side ** k - 1) // 2
     step = 1 if free else per_block  # prefixes a block
-
-    def digits(start, stop, width):
-        # rows start..stop-1 of the lexicographic walk of [-b, b]^width
-        powers = side ** np.arange(width - 1, -1, -1, dtype=np.int64)
-        return np.arange(start, stop, dtype=np.int64)[:, None] // powers % side - b
+    table = _table(rows[:, k - free:].T, b)
+    lex, _, lex_groups = _ray_order(table)
+    rank = np.argsort(lex)  # the groups in order of their first table row
+    firsts = lex[rank]
+    pairings, rows_high = table[firsts], rows[:, :k - free].T
 
     def blocks():
-        low = digits(0, n, free)  # built once for every prefix
         last = -(-half // n)  # prefixes up to the one where H- ends
         for p in range(0, last, step):
-            high = digits(p, min(p + step, last), k - free)
-            vecs = np.empty((min(len(high) * n, half - p * n), k), dtype=np.int64)
-            vecs[:, :k - free] = high  # one prefix, or a row a vector if free = 0
-            vecs[:, k - free:] = low[:len(vecs)]
-            yield vecs, vecs @ rows.T
-    return blocks()
+            high = _digits(np.arange(p, min(p + step, last), dtype=np.int64), k - free, b)
+            full = len(high) - 1  # prefixes before the last: wholly in H-
+            m = min(len(high) * n, half - p * n)
+            cut = full * len(firsts) + np.searchsorted(firsts, m - full * n)
+            yield high, m, (pairings + (high @ rows_high)[:, None]).reshape(-1, 3)[:cut]
+    return _Walk(b, free, np.argsort(rank)[lex_groups], firsts, pairings, blocks())
 
 
 def _cross(a, b):
@@ -141,7 +231,7 @@ class TwistorPoint:
     def from_ray(a, b, c) -> "TwistorPoint":
         fr = vector((a, b, c))
         if fr == (0, 0, 0):
-            raise InvariantViolation("zero ray is not a twistor point")
+            raise InvariantViolation(f"zero ray is not a twistor point: ({a!r}, {b!r}, {c!r})")
         d = x = primitive(clear_denominators(fr))
         try:
             n = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
@@ -216,8 +306,11 @@ def pi_map(lattice: GramLattice, triple: HyperTriple, omega) -> PositiveClass:
     rows, _ = pairing_rows(lattice, triple)
     omega = vector(omega)
     cleared = clear_denominators(omega)  # a positive multiple: same sign of q
-    if q_eval(lattice, cleared, cleared) <= 0:
-        raise NotPositive("pi_map needs q(omega, omega) > 0")
+    q = q_eval(lattice, cleared, cleared)
+    if q <= 0:  # q(omega, omega) is q / lcm(denominators)^2
+        scale = math.lcm(*(e.denominator for e in omega))
+        raise NotPositive(f"pi_map needs q(omega, omega) > 0, got q = {q / scale ** 2} "
+                          f"for omega = ({', '.join(map(str, omega))})")
     t = dot_rows(rows, cleared)
     return PositiveClass(vec=omega, point=TwistorPoint.from_ray(*t))
 
@@ -326,14 +419,18 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
     witness with sine of the collinearity angle below 1e-9; absence is
     reported as general type up to the bound, not as a proof. Only H-,
     the vectors before 0, is searched: -v is a witness when v is, so the
-    first witness of the box lies there. A box of more than 10^9 vectors
-    raises InvalidBound, and one whose int64 products could wrap raises
-    Unsupported.
+    first witness of the box lies there. The test runs once per distinct
+    pairing of a block (_box_pairings), on the integer t that every box
+    vector of the group projects to, so each vector gets the verdict it
+    would get alone; the groups follow their first vectors, so the first
+    passing group holds the first witness, and only its digits are
+    built. A box of more than 10^9 vectors raises InvalidBound, and one
+    whose int64 products could wrap raises Unsupported.
     """
     rows, _ = pairing_rows(lattice, triple)
     bound = integer(bound, "bound")
     if bound < 1:
-        raise InvalidBound("bound must be >= 1")
+        raise InvalidBound(f"bound must be >= 1, got {bound}")
 
     if point.is_exact:
         # witnesses v solve (rows . v) x d = 0: one cross product per column
@@ -349,16 +446,18 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
         witness = min(candidates, key=lambda v: (max(abs(e) for e in v), v))
         return GeneralTypeVerdict(witness=witness)
 
-    # bounded mode: floating direction
-    for vecs, t in _box_pairings(rows, bound):
+    # bounded mode: floating direction, on the distinct pairings of each block
+    walk = _box_pairings(rows, bound)
+    for high, _, t in walk.blocks:
         t = t.astype(float)
         n = np.sqrt((t * t).sum(axis=1))
         c = np.cross(t, point.unit)
         with np.errstate(divide="ignore", invalid="ignore"):
             sine = np.sqrt((c * c).sum(axis=1)) / n
         hits = np.flatnonzero((n > 0.0) & (sine <= 1e-9))
-        if hits.size:
-            return GeneralTypeVerdict(witness=tuple(vecs[hits[0]].tolist()))
+        if hits.size:  # rows follow their first vectors: the first hit is the first
+            witness = walk.vectors(high, walk.position(hits[:1]))[0]
+            return GeneralTypeVerdict(witness=tuple(witness.tolist()))
     return GeneralTypeVerdict(witness=None, bound=bound)
 
 

@@ -312,8 +312,10 @@ class TestDensity:
 
 
     @pytest.mark.parametrize("args,message", [
-        (("--bound", "0"), "box_bound must be >= 1"),
-        (("--bound", "2", "--grid", "1"), "grid_resolution must be >= 2"),
+        pytest.param(("--bound", "0"), "box_bound must be >= 1, got 0",
+                     id="args0-box_bound must be >= 1"),
+        pytest.param(("--bound", "2", "--grid", "1"), "grid_resolution must be >= 2, got 1",
+                     id="args1-grid_resolution must be >= 2"),
         # used to ask numpy for the whole 1.6e9-point grid
         (("--bound", "2", "--grid", "40000"),
          "grid_resolution 40000 gives 1600000000 grid points, more than 1000000000"),

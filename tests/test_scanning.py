@@ -17,6 +17,8 @@ from twistorlat import (
     HyperTriple,
     InvalidBound,
     InvalidSignature,
+    InvariantViolation,
+    NotPositive,
     PointCloud,
     TwistorLatticeError,
     TwistorPoint,
@@ -33,8 +35,8 @@ from twistorlat import (
 )
 from twistorlat import scanning, twistor
 from twistorlat.linalg import pairing_rows, signature
-from twistorlat.scanning import _ray_order, fibonacci_sphere
-from twistorlat.twistor import _box_pairings
+from twistorlat.scanning import fibonacci_sphere
+from twistorlat.twistor import _box_pairings, _ray_order
 
 U3, TRIPLE = load_lattice("U3")
 K3, K3_TRIPLE = load_lattice("K3")
@@ -49,9 +51,19 @@ def rows_of_width(k):
     return [[1] * k, list(range(k)), [(-1) ** j * (j + 2) for j in range(k)]]
 
 
+def walk_blocks(walk):
+    """The blocks of a walk as (vecs, t): the m box vectors of H- in each
+    block, rebuilt from its prefix rows high and the digit table, and the
+    pairing of each, the row of t of its table row's group."""
+    n, d = len(walk.groups), len(walk.firsts)
+    for high, m, t in walk.blocks:
+        at = np.arange(m)
+        yield walk.vectors(high, at), t[at // n * d + walk.groups[at % n]]
+
+
 def box_rows(k, b):
     """Every row of the box blocks, in order, as tuples."""
-    return [tuple(row) for vecs, _ in _box_pairings(rows_of_width(k), b)
+    return [tuple(row) for vecs, _ in walk_blocks(_box_pairings(rows_of_width(k), b))
             for row in vecs.tolist()]
 
 
@@ -86,12 +98,16 @@ class TestBoxVectors:
         box_pairings = scanning._box_pairings
 
         def recording(rows, b):
-            blocks.extend(box_pairings(rows, b))
-            return iter(blocks)
+            walk = box_pairings(rows, b)
+            blocks.extend(walk.blocks)
+            return walk._replace(blocks=iter(blocks))
 
         monkeypatch.setattr(scanning, "_box_pairings", recording)
         scan_algebraic(K3, K3_TRIPLE, 1, (0, 1))
-        assert [(vecs.shape, t.shape) for vecs, t in blocks] == [((4, 2), (4, 3))]
+        # one block: no prefix coordinate, and the 4 vectors of H- of a
+        # table of 9 rows; t = (x0 + x1, 0, 0) takes 5 values on the table,
+        # 3 of them first on those 4 rows
+        assert [(high.shape, m, t.shape) for high, m, t in blocks] == [((1, 0), 4, (3, 3))]
 
     def test_no_repeats_lexicographic(self):
         vecs = box_rows(3, 2)
@@ -105,11 +121,12 @@ class TestBoxVectors:
         monkeypatch.setattr(twistor, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
         # the full walk's 25, 1 and 5 blocks, up to the one where H- ends
         for k, b, n_blocks in ((6, 2, 13), (3, 1, 1), (5, 2, 3)):
-            blocks = list(_box_pairings(rows_of_width(k), b))
+            blocks = list(_box_pairings(rows_of_width(k), b).blocks)
             assert len(blocks) == n_blocks
-            assert all(vecs.dtype == t.dtype == np.int64 for vecs, t in blocks)
+            assert all(high.dtype == t.dtype == np.int64 for high, _, t in blocks)
             assert box_rows(k, b) == reference_half(k, b)
-            assert [tuple(row) for _, t in blocks for row in t.tolist()] == [
+            pairings = walk_blocks(_box_pairings(rows_of_width(k), b))
+            assert [tuple(row) for _, t in pairings for row in t.tolist()] == [
                 tuple(sum(r * e for r, e in zip(row, v)) for row in rows_of_width(k))
                 for v in reference_half(k, b)]
 
@@ -118,11 +135,13 @@ class TestBoxVectors:
         # 64 bytes hold 8 // k rows, fewer than the 21 values of one
         # coordinate at B=10: the last coordinate's range is cut into chunks
         monkeypatch.setattr(twistor, "_BLOCK_BYTES", 64)
-        blocks = [vecs for vecs, _ in _box_pairings(rows_of_width(k), 10)]
-        assert all(1 < len(vecs) and vecs.nbytes <= 64 for vecs in blocks)
+        blocks = list(_box_pairings(rows_of_width(k), 10).blocks)
+        assert all(1 < len(high) and high.nbytes <= 64 for high, _, _ in blocks)
         assert box_rows(k, 10) == reference_half(k, 10)
-        # no coordinate fits: blocks of 8 // k consecutive vectors of H-
-        assert [len(vecs) for vecs in blocks] == {1: [8, 2], 2: [4] * 55}[k]
+        # no coordinate fits: blocks of 8 // k consecutive vectors of H-,
+        # each a prefix row over the one empty row of the table
+        assert [m for _, m, _ in blocks] == {1: [8, 2], 2: [4] * 55}[k]
+        assert all(len(t) == m == len(high) for high, m, t in blocks)
 
     @pytest.mark.parametrize("block_bytes", [64, 4096, TINY_BLOCK_BYTES, None])
     def test_block_rule(self, block_bytes, monkeypatch):
@@ -138,12 +157,55 @@ class TestBoxVectors:
             per_block = twistor._BLOCK_BYTES // (8 * k)
             free = max(f for f in range(k + 1) if side ** f <= per_block)
             size = side ** free if free else per_block
-            blocks = [vecs for vecs, _ in _box_pairings(rows_of_width(k), b)]
-            lengths = [len(vecs) for vecs in blocks]
+            walk = _box_pairings(rows_of_width(k), b)
+            assert walk.free == free and len(walk.groups) == side ** free
+            if not free:  # the table is one empty row
+                assert walk.groups.tolist() == walk.firsts.tolist() == [0]
+                assert walk.pairings.tolist() == [[0, 0, 0]]
+            blocks = list(walk.blocks)
+            lengths = [m for _, m, _ in blocks]
             assert lengths[:-1] == [size] * (len(blocks) - 1)
             assert 0 < lengths[-1] <= size
             assert sum(lengths) == (side ** k - 1) // 2
-            assert all(vecs.nbytes <= twistor._BLOCK_BYTES for vecs in blocks)
+            # what a block materializes: its prefix rows, and a row of t
+            # for each distinct pairing (at most one a vector)
+            assert all(high.nbytes <= twistor._BLOCK_BYTES and len(t) <= per_block
+                       for high, _, t in blocks)
+            # t holds the groups whose first vector lies in H-: all of them
+            # in every block but the last
+            d = len(walk.firsts)
+            assert [len(t) for _, _, t in blocks[:-1]] == [
+                len(high) * d for high, _, _ in blocks[:-1]]
+            high, m, t = blocks[-1]
+            assert len(t) == np.count_nonzero(walk.position(np.arange(len(high) * d)) < m)
+
+    @given(k=st.integers(1, 5), b=st.integers(1, 3),
+           block_bytes=st.sampled_from([64, 4096, TINY_BLOCK_BYTES, None]),
+           data=st.data())
+    def test_table_pairings_are_the_distinct_digit_pairings(self, k, b, block_bytes, data):
+        # pairings, firsts and groups are a first-occurrence dedup of
+        # digits @ rows_low.T over the table's digits; entries up to 2^40
+        # are too large for the packed key
+        rows = data.draw(st.lists(st.lists(st.integers(-2 ** 40, 2 ** 40), min_size=k,
+                                           max_size=k), min_size=3, max_size=3))
+        with pytest.MonkeyPatch.context() as mp:
+            if block_bytes:
+                mp.setattr(twistor, "_BLOCK_BYTES", block_bytes)
+            walk = _box_pairings(rows, b)
+            per_block = twistor._BLOCK_BYTES // (8 * k)
+        side = 2 * b + 1
+        free = max(f for f in range(k + 1) if side ** f <= per_block)
+        assert walk.free == free
+        digits = np.array(list(itertools.product(range(-b, b + 1), repeat=free)),
+                          dtype=np.int64).reshape(side ** free, free)
+        pairings = (digits @ np.array(rows, dtype=np.int64)[:, k - free:].T).tolist()
+        first = {}
+        for i, pairing in enumerate(map(tuple, pairings)):
+            first.setdefault(pairing, i)
+        position = {pairing: g for g, pairing in enumerate(first)}
+        assert walk.firsts.tolist() == list(first.values())
+        assert walk.pairings.tolist() == [list(pairing) for pairing in first]
+        assert walk.groups.tolist() == [position[tuple(row)] for row in pairings]
 
     def test_invalid_bound(self):
         with pytest.raises(InvalidBound, match="box_bound must be >= 1"):
@@ -152,10 +214,10 @@ class TestBoxVectors:
     def test_box_size_guard(self):
         # 9^6 = 531441, the largest box the suite and the bench walk: H- is
         # (9^6 - 1) / 2 of it
-        assert (sum(len(vecs) for vecs, _ in _box_pairings(rows_of_width(6), 4))
+        assert (sum(m for _, m, _ in _box_pairings(rows_of_width(6), 4).blocks)
                 == (9 ** 6 - 1) // 2)
         with pytest.raises(InvalidBound, match=r"B=1 over k=22 .* 31381059609"):
-            next(_box_pairings(rows_of_width(22), 1))
+            _box_pairings(rows_of_width(22), 1)
 
     def test_k3_bounded_search_fails_fast(self):
         point = TwistorPoint.from_unit(1.0, math.sqrt(2.0), 0.3)
@@ -368,7 +430,7 @@ def test_clouds_independent_of_block_budget(scan, both_signs, monkeypatch):
 
     default = entries()
     monkeypatch.setattr(twistor, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
-    assert len(list(_box_pairings(pairing_rows(U3, TRIPLE)[0], 2))) == 13
+    assert len(list(_box_pairings(pairing_rows(U3, TRIPLE)[0], 2).blocks)) == 13
     assert entries() == default == reference_cloud(both_signs)
 
 
@@ -523,9 +585,9 @@ def test_frozen_enumeration_order(scan, digest):
 ])
 def test_ray_order(rays, order):
     # the first and the last index of each distinct row, in lexicographic
-    # row order
+    # row order, and the position of each row's distinct row in that order
     rays = np.array(rays, dtype=np.int64).reshape(-1, 3)
-    firsts, lasts = _ray_order(rays)
+    firsts, lasts, groups = _ray_order(rays)
     assert firsts.tolist() == order
     first, last = {}, {}
     for i, row in enumerate(map(tuple, rays.tolist())):
@@ -533,6 +595,7 @@ def test_ray_order(rays, order):
         last[row] = i
     assert order == [first[row] for row in sorted(first)]
     assert lasts.tolist() == [last[row] for row in sorted(last)]
+    assert groups.tolist() == [sorted(first).index(row) for row in map(tuple, rays.tolist())]
 
 
 # a cloud whose entries are too large for the packed int64 key
@@ -729,6 +792,48 @@ def test_non_integer_argument_rejected(call, message):
     # or TypeError
     with pytest.raises(TwistorLatticeError, match=re.escape(f"{message} is not an integer")):
         call()
+
+
+EMPTY_CLOUD = PointCloud(np.empty((0, 3), dtype=np.int64), np.empty((0, 6), dtype=np.int64))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: scan_algebraic(U3, TRIPLE, -3), InvalidBound, "box_bound must be >= 1, got -3"),
+    (lambda: is_general_type(U3, TRIPLE, GT_POINTS[1], bound=-2), InvalidBound,
+     "bound must be >= 1, got -2"),
+    (lambda: covering_radius(scan_algebraic(U3, TRIPLE, 1), -7), InvalidBound,
+     "grid_resolution must be >= 2, got -7"),
+    (lambda: pi_map(U3, TRIPLE, ("1/2", "-1/3", 0, 0, 0, 0)), NotPositive,
+     "got q = -1/3 for omega = (1/2, -1/3, 0, 0, 0, 0)"),
+    (lambda: TwistorPoint.from_ray(0, "0/5", 0), InvariantViolation,
+     "zero ray is not a twistor point: (0, '0/5', 0)"),
+    (lambda: covering_radius(EMPTY_CLOUD, 100), EmptyCloud,
+     "0 rays, witnesses of shape (0, 6)"),
+])
+def test_error_names_its_input(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_general_type(U3, TRIPLE, TwistorPoint.from_unit(1.0, 2 ** 0.5, 0.3), 3),
+    lambda: scan_algebraic(K3, K3_TRIPLE, 2, range(8)),
+    lambda: scan_non_general_type(U3, TRIPLE, 3),
+], ids=["bounded-U3-B3", "algebraic-K3-mask8-B2", "ngt-U3-B3"])
+def test_walk_memory_within_two_blocks_and_the_cloud(call):
+    # the walk's tables are per call and the scans hold one block's rays
+    # at a time, so nothing outgrows two block budgets and the result
+    call()  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = (result.dirs.nbytes + result.witnesses.nbytes
+            if isinstance(result, PointCloud) else 0)
+    assert peak <= 2 * twistor._BLOCK_BYTES + held
 
 
 class TestEmission:

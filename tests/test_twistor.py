@@ -322,7 +322,7 @@ class TestGeneralType:
         # it, also when H- is searched in 13 blocks
         if block_bytes:
             monkeypatch.setattr(twistor, "_BLOCK_BYTES", block_bytes)
-            blocks = twistor._box_pairings(pairing_rows(U3, TRIPLE)[0], 2)
+            blocks = twistor._box_pairings(pairing_rows(U3, TRIPLE)[0], 2).blocks
             assert len(list(blocks)) == 13
 
         def collinear(t, d):
