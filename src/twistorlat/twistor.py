@@ -70,23 +70,17 @@ def _int64(matrix, reach: int, bound: str) -> np.ndarray:
     return np.array(matrix, dtype=np.int64)
 
 
-def _ray_keys(rays: np.ndarray) -> np.ndarray:
-    """One key per row of an (n, 3) integer array; keys sort as the rows
-    do, lexicographically, and are equal exactly when the rows are."""
-    m = int(np.abs(rays).max(initial=0))
-    base = 2 * m + 1
-    if base ** 3 <= np.iinfo(np.int64).max:  # digits below base: keys sort as rows
-        return ((rays[:, 0] + m) * base + rays[:, 1] + m) * base + rays[:, 2] + m
-    # too large to pack into one int64: records sort as rows too
-    return np.ascontiguousarray(rays).view([("", np.int64)] * 3).ravel()
-
-
 def _ray_order(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(firsts, lasts, groups): the index of the first and of the last
     occurrence of each distinct row of an (n, 3) integer array, in
     lexicographic order of the rows, and for each row the position of
-    its distinct row in that order, from one stable sort of _ray_keys."""
-    keys = _ray_keys(rays)
+    its distinct row in that order, from one stable sort of the row keys."""
+    m = int(np.abs(rays).max(initial=0))
+    base = 2 * m + 1
+    if base ** 3 <= np.iinfo(np.int64).max:  # digits below base: keys sort as rows
+        keys = ((rays[:, 0] + m) * base + rays[:, 1] + m) * base + rays[:, 2] + m
+    else:  # too large to pack into one int64: records sort as rows too
+        keys = np.ascontiguousarray(rays).view([("", np.int64)] * 3).ravel()
     order = np.argsort(keys, kind="stable")  # equal rows keep their order
     keys = keys[order]
     edge = np.ones(len(keys) + 1, dtype=bool)  # edge[i]: a run ends before i

@@ -822,8 +822,8 @@ def test_error_names_its_input(call, error, message):
     lambda: scan_non_general_type(U3, TRIPLE, 3),
 ], ids=["bounded-U3-B3", "algebraic-K3-mask8-B2", "ngt-U3-B3"])
 def test_walk_memory_within_two_blocks_and_the_cloud(call):
-    # the walk's tables are per call and the scans hold one block's rays
-    # at a time, so nothing outgrows two block budgets and the result
+    # the walk's tables are built per call, within the block budget, and
+    # no cache keeps them: the peak stays within two budgets and the result
     call()  # numpy's first-call allocations
     tracemalloc.start()
     try:
