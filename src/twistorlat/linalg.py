@@ -40,12 +40,16 @@ from .errors import (
 
 Vector = tuple[Fraction, ...]
 
+_ZERO = Fraction(0)  # immutable, so every int 0 entry can share it
+
 
 def vector(entries) -> Vector:
     """Coerce a sequence of ints, Fractions and 'p/q' strings to a Vector;
-    any other entry (a float, bool, None, ...) is an error, not rounded."""
-    return tuple(e if type(e) is Fraction else Fraction(e) if type(e) is int
-                 else _rational(e) for e in entries)
+    any other entry (a float, bool, None, ...) is an error, not rounded.
+    An int 0 becomes one shared Fraction(0): lattice classes are sparse."""
+    return tuple(e if type(e) is Fraction else
+                 (Fraction(e) if e else _ZERO) if type(e) is int else
+                 _rational(e) for e in entries)
 
 
 def _rational(e) -> Fraction:
@@ -68,12 +72,9 @@ def clear_denominators(v: Vector) -> tuple[int, ...]:
 
 def primitive(v) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (sign kept)."""
-    g = 0
-    for e in v:
-        g = gcd(g, abs(int(e)))
-    if g == 0:
-        return tuple(int(e) for e in v)
-    return tuple(int(e) // g for e in v)
+    v = tuple(map(int, v))
+    g = gcd(*v)
+    return tuple(e // g for e in v) if g else v
 
 
 @dataclass(frozen=True)
@@ -277,7 +278,7 @@ class HyperTriple:
     @staticmethod
     def from_rows(rows) -> "HyperTriple":
         if len(rows) != 3:
-            raise InvalidTriple("a triple needs exactly three vectors")
+            raise InvalidTriple(f"a triple needs exactly three vectors, got {len(rows)}")
         return HyperTriple(*(vector(r) for r in rows))
 
     @property
@@ -287,19 +288,21 @@ class HyperTriple:
     def validate(self, lattice: GramLattice) -> Fraction:
         """Check orthogonality and equal positive norms; return the norm."""
         ws = self.vectors
-        for w in ws:
+        for a, w in enumerate(ws):
             if len(w) != lattice.rank:
-                raise InvalidTriple("triple vector length differs from rank")
+                raise InvalidTriple(f"triple vector length differs from rank: vector {a} "
+                                    f"has length {len(w)}, rank is {lattice.rank}")
         norms = [q_eval(lattice, w, w) for w in ws]
         if norms[0] <= 0:
-            raise InvalidTriple("triple vectors must have positive norm")
+            raise InvalidTriple(f"triple vectors must have positive norm, got {norms[0]}")
         if not (norms[0] == norms[1] == norms[2]):
             raise InvalidTriple(f"triple norms differ: {norms}")
         for a in range(3):
             for b in range(a + 1, 3):
-                if q_eval(lattice, ws[a], ws[b]) != 0:
+                q = q_eval(lattice, ws[a], ws[b])
+                if q != 0:
                     raise InvalidTriple(
-                        f"triple vectors {a} and {b} are not q-orthogonal")
+                        f"triple vectors {a} and {b} are not q-orthogonal: q = {q}")
         return norms[0]
 
 

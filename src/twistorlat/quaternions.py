@@ -105,7 +105,7 @@ def _dim(n) -> int:
 def _check_shape(n, mat) -> None:
     d = _dim(n)
     if np.shape(mat) != (d, d):
-        raise DimensionMismatch(f"expected {d}x{d} matrix")
+        raise DimensionMismatch(f"expected {d}x{d} matrix, got shape {np.shape(mat)}")
 
 
 def _block_diag(mat4: np.ndarray, n: int) -> np.ndarray:
@@ -171,7 +171,8 @@ def induced_two_form(L: ComplexStructureMatrix) -> TwoForm:
 def su2_act_on_form(g: SU2Element, f: TwoForm) -> TwoForm:
     """Pullback of the form along the action of g."""
     if g.n != f.n:
-        raise DimensionMismatch("SU(2) element and form live on different spaces")
+        raise DimensionMismatch(
+            f"SU(2) element and form live on different spaces: n = {g.n} and n = {f.n}")
     return TwoForm(n=f.n, mat=g.rep.T @ f.mat @ g.rep)
 
 

@@ -216,6 +216,10 @@ class TwistorPoint:
 
     dir: primitive signed integer ray, or None for an irrational point.
     unit: floating unit representative dir/|dir|.
+
+    from_ray parses rational entries; the package's own int rays (pi_map,
+    antipode) skip the parse and go straight to _from_ints, which alone
+    computes the ray and its unit.
     """
 
     dir: Optional[tuple[int, int, int]]
@@ -223,10 +227,15 @@ class TwistorPoint:
 
     @staticmethod
     def from_ray(a, b, c) -> "TwistorPoint":
-        fr = vector((a, b, c))
-        if fr == (0, 0, 0):
-            raise InvariantViolation(f"zero ray is not a twistor point: ({a!r}, {b!r}, {c!r})")
-        d = x = primitive(clear_denominators(fr))
+        return TwistorPoint._from_ints(clear_denominators(vector((a, b, c))), (a, b, c))
+
+    @staticmethod
+    def _from_ints(t, given=None) -> "TwistorPoint":
+        """The point of the ray of an int triple t; given, the arguments
+        that t was parsed from, names a zero ray."""
+        if not any(t):
+            raise InvariantViolation(f"zero ray is not a twistor point: {given or t!r}")
+        d = x = primitive(t)
         try:
             n = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
         except OverflowError:  # |d|^2 past the float range; int / int is correctly rounded
@@ -296,34 +305,45 @@ def pi_map(lattice: GramLattice, triple: HyperTriple, omega) -> PositiveClass:
     With the pairing rows of the triple, that is the ray of
     t = rows . omega itself, by construction: for L = t / gcd(t),
     q(omega, omega_L) is a positive multiple of |t|^2. The kernel checks
-    the signature first: V-perp is negative definite, so t != 0."""
+    the signature first: V-perp is negative definite, so t != 0.
+
+    An omega of ints (type int: not bools, not numpy ints) is its own
+    cleared multiple, so q and t are taken on it directly, in ints; only
+    the returned vec is made of Fractions, on either path."""
     rows, _ = pairing_rows(lattice, triple)
-    omega = vector(omega)
-    cleared = clear_denominators(omega)  # a positive multiple: same sign of q
+    omega = tuple(omega)
+    if all(type(e) is int for e in omega):
+        cleared = omega
+    else:
+        omega = vector(omega)
+        cleared = clear_denominators(omega)  # a positive multiple: same sign of q
     q = q_eval(lattice, cleared, cleared)
     if q <= 0:  # q(omega, omega) is q / lcm(denominators)^2
         scale = math.lcm(*(e.denominator for e in omega))
         raise NotPositive(f"pi_map needs q(omega, omega) > 0, got q = {q / scale ** 2} "
                           f"for omega = ({', '.join(map(str, omega))})")
-    t = dot_rows(rows, cleared)
-    return PositiveClass(vec=omega, point=TwistorPoint.from_ray(*t))
+    return PositiveClass(vec=vector(omega),
+                         point=TwistorPoint._from_ints(dot_rows(rows, cleared)))
 
 
 def antipode(point: TwistorPoint) -> TwistorPoint:
-    if point.dir is not None:
-        return TwistorPoint.from_ray(*(-e for e in point.dir))
+    if point.dir is not None:  # -dir is primitive too
+        return TwistorPoint._from_ints(tuple(-e for e in point.dir))
     return TwistorPoint(dir=None, unit=tuple(-e for e in point.unit))
 
 
 def hodge_type_11(lattice: GramLattice, triple: HyperTriple, x,
                   point: TwistorPoint) -> bool:
     """Whether x has Hodge type (1,1) at the point: the projection of x
-    onto V is an exact rational multiple (possibly zero) of the ray."""
-    x = vector(x)
+    onto V is an exact rational multiple (possibly zero) of the ray.
+    An x of ints is its own cleared multiple and builds no Fraction."""
+    x = tuple(x)
+    if not all(type(e) is int for e in x):
+        x = clear_denominators(vector(x))
     rows, _ = pairing_rows(lattice, triple)
     lattice.check_length(x)
     d = point.require_exact()
-    return _cross(dot_rows(rows, clear_denominators(x)), d) == (0, 0, 0)
+    return _cross(dot_rows(rows, x), d) == (0, 0, 0)
 
 
 def two_zero_plane(triple: HyperTriple, point: TwistorPoint):

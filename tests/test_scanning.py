@@ -17,6 +17,7 @@ from twistorlat import (
     HyperTriple,
     InvalidBound,
     InvalidSignature,
+    InvalidTriple,
     InvariantViolation,
     NotPositive,
     PointCloud,
@@ -35,6 +36,7 @@ from twistorlat import (
 )
 from twistorlat import scanning, twistor
 from twistorlat.linalg import pairing_rows, signature
+from twistorlat.quaternions import Quaternion, SU2Element, TwoForm, su2_act_on_form
 from twistorlat.scanning import fibonacci_sphere
 from twistorlat.twistor import _box_pairings, _ray_order
 
@@ -809,6 +811,20 @@ EMPTY_CLOUD = PointCloud(np.empty((0, 3), dtype=np.int64), np.empty((0, 6), dtyp
      "zero ray is not a twistor point: (0, '0/5', 0)"),
     (lambda: covering_radius(EMPTY_CLOUD, 100), EmptyCloud,
      "0 rays, witnesses of shape (0, 6)"),
+    (lambda: HyperTriple.from_rows(TRIPLE.vectors[:2]), InvalidTriple,
+     "a triple needs exactly three vectors, got 2"),
+    (lambda: HyperTriple(TRIPLE.w_i, TRIPLE.w_j, TRIPLE.w_k[:5]).validate(U3), InvalidTriple,
+     "triple vector length differs from rank: vector 2 has length 5, rank is 6"),
+    (lambda: HyperTriple.from_rows([[1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0],
+                                    [0, 0, 0, 0, 1, 0]]).validate(U3), InvalidTriple,
+     "triple vectors must have positive norm, got 0"),
+    (lambda: HyperTriple(TRIPLE.w_i, TRIPLE.w_j, TRIPLE.w_i).validate(U3), InvalidTriple,
+     "triple vectors 0 and 2 are not q-orthogonal: q = 2"),
+    (lambda: TwoForm(n=1, mat=np.zeros((3, 4))), DimensionMismatch,
+     "expected 4x4 matrix, got shape (3, 4)"),
+    (lambda: su2_act_on_form(SU2Element.from_quaternion(Quaternion(1.0, 0.0, 0.0, 0.0), 2),
+                             TwoForm(n=1, mat=np.zeros((4, 4)))), DimensionMismatch,
+     "SU(2) element and form live on different spaces: n = 2 and n = 1"),
 ])
 def test_error_names_its_input(call, error, message):
     with pytest.raises(error) as info:
