@@ -211,9 +211,11 @@ def integer_kernel(rows) -> list[tuple[int, ...]]:
     moves like any column, so the basis order is that of the full
     reduction. Every other column combines only nonzero columns of A, so
     its identity part is kept on those live coordinates alone; the basis
-    is scattered into length-n tuples once, at the end.
+    is scattered into length-n tuples once, at the end. An entry that is
+    not an integer (a float, string or bool) is an error, not truncated.
     """
-    a = [[int(e) for e in row] for row in rows]
+    a = [[e if type(e) is int else integer(e, f"kernel entry ({i}, {j})")
+          for j, e in enumerate(row)] for i, row in enumerate(rows)]
     if not a:
         return []
     m, n = len(a), len(a[0])
@@ -334,21 +336,21 @@ def dot_rows(rows, x) -> tuple:
     return tuple(sum(map(operator.mul, row, x)) for row in rows)
 
 
-def project_to_V(lattice: GramLattice, triple: HyperTriple, x: Vector):
+def project_to_V(lattice: GramLattice, triple: HyperTriple, x):
     """Coefficients (a, b, c) of the q-orthogonal projection of x onto V,
     so p(x) = a w_I + b w_J + c w_K and x - p(x) is q-orthogonal to V."""
     rows, scale = pairing_rows(lattice, triple)
+    x = vector(x)
     lattice.check_length(x)
     return tuple(scale * t for t in dot_rows(rows, x))
 
 
 def expand_in_V(triple: HyperTriple, coeffs) -> Vector:
     """The lattice-coordinate vector a w_I + b w_J + c w_K."""
-    a, b, c = (Fraction(e) for e in coeffs)
-    return tuple(
-        a * wi + b * wj + c * wk
-        for wi, wj, wk in zip(triple.w_i, triple.w_j, triple.w_k)
-    )
+    coeffs = vector(coeffs)
+    if len(coeffs) != 3:
+        raise DimensionMismatch(f"expand_in_V needs 3 coefficients, got {len(coeffs)}")
+    return dot_rows(zip(*triple.vectors), coeffs)
 
 
 def perp_V_basis(lattice: GramLattice, triple: HyperTriple):

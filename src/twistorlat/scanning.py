@@ -3,25 +3,25 @@
 Scans walk H-, the half of the box of the masked coordinates whose
 first nonzero entry is negative, in the int64 blocks of
 twistor._box_pairings, and collect the exact signed rays of the
-projections onto V, each with its first witness in the whole box: that
-box is H-, 0, -reverse(H-), so its rays follow from each block's first
-and last occurrence of each ray in H-. A block comes as the distinct
-projections of its vectors, one a group of its digit table, so gcd,
-ray division and the ray dedup run on those d rows, not on every
-vector; the algebraic scan's positivity is a sum of per-table and
-per-prefix terms, and witnesses are built only for the vectors kept.
-One key, twistor._ray_order, decides ray equality and ray order
-(emission): one stable sort of the keys gives the first and the last
-index of each distinct ray. A cloud is two int64 arrays, the distinct
-rays and their witnesses; TwistorPoints are built only when it is
-iterated. Covering radius against a Fibonacci-sphere grid is the
-desk-scale measure of density. The grid is built a block of rows at a
-time and is sorted by y, so each block is compared only with the cloud
-points in a y-band around it; rows with no cloud point close enough
-fall back to the whole cloud, and the rows that decide the radius are
-recomputed in the blocks of the full grid-by-cloud product, so the
-radius is the same float as that product gives. No randomness anywhere
-in this module.
+projections onto V, each with its first witness in the whole box. A
+block comes as the distinct projections of its vectors, one a group of
+its digit table, so gcd and ray division run on those d rows, not on
+every vector; the algebraic scan's positivity is a sum of per-table and
+per-prefix terms. Each counting group gives two candidates, its ray and
+the negation, keyed by the index in the whole lexicographic box of a
+vector that gives them. After the walk, one twistor._ray_order pass
+over the candidates sorted by key keeps each ray's least key, and the
+witnesses of the cloud rows alone are the digits of those keys. The
+same key, _ray_order, sorts the clouds for emission. A cloud is two
+int64 arrays, the distinct rays and their witnesses; TwistorPoints are
+built only when it is iterated. Covering radius against a
+Fibonacci-sphere grid is the desk-scale measure of density. The grid is
+built a block of rows at a time and is sorted by y, so each block is
+compared only with the cloud points in a y-band around it; rows with no
+cloud point close enough fall back to the whole cloud, and the rows
+that decide the radius are recomputed in the blocks of the full
+grid-by-cloud product, so the radius is the same float as that product
+gives. No randomness anywhere in this module.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .twistor import (
     _MAX_BOX_VECTORS,
     TwistorPoint,
     _box_pairings,
+    _digits,
     _int64,
     _ray_order,
     _table,
@@ -89,15 +90,18 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
     each block (twistor._Walk): every row of t is a group of box vectors
     with one projection. A group counts from its first positive vector
     or, with both_signs, from its first vector if its projection is
-    nonzero, and up to its last positive vector. Among the groups of a
-    block with one ray, _ray_order keeps the one that counts first and,
-    one sign only, the one that counts last, with the box vector there as
-    witness. The whole box is H-, 0, -reverse(H-), so its first
-    occurrences are H-'s firsts, then its lasts negated in reverse order.
-    With both_signs, a ray s first occurs at the first vector of H- whose
-    ray is s or -s, a block first, which stands for its ray and then the
-    negation: the firsts alone, each doubled, give the cloud. Each ray
-    keeps its first witness in the whole box.
+    nonzero, and up to its last positive vector. A counting group of ray
+    r gives two candidates, r and -r, each keyed by the index in the
+    lexicographic box [-B, B]^k, N = (2B+1)^k vectors, of a vector that
+    gives it. Index N-1-i holds -v for the v at index i, so the whole box
+    is H-, 0, -reverse(H-). One sign only, r first occurs at the group's
+    first vector, key start + first, and -r at the negation of its last,
+    key N-1-(start + last). With both_signs every nonzero vector gives r
+    and then -r: keys 2(start + first) and 2(start + first) + 1. One
+    _ray_order pass over the candidates sorted by key keeps each ray's
+    least key. That key (halved with both_signs) is the index of the
+    ray's first witness in the whole box, so the witness is its digits:
+    an index past the middle already names -v.
 
     Positivity is separable over the table: with v = high + low,
     q(v, v) = Q_low + 2 P_low . high + q(high), where Q_low = q(low, low)
@@ -116,12 +120,11 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
             raise DimensionMismatch(f"mask index {i} out of range for rank {lattice.rank}")
     rows = [[row[i] for i in active] for row in full_rows]
     walk = _box_pairings(rows, bound)
-    n, d = len(walk.groups), len(walk.firsts)
+    n, d, k = len(walk.groups), len(walk.firsts), len(active)
     if not both_signs:
         # only the sign of q(v, v) is used, so the Gram content is divided out
         sub = [[lattice.gram[i][j] for j in active] for i in active]
         content = math.gcd(*(e for row in sub for e in row)) or 1
-        k = len(active)
         gram = _int64([[e // content for e in row] for row in sub],
                       (bound * k) ** 2, "max|G|*B^2*k^2").reshape(k, k)
         lo = k - walk.free  # the first table coordinate
@@ -129,16 +132,13 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
         q_low = (_table(gram[lo:, lo:], bound) * low).sum(axis=1)
         p_low, g_high = _table(gram[lo:, :lo], bound), gram[:lo, :lo]
 
-    # each block's first (and, one sign only, last) occurrence of each ray,
-    # with its witness; an empty block first, as a walk over no coordinate
-    # yields none
-    empty = np.empty((0, 3), np.int64), np.empty((0, len(active)), np.int64)
-    firsts, lasts = [empty], [empty]
-    held = (firsts,) if both_signs else (firsts, lasts)
-    for high, m, t in walk.blocks:
+    # the candidate rays and their keys; a walk over no coordinate yields
+    # no block, so the lists start with no candidate
+    keys, rays = [np.empty(0, np.int64)], [np.empty((0, 3), np.int64)]
+    for start, high, m, t in walk.blocks:
         g = np.gcd(np.gcd(t[:, 0], t[:, 1]), t[:, 2])  # nonnegative
         if both_signs:
-            first = last = walk.position(np.arange(len(t)))
+            first = walk.position(np.arange(len(t)))
         else:  # the positive vectors of H-, by position, and their groups
             q = q_low + 2 * (high @ p_low.T) + ((high @ g_high) * high).sum(axis=1)[:, None]
             at = np.flatnonzero(q.ravel()[:m] > 0)
@@ -149,18 +149,16 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
         # positive vectors are not in the negative definite V-perp: g > 0
         keep = g > 0 if both_signs else last >= 0
         r = t[keep] // g[keep, None]
-        for kept, at, which in zip(held, (first[keep], last[keep]), (0, 1)):
-            order = np.argsort(at)  # the groups as they count
-            index = order[np.sort(_ray_order(r[order])[which])]
-            kept.append((r[index], walk.vectors(high, at[index])))
-    rays, witnesses = (np.concatenate(a) for a in zip(
-        *firsts, *((-r[::-1], -w[::-1]) for r, w in reversed(lasts))))
-    if both_signs:  # +r, then -r, each with the witness of r
-        rays, witnesses = np.hstack([rays, -rays]).reshape(-1, 3), witnesses.repeat(2, 0)
-    first = np.sort(_ray_order(rays)[0])
-    full = np.zeros((len(first), lattice.rank), dtype=np.int64)  # rank-r witnesses
-    full[:, active] = witnesses[first]
-    return PointCloud(rays[first], full)
+        first = start + first[keep]
+        keys += ([2 * first, 2 * first + 1] if both_signs
+                 else [first, (2 * bound + 1) ** k - 1 - (start + last[keep])])
+        rays += [r, -r]
+    keys, rays = np.concatenate(keys), np.concatenate(rays)
+    order = np.argsort(keys)  # the candidates as they occur in the box
+    kept = order[np.sort(_ray_order(rays[order])[0])]
+    full = np.zeros((len(kept), lattice.rank), dtype=np.int64)  # rank-r witnesses
+    full[:, active] = _digits(keys[kept] >> both_signs, k, bound)  # key // 2 with both signs
+    return PointCloud(rays[kept], full)
 
 
 def scan_algebraic(lattice: GramLattice, triple: HyperTriple, bound: int,

@@ -12,9 +12,10 @@ block of the walk is one prefix over a fixed digit table, and the
 projection t = rows . v of a box vector is its table row's pairing plus
 the prefix's; the walk hands its consumers the table's distinct
 pairings, so they decide on d rows a block instead of one a vector,
-and build box vectors only for the rows they keep. One key, _ray_order,
-decides ray equality (the table's and the scans' dedup) and ray order
-(emission).
+and the index in the whole box of the block's first vector, so the box
+vectors they keep are the digits of their indices (_digits). One key,
+_ray_order, decides ray equality (the table's and the scans' dedup) and
+ray order (emission).
 """
 
 from __future__ import annotations
@@ -70,11 +71,11 @@ def _int64(matrix, reach: int, bound: str) -> np.ndarray:
     return np.array(matrix, dtype=np.int64)
 
 
-def _ray_order(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(firsts, lasts, groups): the index of the first and of the last
-    occurrence of each distinct row of an (n, 3) integer array, in
-    lexicographic order of the rows, and for each row the position of
-    its distinct row in that order, from one stable sort of the row keys."""
+def _ray_order(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(firsts, groups): the index of the first occurrence of each
+    distinct row of an (n, 3) integer array, in lexicographic order of the
+    rows, and for each row the position of its distinct row in that
+    order, from one stable sort of the row keys."""
     m = int(np.abs(rays).max(initial=0))
     base = 2 * m + 1
     if base ** 3 <= np.iinfo(np.int64).max:  # digits below base: keys sort as rows
@@ -83,11 +84,11 @@ def _ray_order(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         keys = np.ascontiguousarray(rays).view([("", np.int64)] * 3).ravel()
     order = np.argsort(keys, kind="stable")  # equal rows keep their order
     keys = keys[order]
-    edge = np.ones(len(keys) + 1, dtype=bool)  # edge[i]: a run ends before i
-    edge[1:-1] = keys[1:] != keys[:-1]
+    edge = np.ones(len(keys), dtype=bool)  # edge[i]: a run starts at i
+    edge[1:] = keys[1:] != keys[:-1]
     groups = np.empty(len(keys), dtype=np.intp)
-    groups[order] = np.cumsum(edge[:-1]) - 1
-    return order[edge[:-1]], order[edge[1:]], groups
+    groups[order] = np.cumsum(edge) - 1
+    return order[edge], groups
 
 
 def _table(cols: np.ndarray, b: int) -> np.ndarray:
@@ -116,27 +117,23 @@ class _Walk(NamedTuple):
     rows in lexicographic order. Table rows with the same pairing
     rows . low form one group: groups maps each table row to its group,
     firsts (ascending) gives each group's first table row and pairings
-    its rows . low. blocks yields (high, m, t): prefix rows high, the
+    its rows . low. blocks yields (start, high, m, t): the index in the
+    lexicographic box of the block's first vector, prefix rows high, the
     number m of the block's len(high) * n vectors that lie in H-, and
     t = pairings + high @ rows_high.T, high-major, one row per group
-    whose first vector lies in H-."""
+    whose first vector lies in H-. The vector at position p of a block
+    is _digits(start + p, k, b)."""
 
-    b: int
     free: int
     groups: np.ndarray
     firsts: np.ndarray
     pairings: np.ndarray
-    blocks: Iterator[tuple[np.ndarray, int, np.ndarray]]
+    blocks: Iterator[tuple[int, np.ndarray, int, np.ndarray]]
 
     def position(self, j: np.ndarray) -> np.ndarray:
         """The position in its block of the first vector of each row j of t."""
         d = len(self.firsts)
         return j // d * len(self.groups) + self.firsts[j % d]
-
-    def vectors(self, high: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """The box vectors at positions at of the block of prefix rows high."""
-        n = len(self.groups)
-        return np.hstack([high[at // n], _digits(at % n, self.free, self.b)])
 
 
 def _box_pairings(rows, b: int) -> _Walk:
@@ -151,7 +148,7 @@ def _box_pairings(rows, b: int) -> _Walk:
     decides from v what it decides from -v: the norm and sine of
     t = rows . v, q(v, v) and the ray pair {r, -r} are the same for both.
     The first bounded witness thus lies in H- or nowhere, and a scan
-    rebuilds the walk of the whole box from H- alone (scanning._scan).
+    keys -v by the index N-1-i of the v at index i (scanning._scan).
 
     Blocks follow one rule. free is the largest number of trailing
     coordinates whose (2b+1)^free rows fit in a block; it is 0 when one
@@ -186,7 +183,7 @@ def _box_pairings(rows, b: int) -> _Walk:
     n, half = side ** free, (side ** k - 1) // 2
     step = 1 if free else per_block  # prefixes a block
     table = _table(rows[:, k - free:].T, b)
-    lex, _, lex_groups = _ray_order(table)
+    lex, lex_groups = _ray_order(table)
     rank = np.argsort(lex)  # the groups in order of their first table row
     firsts = lex[rank]
     pairings, rows_high = table[firsts], rows[:, :k - free].T
@@ -198,8 +195,8 @@ def _box_pairings(rows, b: int) -> _Walk:
             full = len(high) - 1  # prefixes before the last: wholly in H-
             m = min(len(high) * n, half - p * n)
             cut = full * len(firsts) + np.searchsorted(firsts, m - full * n)
-            yield high, m, (pairings + (high @ rows_high)[:, None]).reshape(-1, 3)[:cut]
-    return _Walk(b, free, np.argsort(rank)[lex_groups], firsts, pairings, blocks())
+            yield p * n, high, m, (pairings + (high @ rows_high)[:, None]).reshape(-1, 3)[:cut]
+    return _Walk(free, np.argsort(rank)[lex_groups], firsts, pairings, blocks())
 
 
 def _cross(a, b):
@@ -462,7 +459,7 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
 
     # bounded mode: floating direction, on the distinct pairings of each block
     walk = _box_pairings(rows, bound)
-    for high, _, t in walk.blocks:
+    for start, _, _, t in walk.blocks:
         t = t.astype(float)
         n = np.sqrt((t * t).sum(axis=1))
         c = np.cross(t, point.unit)
@@ -470,8 +467,8 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
             sine = np.sqrt((c * c).sum(axis=1)) / n
         hits = np.flatnonzero((n > 0.0) & (sine <= 1e-9))
         if hits.size:  # rows follow their first vectors: the first hit is the first
-            witness = walk.vectors(high, walk.position(hits[:1]))[0]
-            return GeneralTypeVerdict(witness=tuple(witness.tolist()))
+            witness = _digits(start + walk.position(hits[:1]), lattice.rank, bound)
+            return GeneralTypeVerdict(witness=tuple(witness[0].tolist()))
     return GeneralTypeVerdict(witness=None, bound=bound)
 
 

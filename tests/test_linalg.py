@@ -197,6 +197,21 @@ class TestProjection:
             for w in U3_TRIPLE.vectors:
                 assert q_eval(U3, resid, w) == 0
 
+    def test_float_entry_rejected(self):
+        # exact coordinates only: 1.5 is not rounded to 3/2
+        with pytest.raises(TwistorLatticeError, match="cannot parse rational entry 1.5"):
+            project_to_V(U3, U3_TRIPLE, (1.5, 0, 0, 0, 0, 0))
+        assert project_to_V(U3, U3_TRIPLE, ("3/2", 0, 0, 0, 0, 0)) == (Fraction(3, 4), 0, 0)
+
+    def test_expand_needs_three_exact_coefficients(self):
+        with pytest.raises(TwistorLatticeError, match="cannot parse rational entry 1.5"):
+            expand_in_V(U3_TRIPLE, (1.5, 0, 0))
+        for coeffs in ((1, 0), (1, 0, 0, 0)):
+            with pytest.raises(DimensionMismatch,
+                               match=f"expand_in_V needs 3 coefficients, got {len(coeffs)}"):
+                expand_in_V(U3_TRIPLE, coeffs)
+        assert expand_in_V(U3_TRIPLE, ("3/2", 0, 0)) == vector(["3/2", "3/2", 0, 0, 0, 0])
+
     def test_invalid_triple(self):
         bad = HyperTriple.from_rows([
             [1, 1, 0, 0, 0, 0],
@@ -285,6 +300,20 @@ class TestIntegerKernel:
                 for e in v:
                     g = gcd(g, abs(e))
                 assert g == 1
+
+    def test_numpy_ints_give_the_int_basis(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            rows = [[rng.randint(-4, 4) for _ in range(6)] for _ in range(rng.randint(1, 4))]
+            basis = integer_kernel(np.array(rows, dtype=np.int64))
+            assert basis == integer_kernel(rows)
+            assert all(type(e) is int for v in basis for e in v)
+
+    @pytest.mark.parametrize("entry", [1.5, 2.0, "2", True])
+    def test_non_integer_entry_rejected(self, entry):
+        # int(1.5) would silently give the kernel of another matrix
+        with pytest.raises(TwistorLatticeError, match=r"kernel entry \(0, 0\) = "):
+            integer_kernel([[entry, 2]])
 
     def test_saturation_against_rational_kernel(self):
         # every integral point of the rational kernel must be an integer

@@ -25,6 +25,7 @@ from twistorlat import (
     TwistorPoint,
     Unsupported,
     covering_radius,
+    integer_kernel,
     is_general_type,
     load_lattice,
     pi_map,
@@ -38,7 +39,7 @@ from twistorlat import scanning, twistor
 from twistorlat.linalg import pairing_rows, signature
 from twistorlat.quaternions import Quaternion, SU2Element, TwoForm, su2_act_on_form
 from twistorlat.scanning import fibonacci_sphere
-from twistorlat.twistor import _box_pairings, _ray_order
+from twistorlat.twistor import _box_pairings, _digits, _ray_order
 
 U3, TRIPLE = load_lattice("U3")
 K3, K3_TRIPLE = load_lattice("K3")
@@ -53,20 +54,23 @@ def rows_of_width(k):
     return [[1] * k, list(range(k)), [(-1) ** j * (j + 2) for j in range(k)]]
 
 
-def walk_blocks(walk):
-    """The blocks of a walk as (vecs, t): the m box vectors of H- in each
-    block, rebuilt from its prefix rows high and the digit table, and the
-    pairing of each, the row of t of its table row's group."""
+def walk_blocks(k, b):
+    """The blocks of the walk of [-b, b]^k as (vecs, t): the m box vectors
+    of H- in each block, the digits of their indices in the whole box from
+    the block's start, and the pairing of each, the row of t of its table
+    row's group. A block's prefix rows high are its vectors' leading digits."""
+    walk = _box_pairings(rows_of_width(k), b)
     n, d = len(walk.groups), len(walk.firsts)
-    for high, m, t in walk.blocks:
+    for start, high, m, t in walk.blocks:
         at = np.arange(m)
-        yield walk.vectors(high, at), t[at // n * d + walk.groups[at % n]]
+        vecs = _digits(start + at, k, b)
+        assert (vecs[:, :k - walk.free] == high[at // n]).all()
+        yield vecs, t[at // n * d + walk.groups[at % n]]
 
 
 def box_rows(k, b):
     """Every row of the box blocks, in order, as tuples."""
-    return [tuple(row) for vecs, _ in walk_blocks(_box_pairings(rows_of_width(k), b))
-            for row in vecs.tolist()]
+    return [tuple(row) for vecs, _ in walk_blocks(k, b) for row in vecs.tolist()]
 
 
 def reference_box(k, b):
@@ -109,7 +113,8 @@ class TestBoxVectors:
         # one block: no prefix coordinate, and the 4 vectors of H- of a
         # table of 9 rows; t = (x0 + x1, 0, 0) takes 5 values on the table,
         # 3 of them first on those 4 rows
-        assert [(high.shape, m, t.shape) for high, m, t in blocks] == [((1, 0), 4, (3, 3))]
+        assert [(start, high.shape, m, t.shape) for start, high, m, t in blocks] == [
+            (0, (1, 0), 4, (3, 3))]
 
     def test_no_repeats_lexicographic(self):
         vecs = box_rows(3, 2)
@@ -125,9 +130,9 @@ class TestBoxVectors:
         for k, b, n_blocks in ((6, 2, 13), (3, 1, 1), (5, 2, 3)):
             blocks = list(_box_pairings(rows_of_width(k), b).blocks)
             assert len(blocks) == n_blocks
-            assert all(high.dtype == t.dtype == np.int64 for high, _, t in blocks)
+            assert all(high.dtype == t.dtype == np.int64 for _, high, _, t in blocks)
             assert box_rows(k, b) == reference_half(k, b)
-            pairings = walk_blocks(_box_pairings(rows_of_width(k), b))
+            pairings = walk_blocks(k, b)
             assert [tuple(row) for _, t in pairings for row in t.tolist()] == [
                 tuple(sum(r * e for r, e in zip(row, v)) for row in rows_of_width(k))
                 for v in reference_half(k, b)]
@@ -138,12 +143,12 @@ class TestBoxVectors:
         # coordinate at B=10: the last coordinate's range is cut into chunks
         monkeypatch.setattr(twistor, "_BLOCK_BYTES", 64)
         blocks = list(_box_pairings(rows_of_width(k), 10).blocks)
-        assert all(1 < len(high) and high.nbytes <= 64 for high, _, _ in blocks)
+        assert all(1 < len(high) and high.nbytes <= 64 for _, high, _, _ in blocks)
         assert box_rows(k, 10) == reference_half(k, 10)
         # no coordinate fits: blocks of 8 // k consecutive vectors of H-,
         # each a prefix row over the one empty row of the table
-        assert [m for _, m, _ in blocks] == {1: [8, 2], 2: [4] * 55}[k]
-        assert all(len(t) == m == len(high) for high, m, t in blocks)
+        assert [m for _, _, m, _ in blocks] == {1: [8, 2], 2: [4] * 55}[k]
+        assert all(len(t) == m == len(high) for _, high, m, t in blocks)
 
     @pytest.mark.parametrize("block_bytes", [64, 4096, TINY_BLOCK_BYTES, None])
     def test_block_rule(self, block_bytes, monkeypatch):
@@ -165,20 +170,22 @@ class TestBoxVectors:
                 assert walk.groups.tolist() == walk.firsts.tolist() == [0]
                 assert walk.pairings.tolist() == [[0, 0, 0]]
             blocks = list(walk.blocks)
-            lengths = [m for _, m, _ in blocks]
+            lengths = [m for _, _, m, _ in blocks]
+            # each block starts where the one before it ends
+            assert [start for start, _, _, _ in blocks] == [0, *itertools.accumulate(lengths)][:-1]
             assert lengths[:-1] == [size] * (len(blocks) - 1)
             assert 0 < lengths[-1] <= size
             assert sum(lengths) == (side ** k - 1) // 2
             # what a block materializes: its prefix rows, and a row of t
             # for each distinct pairing (at most one a vector)
             assert all(high.nbytes <= twistor._BLOCK_BYTES and len(t) <= per_block
-                       for high, _, t in blocks)
+                       for _, high, _, t in blocks)
             # t holds the groups whose first vector lies in H-: all of them
             # in every block but the last
             d = len(walk.firsts)
-            assert [len(t) for _, _, t in blocks[:-1]] == [
-                len(high) * d for high, _, _ in blocks[:-1]]
-            high, m, t = blocks[-1]
+            assert [len(t) for _, _, _, t in blocks[:-1]] == [
+                len(high) * d for _, high, _, _ in blocks[:-1]]
+            _, high, m, t = blocks[-1]
             assert len(t) == np.count_nonzero(walk.position(np.arange(len(high) * d)) < m)
 
     @given(k=st.integers(1, 5), b=st.integers(1, 3),
@@ -216,7 +223,7 @@ class TestBoxVectors:
     def test_box_size_guard(self):
         # 9^6 = 531441, the largest box the suite and the bench walk: H- is
         # (9^6 - 1) / 2 of it
-        assert (sum(m for _, m, _ in _box_pairings(rows_of_width(6), 4).blocks)
+        assert (sum(m for _, _, m, _ in _box_pairings(rows_of_width(6), 4).blocks)
                 == (9 ** 6 - 1) // 2)
         with pytest.raises(InvalidBound, match=r"B=1 over k=22 .* 31381059609"):
             _box_pairings(rows_of_width(22), 1)
@@ -436,6 +443,23 @@ def test_clouds_independent_of_block_budget(scan, both_signs, monkeypatch):
     assert entries() == default == reference_cloud(both_signs)
 
 
+@pytest.mark.parametrize("scan", [scan_algebraic, scan_non_general_type])
+def test_one_ray_dedup_per_scan(scan, monkeypatch):
+    # the candidates of all 13 blocks meet in one _ray_order pass
+    calls = []
+
+    def counting(rays):
+        calls.append(len(rays))
+        return _ray_order(rays)
+
+    monkeypatch.setattr(twistor, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
+    monkeypatch.setattr(scanning, "_ray_order", counting)
+    assert len(list(_box_pairings(pairing_rows(U3, TRIPLE)[0], 2).blocks)) == 13
+    cloud = scan(U3, TRIPLE, 2)
+    # two candidates, r and -r, per counting group
+    assert len(calls) == 1 and calls[0] % 2 == 0 and calls[0] >= len(cloud) > 0
+
+
 def reference_box_pairings(rows, b):
     """The walk of the whole box [-b, b]^k, zero vector included, in
     lexicographic order and int64 blocks (vecs, vecs @ rows.T): the walk
@@ -586,17 +610,15 @@ def test_frozen_enumeration_order(scan, digest):
      [4, 1, 2, 0]),
 ])
 def test_ray_order(rays, order):
-    # the first and the last index of each distinct row, in lexicographic
-    # row order, and the position of each row's distinct row in that order
+    # the first index of each distinct row, in lexicographic row order,
+    # and the position of each row's distinct row in that order
     rays = np.array(rays, dtype=np.int64).reshape(-1, 3)
-    firsts, lasts, groups = _ray_order(rays)
+    firsts, groups = _ray_order(rays)
     assert firsts.tolist() == order
-    first, last = {}, {}
+    first = {}
     for i, row in enumerate(map(tuple, rays.tolist())):
         first.setdefault(row, i)
-        last[row] = i
     assert order == [first[row] for row in sorted(first)]
-    assert lasts.tolist() == [last[row] for row in sorted(last)]
     assert groups.tolist() == [sorted(first).index(row) for row in map(tuple, rays.tolist())]
 
 
@@ -825,6 +847,8 @@ EMPTY_CLOUD = PointCloud(np.empty((0, 3), dtype=np.int64), np.empty((0, 6), dtyp
     (lambda: su2_act_on_form(SU2Element.from_quaternion(Quaternion(1.0, 0.0, 0.0, 0.0), 2),
                              TwoForm(n=1, mat=np.zeros((4, 4)))), DimensionMismatch,
      "SU(2) element and form live on different spaces: n = 2 and n = 1"),
+    (lambda: integer_kernel([[1, 2], [3, 1.5]]), TwistorLatticeError,
+     "kernel entry (1, 1) = 1.5 is not an integer"),
 ])
 def test_error_names_its_input(call, error, message):
     with pytest.raises(error) as info:
