@@ -12,9 +12,11 @@ the negation, keyed by the index in the whole lexicographic box of a
 vector that gives them. After the walk, one twistor._ray_order pass
 over the candidates sorted by key keeps each ray's least key, and the
 witnesses of the cloud rows alone are the digits of those keys. The
-same key, _ray_order, sorts the clouds for emission. A cloud is two
-int64 arrays, the distinct rays and their witnesses; TwistorPoints are
-built only when it is iterated. Covering radius against a
+same key, _ray_order, sorts the clouds for emission, which works on
+the cloud's columns a chunk of rows at a time: one %-format a CSV row
+or SVG circle, and no TwistorPoint per ray. A cloud is two int64
+arrays, the distinct rays and their witnesses; TwistorPoints are built
+only when it is iterated. Covering radius against a
 Fibonacci-sphere grid is the desk-scale measure of density. The grid is
 built a block of rows at a time and is sorted by y, so each block is
 compared only with the cloud points in a y-band around it; rows with no
@@ -43,7 +45,6 @@ from .twistor import (
     _int64,
     _ray_order,
     _table,
-    stereographic,
 )
 
 
@@ -277,36 +278,43 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     return float(np.arccos(np.clip(least, -1.0, 1.0)))
 
 
-def _by_ray(cloud: PointCloud) -> PointCloud:
+# about what a written field holds: its float64 or int64, a Python object
+# in a column list, and its text (tracemalloc: 668 bytes a 14-field row)
+_FIELD_BYTES = 48
+
+
+def _by_ray(cloud: PointCloud, row_bytes: int):
+    """The cloud's row indices in exact ray order, in chunks of rows whose
+    arrays, Python objects and text, about row_bytes a row, fill at most
+    _BLOCK_BYTES."""
     order = _ray_order(cloud.dirs)[0]
-    return PointCloud(cloud.dirs[order], cloud.witnesses[order])
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return (order[s:s + step] for s in range(0, len(order), step))
 
 
 def write_csv(cloud: PointCloud, stream):
-    """Emit the cloud as CSV, sorted by exact ray."""
+    """Emit the cloud as CSV, sorted by exact ray. The CP^1 column is
+    stereographic's (b + ic)/(1 - a) of the unit, inf,0 where 1 - a == 0."""
     write = stream.write  # once: a lazy click.File forwards each lookup
     write("a,b,c,ux,uy,uz,cp1_re,cp1_im,witness\n")
-    cloud = _by_ray(cloud)
-    for p, w in zip(cloud, cloud.witnesses.tolist()):
-        a, b, c = p.dir
-        z = stereographic(p)
-        witness = ";".join(str(e) for e in w)
-        write(
-            f"{a},{b},{c},{p.unit[0]:.17g},{p.unit[1]:.17g},{p.unit[2]:.17g},"
-            f"{z.real:.17g},{z.imag:.17g},{witness}\n")
-
-
-def _lambert(u, center_sign):
-    # Lambert azimuthal equal-area, centered at (center_sign, 0, 0);
-    # write_svg passes only units with center_sign * x >= 0
-    x, y, z = u
-    f = math.sqrt(2.0 / (1.0 + center_sign * x))
-    return (f * y, f * center_sign * z)
+    r = cloud.witnesses.shape[1]
+    row = "%d,%d,%d" + ",%.17g" * 5 + "," + ";".join(["%d"] * r) + "\n"
+    for i in _by_ray(cloud, _FIELD_BYTES * (8 + r)):
+        dirs = cloud.dirs[i]
+        units = _units(dirs)
+        den = 1.0 - units[:, 0]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cp1 = units[:, 1:] / den[:, None]
+        cp1[den == 0.0] = (math.inf, 0.0)
+        cols = [*dirs.T, *units.T, *cp1.T, *cloud.witnesses[i].T]
+        write("".join(map(row.__mod__, zip(*(c.tolist() for c in cols)))))
 
 
 def write_svg(cloud: PointCloud, stream):
     """Scatter plot of the cloud: two Lambert equal-area hemispheres
-    (around +a and -a) side by side, each 400 pixels square."""
+    (around +a and -a) side by side, each 400 pixels square. A unit u is
+    drawn in the hemisphere around s = +1 or -1 when s * u.x >= 0 (both
+    when u.x = 0), at f * (u.y, s * u.z) with f = sqrt(2 / (1 + s * u.x))."""
     size, pad = 400, 10
     scale = (size - 2 * pad) / (2.0 * math.sqrt(2.0))
     width = 2 * size + pad
@@ -314,17 +322,18 @@ def write_svg(cloud: PointCloud, stream):
     write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{size}" viewBox="0 0 {width} {size}">\n')
-    centers = [(size / 2.0, 1.0), (size + pad + size / 2.0, -1.0)]
-    for cx, _ in centers:
+    cx, sign = np.array([size / 2.0, size + pad + size / 2.0]), np.array([1.0, -1.0])
+    for c in cx.tolist():
         write(
-            f'<circle cx="{cx:.2f}" cy="{size / 2.0:.2f}" '
+            f'<circle cx="{c:.2f}" cy="{size / 2.0:.2f}" '
             f'r="{math.sqrt(2.0) * scale:.2f}" fill="none" stroke="black"/>\n')
-    for p in _by_ray(cloud):
-        for cx, sgn in centers:
-            if sgn * p.unit[0] < 0:
-                continue
-            xy = _lambert(p.unit, sgn)
-            px = cx + xy[0] * scale
-            py = size / 2.0 - xy[1] * scale
-            write(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.5"/>\n')
+    circle = '<circle cx="%.2f" cy="%.2f" r="1.5"/>\n'
+    for i in _by_ray(cloud, _FIELD_BYTES * 7):  # a unit, two circles of two
+        x, y, z = (u[:, None] for u in _units(cloud.dirs[i]).T)
+        keep = sign * x >= 0  # (rows, 2): each point's circles in hemisphere order
+        with np.errstate(divide="ignore", invalid="ignore"):  # inf, nan where not kept
+            f = np.sqrt(2.0 / (1.0 + sign * x))
+            px = cx + f * y * scale
+            py = size / 2.0 - f * sign * z * scale
+        write("".join(map(circle.__mod__, zip(px[keep].tolist(), py[keep].tolist()))))
     write("</svg>\n")

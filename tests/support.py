@@ -5,8 +5,11 @@ deliberately separate implementation used to cross-check the package's
 integer kernels and projections.
 """
 
+import math
 import random
 from fractions import Fraction
+
+from twistorlat import stereographic
 
 
 def rref(rows):
@@ -216,3 +219,50 @@ def reference_signature(gram):
                 for t in range(k, r):
                     m[t][i] -= f * m[t][k]
     return (n_plus, n_minus, n_zero)
+
+
+def reference_write_csv(cloud, stream):
+    """The per-point CSV writer the array writer replaced: it iterates the
+    cloud, a TwistorPoint per ray, sorted by exact ray, and calls
+    stereographic per point."""
+    stream.write("a,b,c,ux,uy,uz,cp1_re,cp1_im,witness\n")
+    for p, w in sorted(zip(cloud, cloud.witnesses.tolist()), key=lambda pw: pw[0].dir):
+        a, b, c = p.dir
+        z = stereographic(p)
+        witness = ";".join(str(e) for e in w)
+        stream.write(
+            f"{a},{b},{c},{p.unit[0]:.17g},{p.unit[1]:.17g},{p.unit[2]:.17g},"
+            f"{z.real:.17g},{z.imag:.17g},{witness}\n")
+
+
+def _lambert(u, center_sign):
+    # Lambert azimuthal equal-area, centered at (center_sign, 0, 0);
+    # reference_write_svg passes only units with center_sign * x >= 0
+    x, y, z = u
+    f = math.sqrt(2.0 / (1.0 + center_sign * x))
+    return (f * y, f * center_sign * z)
+
+
+def reference_write_svg(cloud, stream):
+    """The per-point SVG writer the array writer replaced: a point at a
+    time, sorted by exact ray, then a hemisphere at a time."""
+    size, pad = 400, 10
+    scale = (size - 2 * pad) / (2.0 * math.sqrt(2.0))
+    width = 2 * size + pad
+    stream.write(
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
+        f'height="{size}" viewBox="0 0 {width} {size}">\n')
+    centers = [(size / 2.0, 1.0), (size + pad + size / 2.0, -1.0)]
+    for cx, _ in centers:
+        stream.write(
+            f'<circle cx="{cx:.2f}" cy="{size / 2.0:.2f}" '
+            f'r="{math.sqrt(2.0) * scale:.2f}" fill="none" stroke="black"/>\n')
+    for p in sorted(cloud, key=lambda p: p.dir):
+        for cx, sgn in centers:
+            if sgn * p.unit[0] < 0:
+                continue
+            xy = _lambert(p.unit, sgn)
+            px = cx + xy[0] * scale
+            py = size / 2.0 - xy[1] * scale
+            stream.write(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.5"/>\n')
+    stream.write("</svg>\n")

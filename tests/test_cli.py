@@ -187,6 +187,30 @@ class TestScans:
         assert hashlib.sha256(res.output.encode()).hexdigest() == (
             "cf34dbf4d3fbbf63df3341ee8eecc16fd4fe1f2eb52636d07bb9a82fbc20fe4a")
 
+    @pytest.mark.parametrize("args,digest", [
+        (["scan-ngt", "--lattice", "U3", "--bound", "3"],
+         "a60c93802f6d4d188e1e2937ff98ac3b76f6721aacc1142cb59341f945cee25d"),
+        (["scan-algebraic", "--lattice", "K3", "--bound", "2", "--mask", "0,1,2,3,4,5,6,7"],
+         "c8a305c5029bc0436331e61549e2c09a6cf3a5437f675c5a080ce3ba2f811a20"),
+    ], ids=["ngt-U3-B3", "algebraic-K3-mask8-B2"])
+    def test_scan_emit_csv_sha256(self, args, digest):
+        # the bench's scan-emit CSVs, the K3 one with 22-wide witnesses
+        res = invoke(*args)
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.output.encode()).hexdigest() == digest
+
+    def test_empty_cloud(self, tmp_path):
+        # no positive vector in this box: the header, and the two frames
+        svg_path = tmp_path / "cloud.svg"
+        res = invoke("scan-algebraic", "--lattice", "K3", "--bound", "1",
+                     "--mask", "8,9,10,11,12,13,14,15", "--svg", str(svg_path))
+        assert res.exit_code == 0
+        assert res.output == "a,b,c,ux,uy,uz,cp1_re,cp1_im,witness\n"
+        lines = svg_path.read_text().splitlines()
+        assert lines[0].startswith("<svg") and lines[-1] == "</svg>"
+        assert len(lines) == 4
+        assert all('fill="none" stroke="black"' in line for line in lines[1:3])
+
     def test_csv_to_file_and_svg(self, tmp_path):
         csv_path = tmp_path / "cloud.csv"
         svg_path = tmp_path / "cloud.svg"

@@ -41,6 +41,8 @@ from twistorlat.quaternions import Quaternion, SU2Element, TwoForm, su2_act_on_f
 from twistorlat.scanning import fibonacci_sphere
 from twistorlat.twistor import _box_pairings, _digits, _ray_order
 
+from support import reference_write_csv, reference_write_svg
+
 U3, TRIPLE = load_lattice("U3")
 K3, K3_TRIPLE = load_lattice("K3")
 D222, D222_TRIPLE = load_lattice("diag222")
@@ -929,3 +931,73 @@ class TestEmission:
         write_svg(scan_non_general_type(U3, TRIPLE, 3), buf)
         assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == (
             "52c75f12f871fb72282f7181073e734d3eb7cca75408ccad8333d678a0eae198")
+
+
+# rays whose rows the writers treat apart: the poles, x = 0 (drawn in both
+# SVG hemispheres), huge rays whose float unit has x == +-1.0 (the CSV's
+# inf,0 although not the exact pole) and entries past the packed ray key
+RAYS = st.one_of(
+    st.sampled_from([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, -1)]),
+    st.tuples(st.just(0), st.integers(-9, 9), st.integers(-9, 9)),
+    st.tuples(st.sampled_from([10 ** 9, -10 ** 9]), st.sampled_from([1, -1]),
+              st.integers(-9, 9)),
+    st.tuples(*[st.integers(-9, 9)] * 3),
+    st.tuples(*[st.integers(-BIG, BIG)] * 3),
+).filter(any)
+
+
+@given(rays=st.lists(RAYS, max_size=12, unique=True), width=st.integers(1, 22),
+       entries=st.integers(-2 ** 63, 2 ** 63 - 1),
+       block_bytes=st.sampled_from([1, 4096, None]))
+@example(rays=[(1, 0, 0), (-1, 0, 0), (0, 2, -3), (0, 0, 1), (10 ** 9, 1, 5),
+               (10 ** 9, -1, 0), (-10 ** 9, 1, -2), (2, -1, 1)],
+         width=6, entries=-7, block_bytes=1)
+def test_writers_match_the_per_point_writers(rays, width, entries, block_bytes):
+    # byte for byte, whatever the rows of a chunk; the empty cloud too
+    dirs = np.array(rays, dtype=np.int64).reshape(-1, 3)
+    witnesses = (np.arange(len(rays) * width, dtype=np.int64).reshape(-1, width)
+                 * 7919 + entries)  # wraps: any int64 entries
+    cloud = PointCloud(dirs, witnesses)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_bytes:
+            mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
+        for writer, reference in ((write_csv, reference_write_csv),
+                                  (write_svg, reference_write_svg)):
+            got, want = io.StringIO(), io.StringIO()
+            writer(cloud, got)
+            reference(cloud, want)
+            assert got.getvalue() == want.getvalue()
+
+
+def test_huge_ray_is_written_at_infinity():
+    # its float unit is (1.0, 1e-9, 0.0), so 1 - ux == 0.0, as stereographic decides
+    cloud = PointCloud(np.array([[10 ** 9, 1, 0]]), np.zeros((1, 6), np.int64))
+    buf = io.StringIO()
+    write_csv(cloud, buf)
+    row = buf.getvalue().splitlines()[1].split(",")
+    assert row[3] == "1" and row[6:8] == ["inf", "0"]
+
+
+class _Discard:
+    def write(self, text):
+        pass
+
+
+@pytest.mark.parametrize("writer", [write_csv, write_svg])
+def test_writer_memory_within_the_cloud_and_two_budgets(writer, monkeypatch):
+    # the text goes out a chunk of rows at a time: a CSV of many budgets
+    # peaks within the cloud's bytes and two budgets
+    budget = 1 << 13
+    monkeypatch.setattr(scanning, "_BLOCK_BYTES", budget)
+    cloud = scan_algebraic(U3, TRIPLE, 3)
+    buf = io.StringIO()
+    write_csv(cloud, buf)
+    assert len(buf.getvalue()) > 20 * budget
+    writer(cloud, _Discard())  # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        writer(cloud, _Discard())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cloud.dirs.nbytes + cloud.witnesses.nbytes + 2 * budget
