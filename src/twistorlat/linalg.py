@@ -148,16 +148,6 @@ def q_eval(lattice: GramLattice, x: Vector, y: Vector) -> Fraction:
     return Fraction(total)
 
 
-def gram_row(lattice: GramLattice, w: Vector) -> Vector:
-    """The linear functional q(., w) as a coordinate row."""
-    lattice.check_length(w)
-    r = lattice.rank
-    return tuple(
-        sum(Fraction(lattice.gram[i][j]) * w[j] for j in range(r))
-        for i in range(r)
-    )
-
-
 @lru_cache(maxsize=64)
 def signature(lattice: GramLattice) -> SignatureReport:
     """Inertia (n_plus, n_minus, n_zero) by exact congruence reduction.
@@ -323,7 +313,8 @@ def pairing_rows(lattice: GramLattice, triple: HyperTriple):
 @lru_cache(maxsize=64)
 def _triple_rows(lattice: GramLattice, triple: HyperTriple):
     norm = triple.validate(lattice)
-    pairing = [e for w in triple.vectors for e in gram_row(lattice, w)]
+    # the row q(., w) is G w: the Gram matrix is symmetric
+    pairing = [e for w in triple.vectors for e in dot_rows(lattice.gram, w)]
     flat = primitive(clear_denominators(pairing))
     k = next(i for i, e in enumerate(flat) if e)
     r = lattice.rank

@@ -44,18 +44,19 @@ class Quaternion:
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def norm(self) -> float:
-        return math.sqrt(self.w ** 2 + self.x ** 2 + self.y ** 2 + self.z ** 2)
+        return math.hypot(self.w, self.x, self.y, self.z)  # no square under- or overflows
 
     def normalized(self) -> "Quaternion":
         n = self.norm()
+        if not 0.0 < n < math.inf:  # zero, nan or inf entries
+            raise InvariantViolation(f"{self} has no unit: norm {n}")
         return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
 
     def is_unit(self) -> bool:
         return abs(self.norm() - 1.0) <= TOL
 
     def is_unit_imaginary(self) -> bool:
-        return abs(self.w) <= TOL and abs(
-            self.x ** 2 + self.y ** 2 + self.z ** 2 - 1.0) <= TOL
+        return abs(self.w) <= TOL and abs(math.hypot(self.x, self.y, self.z) - 1.0) <= TOL
 
     @staticmethod
     def unit_imaginary(x: float, y: float, z: float) -> "Quaternion":

@@ -16,14 +16,16 @@ same key, _ray_order, sorts the clouds for emission, which works on
 the cloud's columns a chunk of rows at a time: one %-format a CSV row
 or SVG circle, and no TwistorPoint per ray. A cloud is two int64
 arrays, the distinct rays and their witnesses; TwistorPoints are built
-only when it is iterated. Covering radius against a
-Fibonacci-sphere grid is the desk-scale measure of density. The grid is
-built a block of rows at a time and is sorted by y, so each block is
-compared only with the cloud points in a y-band around it; rows with no
-cloud point close enough fall back to the whole cloud, and the rows
-that decide the radius are recomputed in the blocks of the full
-grid-by-cloud product, so the radius is the same float as that product
-gives. No randomness anywhere in this module.
+only when it is iterated, and a cloud of non-integer, zero or
+mis-shaped rows is refused when it is built. Covering radius against a
+Fibonacci-sphere grid is the desk-scale measure of density. It walks
+the grid, which is sorted by y, in one kind of block: the full
+grid-by-cloud product's. Each block is compared only with the cloud
+points in a y-band around it, and rows with no cloud point close enough
+fall back to the whole cloud. The blocks whose least cosine is within
+1e-12 of the least of all are then recomputed against the whole cloud,
+so the radius is the same float as the full product gives. No
+randomness anywhere in this module.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyCloud, InvalidBound
+from .errors import DimensionMismatch, EmptyCloud, InvalidBound, InvariantViolation
 from .linalg import GramLattice, HyperTriple, integer, pairing_rows
 from .twistor import (
     _BLOCK_BYTES,
@@ -55,6 +57,19 @@ class PointCloud:
 
     dirs: np.ndarray
     witnesses: np.ndarray
+
+    def __post_init__(self):
+        # a float ray would be written through %d, and a zero ray has no unit
+        dirs, wit = np.shape(self.dirs), np.shape(self.witnesses)
+        if dirs[1:] != (3,) or len(wit) != 2 or wit[0] != dirs[0]:
+            raise DimensionMismatch(f"cloud shapes {dirs} and {wit} are not (n, 3) and (n, r)")
+        for name, a in (("dirs", self.dirs), ("witnesses", self.witnesses)):
+            if not np.issubdtype(a.dtype, np.integer):
+                raise InvariantViolation(f"cloud {name} of dtype {a.dtype} are not integers: "
+                                         f"row 0 = {a[:1].tolist()}")
+        zero = np.flatnonzero(~self.dirs.any(axis=1))
+        if zero.size:
+            raise InvariantViolation(f"zero ray is not a twistor point: dirs row {zero[0]}")
 
     @cached_property
     def _index(self) -> dict[tuple[int, int, int], int]:
@@ -204,77 +219,60 @@ def _check_grid(grid_resolution: int) -> int:
     return grid_resolution
 
 
-def _best_cosines(points: np.ndarray, units: np.ndarray) -> np.ndarray:
-    """Max cosine of each point against the units, taken in blocks of
-    points whose cosines fill at most _BLOCK_BYTES."""
-    step = max(1, _BLOCK_BYTES // (8 * len(units)))
-    return np.concatenate([np.max(points[s:s + step] @ units.T, axis=1)
-                           for s in range(0, len(points), step)])
-
-
-def _near_least(n: int, units: np.ndarray, theta: float, h: float) -> np.ndarray:
-    """Rows of fibonacci_sphere(n) whose best cosine, found in the y-band
-    of half-height h, is within 1e-12 of the least one."""
-    band = units[np.argsort(units[:, 1])]
-    # blocks about h/4 high, as rows are 2/n apart in y, built in chunks
-    # whose dozen or so float64 temporaries fill a tenth of _BLOCK_BYTES
-    most = _BLOCK_BYTES // 1024
-    rows_per = max(1, min(int(h * n / 8), most))
-    chunk = rows_per * max(1, most // rows_per)
-    least, near = math.inf, []
-    for c in range(0, n, chunk):
-        grid = _fibonacci_rows(n, c, c + chunk)
-        y = grid[:, 1]  # ascending: a block lies between its first y and the next's
-        lo = np.searchsorted(band[:, 1], y[::rows_per] - h)
-        hi = np.searchsorted(band[:, 1], np.append(y[rows_per::rows_per], y[-1]) + h)
-        best = np.full(len(grid), -np.inf)
-        for s, a, b in zip(range(0, len(grid), rows_per), lo, hi):
-            if b > a:
-                best[s:s + rows_per] = _best_cosines(grid[s:s + rows_per], band[a:b])
-        # a point within theta of a row lies in its band; past theta a
-        # nearer point may lie outside it, so those rows take the whole cloud
-        far = best < math.cos(theta)
-        if far.any():
-            best[far] = _best_cosines(grid[far], units)
-        least = min(least, best.min())
-        i = np.flatnonzero(best <= least + 1e-12)
-        if i.size:  # chunks that cannot hold the least add nothing
-            near.append((c + i, best[i]))
-    rows, best = (np.concatenate(a) for a in zip(*near))
-    return rows[best <= least + 1e-12]
-
-
 def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     """Max over a grid_resolution^2 Fibonacci grid of the angular
     distance to the nearest cloud point, in radians.
 
-    The nearest point of a grid row is its max cosine. The grid is sorted
-    by y, and a cloud point within angle theta = 2*sqrt(4*pi/len(cloud))
-    of a row differs from it in y by at most the chord h = 2*sin(theta/2)
-    (2 when theta >= pi; 1e-9 is added for rounding). So the grid is
-    walked in blocks about h/4 high, each against the cloud points within
-    h of it in y; a row whose best cosine there is below cos(theta) is
-    compared with the whole cloud instead.
+    The nearest point of a grid row is its max cosine. Every product is
+    taken on one block size, that of the full grid-by-cloud product: step
+    grid rows, whose cosines against the whole cloud fill _BLOCK_BYTES.
+    The grid is built a chunk of whole blocks at a time and is sorted by
+    y. A cloud point within angle theta = 2*sqrt(4*pi/len(cloud)) of a
+    row differs from it in y by at most the chord h = 2*sin(theta/2) (2
+    when theta >= pi; 1e-9 is added for rounding), so each block is
+    compared with the cloud points within h of its rows in y. A row whose
+    best cosine there is below cos(theta) is compared with the whole
+    cloud instead, step such rows a product.
 
-    Cosines from products of other shapes may differ in the last ulp, so
-    the rows within 1e-12 of the least best cosine are recomputed exactly
-    as the full product takes them: their whole blocks of _BLOCK_BYTES
-    against the cloud in enumeration order. arccos is decreasing, so one
-    arccos of that least cosine is the radius, the same float as the full
-    product gives.
+    Cosines from products of other shapes may differ in the last ulp. So
+    each block's least best cosine is kept with the block's start while
+    it is within 1e-12 of the least so far, and the kept blocks within
+    1e-12 of the least of all are recomputed exactly as the full product
+    takes them: the block against the whole cloud in enumeration order.
+    arccos is decreasing, so one arccos of the least recomputed cosine is
+    the radius, the same float as the full product gives.
     """
     n = _check_grid(grid_resolution) ** 2
     if len(cloud) == 0:
         raise EmptyCloud("covering radius of an empty cloud is undefined: 0 rays, "
                          f"witnesses of shape {cloud.witnesses.shape}")
     units = _units(cloud.dirs)
-    # the full product's blocks, each one product in _best_cosines
-    step = max(1, _BLOCK_BYTES // (8 * len(units)))
+    band = units[np.argsort(units[:, 1])]
     theta = 2 * math.sqrt(4 * math.pi / len(units))
     h = 2 * math.sin(min(theta, math.pi) / 2) + 1e-9  # no chord exceeds 2
-    starts = np.unique(_near_least(n, units, theta, h) // step) * step
-    least = min(_best_cosines(_fibonacci_rows(n, s, s + step), units).min()
-                for s in starts)
+    step = max(1, _BLOCK_BYTES // (8 * len(units)))
+    # chunks of whole blocks, whose dozen or so float64 temporaries a row
+    # fill a tenth of _BLOCK_BYTES, or one block where a block is taller
+    chunk = step * max(1, (_BLOCK_BYTES // 1024) // step)
+    least, kept = math.inf, []  # kept: (block start, its least best cosine)
+    for c in range(0, n, chunk):
+        grid = _fibonacci_rows(n, c, c + chunk)
+        starts = np.arange(0, len(grid), step)
+        y = grid[:, 1]  # ascending: a block lies between its first y and its last
+        lo = np.searchsorted(band[:, 1], y[starts] - h)
+        hi = np.searchsorted(band[:, 1], y[np.minimum(starts + step, len(y)) - 1] + h)
+        best = np.concatenate([np.max(grid[s:s + step] @ band[a:b].T, axis=1, initial=-np.inf)
+                               for s, a, b in zip(starts.tolist(), lo.tolist(), hi.tolist())])
+        # a point within theta of a row lies in its band; past theta a
+        # nearer point may lie outside it, so those rows take the whole cloud
+        far = np.flatnonzero(best < math.cos(theta))
+        for s in range(0, len(far), step):
+            best[far[s:s + step]] = np.max(grid[far[s:s + step]] @ units.T, axis=1)
+        mins = np.minimum.reduceat(best, starts)
+        least = min(least, mins.min())
+        kept += [(c + s, m) for s, m in zip(starts.tolist(), mins.tolist()) if m <= least + 1e-12]
+    least = min(np.max(_fibonacci_rows(n, s, s + step) @ units.T, axis=1).min()
+                for s, m in kept if m <= least + 1e-12)
     return float(np.arccos(np.clip(least, -1.0, 1.0)))
 
 

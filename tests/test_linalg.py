@@ -197,6 +197,18 @@ class TestProjection:
             for w in U3_TRIPLE.vectors:
                 assert q_eval(U3, resid, w) == 0
 
+    @pytest.mark.parametrize("lattice,triple", [(U3, U3_TRIPLE), (K3, K3_TRIPLE),
+                                                (D222, D222_TRIPLE)])
+    def test_pairing_rows_of_builtins(self, lattice, triple):
+        # primitive integer rows and a positive scale with
+        # scale * rows[a][i] = q(e_i, w_a) / q(w_a, w_a): exactly one such pair
+        rows, scale = pairing_rows(lattice, triple)
+        assert scale > 0 and gcd_int(*(e for row in rows for e in row)) == 1
+        norm = q_eval(lattice, triple.w_i, triple.w_i)
+        basis = np.eye(lattice.rank, dtype=int).tolist()
+        assert [[scale * e for e in row] for row in rows] == [
+            [q_eval(lattice, e, w) / norm for e in basis] for w in triple.vectors]
+
     def test_float_entry_rejected(self):
         # exact coordinates only: 1.5 is not rounded to 3/2
         with pytest.raises(TwistorLatticeError, match="cannot parse rational entry 1.5"):

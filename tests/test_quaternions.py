@@ -1,10 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from twistorlat import TwistorPoint, quaternions
-from twistorlat.errors import DimensionMismatch, NotUnitImaginary, Unsupported
+from twistorlat.errors import DimensionMismatch, InvariantViolation, NotUnitImaginary, Unsupported
 from twistorlat.quaternions import (
     QUAT_I,
     QUAT_J,
@@ -49,6 +50,25 @@ class TestQuaternionAlgebra:
             p = Quaternion(*RNG.normal(size=4))
             q = Quaternion(*RNG.normal(size=4))
             assert abs((p * q).norm() - p.norm() * q.norm()) < 1e-12
+
+    @pytest.mark.parametrize("q,norm", [
+        (Quaternion(1e200, 0.0, 0.0, 0.0), 1e200),
+        (Quaternion(0.0, 3e-200, 0.0, 4e-200), 5e-200),
+        (Quaternion(1e-200, 0.0, 0.0, 0.0), 1e-200),
+        (Quaternion(1e308, 1e308, 0.0, 0.0), math.hypot(1e308, 1e308))])
+    def test_norm_neither_overflows_nor_underflows(self, q, norm):
+        assert q.norm() == norm
+        assert q.normalized().is_unit()
+
+    @pytest.mark.parametrize("q,norm", [
+        (Quaternion(0.0, 0.0, 0.0, 0.0), "0.0"),
+        (Quaternion(math.nan, 1.0, 0.0, 0.0), "nan"),
+        (Quaternion(0.0, 0.0, math.inf, 1.0), "inf"),
+        (Quaternion(1.7e308, 1.7e308, 0.0, 0.0), "inf")])
+    def test_no_unit_refused(self, q, norm):
+        # no division: zero would raise ZeroDivisionError and nan pass silently
+        with pytest.raises(InvariantViolation, match=re.escape(f"{q} has no unit: norm {norm}")):
+            q.normalized()
 
     def test_associativity(self):
         for _ in range(20):
@@ -133,6 +153,12 @@ class TestComplexStructures:
         f = induced_two_form(complex_structure_from(QUAT_J))
         with pytest.raises(DimensionMismatch):
             su2_act_on_form(SU2Element(QUAT_I, 1, np.zeros((side, side))), f)
+
+    def test_huge_quaternions_refused_not_overflowed(self):
+        with pytest.raises(NotUnitImaginary, match="not a unit quaternion"):
+            SU2Element.from_quaternion(Quaternion(1e200, 0.0, 0.0, 0.0))
+        with pytest.raises(NotUnitImaginary, match="not a unit imaginary quaternion"):
+            complex_structure_from(Quaternion(0.0, 1e200, 0.0, 0.0))
 
     def test_su2_element_is_unit(self):
         for make in (lambda q: SU2Element(q, 1, np.eye(4)), SU2Element.from_quaternion):

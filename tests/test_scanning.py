@@ -671,6 +671,36 @@ class TestPointCloud:
                 cloud.witness(point)
         assert cloud.rays() == set(expected)
 
+    @pytest.mark.parametrize("dirs,witnesses,error,message", [
+        # a zero ray has no unit: its covering radius would be nan
+        ([[0, 0, 0], [1, 0, 0]], np.zeros((2, 1), np.int64), InvariantViolation,
+         "zero ray is not a twistor point: dirs row 0"),
+        ([[1, 0, 0], [0, 2, 0], [0, 0, 0]], np.zeros((3, 1), np.int64), InvariantViolation,
+         "dirs row 2"),
+        # float entries would be written through %d: 1.5 as 1
+        (np.array([[1.5, 0, 0], [0, 1, 0]]), np.zeros((2, 1), np.int64), InvariantViolation,
+         "cloud dirs of dtype float64 are not integers: row 0 = [[1.5, 0.0, 0.0]]"),
+        ([[1, 0, 0]], np.array([[2.5, 1.0]]), InvariantViolation,
+         "cloud witnesses of dtype float64 are not integers: row 0 = [[2.5, 1.0]]"),
+        ([[True, False, False]], np.zeros((1, 1), np.int64), InvariantViolation,
+         "cloud dirs of dtype bool are not integers"),
+        ([1, 0, 0], np.zeros((1, 1), np.int64), DimensionMismatch,
+         "cloud shapes (3,) and (1, 1) are not (n, 3) and (n, r)"),
+        ([[1, 0, 0, 0]], np.zeros((1, 1), np.int64), DimensionMismatch, "shapes (1, 4)"),
+        ([[1, 0, 0]], np.zeros((2, 1), np.int64), DimensionMismatch,
+         "shapes (1, 3) and (2, 1)"),
+        ([[1, 0, 0]], np.zeros(1, np.int64), DimensionMismatch, "shapes (1, 3) and (1,)"),
+    ])
+    def test_bad_rows_refused(self, dirs, witnesses, error, message):
+        with pytest.raises(error) as info:
+            PointCloud(np.asarray(dirs), witnesses)
+        assert message in str(info.value)
+
+    def test_int32_rows_accepted(self):
+        cloud = PointCloud(np.array([[0, 0, 1]], np.int32), np.array([[1, 2]], np.int32))
+        assert covering_radius(cloud, 30) == covering_radius(
+            PointCloud(np.array([[0, 0, 1]]), np.array([[1, 2]])), 30)
+
 
 def reference_grid(n):
     """fibonacci_sphere as it built the whole grid at once."""
@@ -699,6 +729,11 @@ def random_cloud(seed, kind, size):
         dirs = rng.integers(-10 ** 4, 10 ** 4, 3) * 100 + rng.integers(-20, 21, (size, 3))
     elif kind == "tiny":  # h >= 1: bands of up to the whole sphere
         dirs = rng.integers(-3, 4, (size % 12 + 1, 3))
+    elif kind == "symmetric":  # least cosines that tie across blocks
+        octahedron = np.vstack([np.eye(3, dtype=np.int64), -np.eye(3, dtype=np.int64)])
+        cube_diagonals = np.array(list(itertools.product((-1, 1), repeat=3)))
+        poles = octahedron[[1, 4]]  # the best cosine is |y|: even grids tie at y = +-1/n
+        dirs = (octahedron, cube_diagonals, poles)[seed % 3] * (size % 4 + 1)
     else:
         dirs = rng.integers(-2 ** 62, 2 ** 62, (size, 3))
     dirs = dirs[np.abs(dirs).sum(axis=1) > 0]
@@ -718,13 +753,26 @@ class TestCoveringRadius:
             for b in (1, 2, 3, 4)) == radii
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
-           kind=st.sampled_from(["uniform", "clustered", "tiny", "huge"]),
+           kind=st.sampled_from(["uniform", "clustered", "tiny", "huge", "symmetric"]),
            size=st.integers(1, 300), resolution=st.integers(2, 40),
            block_bytes=st.sampled_from([64, 4096, 4 << 20]))
-    # band cosines of this cloud differ in the last ulp from the full product's
+    # band cosines of this cloud, a row at a time, differ in the last ulp
+    # from the full product's
     @example(seed=6, kind="uniform", size=60, resolution=2, block_bytes=4 << 20)
     @example(seed=1, kind="clustered", size=300, resolution=40, block_bytes=4096)
     @example(seed=2, kind="tiny", size=5, resolution=30, block_bytes=64)
+    # the least band cosine is an ulp above the full product's: only the
+    # recompute gives the full product's float
+    @example(seed=14, kind="clustered", size=3, resolution=2, block_bytes=64)
+    # blocks taller than the chunk cap: fewer than 128 rays at 4 MB
+    @example(seed=3, kind="uniform", size=100, resolution=100, block_bytes=4 << 20)
+    @example(seed=0, kind="symmetric", size=0, resolution=300, block_bytes=4 << 20)
+    # the poles' two tied middle rows in two blocks, of 256 rows and of 4
+    @example(seed=2, kind="symmetric", size=0, resolution=32, block_bytes=4096)
+    @example(seed=2, kind="symmetric", size=1, resolution=40, block_bytes=64)
+    # one-row blocks, the octahedron's tied rows 1 and 7 among them
+    @example(seed=0, kind="symmetric", size=2, resolution=3, block_bytes=64)
+    @example(seed=1, kind="clustered", size=200, resolution=40, block_bytes=64)
     def test_equals_full_product(self, seed, kind, size, resolution, block_bytes):
         cloud = random_cloud(seed, kind, size)
         assume(len(cloud))
