@@ -313,7 +313,7 @@ def pairing_rows(lattice: GramLattice, triple: HyperTriple):
 @lru_cache(maxsize=64)
 def _triple_rows(lattice: GramLattice, triple: HyperTriple):
     norm = triple.validate(lattice)
-    # the row q(., w) is G w: the Gram matrix is symmetric
+    # the row q(e_i, w) over i is G w
     pairing = [e for w in triple.vectors for e in dot_rows(lattice.gram, w)]
     flat = primitive(clear_denominators(pairing))
     k = next(i for i, e in enumerate(flat) if e)

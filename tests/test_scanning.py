@@ -736,7 +736,7 @@ def random_cloud(seed, kind, size):
         dirs = (octahedron, cube_diagonals, poles)[seed % 3] * (size % 4 + 1)
     else:
         dirs = rng.integers(-2 ** 62, 2 ** 62, (size, 3))
-    dirs = dirs[np.abs(dirs).sum(axis=1) > 0]
+    dirs = dirs[dirs.any(axis=1)]
     return PointCloud(dirs, np.zeros((len(dirs), 1), dtype=np.int64))
 
 
