@@ -17,15 +17,18 @@ the cloud's columns a chunk of rows at a time: one %-format a CSV row
 or SVG circle, and no TwistorPoint per ray. A cloud is two int64
 arrays, the distinct rays and their witnesses; TwistorPoints are built
 only when it is iterated, and a cloud of non-integer, zero or
-mis-shaped rows is refused when it is built. Covering radius against a
-Fibonacci-sphere grid is the desk-scale measure of density. It walks
-the grid, which is sorted by y, in one kind of block: the full
-grid-by-cloud product's. Each block is compared only with the cloud
-points in a y-band around it, and rows with no cloud point close enough
-fall back to the whole cloud. The blocks whose least cosine is within
-1e-12 of the least of all are then recomputed against the whole cloud,
-so the radius is the same float as the full product gives. No
-randomness anywhere in this module.
+mis-shaped rows, or of entries past int64, is refused when it is built.
+Covering radius against a Fibonacci-sphere grid is the desk-scale
+measure of density. It walks the grid, which is sorted by y, in one
+kind of block: the full grid-by-cloud product's. A float32 screen
+compares each block only with the cloud points in a y-band around it,
+as wide as the nearest-point distance measured on every
+grid_resolution-th row, and rows with no cloud point close enough fall
+back to the whole cloud. A float32 cosine is within _EPS32 of the
+float64 one, so the blocks whose least screened cosine is within
+2 * _EPS32 of the least of all are then recomputed in float64 against
+the whole cloud, and the radius is the same float as the full product
+gives. No randomness anywhere in this module.
 """
 
 from __future__ import annotations
@@ -67,6 +70,12 @@ class PointCloud:
             if not np.issubdtype(a.dtype, np.integer):
                 raise InvariantViolation(f"cloud {name} of dtype {a.dtype} are not integers: "
                                          f"row 0 = {a[:1].tolist()}")
+            # _ray_order's int64 view would read a uint64 entry past 2^63 as negative
+            if np.iinfo(a.dtype).max > np.iinfo(np.int64).max:
+                past = np.flatnonzero((a > np.iinfo(np.int64).max).any(axis=1))
+                if past.size:
+                    raise InvariantViolation(f"cloud {name} row {past[0]} = "
+                                             f"{a[past[0]].tolist()} does not fit int64")
         zero = np.flatnonzero(~self.dirs.any(axis=1))
         if zero.size:
             raise InvariantViolation(f"zero ray is not a twistor point: dirs row {zero[0]}")
@@ -199,9 +208,10 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return _fibonacci_rows(n, 0, n)
 
 
-def _fibonacci_rows(n: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop (clipped to n) of fibonacci_sphere(n), bit for bit."""
-    i = np.arange(start, min(stop, n))
+def _fibonacci_rows(n: int, start: int, stop: int, stride: int = 1) -> np.ndarray:
+    """Rows start, start + stride, ... before stop (clipped to n) of
+    fibonacci_sphere(n), bit for bit."""
+    i = np.arange(start, min(stop, n), stride)
     y = (i * (2.0 / n)) - 1.0 + 1.0 / n
     r = np.sqrt(np.maximum(0.0, 1.0 - y * y))
     phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
@@ -219,60 +229,90 @@ def _check_grid(grid_resolution: int) -> int:
     return grid_resolution
 
 
+# bound on |float32 cosine - float64 cosine| of two unit vectors; derived
+# in covering_radius's docstring
+_EPS32 = 1e-6
+
+
+def _best32(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Each float32 row's best float32 cosine against the points, -inf for none."""
+    return np.fmax.reduce(rows @ points.T, axis=1, initial=-np.inf)
+
+
 def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     """Max over a grid_resolution^2 Fibonacci grid of the angular
     distance to the nearest cloud point, in radians.
 
-    The nearest point of a grid row is its max cosine. Every product is
-    taken on one block size, that of the full grid-by-cloud product: step
-    grid rows, whose cosines against the whole cloud fill _BLOCK_BYTES.
-    The grid is built a chunk of whole blocks at a time and is sorted by
-    y. A cloud point within angle theta = 2*sqrt(4*pi/len(cloud)) of a
-    row differs from it in y by at most the chord h = 2*sin(theta/2) (2
-    when theta >= pi; 1e-9 is added for rounding), so each block is
-    compared with the cloud points within h of its rows in y. A row whose
-    best cosine there is below cos(theta) is compared with the whole
-    cloud instead, step such rows a product.
+    The nearest point of a grid row is its max cosine, its best. Every
+    product is taken on one block size, that of the full grid-by-cloud
+    product: step grid rows, whose float64 cosines against the whole
+    cloud fill _BLOCK_BYTES. The grid is built a chunk of whole blocks at
+    a time and is sorted by y.
 
-    Cosines from products of other shapes may differ in the last ulp. So
-    each block's least best cosine is kept with the block's start while
-    it is within 1e-12 of the least so far, and the kept blocks within
-    1e-12 of the least of all are recomputed exactly as the full product
-    takes them: the block against the whole cloud in enumeration order.
+    A float32 screen finds the blocks that can hold the least best.
+    Rounding the three components of each unit to float32 errs by a
+    relative 2^-24 each, and a float32 dot of three terms adds gamma_3 =
+    3*2^-24/(1 - 3*2^-24) of the sum of |products|, which is at most 1
+    for unit vectors. So a float32 cosine is within about 5*2^-24, 3e-7,
+    of the float64 one, and eps = _EPS32 = 1e-6 bounds it with room.
+
+    The screen's band is measured on the grid. Every grid_resolution-th
+    row is compared with the whole cloud, and c0 is the least of their
+    float32 bests. A point whose cosine to a row is at least c0 - eps
+    lies within the chord sqrt(2 - 2*(c0 - eps)) of it, and so within
+    that distance of it in y (h; 1e-9 is added for rounding). So each
+    block is compared with the cloud points within h of its rows in y.
+    If a row's band best is at least c0 + eps, the row's nearest point
+    has a cosine above c0 - eps, lies in the band, and the band best is
+    within eps of the row's float64 best. A row whose band best is below
+    c0 + eps is far, and is compared with the whole cloud, step such
+    rows a product. So every screened best is within eps of the float64
+    best, whatever c0 is; c0 only sets how wide the band is.
+
+    Each block's least screened best is kept with the block's start
+    while it is within 2*eps of the least so far, and the kept blocks
+    within 2*eps of the least of all, which hold the block of the
+    float64 least, are recomputed exactly as the full product takes them:
+    the block against the whole cloud in enumeration order, in float64.
     arccos is decreasing, so one arccos of the least recomputed cosine is
     the radius, the same float as the full product gives.
     """
-    n = _check_grid(grid_resolution) ** 2
+    g = _check_grid(grid_resolution)
+    n = g * g
     if len(cloud) == 0:
         raise EmptyCloud("covering radius of an empty cloud is undefined: 0 rays, "
                          f"witnesses of shape {cloud.witnesses.shape}")
     units = _units(cloud.dirs)
-    band = units[np.argsort(units[:, 1])]
-    theta = 2 * math.sqrt(4 * math.pi / len(units))
-    h = 2 * math.sin(min(theta, math.pi) / 2) + 1e-9  # no chord exceeds 2
+    band = units[np.argsort(units[:, 1])]  # the cloud by y
+    ys, band = band[:, 1], band.astype(np.float32)
     step = max(1, _BLOCK_BYTES // (8 * len(units)))
+    # c0: the least float32 best of every g-th grid row, step rows a product
+    c0 = min(float(_best32(_fibonacci_rows(n, s, s + step * g, g).astype(np.float32),
+                           band).min())
+             for s in range(0, n, step * g))
+    h = math.sqrt(2 - 2 * (c0 - _EPS32)) + 1e-9
     # chunks of whole blocks, whose dozen or so float64 temporaries a row
     # fill a tenth of _BLOCK_BYTES, or one block where a block is taller
     chunk = step * max(1, (_BLOCK_BYTES // 1024) // step)
-    least, kept = math.inf, []  # kept: (block start, its least best cosine)
+    least, kept = math.inf, []  # kept: (block start, its least screened best)
     for c in range(0, n, chunk):
         grid = _fibonacci_rows(n, c, c + chunk)
         starts = np.arange(0, len(grid), step)
         y = grid[:, 1]  # ascending: a block lies between its first y and its last
-        lo = np.searchsorted(band[:, 1], y[starts] - h)
-        hi = np.searchsorted(band[:, 1], y[np.minimum(starts + step, len(y)) - 1] + h)
-        best = np.concatenate([np.max(grid[s:s + step] @ band[a:b].T, axis=1, initial=-np.inf)
+        lo = np.searchsorted(ys, y[starts] - h)
+        hi = np.searchsorted(ys, y[np.minimum(starts + step, len(y)) - 1] + h)
+        grid = grid.astype(np.float32)
+        best = np.concatenate([_best32(grid[s:s + step], band[a:b])
                                for s, a, b in zip(starts.tolist(), lo.tolist(), hi.tolist())])
-        # a point within theta of a row lies in its band; past theta a
-        # nearer point may lie outside it, so those rows take the whole cloud
-        far = np.flatnonzero(best < math.cos(theta))
+        far = np.flatnonzero(best < c0 + _EPS32)
         for s in range(0, len(far), step):
-            best[far[s:s + step]] = np.max(grid[far[s:s + step]] @ units.T, axis=1)
+            best[far[s:s + step]] = _best32(grid[far[s:s + step]], band)
         mins = np.minimum.reduceat(best, starts)
-        least = min(least, mins.min())
-        kept += [(c + s, m) for s, m in zip(starts.tolist(), mins.tolist()) if m <= least + 1e-12]
+        least = min(least, float(mins.min()))
+        kept += [(c + s, m) for s, m in zip(starts.tolist(), mins.tolist())
+                 if m <= least + 2 * _EPS32]
     least = min(np.max(_fibonacci_rows(n, s, s + step) @ units.T, axis=1).min()
-                for s, m in kept if m <= least + 1e-12)
+                for s, m in kept if m <= least + 2 * _EPS32)
     return float(np.arccos(np.clip(least, -1.0, 1.0)))
 
 

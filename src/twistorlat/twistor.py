@@ -52,7 +52,8 @@ from .quaternions import unit_direction
 
 
 # Memory budget of one block: box rows (int64) in the scans and the
-# bounded search, grid-by-cloud cosines (float64) in covering_radius.
+# bounded search, grid-by-cloud cosines in covering_radius (float64 in
+# its exact recompute; its float32 screen takes half of it).
 _BLOCK_BYTES = 4 << 20
 
 # Largest box a scan or bounded search walks, and largest covering-radius

@@ -690,6 +690,11 @@ class TestPointCloud:
         ([[1, 0, 0]], np.zeros((2, 1), np.int64), DimensionMismatch,
          "shapes (1, 3) and (2, 1)"),
         ([[1, 0, 0]], np.zeros(1, np.int64), DimensionMismatch, "shapes (1, 3) and (1,)"),
+        # an int64 view reads 2^63 + 5 as negative: the ray was written before 1,0,0
+        (np.array([[2 ** 63 + 5, 0, 1], [1, 0, 0]], np.uint64), np.zeros((2, 1), np.int64),
+         InvariantViolation, "cloud dirs row 0 = [9223372036854775813, 0, 1] does not fit int64"),
+        ([[1, 0, 0], [0, 1, 0]], np.array([[0, 7], [1, 2 ** 64 - 1]], np.uint64),
+         InvariantViolation, "cloud witnesses row 1 = [1, 18446744073709551615] does not fit"),
     ])
     def test_bad_rows_refused(self, dirs, witnesses, error, message):
         with pytest.raises(error) as info:
@@ -782,6 +787,55 @@ class TestCoveringRadius:
             assert (repr(covering_radius(cloud, resolution))
                     == repr(reference_covering_radius(cloud, resolution)))
 
+    def test_near_tie_needs_the_margin(self, monkeypatch):
+        # one ray opposite the bisector of grid rows 15 and 20 at resolution
+        # 20: those two rows are the farthest, a few ulps apart in float64,
+        # and float32 ranks them the other way round
+        grid = reference_grid(400)
+        v = -(grid[15] + grid[20])
+        ray = np.rint(v / np.abs(v).max() * 2.0 ** 40).astype(np.int64)
+        cloud = PointCloud(ray[None], np.zeros((1, 1), np.int64))
+        units = scanning._units(cloud.dirs)
+        cos64 = (grid @ units.T)[:, 0]
+        cos32 = (grid.astype(np.float32) @ units.astype(np.float32).T)[:, 0]
+        assert {np.argmin(cos64), np.argmin(cos32)} == {15, 20}
+        assert 0 < cos64[np.argmin(cos32)] - cos64.min() < 1e-14
+        assert cos32[np.argmin(cos64)] > cos32.min()  # no float32 tie
+        # 8-row blocks: the two rows in two blocks, only the float32 least
+        # one within no margin
+        monkeypatch.setattr(scanning, "_BLOCK_BYTES", 64)
+        assert repr(covering_radius(cloud, 20)) == repr(reference_covering_radius(cloud, 20))
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["uniform", "clustered", "tiny", "huge", "symmetric"]),
+           size=st.integers(1, 300), resolution=st.integers(2, 40))
+    def test_float32_bests_within_eps(self, seed, kind, size, resolution):
+        # the bound covering_radius's docstring derives: 5 * 2^-24 and
+        # terms of order 2^-48, inside _EPS32
+        cloud = random_cloud(seed, kind, size)
+        assume(len(cloud))
+        grid = reference_grid(resolution ** 2)
+        units = scanning._units(cloud.dirs)
+        best64 = np.max(grid @ units.T, axis=1)
+        best32 = np.max(grid.astype(np.float32) @ units.astype(np.float32).T, axis=1)
+        assert np.abs(best32 - best64).max() <= 5 * 2.0 ** -24 * (1 + 2.0 ** -20)
+        assert 5 * 2.0 ** -24 * (1 + 2.0 ** -20) < scanning._EPS32
+
+    def test_memory_within_the_cloud_and_two_budgets(self, monkeypatch):
+        # the sample rows and the far rows go a block at a time: at once,
+        # their float32 cosines against this cloud would take 16 MB and 9 MB
+        budget = 1 << 18
+        monkeypatch.setattr(scanning, "_BLOCK_BYTES", budget)
+        cloud = scan_algebraic(U3, TRIPLE, 7)
+        covering_radius(cloud, 200)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            covering_radius(cloud, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cloud.dirs.nbytes + cloud.witnesses.nbytes + 2 * budget
+
     def test_memory_independent_of_grid(self):
         cloud = scan_algebraic(U3, TRIPLE, 4)
         covering_radius(cloud, 100)  # numpy's first-call allocations
@@ -837,6 +891,11 @@ class TestCoveringRadius:
     @pytest.mark.parametrize("n", [1, 2, 500, 40000])
     def test_grid_equals_reference(self, n):
         assert np.array_equal(fibonacci_sphere(n), reference_grid(n))
+        # the strided rows covering_radius samples, bit for bit
+        for start, stop, stride in ((0, n, math.isqrt(n)), (0, 9 * 200, 200),
+                                    (3, n // 2, 7), (n - 1, n + 5, 3)):
+            assert (scanning._fibonacci_rows(n, start, stop, stride).tobytes()
+                    == reference_grid(n)[start:stop:stride].tobytes())
 
     def test_grid_size_checked(self):
         # 31623^2 is just over 10^9 points: rejected before any is built
