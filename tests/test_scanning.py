@@ -788,22 +788,26 @@ class TestCoveringRadius:
                     == repr(reference_covering_radius(cloud, resolution)))
 
     def test_near_tie_needs_the_margin(self, monkeypatch):
-        # one ray opposite the bisector of grid rows 15 and 20 at resolution
-        # 20: those two rows are the farthest, a few ulps apart in float64,
-        # and float32 ranks them the other way round
+        # one ray opposite the bisector of two grid rows at resolution 20:
+        # those rows are the farthest, a few ulps apart in float64. Take the
+        # first pair that float32 ranks strictly the other way round, in two
+        # 8-row blocks (rows 6 and 9 with numpy 2.4's OpenBLAS): without the
+        # margin only the float32 least block would be recomputed
         grid = reference_grid(400)
-        v = -(grid[15] + grid[20])
-        ray = np.rint(v / np.abs(v).max() * 2.0 ** 40).astype(np.int64)
+        for i, j in itertools.combinations(range(30), 2):
+            v = -(grid[i] + grid[j])
+            ray = np.rint(v / np.abs(v).max() * 2.0 ** 40).astype(np.int64)
+            units = scanning._units(ray[None])
+            cos64 = (grid @ units.T)[:, 0]
+            cos32 = (grid.astype(np.float32) @ units.astype(np.float32).T)[:, 0]
+            if ({np.argmin(cos64), np.argmin(cos32)} == {i, j} and i // 8 != j // 8
+                    and cos32[np.argmin(cos64)] > cos32.min()):
+                break
+        else:
+            pytest.fail("no pair of rows 0..29 ranks differently in float32")
+        assert 0 < cos64[np.argmin(cos32)] - cos64.min() < 1e-12
         cloud = PointCloud(ray[None], np.zeros((1, 1), np.int64))
-        units = scanning._units(cloud.dirs)
-        cos64 = (grid @ units.T)[:, 0]
-        cos32 = (grid.astype(np.float32) @ units.astype(np.float32).T)[:, 0]
-        assert {np.argmin(cos64), np.argmin(cos32)} == {15, 20}
-        assert 0 < cos64[np.argmin(cos32)] - cos64.min() < 1e-14
-        assert cos32[np.argmin(cos64)] > cos32.min()  # no float32 tie
-        # 8-row blocks: the two rows in two blocks, only the float32 least
-        # one within no margin
-        monkeypatch.setattr(scanning, "_BLOCK_BYTES", 64)
+        monkeypatch.setattr(scanning, "_BLOCK_BYTES", 64)  # 8 rows a block
         assert repr(covering_radius(cloud, 20)) == repr(reference_covering_radius(cloud, 20))
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
