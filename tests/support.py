@@ -9,7 +9,24 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from twistorlat import stereographic
+from twistorlat.quaternions import (
+    QUAT_I,
+    QUAT_J,
+    QUAT_K,
+    TOL,
+    Quaternion,
+    SU2Element,
+    complex_structure_from,
+    hodge_star_2forms,
+    induced_two_form,
+    rotation_from_quaternion,
+    su2_act_on_form,
+    two_form_coords,
+    two_form_from_coords,
+)
 
 
 def rref(rows):
@@ -266,3 +283,54 @@ def reference_write_svg(cloud, stream):
             py = size / 2.0 - xy[1] * scale
             stream.write(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="1.5"/>\n')
     stream.write("</svg>\n")
+
+
+def reference_verify_model(seed):
+    """The per-trial verify_model the stacked one replaced: each of 100
+    trials draws 4 then 3 normals, builds its 6x6 action from six
+    su2_act_on_form pullbacks of the basis forms, and gives four diffs;
+    each sampled row takes the largest deviation over the trials."""
+    rng = np.random.default_rng(seed)
+    rows = []
+
+    def check(name, *diffs):
+        dev = max(float(np.max(np.abs(d))) for d in diffs)
+        rows.append((name, dev <= TOL, f"max deviation {dev:.3e}"))
+
+    def omega(u):
+        return two_form_coords(induced_two_form(complex_structure_from(u)))
+
+    I, J, K = (complex_structure_from(u) for u in (QUAT_I, QUAT_J, QUAT_K))
+    check("I.J = K", I.mat @ J.mat - K.mat)
+    check("I.J = -J.I", I.mat @ J.mat + J.mat @ I.mat)
+    check("I^2 = -Id", I.mat @ I.mat + np.eye(4))
+    forms = [induced_two_form(L) for L in (I, J, K)]
+    check("omega_L antisymmetric", *(f.mat + f.mat.T for f in forms))
+    check("omega_L nondegenerate (|det| = 1)",
+          *(abs(np.linalg.det(f.mat)) - 1.0 for f in forms))
+    S = np.column_stack([two_form_coords(f) for f in forms])
+    check("omega_I, omega_J, omega_K orthogonal, equal norm",
+          S.T @ S - (S[:, 0] @ S[:, 0]) * np.eye(3))
+    star = hodge_star_2forms()
+    check("star^2 = Id", star @ star - np.eye(6))
+    check("omega_I, omega_J, omega_K self-dual", star @ S - S)
+
+    basis = [two_form_from_coords(e) for e in np.eye(6)]
+    asd = np.array([[1, 0, 0, 0, 0, -1.0], [0, 1, 0, 0, 1.0, 0], [0, 0, 1, -1.0, 0, 0]]).T
+    diffs = []
+    for _ in range(100):
+        v = rng.normal(size=4)
+        g = SU2Element.from_quaternion(Quaternion(*(v / np.linalg.norm(v))))
+        u = Quaternion.unit_imaginary(*rng.normal(size=3))
+        w = g.q.conjugate() * u * g.q
+        act = np.column_stack([two_form_coords(su2_act_on_form(g, e)) for e in basis])
+        diffs.append((star @ act - act @ star,
+                      act @ omega(u) - omega(Quaternion(0.0, w.x, w.y, w.z)),
+                      act @ S - S @ rotation_from_quaternion(g.q.conjugate()),
+                      act @ asd - asd))
+    for name, trials in zip(("SU(2) action commutes with Hodge star",
+                             "pullback rotates u by conjugation g^-1 u g",
+                             "form-level rotation matches conjugation SO(3) matrix",
+                             "anti-self-dual forms are fixed by the action"), zip(*diffs)):
+        check(name, *trials)
+    return rows

@@ -384,6 +384,13 @@ class TestDemoQuaternion:
         assert "FAIL" not in res.output
         assert res.output.count("PASS") >= 10
 
+    def test_stdout_sha256(self):
+        # stdout of the per-trial verify_model, detail strings included
+        res = invoke("demo-quaternion")
+        assert res.exit_code == 0
+        assert hashlib.sha256(res.output.encode()).hexdigest() == (
+            "092e77f61434a9e1cbffb3a834a6e2881399df89975a8ea0a4e8bac60d581eb6")
+
 
 class TestUsage:
     def test_unknown_command(self):
