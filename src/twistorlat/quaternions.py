@@ -177,8 +177,9 @@ def su2_act_on_form(g: SU2Element, f: TwoForm) -> TwoForm:
     return TwoForm(n=f.n, mat=g.rep.T @ f.mat @ g.rep)
 
 
-# Basis of constant 2-forms on R^4, ordered (01, 02, 03, 12, 13, 23).
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+# Basis of constant 2-forms on R^4, ordered (01, 02, 03, 12, 13, 23):
+# the row and the column index of each pair.
+_PAIRS = ((0, 0, 0, 1, 1, 2), (1, 2, 3, 2, 3, 3))
 
 
 def two_form_from_coords(coords) -> TwoForm:
@@ -186,16 +187,15 @@ def two_form_from_coords(coords) -> TwoForm:
         raise DimensionMismatch(
             f"a 2-form on R^4 has 6 coordinates, not shape {np.shape(coords)}")
     m = np.zeros((4, 4))
-    for c, (a, b) in zip(coords, _PAIRS):
-        m[a, b] = c
-        m[b, a] = -c
+    m[_PAIRS] = coords
+    m[_PAIRS[::-1]] = np.negative(coords)
     return TwoForm(n=1, mat=m)
 
 
 def two_form_coords(f: TwoForm) -> np.ndarray:
     if f.n != 1:
         raise Unsupported("2-form coordinates only implemented for n = 1")
-    return np.array([f.mat[a, b] for (a, b) in _PAIRS])
+    return f.mat[_PAIRS]
 
 
 def hodge_star_2forms() -> np.ndarray:
@@ -225,7 +225,10 @@ def rotation_from_quaternion(q: Quaternion) -> np.ndarray:
 
 _TRIALS = 100  # random SU(2) elements per sampled identity
 
-_BASIS = tuple(two_form_from_coords(e) for e in np.eye(6))
+# The basis forms as a (6, 4, 4) stack of matrices, in the pair basis.
+_BASIS = np.zeros((6, 4, 4))
+_BASIS[(range(6), *_PAIRS)] = 1.0
+_BASIS[(range(6), *_PAIRS[::-1])] = -1.0
 
 # Columns: the anti-self-dual 2-forms, in the pair basis.
 _ASD = np.array([[1, 0, 0, 0, 0, -1.0],
@@ -233,16 +236,13 @@ _ASD = np.array([[1, 0, 0, 0, 0, -1.0],
                  [0, 0, 1, -1.0, 0, 0]]).T
 
 
-def _action(g: SU2Element) -> np.ndarray:
-    """6x6 matrix of the pullback by g on 2-forms of R^4, pair basis."""
-    return np.column_stack([two_form_coords(su2_act_on_form(g, e)) for e in _BASIS])
-
-
 def verify_model(seed: int = 7):
     """Run the flat-model identity checks; returns (name, ok, detail) rows.
 
-    Every sampled identity is read off the action matrix of one random
-    SU(2) element per trial. Backs the demo-quaternion CLI command.
+    Every sampled identity is read off the stacked (trials, 6, 6) action
+    matrices of _TRIALS random SU(2) elements, all pulled back in one
+    product as su2_act_on_form takes each. Backs the demo-quaternion CLI
+    command.
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -272,21 +272,20 @@ def verify_model(seed: int = 7):
     check("star^2 = Id", star @ star - np.eye(6))
     check("omega_I, omega_J, omega_K self-dual", star @ S - S)
 
-    def trial():
-        v = rng.normal(size=4)
-        g = SU2Element.from_quaternion(Quaternion(*(v / np.linalg.norm(v))))
-        u = Quaternion.unit_imaginary(*rng.normal(size=3))
-        w = g.q.conjugate() * u * g.q
-        act = _action(g)
-        return (star @ act - act @ star,
-                act @ omega(u) - omega(Quaternion(0.0, w.x, w.y, w.z)),
-                act @ S - S @ rotation_from_quaternion(g.q.conjugate()),
-                act @ _ASD - _ASD)
-
-    sampled = ("SU(2) action commutes with Hodge star",
-               "pullback rotates u by conjugation g^-1 u g",
-               "form-level rotation matches conjugation SO(3) matrix",
-               "anti-self-dual forms are fixed by the action")
-    for name, diffs in zip(sampled, zip(*(trial() for _ in range(_TRIALS)))):
-        check(name, *diffs)
+    # row t: the 4 normals of element t, then the 3 of its unit u
+    draws = rng.normal(size=(_TRIALS, 7))
+    gs = [SU2Element.from_quaternion(Quaternion(*(v / np.linalg.norm(v))))
+          for v in draws[:, :4]]
+    us = [Quaternion.unit_imaginary(*v) for v in draws[:, 4:]]
+    ws = [g.q.conjugate() * u * g.q for g, u in zip(gs, us)]
+    reps = np.stack([g.rep for g in gs])[:, None]
+    # act[t]: column k is the pullback of basis form k by element t
+    act = np.swapaxes((np.swapaxes(reps, -1, -2) @ _BASIS @ reps)[(..., *_PAIRS)], 1, 2)
+    omega_u = np.stack([omega(u) for u in us])[..., None]
+    omega_w = np.stack([omega(Quaternion(0.0, w.x, w.y, w.z)) for w in ws])[..., None]
+    rot = np.stack([rotation_from_quaternion(g.q.conjugate()) for g in gs])
+    check("SU(2) action commutes with Hodge star", star @ act - act @ star)
+    check("pullback rotates u by conjugation g^-1 u g", act @ omega_u - omega_w)
+    check("form-level rotation matches conjugation SO(3) matrix", act @ S - S @ rot)
+    check("anti-self-dual forms are fixed by the action", act @ _ASD - _ASD)
     return rows
