@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidBound,
     InvariantViolation,
     NotUnitImaginary,
     TwistorLatticeError,
@@ -135,6 +136,11 @@ class TwoForm:
         _check_shape(self.n, self.mat)
 
     def __call__(self, x, y) -> float:
+        d = len(self.mat)
+        if np.shape(x) != (d,) or np.shape(y) != (d,):
+            raise DimensionMismatch(
+                f"a 2-form on R^{d} takes two vectors of length {d}, "
+                f"got shapes {np.shape(x)} and {np.shape(y)}")
         return float(np.asarray(x) @ self.mat @ np.asarray(y))
 
 
@@ -244,6 +250,8 @@ def verify_model(seed: int = 7):
     product as su2_act_on_form takes each. Backs the demo-quaternion CLI
     command.
     """
+    if integer(seed, "seed") < 0:
+        raise InvalidBound(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     rows = []
 

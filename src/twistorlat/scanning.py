@@ -205,6 +205,8 @@ def scan_non_general_type(lattice: GramLattice, triple: HyperTriple, bound: int,
 
 def fibonacci_sphere(n: int) -> np.ndarray:
     """Deterministic near-uniform grid of n points on S^2, sorted by y."""
+    if integer(n, "n") < 1:
+        raise InvalidBound(f"n must be >= 1, got {n}")
     return _fibonacci_rows(n, 0, n)
 
 

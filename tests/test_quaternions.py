@@ -200,6 +200,19 @@ class TestInducedForms:
         with pytest.raises(DimensionMismatch):
             TwoForm(n=n, mat=np.zeros((side, side)))
 
+    @pytest.mark.parametrize("n, x, y", [
+        (1, (1, 2, 3), (1, 2, 3, 4)),
+        (1, (1, 2, 3, 4), np.ones(5)),
+        (1, np.ones((1, 4)), np.ones(4)),
+        (2, np.ones(4), np.ones(4)),
+    ])
+    def test_form_takes_two_vectors_of_length_4n(self, n, x, y):
+        # never a bare numpy matmul ValueError
+        f = TwoForm(n=n, mat=np.zeros((4 * n, 4 * n)))
+        message = f"got shapes {np.shape(x)} and {np.shape(y)}"
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            f(x, y)
+
     def test_nondegenerate(self):
         for n in (1, 2):
             u = random_unit_imaginary()

@@ -37,7 +37,7 @@ from twistorlat import (
 )
 from twistorlat import scanning, twistor
 from twistorlat.linalg import pairing_rows, signature
-from twistorlat.quaternions import Quaternion, SU2Element, TwoForm, su2_act_on_form
+from twistorlat.quaternions import Quaternion, SU2Element, TwoForm, su2_act_on_form, verify_model
 from twistorlat.scanning import fibonacci_sphere
 from twistorlat.twistor import _box_pairings, _digits, _ray_order
 
@@ -923,6 +923,12 @@ GT_POINTS = (TwistorPoint.from_ray(1, 1, 0), TwistorPoint.from_unit(1.0, 0.5, 0.
     (lambda: is_general_type(U3, TRIPLE, GT_POINTS[0], bound=1.5), "bound = 1.5"),
     (lambda: is_general_type(U3, TRIPLE, GT_POINTS[1], bound=1.5), "bound = 1.5"),
     (lambda: is_general_type(U3, TRIPLE, GT_POINTS[1], bound=None), "bound = None"),
+    (lambda: verify_model(1.5), "seed = 1.5"),
+    (lambda: verify_model("3"), "seed = '3'"),
+    (lambda: verify_model(True), "seed = True"),
+    (lambda: fibonacci_sphere(2.5), "n = 2.5"),
+    (lambda: fibonacci_sphere(True), "n = True"),
+    (lambda: fibonacci_sphere("4"), "n = '4'"),
 ])
 def test_non_integer_argument_rejected(call, message):
     # never truncated (2.7 is not the index 2), and never a bare ValueError
@@ -962,6 +968,11 @@ EMPTY_CLOUD = PointCloud(np.empty((0, 3), dtype=np.int64), np.empty((0, 6), dtyp
      "SU(2) element and form live on different spaces: n = 2 and n = 1"),
     (lambda: integer_kernel([[1, 2], [3, 1.5]]), TwistorLatticeError,
      "kernel entry (1, 1) = 1.5 is not an integer"),
+    (lambda: verify_model(-1), InvalidBound, "seed must be >= 0, got -1"),
+    (lambda: TwoForm(n=1, mat=np.zeros((4, 4)))((1, 2, 3), (1, 2, 3, 4)), DimensionMismatch,
+     "got shapes (3,) and (4,)"),
+    (lambda: fibonacci_sphere(0), InvalidBound, "n must be >= 1, got 0"),
+    (lambda: fibonacci_sphere(-1), InvalidBound, "n must be >= 1, got -1"),
 ])
 def test_error_names_its_input(call, error, message):
     with pytest.raises(error) as info:
