@@ -246,9 +246,9 @@ def verify_model(seed: int = 7):
     """Run the flat-model identity checks; returns (name, ok, detail) rows.
 
     Every sampled identity is read off the stacked (trials, 6, 6) action
-    matrices of _TRIALS random SU(2) elements, all pulled back in one
-    product as su2_act_on_form takes each. Backs the demo-quaternion CLI
-    command.
+    matrices of _TRIALS random SU(2) elements, drawn from seed (an
+    integer >= 0); all basis forms are pulled back in one product, the
+    one su2_act_on_form takes. Backs the demo-quaternion CLI command.
     """
     if integer(seed, "seed") < 0:
         raise InvalidBound(f"seed must be >= 0, got {seed}")

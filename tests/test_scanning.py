@@ -969,8 +969,6 @@ EMPTY_CLOUD = PointCloud(np.empty((0, 3), dtype=np.int64), np.empty((0, 6), dtyp
     (lambda: integer_kernel([[1, 2], [3, 1.5]]), TwistorLatticeError,
      "kernel entry (1, 1) = 1.5 is not an integer"),
     (lambda: verify_model(-1), InvalidBound, "seed must be >= 0, got -1"),
-    (lambda: TwoForm(n=1, mat=np.zeros((4, 4)))((1, 2, 3), (1, 2, 3, 4)), DimensionMismatch,
-     "got shapes (3,) and (4,)"),
     (lambda: fibonacci_sphere(0), InvalidBound, "n must be >= 1, got 0"),
     (lambda: fibonacci_sphere(-1), InvalidBound, "n must be >= 1, got -1"),
 ])
