@@ -95,12 +95,15 @@ class GramLattice:
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.rank <= 0 or len(self.gram) != self.rank:
+        if self.rank < 1:
+            raise DimensionMismatch(f"a lattice needs rank >= 1, got rank {self.rank}")
+        if len(self.gram) != self.rank:
             raise DimensionMismatch(
                 f"gram must be {self.rank}x{self.rank}, got {len(self.gram)} rows")
-        for row in self.gram:
+        for i, row in enumerate(self.gram):
             if len(row) != self.rank:
-                raise DimensionMismatch("gram matrix is not square")
+                raise DimensionMismatch(f"gram matrix is not square: row {i} "
+                                        f"has length {len(row)}, not {self.rank}")
         for i in range(self.rank):
             for j in range(i):
                 if self.gram[i][j] != self.gram[j][i]:

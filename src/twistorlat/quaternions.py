@@ -28,6 +28,12 @@ TOL = 1e-12
 
 @dataclass(frozen=True)
 class Quaternion:
+    """w + x i + y j + z k. Each field is a float, or a float array of one
+    shape shared by the array fields: then *, conjugate, left_mult_matrix
+    and rotation_from_quaternion work elementwise, one quaternion per
+    entry, with the same arithmetic as on floats. norm, is_unit,
+    normalized and is_unit_imaginary take floats only."""
+
     w: float
     x: float
     y: float
@@ -84,14 +90,15 @@ QUAT_K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
 def left_mult_matrix(q: Quaternion) -> np.ndarray:
-    """Matrix of p -> q p on H = R^4 in the basis (1, i, j, k)."""
-    w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array([
+    """Matrix of p -> q p on H = R^4 in the basis (1, i, j, k); for array
+    fields of shape s, the stack of shape s + (4, 4)."""
+    w, x, y, z = np.broadcast_arrays(q.w, q.x, q.y, q.z)  # a float w beside array x, y, z
+    return np.moveaxis(np.array([
         [w, -x, -y, -z],
         [x, w, -z, y],
         [y, z, w, -x],
         [z, -y, x, w],
-    ])
+    ]), (0, 1), (-2, -1))
 
 
 def _dim(n) -> int:
@@ -193,9 +200,11 @@ def two_form_from_coords(coords) -> TwoForm:
         raise DimensionMismatch(
             f"a 2-form on R^4 has 6 coordinates, not shape {np.shape(coords)}")
     m = np.zeros((4, 4))
-    m[_PAIRS] = coords
-    m[_PAIRS[::-1]] = np.negative(coords)
-    return TwoForm(n=1, mat=m)
+    try:
+        m[_PAIRS] = coords
+    except (TypeError, ValueError):
+        raise TwistorLatticeError(f"2-form coordinates {coords!r} are not numbers") from None
+    return TwoForm(n=1, mat=m - m.T)
 
 
 def two_form_coords(f: TwoForm) -> np.ndarray:
@@ -220,21 +229,20 @@ def hodge_star(f: TwoForm) -> TwoForm:
 
 
 def rotation_from_quaternion(q: Quaternion) -> np.ndarray:
-    """SO(3) matrix of v -> q v conj(q) on imaginary quaternions (x,y,z)."""
+    """SO(3) matrix of v -> q v conj(q) on imaginary quaternions (x,y,z);
+    for array fields of shape s, the stack of shape s + (3, 3)."""
     w, x, y, z = q.w, q.x, q.y, q.z
-    return np.array([
+    return np.moveaxis(np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    ]), (0, 1), (-2, -1))
 
 
 _TRIALS = 100  # random SU(2) elements per sampled identity
 
 # The basis forms as a (6, 4, 4) stack of matrices, in the pair basis.
-_BASIS = np.zeros((6, 4, 4))
-_BASIS[(range(6), *_PAIRS)] = 1.0
-_BASIS[(range(6), *_PAIRS[::-1])] = -1.0
+_BASIS = np.array([two_form_from_coords(e).mat for e in np.eye(6)])
 
 # Columns: the anti-self-dual 2-forms, in the pair basis.
 _ASD = np.array([[1, 0, 0, 0, 0, -1.0],
@@ -245,10 +253,13 @@ _ASD = np.array([[1, 0, 0, 0, 0, -1.0],
 def verify_model(seed: int = 7):
     """Run the flat-model identity checks; returns (name, ok, detail) rows.
 
-    Every sampled identity is read off the stacked (trials, 6, 6) action
-    matrices of _TRIALS random SU(2) elements, drawn from seed (an
-    integer >= 0); all basis forms are pulled back in one product, the
-    one su2_act_on_form takes. Backs the demo-quaternion CLI command.
+    The sampled identities are checked on _TRIALS random SU(2) elements g
+    and unit imaginary u, drawn from seed (an integer >= 0). Each formula
+    runs once over the whole stack: the products g^-1 u g, the
+    left-multiplication matrices of g, u and g^-1 u g, whose entries at
+    _PAIRS are the 2-form coordinates of omega_u, the rotations of g^-1,
+    and one pullback of all basis forms, the product su2_act_on_form
+    takes. Backs the demo-quaternion CLI command.
     """
     if integer(seed, "seed") < 0:
         raise InvalidBound(f"seed must be >= 0, got {seed}")
@@ -258,9 +269,6 @@ def verify_model(seed: int = 7):
     def check(name, *diffs):
         dev = max(float(np.max(np.abs(d))) for d in diffs)
         rows.append((name, dev <= TOL, f"max deviation {dev:.3e}"))
-
-    def omega(u):
-        return two_form_coords(induced_two_form(complex_structure_from(u)))
 
     I, J, K = (complex_structure_from(u) for u in (QUAT_I, QUAT_J, QUAT_K))
     check("I.J = K", I.mat @ J.mat - K.mat)
@@ -280,18 +288,20 @@ def verify_model(seed: int = 7):
     check("star^2 = Id", star @ star - np.eye(6))
     check("omega_I, omega_J, omega_K self-dual", star @ S - S)
 
-    # row t: the 4 normals of element t, then the 3 of its unit u
-    draws = rng.normal(size=(_TRIALS, 7))
-    gs = [SU2Element.from_quaternion(Quaternion(*(v / np.linalg.norm(v))))
-          for v in draws[:, :4]]
-    us = [Quaternion.unit_imaginary(*v) for v in draws[:, 4:]]
-    ws = [g.q.conjugate() * u * g.q for g, u in zip(gs, us)]
-    reps = np.stack([g.rep for g in gs])[:, None]
+    # row t: the 4 normals of element t in q, then the 3 of its unit u in v
+    q, v = np.split(rng.normal(size=(_TRIALS, 7)), [4], axis=1)
+    # each norm a dot product, as np.linalg.norm takes it for one row
+    g = Quaternion(*(q / np.sqrt(q[:, None] @ q[..., None])[:, 0]).T)
+    x, y, z = v.T  # the squares summed in unit_direction's order
+    u = Quaternion(0.0, *(v / np.sqrt(x * x + y * y + z * z)[:, None]).T)
+    reps = left_mult_matrix(g)[:, None]
     # act[t]: column k is the pullback of basis form k by element t
     act = np.swapaxes((np.swapaxes(reps, -1, -2) @ _BASIS @ reps)[(..., *_PAIRS)], 1, 2)
-    omega_u = np.stack([omega(u) for u in us])[..., None]
-    omega_w = np.stack([omega(Quaternion(0.0, w.x, w.y, w.z)) for w in ws])[..., None]
-    rot = np.stack([rotation_from_quaternion(g.q.conjugate()) for g in gs])
+    omega_u = left_mult_matrix(u)[(..., *_PAIRS)][..., None]
+    # the entries at _PAIRS are off the diagonal: the real part of g^-1 u g,
+    # 0 up to rounding, is not read
+    omega_w = left_mult_matrix(g.conjugate() * u * g)[(..., *_PAIRS)][..., None]
+    rot = rotation_from_quaternion(g.conjugate())
     check("SU(2) action commutes with Hodge star", star @ act - act @ star)
     check("pullback rotates u by conjugation g^-1 u g", act @ omega_u - omega_w)
     check("form-level rotation matches conjugation SO(3) matrix", act @ S - S @ rot)

@@ -337,26 +337,63 @@ def test_verify_model_equals_reference(seed):
     assert verify_model(seed) == reference_verify_model(seed)
 
 
-def _right_mult_element(q, n=1):
+# p q = conj(conj(q) conj(p)): conjugate, multiply by conj(q) on the left, conjugate
+_CONJ = np.diag([1.0, -1.0, -1.0, -1.0])
+
+
+def _right_mult_matrix(q):
     # p -> p q commutes with every left multiplication, so it fixes the
-    # self-dual forms and moves the anti-self-dual ones
-    images = [b * q for b in (Quaternion(1.0, 0.0, 0.0, 0.0), QUAT_I, QUAT_J, QUAT_K)]
-    rep = np.array([[p.w, p.x, p.y, p.z] for p in images]).T
-    return SU2Element(q=q, n=n, rep=rep)
+    # self-dual forms and moves the anti-self-dual ones; it also gives
+    # the complex structures (and the elements' reps) I J = -K, whose
+    # forms are anti-self-dual
+    return _CONJ @ left_mult_matrix(q.conjugate()) @ _CONJ
 
 
-@pytest.mark.parametrize("owner, attr, fake, failing", [
-    (quaternions, "rotation_from_quaternion",
-     lambda q: rotation_from_quaternion(q).T,
+@pytest.mark.parametrize("attr, fake, failing", [
+    ("rotation_from_quaternion",
+     lambda q: np.swapaxes(rotation_from_quaternion(q), -1, -2),
      {"form-level rotation matches conjugation SO(3) matrix"}),
-    (SU2Element, "from_quaternion", staticmethod(_right_mult_element),
-     {"pullback rotates u by conjugation g^-1 u g",
+    ("left_mult_matrix", _right_mult_matrix,
+     {"I.J = K",
+      "omega_I, omega_J, omega_K self-dual",
+      "pullback rotates u by conjugation g^-1 u g",
       "form-level rotation matches conjugation SO(3) matrix",
       "anti-self-dual forms are fixed by the action"}),
-    (quaternions, "hodge_star_2forms", lambda: -hodge_star_2forms(),
+    ("hodge_star_2forms", lambda: -hodge_star_2forms(),
      {"omega_I, omega_J, omega_K self-dual"}),
 ], ids=["rotation-transposed", "right-multiplication", "star-negated"])
-def test_verify_model_catches_a_broken_model(monkeypatch, owner, attr, fake,
-                                             failing):
-    monkeypatch.setattr(owner, attr, fake)
+def test_verify_model_catches_a_broken_model(monkeypatch, attr, fake, failing):
+    monkeypatch.setattr(quaternions, attr, fake)
     assert {name for name, ok, _ in verify_model() if not ok} == failing
+
+
+def test_right_mult_matrix_multiplies_on_the_right():
+    # the fake above is the model it claims to be
+    for _ in range(20):
+        p, q = random_unit_quaternion(), random_unit_quaternion()
+        pq = p * q
+        got = _right_mult_matrix(q) @ [p.w, p.x, p.y, p.z]
+        assert np.max(np.abs(got - [pq.w, pq.x, pq.y, pq.z])) < 1e-12
+
+
+_FLOATS = st.floats(-1e6, 1e6)
+
+
+def _fields(q):
+    return np.stack(np.broadcast_arrays(q.w, q.x, q.y, q.z), axis=-1)
+
+
+@given(st.lists(st.tuples(*[_FLOATS] * 8), min_size=1, max_size=8))
+def test_stacked_formulas_equal_per_row(rows):
+    # on an (m, 4) stack each formula gives, row for row, the very floats
+    # it gives on one quaternion; u has the float 0.0 as its real part
+    a = np.array(rows)
+    p, q = Quaternion(*a[:, :4].T), Quaternion(*a[:, 4:].T)
+    u = Quaternion(0.0, *a[:, 5:].T)
+    ps, qs, us = ([Quaternion(*row) for row in zip(*_fields(s).T)] for s in (p, q, u))
+    assert np.array_equal(_fields(p * q), [_fields(s * t) for s, t in zip(ps, qs)])
+    assert np.array_equal(_fields(q.conjugate()), [_fields(s.conjugate()) for s in qs])
+    for s, ss in ((p, ps), (u, us)):
+        assert np.array_equal(left_mult_matrix(s), [left_mult_matrix(t) for t in ss])
+        assert np.array_equal(rotation_from_quaternion(s),
+                              [rotation_from_quaternion(t) for t in ss])

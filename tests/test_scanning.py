@@ -37,7 +37,14 @@ from twistorlat import (
 )
 from twistorlat import scanning, twistor
 from twistorlat.linalg import pairing_rows, signature
-from twistorlat.quaternions import Quaternion, SU2Element, TwoForm, su2_act_on_form, verify_model
+from twistorlat.quaternions import (
+    Quaternion,
+    SU2Element,
+    TwoForm,
+    su2_act_on_form,
+    two_form_from_coords,
+    verify_model,
+)
 from twistorlat.scanning import fibonacci_sphere
 from twistorlat.twistor import _box_pairings, _digits, _ray_order
 
@@ -971,6 +978,12 @@ EMPTY_CLOUD = PointCloud(np.empty((0, 3), dtype=np.int64), np.empty((0, 6), dtyp
     (lambda: verify_model(-1), InvalidBound, "seed must be >= 0, got -1"),
     (lambda: fibonacci_sphere(0), InvalidBound, "n must be >= 1, got 0"),
     (lambda: fibonacci_sphere(-1), InvalidBound, "n must be >= 1, got -1"),
+    (lambda: GramLattice.from_rows([]), DimensionMismatch,
+     "a lattice needs rank >= 1, got rank 0"),
+    (lambda: GramLattice.from_rows([[2, 1, 0], [1, 2], [0, 0, 2]]), DimensionMismatch,
+     "gram matrix is not square: row 1 has length 2, not 3"),
+    (lambda: two_form_from_coords([1.0, 0, 0, 0, 0, "x"]), TwistorLatticeError,
+     "2-form coordinates [1.0, 0, 0, 0, 0, 'x'] are not numbers"),
 ])
 def test_error_names_its_input(call, error, message):
     with pytest.raises(error) as info:
