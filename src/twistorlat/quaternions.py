@@ -292,7 +292,8 @@ def verify_model(seed: int = 7):
     q, v = np.split(rng.normal(size=(_TRIALS, 7)), [4], axis=1)
     # each norm a dot product, as np.linalg.norm takes it for one row
     g = Quaternion(*(q / np.sqrt(q[:, None] @ q[..., None])[:, 0]).T)
-    x, y, z = v.T  # the squares summed in unit_direction's order
+    x, y, z = v.T
+    # the squares summed in unit_direction's order
     u = Quaternion(0.0, *(v / np.sqrt(x * x + y * y + z * z)[:, None]).T)
     reps = left_mult_matrix(g)[:, None]
     # act[t]: column k is the pullback of basis form k by element t

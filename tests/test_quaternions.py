@@ -337,15 +337,14 @@ def test_verify_model_equals_reference(seed):
     assert verify_model(seed) == reference_verify_model(seed)
 
 
-# p q = conj(conj(q) conj(p)): conjugate, multiply by conj(q) on the left, conjugate
+# _CONJ p is conj(p) in the basis (1, i, j, k), and p q = conj(conj(q) conj(p))
 _CONJ = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
 def _right_mult_matrix(q):
     # p -> p q commutes with every left multiplication, so it fixes the
-    # self-dual forms and moves the anti-self-dual ones; it also gives
-    # the complex structures (and the elements' reps) I J = -K, whose
-    # forms are anti-self-dual
+    # self-dual forms and moves the anti-self-dual ones. As complex
+    # structures, right multiplications give I J = -K and anti-self-dual forms
     return _CONJ @ left_mult_matrix(q.conjugate()) @ _CONJ
 
 
@@ -390,7 +389,7 @@ def test_stacked_formulas_equal_per_row(rows):
     a = np.array(rows)
     p, q = Quaternion(*a[:, :4].T), Quaternion(*a[:, 4:].T)
     u = Quaternion(0.0, *a[:, 5:].T)
-    ps, qs, us = ([Quaternion(*row) for row in zip(*_fields(s).T)] for s in (p, q, u))
+    ps, qs, us = ([Quaternion(*row) for row in _fields(s)] for s in (p, q, u))
     assert np.array_equal(_fields(p * q), [_fields(s * t) for s, t in zip(ps, qs)])
     assert np.array_equal(_fields(q.conjugate()), [_fields(s.conjugate()) for s in qs])
     for s, ss in ((p, ps), (u, us)):
