@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -199,11 +200,11 @@ def two_form_from_coords(coords) -> TwoForm:
     if np.shape(coords) != (6,):
         raise DimensionMismatch(
             f"a 2-form on R^4 has 6 coordinates, not shape {np.shape(coords)}")
+    # numpy would read None as nan, '1.5' as 1.5 and True as 1.0
+    if not all(isinstance(c, Real) and not isinstance(c, (bool, np.bool_)) for c in coords):
+        raise TwistorLatticeError(f"2-form coordinates {coords!r} are not numbers")
     m = np.zeros((4, 4))
-    try:
-        m[_PAIRS] = coords
-    except (TypeError, ValueError):
-        raise TwistorLatticeError(f"2-form coordinates {coords!r} are not numbers") from None
+    m[_PAIRS] = coords
     return TwoForm(n=1, mat=m - m.T)
 
 

@@ -17,7 +17,8 @@ the cloud's columns a chunk of rows at a time: one %-format a CSV row
 or SVG circle, and no TwistorPoint per ray. A cloud is two int64
 arrays, the distinct rays and their witnesses; TwistorPoints are built
 only when it is iterated, and a cloud of non-integer, zero or
-mis-shaped rows, or of entries past int64, is refused when it is built.
+mis-shaped rows, of entries past int64 or of a ray entry of -2^63, is
+refused when it is built.
 Covering radius against a Fibonacci-sphere grid is the desk-scale
 measure of density. It walks the grid, which is sorted by y, in one
 kind of block: the full grid-by-cloud product's. A float32 screen
@@ -49,7 +50,6 @@ from .twistor import (
     _digits,
     _int64,
     _ray_order,
-    _table,
 )
 
 
@@ -76,6 +76,12 @@ class PointCloud:
                 if past.size:
                     raise InvariantViolation(f"cloud {name} row {past[0]} = "
                                              f"{a[past[0]].tolist()} does not fit int64")
+        # and its packed key would take |-2^63| as -2^63: rays of it would merge
+        if np.iinfo(self.dirs.dtype).min == np.iinfo(np.int64).min:
+            low = np.flatnonzero((self.dirs == np.iinfo(np.int64).min).any(axis=1))
+            if low.size:
+                raise InvariantViolation(f"cloud dirs row {low[0]} = {self.dirs[low[0]].tolist()} "
+                                         "holds -2^63, whose negation does not fit int64")
         zero = np.flatnonzero(~self.dirs.any(axis=1))
         if zero.size:
             raise InvariantViolation(f"zero ray is not a twistor point: dirs row {zero[0]}")
@@ -109,6 +115,29 @@ def _units(dirs: np.ndarray) -> np.ndarray:
     return dirs / norms[:, None]
 
 
+def _table_terms(gram: np.ndarray, free: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(q_low, p_low) over the digit table of the last free of the k
+    coordinates of an int64 Gram: each table row low, in lexicographic
+    order (one empty row when free = 0), gives q_low = q(low, low) and
+    p_low = low @ G[lo:, :lo], lo = k - free, with no digit table built.
+
+    They are built one coordinate at a time, the last first, as
+    twistor._box_pairings builds its groups. Level j's table has the rows
+    (x, v), x in [-b, b] leading, for its coordinate c = k - j and the rows
+    v of level j - 1, and p holds v @ G[c + 1:, :c + 1]. So with
+    r = G[c, c + 1:] . v, the last column of p,
+    q(x, v) = x * (G_cc * x + 2 * r) + q(v), and (x, v) @ G[c:, :c] is
+    x * G[c, :c] plus the first c columns of p. _scan bounds every
+    partial sum."""
+    k = len(gram)
+    x = np.arange(-b, b + 1, dtype=np.int64)[:, None]
+    q, p = np.zeros(1, np.int64), np.zeros((1, k), np.int64)  # level 0: one empty row
+    for c in range(k - 1, k - free - 1, -1):  # the last coordinate first: it ends minor
+        q = (x * (gram[c, c] * x + 2 * p[:, c]) + q).ravel()
+        p = (x[:, :, None] * gram[c, :c] + p[:, :c]).reshape(len(q), c)
+    return q, p
+
+
 def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
           both_signs: bool) -> PointCloud:
     """The block loop of the scans, over H-, on the distinct pairings of
@@ -130,9 +159,15 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
 
     Positivity is separable over the table: with v = high + low,
     q(v, v) = Q_low + 2 P_low . high + q(high), where Q_low = q(low, low)
-    and P_low = low @ G_lh are built once, as outer sums (twistor._table).
-    Every partial sum is a partial sum of sum_ij |G_ij v_i v_j|, so at
-    most max|G|*B^2*k^2 in absolute value: the bound the int64 check takes."""
+    and P_low = low @ G_lh are built once a call, one coordinate at a
+    time (_table_terms). Every partial sum of a block's q is a partial
+    sum of sum_ij |G_ij v_i v_j|, so at most max|G|*B^2*k^2 in absolute
+    value. So is every partial sum of the recurrence. On level j of it,
+    over j coordinates, r = G_c,rest . v has |r| <= max|G|*B*(j-1), so
+    |G_cc x + 2r| <= max|G|*B*(2j-1), its product with x is at most
+    max|G|*B^2*(2j-1), and adding |q(v)| <= max|G|*B^2*(j-1)^2 gives at
+    most max|G|*B^2*j^2. Every entry of p, x G_c,: plus a partial row of
+    v @ G, is at most max|G|*B*k. That is the bound the int64 check takes."""
     # the kernel checks the signature first; then the box enumerates only the
     # masked coordinates (sorted, without repeats), against the matching
     # columns of the pairing rows and Gram submatrix
@@ -153,9 +188,8 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
         gram = _int64([[e // content for e in row] for row in sub],
                       (bound * k) ** 2, "max|G|*B^2*k^2").reshape(k, k)
         lo = k - walk.free  # the first table coordinate
-        low = _table(np.eye(walk.free, dtype=np.int64), bound)
-        q_low = (_table(gram[lo:, lo:], bound) * low).sum(axis=1)
-        p_low, g_high = _table(gram[lo:, :lo], bound), gram[:lo, :lo]
+        q_low, p_low = _table_terms(gram, walk.free, bound)
+        g_high = gram[:lo, :lo]
 
     # the candidate rays and their keys; a walk over no coordinate yields
     # no block, so the lists start with no candidate

@@ -8,14 +8,16 @@ search) carry only a floating unit vector and no exact ray. The box
 walk, _box_pairings, is shared by the bounded search and the scans; it
 walks H-, the half of the box whose first nonzero entry is negative,
 as every decision they take from a box vector v holds for -v too. A
-block of the walk is one prefix over a fixed digit table, and the
+block of the walk is a run of whole prefixes over a digit table of the
+trailing coordinates, as many as fit the memory budget, and the
 projection t = rows . v of a box vector is its table row's pairing plus
-the prefix's; the walk hands its consumers the table's distinct
-pairings, so they decide on d rows a block instead of one a vector,
-and the index in the whole box of the block's first vector, so the box
-vectors they keep are the digits of their indices (_digits). One key,
-_ray_order, decides ray equality (the table's and the scans' dedup) and
-ray order (emission).
+the prefix's. The walk hands its consumers the table's distinct
+pairings, found one coordinate at a time with no digit table built, so
+they decide on d rows a prefix instead of one a vector, and the index
+in the whole box of the block's first vector, so the box vectors they
+keep are the digits of their indices (_digits). One key, _ray_order,
+decides ray equality (the table's and the scans' dedup) and ray order
+(emission).
 """
 
 from __future__ import annotations
@@ -74,9 +76,10 @@ def _int64(matrix, reach: int, bound: str) -> np.ndarray:
 
 def _ray_order(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(firsts, groups): the index of the first occurrence of each
-    distinct row of an (n, 3) integer array, in lexicographic order of the
-    rows, and for each row the position of its distinct row in that
-    order, from one stable sort of the row keys."""
+    distinct row of an (n, 3) int64 array with no entry -2^63 (its
+    absolute value wraps), in lexicographic order of the rows, and for
+    each row the position of its distinct row in that order, from one
+    stable sort of the row keys."""
     m = int(np.abs(rays).max(initial=0))
     base = 2 * m + 1
     if base ** 3 <= np.iinfo(np.int64).max:  # digits below base: keys sort as rows
@@ -92,18 +95,6 @@ def _ray_order(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order[edge], groups
 
 
-def _table(cols: np.ndarray, b: int) -> np.ndarray:
-    """x @ cols for every x of [-b, b]^f (f = len(cols)) in lexicographic
-    order, built as outer sums over the coordinates, the leading one
-    major; one zero row when f = 0. Every entry, and every partial sum
-    taken on the way, is a partial sum of x @ cols."""
-    out = np.zeros((1, cols.shape[1]), dtype=np.int64)
-    x = np.arange(-b, b + 1, dtype=np.int64)[:, None, None]
-    for col in cols[::-1]:  # the last coordinate first: it ends minor
-        out = (x * col + out).reshape(len(x) * len(out), cols.shape[1])
-    return out
-
-
 def _digits(index: np.ndarray, width: int, b: int) -> np.ndarray:
     """Rows index of the lexicographic walk of [-b, b]^width."""
     side = 2 * b + 1
@@ -115,12 +106,13 @@ class _Walk(NamedTuple):
     """H- of a box as _box_pairings walks it. The box vectors are the
     prefix rows of k - free leading coordinates, each followed by every
     row of the digit table of the free trailing ones, n = (2b+1)^free
-    rows in lexicographic order. Table rows with the same pairing
-    rows . low form one group: groups maps each table row to its group,
-    firsts (ascending) gives each group's first table row and pairings
-    its rows . low. blocks yields (start, high, m, t): the index in the
-    lexicographic box of the block's first vector, prefix rows high, the
-    number m of the block's len(high) * n vectors that lie in H-, and
+    rows in lexicographic order; the table itself is never built. Table
+    rows with the same pairing rows . low form one group: groups maps
+    each table row to its group, firsts (ascending) gives each group's
+    first table row and pairings its rows . low. blocks yields
+    (start, high, m, t): the index in the lexicographic box of the
+    block's first vector, prefix rows high, the number m of the block's
+    len(high) * n vectors that lie in H-, and
     t = pairings + high @ rows_high.T, high-major, one row per group
     whose first vector lies in H-. The vector at position p of a block
     is _digits(start + p, k, b)."""
@@ -151,23 +143,34 @@ def _box_pairings(rows, b: int) -> _Walk:
     The first bounded witness thus lies in H- or nowhere, and a scan
     keys -v by the index N-1-i of the v at index i (scanning._scan).
 
-    Blocks follow one rule. free is the largest number of trailing
-    coordinates whose (2b+1)^free rows fit in a block; it is 0 when one
-    coordinate's range alone is over the budget. Their table pairings
-    rows_low . low are built once, as outer sums with no digit table,
-    and deduplicated by _ray_order, each distinct value numbered by its
-    first table row. A block is one prefix of the other k - free
-    coordinates over the table; when free = 0 the table is one empty row
-    and a block is a block's worth of prefixes, so t is the same outer
-    sum. t needs no per-vector product: its rows hold the d distinct
-    pairings, not the n table rows (U3 at B=3: 1,183 of 16,807). The last
-    block is cut where H- ends, (N-1)/2 vectors in, so the zero vector
-    needs no branch; the groups whose first row lies before the cut are a
-    prefix of t, as firsts ascend.
+    free is the largest number of trailing coordinates whose (2b+1)^free
+    rows fit in a block; it is 0 when one coordinate's range alone is
+    over the budget, and the table is then one empty row. The distinct
+    table pairings are found one coordinate at a time, the last first,
+    with no digit table: the table of level j has the rows (x, rest),
+    x in [-b, b] leading, and (x, rest) pairs to x * col + p, col the
+    coordinate's pairing column and p the pairing of rest. So level j's
+    distinct pairings are the distinct x * col + p over x and the d
+    distinct p of level j - 1, (2b+1) * d candidates, x-major. The first
+    table row of candidate (x, p) is x's offset plus p's first row, so
+    the candidates' first rows ascend, and one _ray_order pass over them
+    numbers level j's groups by their first rows; each table row's group
+    is one gather of the candidate groups (U3 at B=3: 1,183 distinct of
+    16,807 rows; the last level sorts 7 * 169 candidates, not 16,807
+    rows).
 
-    Every partial sum of t = rows_low . low + rows_high . high is one of
-    rows . v, and so at most max|rows|*B*k in absolute value: the bound
-    the int64 check takes."""
+    A block is as many whole prefixes of the other k - free coordinates
+    as fit, per_block // n of them; when free = 0, n = 1 and a block is
+    per_block prefixes. t needs no per-vector product: its rows hold the
+    d distinct pairings a prefix, not the n table rows, so
+    len(t) <= per_block. The last block is cut where H- ends, (N-1)/2
+    vectors in, so the zero vector needs no branch; the groups of the
+    last prefix whose first row lies before the cut are a prefix of its
+    rows of t, as firsts ascend.
+
+    Every partial sum of t = rows_low . low + rows_high . high, and of a
+    candidate, is one of rows . v, and so at most max|rows|*B*k in
+    absolute value: the bound the int64 check takes."""
     if b < 1:
         raise InvalidBound(f"box_bound must be >= 1, got {b}")
     k = len(rows[0])
@@ -182,12 +185,21 @@ def _box_pairings(rows, b: int) -> _Walk:
     while free > 0 and side ** free > per_block:
         free -= 1
     n, half = side ** free, (side ** k - 1) // 2
-    step = 1 if free else per_block  # prefixes a block
-    table = _table(rows[:, k - free:].T, b)
-    lex, lex_groups = _ray_order(table)
-    rank = np.argsort(lex)  # the groups in order of their first table row
-    firsts = lex[rank]
-    pairings, rows_high = table[firsts], rows[:, :k - free].T
+    step = per_block // n  # whole prefixes a block: n <= per_block
+    x = np.arange(-b, b + 1, dtype=np.int64)[:, None, None]
+    # level 0, the table of no coordinate: one empty row, pairing 0
+    groups, firsts = np.zeros(1, np.intp), np.zeros(1, np.intp)
+    pairings = np.zeros((1, 3), np.int64)
+    for i in range(k - 1, k - free - 1, -1):  # the last coordinate first: it ends minor
+        d, size = len(firsts), len(groups)
+        candidates = (x * rows[:, i] + pairings).reshape(side * d, 3)
+        lex, lex_groups = _ray_order(candidates)
+        rank = np.argsort(lex)  # the groups in order of their first candidate
+        pick = lex[rank]
+        firsts = pick // d * size + firsts[pick % d]
+        pairings = candidates[pick]
+        groups = np.argsort(rank)[lex_groups].reshape(side, d)[:, groups].ravel()
+    rows_high = rows[:, :k - free].T
 
     def blocks():
         last = -(-half // n)  # prefixes up to the one where H- ends
@@ -197,7 +209,7 @@ def _box_pairings(rows, b: int) -> _Walk:
             m = min(len(high) * n, half - p * n)
             cut = full * len(firsts) + np.searchsorted(firsts, m - full * n)
             yield p * n, high, m, (pairings + (high @ rows_high)[:, None]).reshape(-1, 3)[:cut]
-    return _Walk(free, np.argsort(rank)[lex_groups], firsts, pairings, blocks())
+    return _Walk(free, groups, firsts, pairings, blocks())
 
 
 def _cross(a, b):

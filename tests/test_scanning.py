@@ -162,8 +162,9 @@ class TestBoxVectors:
     @pytest.mark.parametrize("block_bytes", [64, 4096, TINY_BLOCK_BYTES, None])
     def test_block_rule(self, block_bytes, monkeypatch):
         # free is the largest number of trailing coordinates whose
-        # (2B+1)^free rows fit a block: every block but the last holds one
-        # prefix over all of them, or per_block vectors when free = 0
+        # (2B+1)^free rows fit a block: every block but the last holds
+        # per_block // (2B+1)^free whole prefixes over all of them, or
+        # per_block vectors when free = 0
         if block_bytes:
             monkeypatch.setattr(twistor, "_BLOCK_BYTES", block_bytes)
         for k, b in itertools.product(range(1, 7), (1, 2, 10)):
@@ -172,7 +173,8 @@ class TestBoxVectors:
                 continue
             per_block = twistor._BLOCK_BYTES // (8 * k)
             free = max(f for f in range(k + 1) if side ** f <= per_block)
-            size = side ** free if free else per_block
+            step = per_block // side ** free  # prefixes a block: per_block when free = 0
+            size = step * side ** free
             walk = _box_pairings(rows_of_width(k), b)
             assert walk.free == free and len(walk.groups) == side ** free
             if not free:  # the table is one empty row
@@ -183,6 +185,7 @@ class TestBoxVectors:
             # each block starts where the one before it ends
             assert [start for start, _, _, _ in blocks] == [0, *itertools.accumulate(lengths)][:-1]
             assert lengths[:-1] == [size] * (len(blocks) - 1)
+            assert [len(high) for _, high, _, _ in blocks[:-1]] == [step] * (len(blocks) - 1)
             assert 0 < lengths[-1] <= size
             assert sum(lengths) == (side ** k - 1) // 2
             # what a block materializes: its prefix rows, and a row of t
@@ -224,6 +227,31 @@ class TestBoxVectors:
         assert walk.firsts.tolist() == list(first.values())
         assert walk.pairings.tolist() == [list(pairing) for pairing in first]
         assert walk.groups.tolist() == [position[tuple(row)] for row in pairings]
+
+    @given(k=st.integers(1, 5), b=st.integers(1, 3), data=st.data())
+    @example(k=5, b=3, data=None)  # every entry the largest admitted, 5 table coordinates
+    def test_table_terms_are_the_digit_forms(self, k, b, data):
+        # q_low and p_low over the table's digits, for symmetric Grams with
+        # entries up to the largest that the int64 check admits
+        largest = (2 ** 63 - 1) // (b * k) ** 2
+        if data is None:
+            free, upper = k, [largest] * (k * (k + 1) // 2)
+        else:
+            free = data.draw(st.integers(0, k))
+            upper = data.draw(st.lists(st.integers(-largest, largest),
+                                       min_size=k * (k + 1) // 2, max_size=k * (k + 1) // 2))
+        entries = iter(upper)
+        gram = np.zeros((k, k), dtype=object)
+        for i, j in itertools.combinations_with_replacement(range(k), 2):
+            gram[i, j] = gram[j, i] = next(entries)
+        q_low, p_low = scanning._table_terms(
+            scanning._int64(gram.tolist(), (b * k) ** 2, "max|G|*B^2*k^2"), free, b)
+        lo = k - free
+        digits = np.array(list(itertools.product(range(-b, b + 1), repeat=free)),
+                          dtype=object).reshape((2 * b + 1) ** free, free)
+        assert q_low.dtype == p_low.dtype == np.int64
+        assert q_low.tolist() == ((digits @ gram[lo:, lo:]) * digits).sum(axis=1).tolist()
+        assert p_low.tolist() == (digits @ gram[lo:, :lo]).tolist()
 
     def test_invalid_bound(self):
         with pytest.raises(InvalidBound, match="box_bound must be >= 1"):
@@ -631,6 +659,26 @@ def test_ray_order(rays, order):
     assert groups.tolist() == [sorted(first).index(row) for row in map(tuple, rays.tolist())]
 
 
+# the extremes, and the largest entry whose rows still pack into one int64
+# key, (2m + 1)^3 < 2^63, with the least that does not; a draw takes the
+# entries up to one of them, so each side of the packing bound is met
+EXTREMES = [2 ** 63 - 1, 2 ** 62, 2 ** 20, 2 ** 20 - 1, 1, 0]
+
+
+@given(rays=st.sampled_from(EXTREMES).flatmap(lambda cap: st.lists(st.tuples(*[
+    st.sampled_from([s * e for e in EXTREMES if e <= cap for s in (1, -1)])] * 3), max_size=12)))
+# the least entry past the packing bound: packed, the first row's key would wrap
+@example(rays=[(2 ** 20, 0, 0), (0, -1, 2 ** 20 - 1), (-2 ** 20, 2 ** 20, 1), (0, -1, 2 ** 20 - 1)])
+def test_ray_order_equals_sorted(rays):
+    # packed or as records, the rows sort as Python sorts their tuples,
+    # for every int64 entry but -2^63, which PointCloud refuses
+    firsts, groups = _ray_order(np.array(rays, dtype=np.int64).reshape(-1, 3))
+    distinct = sorted(set(rays))
+    assert [rays[i] for i in firsts.tolist()] == distinct
+    assert firsts.tolist() == [rays.index(row) for row in distinct]
+    assert groups.tolist() == [distinct.index(row) for row in rays]
+
+
 # a cloud whose entries are too large for the packed int64 key
 BIG = 2 ** 62 - 1
 BIG_CLOUD = PointCloud(np.array([[BIG, 0, -1], [-BIG, 1, 0], [0, -1, BIG], [-BIG, 0, 1]]),
@@ -702,6 +750,10 @@ class TestPointCloud:
          InvariantViolation, "cloud dirs row 0 = [9223372036854775813, 0, 1] does not fit int64"),
         ([[1, 0, 0], [0, 1, 0]], np.array([[0, 7], [1, 2 ** 64 - 1]], np.uint64),
          InvariantViolation, "cloud witnesses row 1 = [1, 18446744073709551615] does not fit"),
+        # the packed key takes |-2^63| as -2^63: these four rays gave three
+        (np.array([[2, 1, -1], [2, -2 ** 63, 0], [3, 0, 2], [2, 0, -2 ** 63]], np.int64),
+         np.zeros((4, 1), np.int64), InvariantViolation,
+         "cloud dirs row 1 = [2, -9223372036854775808, 0] holds -2^63"),
     ])
     def test_bad_rows_refused(self, dirs, witnesses, error, message):
         with pytest.raises(error) as info:
@@ -984,6 +1036,13 @@ EMPTY_CLOUD = PointCloud(np.empty((0, 3), dtype=np.int64), np.empty((0, 6), dtyp
      "gram matrix is not square: row 1 has length 2, not 3"),
     (lambda: two_form_from_coords([1.0, 0, 0, 0, 0, "x"]), TwistorLatticeError,
      "2-form coordinates [1.0, 0, 0, 0, 0, 'x'] are not numbers"),
+    # numpy's float conversion would read these as nan, 1.5 and 1.0
+    (lambda: two_form_from_coords([1.0, 0, 0, 0, 0, None]), TwistorLatticeError,
+     "2-form coordinates [1.0, 0, 0, 0, 0, None] are not numbers"),
+    (lambda: two_form_from_coords([1.0, 0, 0, 0, 0, "1.5"]), TwistorLatticeError,
+     "2-form coordinates [1.0, 0, 0, 0, 0, '1.5'] are not numbers"),
+    (lambda: two_form_from_coords([True, 0, 0, 0, 0, 0]), TwistorLatticeError,
+     "2-form coordinates [True, 0, 0, 0, 0, 0] are not numbers"),
 ])
 def test_error_names_its_input(call, error, message):
     with pytest.raises(error) as info:
