@@ -4,6 +4,17 @@ Complex structures act by left quaternion multiplication componentwise;
 SU(2) also acts by left multiplication, so the pullback of an induced
 2-form rotates the defining imaginary unit by conjugation u -> g^-1 u g.
 Metric <p, q> = Re(p conj(q)) per component, orientation (1, i, j, k).
+
+The model's constructors and maps take stacked quaternions, as the
+quaternion operations do: for array fields of shape s,
+complex_structure_from, SU2Element.from_quaternion and induced_two_form
+hold stacks of shape s + (4n, 4n), checked on their trailing two axes,
+two_form_coords gives shape s + (6,), and su2_act_on_form broadcasts
+stacks of elements against stacks of forms as numpy's @ does. One
+formula serves one quaternion and a stack, entry for entry the same
+floats. TwoForm.__call__ and hodge_star take one form, not a stack.
+A field that is not a number is refused with the caller's error, naming
+the field, and the model size n is at most _MAX_N.
 """
 
 from __future__ import annotations
@@ -26,14 +37,34 @@ from .linalg import integer
 
 TOL = 1e-12
 
+# The largest model size n: one 4n x 4n float64 matrix within 4 MiB (n = 181)
+_MAX_N = math.isqrt((4 << 20) // 8) // 4
+
+
+def _number(c, stacks: bool = False) -> bool:
+    """c is a real number and not a bool; with stacks, an int or float array too."""
+    if stacks and isinstance(c, np.ndarray):
+        return c.dtype.kind in "iuf"
+    # numpy would read None as nan, '1.5' as 1.5 and True as 1.0, or fail on them
+    return isinstance(c, Real) and not isinstance(c, (bool, np.bool_))
+
+
+def _refuse_non_numbers(error, stacks: bool = False, **fields) -> None:
+    """Raise error, the caller's TwistorLatticeError class, naming the first
+    field that is not a number (with stacks, or an array of them)."""
+    for name, c in fields.items():
+        if not _number(c, stacks):
+            raise error(f"field {name} = {c!r} is not a number")
+
 
 @dataclass(frozen=True)
 class Quaternion:
     """w + x i + y j + z k. Each field is a float, or a float array of one
-    shape shared by the array fields: then *, conjugate, left_mult_matrix
-    and rotation_from_quaternion work elementwise, one quaternion per
-    entry, with the same arithmetic as on floats. norm, is_unit,
-    normalized and is_unit_imaginary take floats only."""
+    shape shared by the array fields: then *, conjugate, left_mult_matrix,
+    rotation_from_quaternion and the model's constructors work
+    elementwise, one quaternion per entry, with the same arithmetic as on
+    floats, and is_unit and is_unit_imaginary hold when they hold for
+    every entry. norm and normalized take floats only."""
 
     w: float
     x: float
@@ -52,6 +83,7 @@ class Quaternion:
         return Quaternion(self.w, -self.x, -self.y, -self.z)
 
     def norm(self) -> float:
+        _refuse_non_numbers(InvariantViolation, w=self.w, x=self.x, y=self.y, z=self.z)
         return math.hypot(self.w, self.x, self.y, self.z)  # no square under- or overflows
 
     def normalized(self) -> "Quaternion":
@@ -60,11 +92,22 @@ class Quaternion:
             raise InvariantViolation(f"{self} has no unit: norm {n}")
         return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
 
+    def _unit_entries(self, imaginary: bool = False) -> np.ndarray:
+        """Per entry, whether it has norm 1 within TOL and, with imaginary,
+        real part 0 within TOL; the norm of x, y and z alone then."""
+        # hypot squares nothing: no square under- or overflows, and a norm
+        # past the float range is inf, not 1
+        with np.errstate(over="ignore"):
+            norm = np.hypot(np.hypot(0.0 if imaginary else self.w, self.x),
+                            np.hypot(self.y, self.z))
+        return (np.abs(norm - 1.0) <= TOL) & ((np.abs(self.w) <= TOL) | (not imaginary))
+
     def is_unit(self) -> bool:
-        return abs(self.norm() - 1.0) <= TOL
+        """Whether every entry has norm 1 within TOL."""
+        return bool(np.all(self._unit_entries()))
 
     def is_unit_imaginary(self) -> bool:
-        return abs(self.w) <= TOL and abs(math.hypot(self.x, self.y, self.z) - 1.0) <= TOL
+        return bool(np.all(self._unit_entries(imaginary=True)))
 
     @staticmethod
     def unit_imaginary(x: float, y: float, z: float) -> "Quaternion":
@@ -74,7 +117,9 @@ class Quaternion:
 def unit_direction(x: float, y: float, z: float, error) -> tuple[float, float, float]:
     """(x, y, z) over its norm, scaled by its largest entry first when the
     squared norm under- or overflows. Raises error, the caller's
-    TwistorLatticeError class, for zero, nan or inf entries."""
+    TwistorLatticeError class, for zero, nan or inf entries and for entries
+    that are not numbers."""
+    _refuse_non_numbers(error, x=x, y=y, z=z)
     n = math.sqrt(x * x + y * y + z * z)
     s = max(abs(x), abs(y), abs(z))
     if n in (0.0, math.inf) and 0.0 < s < math.inf:
@@ -103,27 +148,46 @@ def left_mult_matrix(q: Quaternion) -> np.ndarray:
 
 
 def _dim(n) -> int:
-    """The real dimension 4n of H^n, for a model size n that is an integer >= 1."""
+    """The real dimension 4n of H^n, for a model size n that is an integer
+    in [1, _MAX_N]; refused before anything of that size is allocated."""
     try:
-        if integer(n, "model size n") >= 1:
+        if 1 <= integer(n, "model size n") <= _MAX_N:
             return 4 * int(n)
     except TwistorLatticeError:
         pass
-    raise DimensionMismatch(f"model size n = {n!r} is not an integer >= 1")
+    raise DimensionMismatch(f"model size n = {n!r} is not an integer in [1, {_MAX_N}]")
+
+
+def _require_units(q: "Quaternion", imaginary: bool = False) -> None:
+    """Refuse q unless every entry is a unit quaternion (with imaginary, a
+    unit imaginary one), naming a field that is not a number or array of
+    them, or else the index and fields of the first entry that fails."""
+    _refuse_non_numbers(NotUnitImaginary, True, w=q.w, x=q.x, y=q.y, z=q.z)
+    ok = q._unit_entries(imaginary)
+    if not np.all(ok):
+        i = tuple(int(k) for k in np.argwhere(~ok)[0])  # () for float fields
+        entry = Quaternion(*(np.broadcast_to(f, ok.shape)[i].item() for f in (q.w, q.x, q.y, q.z)))
+        at = f" at index {i}" if i else ""
+        raise NotUnitImaginary(f"not a unit {'imaginary ' * imaginary}quaternion{at}: {entry}")
 
 
 def _check_shape(n, mat) -> None:
+    """mat is a d x d matrix, d = 4n, or a stack of them."""
     d = _dim(n)
-    if np.shape(mat) != (d, d):
+    if np.shape(mat)[-2:] != (d, d):
         raise DimensionMismatch(f"expected {d}x{d} matrix, got shape {np.shape(mat)}")
 
 
+def _one_form(f: "TwoForm") -> "TwoForm":
+    """f, when it is one form and not a stack of them."""
+    if np.ndim(f.mat) != 2:
+        raise DimensionMismatch(f"expected one 2-form, got a stack of shape {np.shape(f.mat)}")
+    return f
+
+
 def _block_diag(mat4: np.ndarray, n: int) -> np.ndarray:
-    d = _dim(n)
-    out = np.zeros((d, d))
-    for b in range(n):
-        out[4 * b:4 * b + 4, 4 * b:4 * b + 4] = mat4
-    return out
+    """n copies of each 4x4 matrix of the stack mat4 down the diagonal."""
+    return np.kron(np.eye(_dim(n) // 4), mat4)
 
 
 @dataclass(frozen=True)
@@ -144,7 +208,7 @@ class TwoForm:
         _check_shape(self.n, self.mat)
 
     def __call__(self, x, y) -> float:
-        d = len(self.mat)
+        d = len(_one_form(self).mat)
         if np.shape(x) != (d,) or np.shape(y) != (d,):
             raise DimensionMismatch(
                 f"a 2-form on R^{d} takes two vectors of length {d}, "
@@ -159,36 +223,36 @@ class SU2Element:
     rep: np.ndarray
 
     def __post_init__(self):
-        if not self.q.is_unit():
-            raise NotUnitImaginary(f"not a unit quaternion: {self.q}")
+        _require_units(self.q)
         _check_shape(self.n, self.rep)
 
     @staticmethod
     def from_quaternion(q: Quaternion, n: int = 1) -> "SU2Element":
+        _require_units(q)  # before its matrix is built from the fields
         return SU2Element(q=q, n=n, rep=_block_diag(left_mult_matrix(q), n))
 
 
 def complex_structure_from(u: Quaternion, n: int = 1) -> ComplexStructureMatrix:
-    """Left multiplication by a unit imaginary quaternion; squares to -Id."""
-    if not u.is_unit_imaginary():
-        raise NotUnitImaginary(f"not a unit imaginary quaternion: {u}")
+    """Left multiplication by a unit imaginary quaternion; squares to -Id.
+    For a stack of quaternions, the stack of their matrices."""
+    _require_units(u, imaginary=True)
     return ComplexStructureMatrix(n=n, mat=_block_diag(left_mult_matrix(u), n))
 
 
 def induced_two_form(L: ComplexStructureMatrix) -> TwoForm:
     """The 2-form (x, y) -> <x, L y> with the standard metric (mat = L)."""
-    m = L.mat
-    if np.max(np.abs(m + m.T)) > TOL:
+    if np.max(np.abs(L.mat + np.swapaxes(L.mat, -1, -2))) > TOL:
         raise InvariantViolation("induced form is not antisymmetric")
-    return TwoForm(n=L.n, mat=m)
+    return TwoForm(n=L.n, mat=L.mat)
 
 
 def su2_act_on_form(g: SU2Element, f: TwoForm) -> TwoForm:
-    """Pullback of the form along the action of g."""
+    """Pullback of the form along the action of g; stacks of elements
+    and of forms broadcast against each other."""
     if g.n != f.n:
         raise DimensionMismatch(
             f"SU(2) element and form live on different spaces: n = {g.n} and n = {f.n}")
-    return TwoForm(n=f.n, mat=g.rep.T @ f.mat @ g.rep)
+    return TwoForm(n=f.n, mat=np.swapaxes(g.rep, -1, -2) @ f.mat @ g.rep)
 
 
 # Basis of constant 2-forms on R^4, ordered (01, 02, 03, 12, 13, 23):
@@ -200,8 +264,7 @@ def two_form_from_coords(coords) -> TwoForm:
     if np.shape(coords) != (6,):
         raise DimensionMismatch(
             f"a 2-form on R^4 has 6 coordinates, not shape {np.shape(coords)}")
-    # numpy would read None as nan, '1.5' as 1.5 and True as 1.0
-    if not all(isinstance(c, Real) and not isinstance(c, (bool, np.bool_)) for c in coords):
+    if not all(map(_number, coords)):
         raise TwistorLatticeError(f"2-form coordinates {coords!r} are not numbers")
     m = np.zeros((4, 4))
     m[_PAIRS] = coords
@@ -211,7 +274,7 @@ def two_form_from_coords(coords) -> TwoForm:
 def two_form_coords(f: TwoForm) -> np.ndarray:
     if f.n != 1:
         raise Unsupported("2-form coordinates only implemented for n = 1")
-    return f.mat[_PAIRS]
+    return f.mat[(..., *_PAIRS)]
 
 
 def hodge_star_2forms() -> np.ndarray:
@@ -226,7 +289,7 @@ def hodge_star_2forms() -> np.ndarray:
 
 
 def hodge_star(f: TwoForm) -> TwoForm:
-    return two_form_from_coords(hodge_star_2forms() @ two_form_coords(f))
+    return two_form_from_coords(hodge_star_2forms() @ two_form_coords(_one_form(f)))
 
 
 def rotation_from_quaternion(q: Quaternion) -> np.ndarray:
@@ -254,13 +317,16 @@ _ASD = np.array([[1, 0, 0, 0, 0, -1.0],
 def verify_model(seed: int = 7):
     """Run the flat-model identity checks; returns (name, ok, detail) rows.
 
-    The sampled identities are checked on _TRIALS random SU(2) elements g
-    and unit imaginary u, drawn from seed (an integer >= 0). Each formula
-    runs once over the whole stack: the products g^-1 u g, the
-    left-multiplication matrices of g, u and g^-1 u g, whose entries at
-    _PAIRS are the 2-form coordinates of omega_u, the rotations of g^-1,
-    and one pullback of all basis forms, the product su2_act_on_form
-    takes. Backs the demo-quaternion CLI command.
+    Every formula is reached through the model's public functions, each
+    called once on a stack of quaternions: I, J and K are one
+    complex_structure_from of the stack (i, j, k). The sampled identities
+    are checked on _TRIALS random SU(2) elements g and unit imaginary u,
+    drawn from seed (an integer >= 0): the products g^-1 u g, the forms
+    omega_u and omega_{g^-1 u g} as two_form_coords(induced_two_form(
+    complex_structure_from(.))), the rotations of g^-1, and one
+    su2_act_on_form pullback of all 6 basis forms by all g, whose
+    SU2Element.from_quaternion has (_TRIALS, 1) fields. Backs the
+    demo-quaternion CLI command.
     """
     if integer(seed, "seed") < 0:
         raise InvalidBound(f"seed must be >= 0, got {seed}")
@@ -271,17 +337,17 @@ def verify_model(seed: int = 7):
         dev = max(float(np.max(np.abs(d))) for d in diffs)
         rows.append((name, dev <= TOL, f"max deviation {dev:.3e}"))
 
-    I, J, K = (complex_structure_from(u) for u in (QUAT_I, QUAT_J, QUAT_K))
-    check("I.J = K", I.mat @ J.mat - K.mat)
-    check("I.J = -J.I", I.mat @ J.mat + J.mat @ I.mat)
-    check("I^2 = -Id", I.mat @ I.mat + np.eye(4))
+    L = complex_structure_from(Quaternion(0.0, *np.eye(3)))  # I, J and K, stacked
+    I, J, K = L.mat
+    check("I.J = K", I @ J - K)
+    check("I.J = -J.I", I @ J + J @ I)
+    check("I^2 = -Id", I @ I + np.eye(4))
 
-    forms = [induced_two_form(L) for L in (I, J, K)]
-    check("omega_L antisymmetric", *(f.mat + f.mat.T for f in forms))
-    check("omega_L nondegenerate (|det| = 1)",
-          *(abs(np.linalg.det(f.mat)) - 1.0 for f in forms))
+    forms = induced_two_form(L)
+    check("omega_L antisymmetric", forms.mat + np.swapaxes(forms.mat, -1, -2))
+    check("omega_L nondegenerate (|det| = 1)", np.abs(np.linalg.det(forms.mat)) - 1.0)
     # columns omega_I, omega_J, omega_K: orthogonal, of equal norm, self-dual
-    S = np.column_stack([two_form_coords(f) for f in forms])
+    S = two_form_coords(forms).T
     check("omega_I, omega_J, omega_K orthogonal, equal norm",
           S.T @ S - (S[:, 0] @ S[:, 0]) * np.eye(3))
 
@@ -292,17 +358,20 @@ def verify_model(seed: int = 7):
     # row t: the 4 normals of element t in q, then the 3 of its unit u in v
     q, v = np.split(rng.normal(size=(_TRIALS, 7)), [4], axis=1)
     # each norm a dot product, as np.linalg.norm takes it for one row
-    g = Quaternion(*(q / np.sqrt(q[:, None] @ q[..., None])[:, 0]).T)
+    q = (q / np.sqrt(q[:, None] @ q[..., None])[:, 0]).T
+    g = Quaternion(*q)
     x, y, z = v.T
     # the squares summed in unit_direction's order
     u = Quaternion(0.0, *(v / np.sqrt(x * x + y * y + z * z)[:, None]).T)
-    reps = left_mult_matrix(g)[:, None]
+    # element t, of (_TRIALS, 1) fields, pulls back all 6 basis forms at once;
     # act[t]: column k is the pullback of basis form k by element t
-    act = np.swapaxes((np.swapaxes(reps, -1, -2) @ _BASIS @ reps)[(..., *_PAIRS)], 1, 2)
-    omega_u = left_mult_matrix(u)[(..., *_PAIRS)][..., None]
-    # the entries at _PAIRS are off the diagonal: the real part of g^-1 u g,
-    # 0 up to rounding, is not read
-    omega_w = left_mult_matrix(g.conjugate() * u * g)[(..., *_PAIRS)][..., None]
+    pulled = su2_act_on_form(SU2Element.from_quaternion(Quaternion(*q[..., None])),
+                             TwoForm(n=1, mat=_BASIS))
+    act = np.swapaxes(two_form_coords(pulled), -1, -2)
+    # the columns omega_u; two_form_coords reads entries off the diagonal,
+    # so the real part of g^-1 u g, 0 up to rounding, is not read
+    omega_u, omega_w = (two_form_coords(induced_two_form(complex_structure_from(w)))[..., None]
+                        for w in (u, g.conjugate() * u * g))
     rot = rotation_from_quaternion(g.conjugate())
     check("SU(2) action commutes with Hodge star", star @ act - act @ star)
     check("pullback rotates u by conjugation g^-1 u g", act @ omega_u - omega_w)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,29 @@ class TestComplexStructures:
 
     def test_numpy_model_size(self):
         assert complex_structure_from(QUAT_K, n=np.int64(2)).mat.shape == (8, 8)
+
+    @pytest.mark.parametrize("n", [10**9, quaternions._MAX_N + 1])
+    def test_model_size_is_capped(self, n):
+        # refused before a 4n x 4n matrix is asked for: no numpy "array is
+        # too big" ValueError, and no multi-GB allocation
+        message = f"model size n = {n} is not an integer in [1, 181]"
+        tracemalloc.start()
+        try:
+            for make in (complex_structure_from, SU2Element.from_quaternion):
+                with pytest.raises(DimensionMismatch, match=re.escape(message)):
+                    make(QUAT_I, n=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_model_size_cap_builds(self):
+        # one 4n x 4n float64 matrix within 4 MiB
+        n = quaternions._MAX_N
+        assert n == 181 and (4 * n) ** 2 * 8 <= 4 << 20 < (4 * n + 4) ** 2 * 8
+        m = complex_structure_from(QUAT_I, n=n).mat
+        assert m.shape == (724, 724)
+        assert np.array_equal(m @ m, -np.eye(724))
 
     @pytest.mark.parametrize("side", [3, 8])
     def test_su2_rep_is_4n_square(self, side):
@@ -360,7 +384,13 @@ def _right_mult_matrix(q):
       "anti-self-dual forms are fixed by the action"}),
     ("hodge_star_2forms", lambda: -hodge_star_2forms(),
      {"omega_I, omega_J, omega_K self-dual"}),
-], ids=["rotation-transposed", "right-multiplication", "star-negated"])
+    # the inverse pullback: verify_model must reach the action through
+    # su2_act_on_form, not through a copy of its formula
+    ("su2_act_on_form",
+     lambda g, f: TwoForm(n=f.n, mat=g.rep @ f.mat @ np.swapaxes(g.rep, -1, -2)),
+     {"pullback rotates u by conjugation g^-1 u g",
+      "form-level rotation matches conjugation SO(3) matrix"}),
+], ids=["rotation-transposed", "right-multiplication", "star-negated", "inverse-pullback"])
 def test_verify_model_catches_a_broken_model(monkeypatch, attr, fake, failing):
     monkeypatch.setattr(quaternions, attr, fake)
     assert {name for name, ok, _ in verify_model() if not ok} == failing
@@ -382,6 +412,11 @@ def _fields(q):
     return np.stack(np.broadcast_arrays(q.w, q.x, q.y, q.z), axis=-1)
 
 
+def _stack(qs):
+    # one quaternion of (m,) fields from m quaternions of float fields
+    return Quaternion(*np.array([_fields(q) for q in qs]).T)
+
+
 @given(st.lists(st.tuples(*[_FLOATS] * 8), min_size=1, max_size=8))
 def test_stacked_formulas_equal_per_row(rows):
     # on an (m, 4) stack each formula gives, row for row, the very floats
@@ -396,3 +431,58 @@ def test_stacked_formulas_equal_per_row(rows):
         assert np.array_equal(left_mult_matrix(s), [left_mult_matrix(t) for t in ss])
         assert np.array_equal(rotation_from_quaternion(s),
                               [rotation_from_quaternion(t) for t in ss])
+    # the model's constructors and maps, on the units of the rows; a zero
+    # row has none, and gets a 1 in its first field
+    b = a.copy()
+    b[~b[:, :4].any(axis=1), 0] = b[~b[:, 5:].any(axis=1), 5] = 1.0
+    gs = [Quaternion(*row).normalized() for row in b[:, :4]]
+    vs = [Quaternion.unit_imaginary(*row) for row in b[:, 5:]]
+    g, v = _stack(gs), _stack(vs)
+    for n in (1, 2):
+        assert np.array_equal(complex_structure_from(v, n).mat,
+                              [complex_structure_from(t, n).mat for t in vs])
+        assert np.array_equal(SU2Element.from_quaternion(g, n).rep,
+                              [SU2Element.from_quaternion(t, n).rep for t in gs])
+    forms = [induced_two_form(complex_structure_from(t)) for t in vs]
+    stacked = induced_two_form(complex_structure_from(v))
+    assert np.array_equal(stacked.mat, [f.mat for f in forms])
+    assert np.array_equal(two_form_coords(stacked), [two_form_coords(f) for f in forms])
+    # element t pulls back form t, and every element every form, as
+    # verify_model does with its basis
+    assert np.array_equal(
+        su2_act_on_form(SU2Element.from_quaternion(g), stacked).mat,
+        [su2_act_on_form(SU2Element.from_quaternion(s), f).mat for s, f in zip(gs, forms)])
+    pulled = su2_act_on_form(SU2Element.from_quaternion(Quaternion(*_fields(g).T[..., None])),
+                             stacked)
+    assert np.array_equal(pulled.mat, [[su2_act_on_form(SU2Element.from_quaternion(s), f).mat
+                                        for f in forms] for s in gs])
+
+
+def test_stack_with_one_bad_entry_refused():
+    # the message names the first bad entry's index and fields, not the
+    # whole stack
+    g = Quaternion(np.array([1.0, 0.0, 0.0, 0.6]), np.array([0.0, 1.0, 0.0, 0.0]),
+                   np.array([0.0, 0.0, 1.0, 0.0]), np.array([0.0, 0.0, 0.0, 0.6]))
+    assert not g.is_unit() and Quaternion(*_fields(g)[:3].T).is_unit()
+    message = "not a unit quaternion at index (3,): Quaternion(w=0.6, x=0.0, y=0.0, z=0.6)"
+    with pytest.raises(NotUnitImaginary, match=re.escape(message)):
+        SU2Element.from_quaternion(g)
+    # a (2, 2) stack whose entry (1, 0) has a unit imaginary part but real part 0.5
+    u = Quaternion(np.array([[0.0, 0.0], [0.5, 0.0]]), np.array([[1.0, 0.0], [0.6, 0.0]]),
+                   np.array([[0.0, 1.0], [0.8, 0.0]]), np.array([[0.0, 0.0], [0.0, 1.0]]))
+    assert not u.is_unit_imaginary()
+    assert Quaternion(0.0, u.x, u.y, u.z).is_unit_imaginary()
+    message = ("not a unit imaginary quaternion at index (1, 0): "
+               "Quaternion(w=0.5, x=0.6, y=0.8, z=0.0)")
+    with pytest.raises(NotUnitImaginary, match=re.escape(message)):
+        complex_structure_from(u)
+
+
+def test_one_form_maps_refuse_a_stack():
+    # a DimensionMismatch naming the stack's shape, not a bare numpy error
+    # nor a message about R^3, the length of the stack
+    f = induced_two_form(complex_structure_from(Quaternion(0.0, *np.eye(3))))
+    message = "expected one 2-form, got a stack of shape (3, 4, 4)"
+    for call in (lambda: f(np.ones(4), np.ones(4)), lambda: hodge_star(f)):
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            call()

@@ -20,6 +20,7 @@ from twistorlat import (
     InvalidTriple,
     InvariantViolation,
     NotPositive,
+    NotUnitImaginary,
     PointCloud,
     TwistorLatticeError,
     TwistorPoint,
@@ -41,6 +42,7 @@ from twistorlat.quaternions import (
     Quaternion,
     SU2Element,
     TwoForm,
+    complex_structure_from,
     su2_act_on_form,
     two_form_from_coords,
     verify_model,
@@ -1043,6 +1045,26 @@ EMPTY_CLOUD = PointCloud(np.empty((0, 3), dtype=np.int64), np.empty((0, 6), dtyp
      "2-form coordinates [1.0, 0, 0, 0, 0, '1.5'] are not numbers"),
     (lambda: two_form_from_coords([True, 0, 0, 0, 0, 0]), TwistorLatticeError,
      "2-form coordinates [True, 0, 0, 0, 0, 0] are not numbers"),
+    # quaternion fields: the caller's error, never a bare TypeError from
+    # math, from numpy's float conversion or from negating a bool
+    (lambda: Quaternion.unit_imaginary(None, 0.0, 1.0), NotUnitImaginary,
+     "field x = None is not a number"),
+    (lambda: TwistorPoint.from_unit('1', 0.0, 1.0), InvariantViolation,
+     "field x = '1' is not a number"),
+    (lambda: Quaternion('1', 0, 0, 0).normalized(), InvariantViolation,
+     "field w = '1' is not a number"),
+    (lambda: complex_structure_from(Quaternion(0.0, '1', 0.0, 0.0)), NotUnitImaginary,
+     "field x = '1' is not a number"),
+    (lambda: SU2Element.from_quaternion(Quaternion(None, 0.0, 0.0, 0.0)), NotUnitImaginary,
+     "field w = None is not a number"),
+    (lambda: complex_structure_from(Quaternion(0.0, True, False, False)), NotUnitImaginary,
+     "field x = True is not a number"),
+    (lambda: SU2Element.from_quaternion(Quaternion(True, False, False, False)),
+     NotUnitImaginary, "field w = True is not a number"),
+    (lambda: TwistorPoint.from_unit(1.0, 0.0, False), InvariantViolation,
+     "field z = False is not a number"),
+    (lambda: complex_structure_from(Quaternion(0.0, np.array([True, False]), 0.0, 0.0)),
+     NotUnitImaginary, "field x = array([ True, False]) is not a number"),
 ])
 def test_error_names_its_input(call, error, message):
     with pytest.raises(error) as info:
