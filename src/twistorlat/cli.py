@@ -169,19 +169,22 @@ def density(lattice_source, bound, grid, mask):
     """Covering radius of the algebraic cloud for bounds 1..B."""
     lattice, triple = _load(lattice_source)
     mask_idx = None if mask is None else _parse_int_csv(mask, "--mask")
-
-    def row(b):
-        cloud = scanning.scan_algebraic(lattice, triple, b, mask_idx)
-        return f"{b},{len(cloud)},{scanning.covering_radius(cloud, grid):.12f}"
-
     # every argument fails before the header: the grid first, so that a
-    # bad one runs no scan, then the largest box, whose row is held back
+    # bad one runs no scan, then the largest box's scan and its radius
     scanning._check_grid(grid)
-    last = row(bound)
+    last = scanning.scan_algebraic(lattice, triple, bound, mask_idx)
+    clouds = [scanning.scan_algebraic(lattice, triple, b, mask_idx) for b in range(1, bound)]
+    clouds.append(last)
+    # one grid walk takes the radii of the clouds before the first empty
+    # one, n, and the largest box's; an empty smaller cloud fails at its
+    # own row, after the rows before it
+    n = next((i for i, cloud in enumerate(clouds) if len(cloud) == 0), bound)
+    radii = scanning._covering_radii(clouds[:n] + clouds[max(n, bound - 1):], grid)
     click.echo("bound,cloud_size,covering_radius")
-    for b in range(1, bound):
-        click.echo(row(b))
-    click.echo(last)
+    for b, cloud, radius in zip(range(1, n + 1), clouds, radii):
+        click.echo(f"{b},{len(cloud)},{radius:.12f}")
+    if n < bound:
+        scanning.covering_radius(clouds[n], grid)  # the empty cloud's EmptyCloud
 
 
 @main.command(name="demo-quaternion")

@@ -14,7 +14,9 @@ stacks of elements against stacks of forms as numpy's @ does. One
 formula serves one quaternion and a stack, entry for entry the same
 floats. TwoForm.__call__ and hodge_star take one form, not a stack.
 A field that is not a number is refused with the caller's error, naming
-the field, and the model size n is at most _MAX_N.
+the field, and the model size n is at most _MAX_N. Stacks whose shapes
+do not broadcast, and matrices of strings, objects or bools, are refused
+with a DimensionMismatch that names the shapes or the dtype.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ class Quaternion:
     def _unit_entries(self, imaginary: bool = False) -> np.ndarray:
         """Per entry, whether it has norm 1 within TOL and, with imaginary,
         real part 0 within TOL; the norm of x, y and z alone then."""
+        _check_broadcast("quaternion fields", *map(np.shape, (self.w, self.x, self.y, self.z)))
         # hypot squares nothing: no square under- or overflows, and a norm
         # past the float range is inf, not 1
         with np.errstate(over="ignore"):
@@ -171,11 +174,25 @@ def _require_units(q: "Quaternion", imaginary: bool = False) -> None:
         raise NotUnitImaginary(f"not a unit {'imaginary ' * imaginary}quaternion{at}: {entry}")
 
 
+def _check_broadcast(what: str, *shapes) -> None:
+    """Refuse stacks of these shapes that do not broadcast with a
+    DimensionMismatch naming the shapes, not numpy's bare ValueError."""
+    try:
+        np.broadcast_shapes(*shapes)
+    except ValueError:
+        names = ", ".join(map(str, shapes[:-1]))
+        raise DimensionMismatch(
+            f"{what} of shapes {names} and {shapes[-1]} do not broadcast") from None
+
+
 def _check_shape(n, mat) -> None:
-    """mat is a d x d matrix, d = 4n, or a stack of them."""
+    """mat is a d x d matrix of numbers, d = 4n, or a stack of them."""
     d = _dim(n)
     if np.shape(mat)[-2:] != (d, d):
         raise DimensionMismatch(f"expected {d}x{d} matrix, got shape {np.shape(mat)}")
+    dtype = np.asarray(mat).dtype  # strings, objects and bools are no numbers
+    if dtype.kind not in "iuf":
+        raise DimensionMismatch(f"expected a {d}x{d} matrix of numbers, got dtype {dtype}")
 
 
 def _one_form(f: "TwoForm") -> "TwoForm":
@@ -186,8 +203,11 @@ def _one_form(f: "TwoForm") -> "TwoForm":
 
 
 def _block_diag(mat4: np.ndarray, n: int) -> np.ndarray:
-    """n copies of each 4x4 matrix of the stack mat4 down the diagonal."""
-    return np.kron(np.eye(_dim(n) // 4), mat4)
+    """n copies of each 4x4 matrix of the stack mat4 down the diagonal:
+    np.kron(np.eye(n), mat4), entry for entry the same products."""
+    d = _dim(n)
+    eye = np.eye(d // 4)[:, None, :, None]
+    return (eye * mat4[..., None, :, None, :]).reshape(*np.shape(mat4)[:-2], d, d)
 
 
 @dataclass(frozen=True)
@@ -218,18 +238,22 @@ class TwoForm:
 
 @dataclass(frozen=True)
 class SU2Element:
+    """Left multiplication by the unit quaternion q on H^n; rep, its
+    4n x 4n matrix, is built from q when none is given."""
+
     q: Quaternion
     n: int
-    rep: np.ndarray
+    rep: np.ndarray = None
 
     def __post_init__(self):
-        _require_units(self.q)
+        _require_units(self.q)  # before a matrix is built from the fields
+        if self.rep is None:
+            object.__setattr__(self, "rep", _block_diag(left_mult_matrix(self.q), self.n))
         _check_shape(self.n, self.rep)
 
     @staticmethod
     def from_quaternion(q: Quaternion, n: int = 1) -> "SU2Element":
-        _require_units(q)  # before its matrix is built from the fields
-        return SU2Element(q=q, n=n, rep=_block_diag(left_mult_matrix(q), n))
+        return SU2Element(q=q, n=n)
 
 
 def complex_structure_from(u: Quaternion, n: int = 1) -> ComplexStructureMatrix:
@@ -252,6 +276,7 @@ def su2_act_on_form(g: SU2Element, f: TwoForm) -> TwoForm:
     if g.n != f.n:
         raise DimensionMismatch(
             f"SU(2) element and form live on different spaces: n = {g.n} and n = {f.n}")
+    _check_broadcast("SU(2) element and form stacks", np.shape(g.rep)[:-2], np.shape(f.mat)[:-2])
     return TwoForm(n=f.n, mat=np.swapaxes(g.rep, -1, -2) @ f.mat @ g.rep)
 
 

@@ -20,16 +20,20 @@ only when it is iterated, and a cloud of non-integer, zero or
 mis-shaped rows, of entries past int64 or of a ray entry of -2^63, is
 refused when it is built.
 Covering radius against a Fibonacci-sphere grid is the desk-scale
-measure of density. It walks the grid, which is sorted by y, in one
-kind of block: the full grid-by-cloud product's. A float32 screen
-compares each block only with the cloud points in a y-band around it,
-as wide as the nearest-point distance measured on every
-grid_resolution-th row, and rows with no cloud point close enough fall
-back to the whole cloud. A float32 cosine is within _EPS32 of the
-float64 one, so the blocks whose least screened cosine is within
-2 * _EPS32 of the least of all are then recomputed in float64 against
-the whole cloud, and the radius is the same float as the full product
-gives. No randomness anywhere in this module.
+measure of density. One walk of the grid, which is sorted by y, serves
+every cloud of a _covering_radii call, density's clouds of bounds 1..B
+among them: each chunk of grid rows is built and cast to float32 once.
+Each cloud takes the grid in its own kind of block, the full
+grid-by-cloud product's. A float32 screen, of products with the cloud
+points as rows and the grid rows as columns, compares each block only
+with the cloud points in a y-band around it, as wide as the
+nearest-point distance measured on every grid_resolution-th row, and
+rows with no cloud point close enough fall back to the whole cloud. A
+float32 cosine is within _EPS32 of the float64 one, so the blocks whose
+least screened cosine is within 2 * _EPS32 of the least of all are then
+recomputed in float64 against the whole cloud, and the radius is the
+same float as the full product gives. No randomness anywhere in this
+module.
 """
 
 from __future__ import annotations
@@ -270,9 +274,74 @@ def _check_grid(grid_resolution: int) -> int:
 _EPS32 = 1e-6
 
 
-def _best32(rows: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Each float32 row's best float32 cosine against the points, -inf for none."""
-    return np.fmax.reduce(rows @ points.T, axis=1, initial=-np.inf)
+def _best32(points: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Each float32 column's best float32 cosine against the points, -inf for none."""
+    return np.fmax.reduce(points @ columns, axis=0, initial=-np.inf)
+
+
+class _Screen:
+    """One cloud's float32 screen of the grid, fed a chunk of grid rows at
+    a time; covering_radius has the argument."""
+
+    def __init__(self, cloud: PointCloud, n: int, sample: np.ndarray):
+        if len(cloud) == 0:
+            raise EmptyCloud("covering radius of an empty cloud is undefined: 0 rays, "
+                             f"witnesses of shape {cloud.witnesses.shape}")
+        self.units = _units(cloud.dirs)
+        band = self.units[np.argsort(self.units[:, 1])]  # the cloud by y
+        self.ys, self.band = np.ascontiguousarray(band[:, 1]), band.astype(np.float32)
+        self.step = max(1, _BLOCK_BYTES // (8 * len(band)))
+        # c0: the least float32 best of the sample rows, step rows a product
+        self.c0 = min(float(_best32(self.band, sample[:, s:s + self.step]).min())
+                      for s in range(0, sample.shape[1], self.step))
+        self.h = math.sqrt(2 - 2 * (self.c0 - _EPS32)) + 1e-9
+        self.least, self.kept = math.inf, []  # kept: (block start, a least screened best)
+
+    def screen(self, c: int, y: np.ndarray, grid: np.ndarray):
+        """Screen the chunk of grid rows from row c on: y holds their y,
+        ascending, and grid their float32 columns. Each block that meets
+        the chunk is screened on its rows there, [start, end) of the chunk."""
+        step = self.step
+        # the rows of a cut block lie between the y of its first and its last
+        starts = np.arange(-(c % step), len(y), step)
+        starts[0] = 0
+        ends = np.append(starts[1:], len(y))
+        lo = np.searchsorted(self.ys, y[starts] - self.h)
+        hi = np.searchsorted(self.ys, y[ends - 1] + self.h)
+        best = np.concatenate([_best32(self.band[a:b], grid[:, s:e]) for s, e, a, b
+                               in zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist())])
+        far = np.flatnonzero(best < self.c0 + _EPS32)
+        for s in range(0, len(far), step):
+            best[far[s:s + step]] = _best32(self.band, grid[:, far[s:s + step]])
+        mins = np.minimum.reduceat(best, starts)
+        self.least = min(self.least, float(mins.min()))
+        blocks = c - c % step + step * np.arange(len(starts))
+        self.kept += [(b, m) for b, m in zip(blocks.tolist(), mins.tolist())
+                      if m <= self.least + 2 * _EPS32]
+
+    def radius(self, n: int) -> float:
+        """The float64 recompute of the kept blocks, as the full product takes them."""
+        blocks = {b for b, m in self.kept if m <= self.least + 2 * _EPS32}
+        least = min(np.max(_fibonacci_rows(n, s, s + self.step) @ self.units.T, axis=1).min()
+                    for s in blocks)
+        return float(np.arccos(np.clip(least, -1.0, 1.0)))
+
+
+def _covering_radii(clouds, grid_resolution: int) -> list[float]:
+    """covering_radius of each cloud, in one walk of the grid."""
+    g = _check_grid(grid_resolution)
+    n = g * g
+    sample = _fibonacci_rows(n, 0, n, g).T.astype(np.float32, order="C")  # every g-th row
+    screens = [_Screen(cloud, n, sample) for cloud in clouds]
+    # chunks of rows whose dozen or so float64 temporaries a row fill a
+    # tenth of _BLOCK_BYTES
+    chunk = max(1, _BLOCK_BYTES // 1024)
+    for c in range(0, n, chunk):
+        grid = _fibonacci_rows(n, c, c + chunk)
+        y, grid = grid[:, 1], grid.T.astype(np.float32, order="C")
+        for screen in screens:
+            screen.screen(c, y, grid)
+    return [screen.radius(n) for screen in screens]
 
 
 def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
@@ -280,17 +349,23 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     distance to the nearest cloud point, in radians.
 
     The nearest point of a grid row is its max cosine, its best. Every
-    product is taken on one block size, that of the full grid-by-cloud
-    product: step grid rows, whose float64 cosines against the whole
-    cloud fill _BLOCK_BYTES. The grid is built a chunk of whole blocks at
-    a time and is sorted by y.
+    float64 product is taken on one block size, that of the full
+    grid-by-cloud product: step grid rows, whose float64 cosines against
+    the whole cloud fill _BLOCK_BYTES. The grid is sorted by y. One walk
+    of it serves every cloud of a _covering_radii call: each chunk of
+    _BLOCK_BYTES // 1024 rows is built once in float64 and cast once to
+    float32 columns, and each cloud screens it with its own step, c0 and
+    band.
 
     A float32 screen finds the blocks that can hold the least best.
-    Rounding the three components of each unit to float32 errs by a
-    relative 2^-24 each, and a float32 dot of three terms adds gamma_3 =
-    3*2^-24/(1 - 3*2^-24) of the sum of |products|, which is at most 1
-    for unit vectors. So a float32 cosine is within about 5*2^-24, 3e-7,
-    of the float64 one, and eps = _EPS32 = 1e-6 bounds it with room.
+    Each of its products has the cloud points as rows and the grid rows
+    as columns, and a column's max is its row's best. Rounding the three
+    components of each unit to float32 errs by a relative 2^-24 each, and
+    a float32 dot of three terms, summed in any order, with or without
+    FMA, adds at most gamma_3 = 3*2^-24/(1 - 3*2^-24) of the sum of
+    |products|, which is at most 1 for unit vectors. So a float32 cosine
+    is within about 5*2^-24, 3e-7, of the float64 one, and eps = _EPS32 =
+    1e-6 bounds it with room.
 
     The screen's band is measured on the grid. Every grid_resolution-th
     row is compared with the whole cloud, and c0 is the least of their
@@ -306,50 +381,18 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     best, whatever c0 is; c0 only sets how wide the band is.
 
     Each block's least screened best is kept with the block's start
-    while it is within 2*eps of the least so far, and the kept blocks
-    within 2*eps of the least of all, which hold the block of the
-    float64 least, are recomputed exactly as the full product takes them:
-    the block against the whole cloud in enumeration order, in float64.
-    arccos is decreasing, so one arccos of the least recomputed cosine is
-    the radius, the same float as the full product gives.
+    while it is within 2*eps of the least so far. A block that straddles
+    two chunks is screened in each, with the band of its rows there, and
+    each part is kept with the block's start: the block's least is the
+    least of its parts, so it is within 2*eps of a least exactly when
+    one of its parts is. The kept blocks within 2*eps of the least of
+    all, which hold the block of the float64 least, are recomputed
+    exactly as the full product takes them: the block against the whole
+    cloud in enumeration order, in float64. arccos is decreasing, so one
+    arccos of the least recomputed cosine is the radius, the same float
+    as the full product gives.
     """
-    g = _check_grid(grid_resolution)
-    n = g * g
-    if len(cloud) == 0:
-        raise EmptyCloud("covering radius of an empty cloud is undefined: 0 rays, "
-                         f"witnesses of shape {cloud.witnesses.shape}")
-    units = _units(cloud.dirs)
-    band = units[np.argsort(units[:, 1])]  # the cloud by y
-    ys, band = band[:, 1], band.astype(np.float32)
-    step = max(1, _BLOCK_BYTES // (8 * len(units)))
-    # c0: the least float32 best of every g-th grid row, step rows a product
-    c0 = min(float(_best32(_fibonacci_rows(n, s, s + step * g, g).astype(np.float32),
-                           band).min())
-             for s in range(0, n, step * g))
-    h = math.sqrt(2 - 2 * (c0 - _EPS32)) + 1e-9
-    # chunks of whole blocks, whose dozen or so float64 temporaries a row
-    # fill a tenth of _BLOCK_BYTES, or one block where a block is taller
-    chunk = step * max(1, (_BLOCK_BYTES // 1024) // step)
-    least, kept = math.inf, []  # kept: (block start, its least screened best)
-    for c in range(0, n, chunk):
-        grid = _fibonacci_rows(n, c, c + chunk)
-        starts = np.arange(0, len(grid), step)
-        y = grid[:, 1]  # ascending: a block lies between its first y and its last
-        lo = np.searchsorted(ys, y[starts] - h)
-        hi = np.searchsorted(ys, y[np.minimum(starts + step, len(y)) - 1] + h)
-        grid = grid.astype(np.float32)
-        best = np.concatenate([_best32(grid[s:s + step], band[a:b])
-                               for s, a, b in zip(starts.tolist(), lo.tolist(), hi.tolist())])
-        far = np.flatnonzero(best < c0 + _EPS32)
-        for s in range(0, len(far), step):
-            best[far[s:s + step]] = _best32(grid[far[s:s + step]], band)
-        mins = np.minimum.reduceat(best, starts)
-        least = min(least, float(mins.min()))
-        kept += [(c + s, m) for s, m in zip(starts.tolist(), mins.tolist())
-                 if m <= least + 2 * _EPS32]
-    least = min(np.max(_fibonacci_rows(n, s, s + step) @ units.T, axis=1).min()
-                for s, m in kept if m <= least + 2 * _EPS32)
-    return float(np.arccos(np.clip(least, -1.0, 1.0)))
+    return _covering_radii([cloud], grid_resolution)[0]
 
 
 # about what a written field holds: its float64 or int64, a Python object

@@ -359,6 +359,32 @@ class TestDensity:
         assert res.output == ("error: box bound B=3 over k=6 coordinates gives "
                               "(2B+1)^k = 117649 vectors, more than 1000\n")
 
+    def test_empty_largest_cloud_fails_before_header(self):
+        # K3's coordinates 6 and 7 span no positive vector at any bound
+        res = invoke("density", "--lattice", "K3", "--bound", "2", "--mask", "6,7",
+                     "--grid", "20")
+        assert res.exit_code == 1
+        assert res.output == ("error: covering radius of an empty cloud is undefined: "
+                              "0 rays, witnesses of shape (0, 22)\n")
+
+    @pytest.mark.parametrize("empty_at,rows", [(1, ""), (2, "1,98,0.290399831136\n")])
+    def test_empty_smaller_cloud_fails_at_its_row(self, monkeypatch, empty_at, rows):
+        # the header and the rows before the empty cloud's, then its error
+        scan = scanning.scan_algebraic
+
+        def scan_empty_at(lattice, triple, b, mask):
+            cloud = scan(lattice, triple, b, mask)
+            if b != empty_at:
+                return cloud
+            return scanning.PointCloud(cloud.dirs[:0], cloud.witnesses[:0])
+
+        monkeypatch.setattr(scanning, "scan_algebraic", scan_empty_at)
+        res = invoke("density", "--lattice", "U3", "--bound", "3", "--grid", "20")
+        assert res.exit_code == 1
+        assert res.output == ("bound,cloud_size,covering_radius\n" + rows
+                              + "error: covering radius of an empty cloud is undefined: "
+                              "0 rays, witnesses of shape (0, 6)\n")
+
     @pytest.mark.parametrize("grid", ["1", "40000"])
     def test_bad_grid_runs_no_scan(self, monkeypatch, grid):
         calls = []

@@ -123,6 +123,15 @@ class TestComplexStructures:
         assert m.shape == (8, 8)
         assert np.max(np.abs(m @ m + np.eye(8))) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 4, 4), (2, 1, 4, 4)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_block_diag_is_kron(self, shape, n):
+        # the same products as np.kron, signed zeros included
+        m = RNG.normal(size=shape)
+        m[..., 0, :] = -0.0
+        assert (quaternions._block_diag(m, n).tobytes()
+                == np.kron(np.eye(n), m).tobytes())
+
     def test_rejects_non_imaginary(self):
         with pytest.raises(NotUnitImaginary):
             complex_structure_from(Quaternion(1.0, 0.0, 0.0, 0.0))

@@ -39,6 +39,7 @@ from twistorlat import (
 from twistorlat import scanning, twistor
 from twistorlat.linalg import pairing_rows, signature
 from twistorlat.quaternions import (
+    ComplexStructureMatrix,
     Quaternion,
     SU2Element,
     TwoForm,
@@ -848,6 +849,28 @@ class TestCoveringRadius:
             assert (repr(covering_radius(cloud, resolution))
                     == repr(reference_covering_radius(cloud, resolution)))
 
+    @given(clouds=st.lists(st.tuples(
+               st.integers(0, 2 ** 32 - 1),
+               st.sampled_from(["uniform", "clustered", "tiny", "huge", "symmetric"]),
+               st.integers(1, 300)), min_size=1, max_size=4),
+           resolution=st.integers(2, 40),
+           block_bytes=st.sampled_from([64, 1024, 4096, 1 << 16, 4 << 20]))
+    # chunks of 64 rows, cutting blocks of 27, 1365 and 4096 rows, and
+    # chunks of 4, cutting blocks of 8 and 170
+    @example(clouds=[(0, "uniform", 300), (1, "tiny", 5), (2, "symmetric", 0)],
+             resolution=40, block_bytes=1 << 16)
+    @example(clouds=[(6, "uniform", 60), (14, "clustered", 3)], resolution=20,
+             block_bytes=4096)
+    def test_covering_radii_equal_full_products(self, clouds, resolution, block_bytes):
+        # one grid walk for all the clouds: each its own blocks, which
+        # straddle the walk's chunks, and each radius the full product's float
+        clouds = [cloud for cloud in (random_cloud(*c) for c in clouds) if len(cloud)]
+        assume(clouds)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
+            assert ([repr(r) for r in scanning._covering_radii(clouds, resolution)]
+                    == [repr(reference_covering_radius(c, resolution)) for c in clouds])
+
     def test_near_tie_needs_the_margin(self, monkeypatch):
         # one ray opposite the bisector of two grid rows at resolution 20:
         # those rows are the farthest, a few ulps apart in float64. Take the
@@ -900,6 +923,21 @@ class TestCoveringRadius:
         finally:
             tracemalloc.stop()
         assert peak <= cloud.dirs.nbytes + cloud.witnesses.nbytes + 2 * budget
+
+    def test_memory_of_one_walk_within_the_clouds_and_two_budgets(self, monkeypatch):
+        # every cloud's band is held for the whole walk, and the products
+        # go a block at a time
+        budget = 1 << 18
+        monkeypatch.setattr(scanning, "_BLOCK_BYTES", budget)
+        clouds = [scan_algebraic(U3, TRIPLE, b) for b in (3, 5, 7)]
+        scanning._covering_radii(clouds, 200)  # numpy's first-call allocations
+        tracemalloc.start()
+        try:
+            scanning._covering_radii(clouds, 200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(c.dirs.nbytes + c.witnesses.nbytes for c in clouds) + 2 * budget
 
     def test_memory_independent_of_grid(self):
         cloud = scan_algebraic(U3, TRIPLE, 4)
@@ -1065,6 +1103,21 @@ EMPTY_CLOUD = PointCloud(np.empty((0, 3), dtype=np.int64), np.empty((0, 6), dtyp
      "field z = False is not a number"),
     (lambda: complex_structure_from(Quaternion(0.0, np.array([True, False]), 0.0, 0.0)),
      NotUnitImaginary, "field x = array([ True, False]) is not a number"),
+    # stacks that do not broadcast: never numpy's bare ValueError
+    (lambda: Quaternion(np.ones(2), np.ones(3), 0.0, 0.0).is_unit(), DimensionMismatch,
+     "quaternion fields of shapes (2,), (3,), () and () do not broadcast"),
+    (lambda: complex_structure_from(Quaternion(0.0, np.ones(2), np.zeros(3), 0.0)),
+     DimensionMismatch, "quaternion fields of shapes (), (2,), (3,) and () do not broadcast"),
+    (lambda: su2_act_on_form(SU2Element.from_quaternion(Quaternion(np.ones(2), 0.0, 0.0, 0.0)),
+                             TwoForm(n=1, mat=np.zeros((3, 4, 4)))), DimensionMismatch,
+     "SU(2) element and form stacks of shapes (2,) and (3,) do not broadcast"),
+    # matrices of strings or bools are not forms
+    (lambda: TwoForm(n=1, mat=np.full((4, 4), "a")), DimensionMismatch,
+     "expected a 4x4 matrix of numbers, got dtype <U1"),
+    (lambda: ComplexStructureMatrix(n=1, mat=np.full((4, 4), "a")), DimensionMismatch,
+     "expected a 4x4 matrix of numbers, got dtype <U1"),
+    (lambda: TwoForm(n=2, mat=np.eye(8, dtype=bool)), DimensionMismatch,
+     "expected a 8x8 matrix of numbers, got dtype bool"),
 ])
 def test_error_names_its_input(call, error, message):
     with pytest.raises(error) as info:
