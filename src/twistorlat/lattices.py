@@ -9,6 +9,7 @@ raw linear algebra but required by the twistor layer.
 from __future__ import annotations
 
 import json
+import os
 
 from .errors import TwistorLatticeError
 from .linalg import GramLattice, HyperTriple
@@ -81,9 +82,13 @@ def _is_rows(value, count=None) -> bool:
             and count in (None, len(value)))
 
 
-def load_lattice(source: str):
+def load_lattice(source: str | os.PathLike):
     """Load (GramLattice, HyperTriple | None) from a built-in name or a
-    JSON file path."""
+    JSON file path. Any other source is refused before open(), which
+    would take an int (or bool) for a file descriptor and close it."""
+    if not isinstance(source, (str, os.PathLike)):
+        raise TwistorLatticeError(
+            f"a lattice source is a built-in name or a file path, got {source!r}")
     if source in BUILTINS:
         gram, triple = BUILTINS[source]()
         return GramLattice.from_rows(gram), HyperTriple.from_rows(triple)

@@ -24,6 +24,7 @@ negative definite: a positive class never projects to 0.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -120,13 +121,23 @@ class GramLattice:
         """The lattice of a Gram matrix given as rows of integers; any
         other entry (a float, string or bool) is an error, not rounded."""
         g = tuple(tuple(integer(e, f"gram entry ({i}, {j})")
-                        for j, e in enumerate(row)) for i, row in enumerate(rows))
+                        for j, e in enumerate(_iterable(row, f"gram row {i}")))
+                  for i, row in enumerate(_iterable(rows, "gram")))
         return GramLattice(rank=len(g), gram=g)
 
     def check_length(self, x):
         if len(x) != self.rank:
             raise DimensionMismatch(
                 f"vector has length {len(x)}, lattice rank is {self.rank}")
+
+
+def _iterable(value, what: str):
+    """A matrix given as rows, or one of its rows: a list, tuple, numpy
+    array or other iterable, but not a string. Anything else, as a number
+    from a flat list, is a DimensionMismatch."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise DimensionMismatch(f"{what} = {value!r} is not a sequence")
+    return value
 
 
 def integer(value, what: str) -> int:
@@ -272,9 +283,11 @@ class HyperTriple:
 
     @staticmethod
     def from_rows(rows) -> "HyperTriple":
+        rows = list(_iterable(rows, "triple"))
         if len(rows) != 3:
             raise InvalidTriple(f"a triple needs exactly three vectors, got {len(rows)}")
-        return HyperTriple(*(vector(r) for r in rows))
+        return HyperTriple(*(vector(_iterable(r, f"triple vector {a}"))
+                             for a, r in enumerate(rows)))
 
     @property
     def vectors(self) -> tuple[Vector, Vector, Vector]:

@@ -184,7 +184,7 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
             raise DimensionMismatch(f"mask index {i} out of range for rank {lattice.rank}")
     rows = [[row[i] for i in active] for row in full_rows]
     walk = _box_pairings(rows, bound)
-    n, d, k = len(walk.groups), len(walk.firsts), len(active)
+    n, d, k = walk.size, len(walk.firsts), len(active)
     if not both_signs:
         # only the sign of q(v, v) is used, so the Gram content is divided out
         sub = [[lattice.gram[i][j] for j in active] for i in active]
@@ -198,6 +198,7 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
     # the candidate rays and their keys; a walk over no coordinate yields
     # no block, so the lists start with no candidate
     keys, rays = [np.empty(0, np.int64)], [np.empty((0, 3), np.int64)]
+    groups = None if both_signs else walk.groups  # composed once a scan
     for start, high, m, t in walk.blocks:
         g = np.gcd(np.gcd(t[:, 0], t[:, 1]), t[:, 2])  # nonnegative
         if both_signs:
@@ -205,7 +206,7 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
         else:  # the positive vectors of H-, by position, and their groups
             q = q_low + 2 * (high @ p_low.T) + ((high @ g_high) * high).sum(axis=1)[:, None]
             at = np.flatnonzero(q.ravel()[:m] > 0)
-            group = at // n * d + walk.groups[at % n]
+            group = at // n * d + groups[at % n]
             first, last = np.full(len(t), m), np.full(len(t), -1)
             np.minimum.at(first, group, at)
             np.maximum.at(last, group, at)
@@ -245,6 +246,7 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     """Deterministic near-uniform grid of n points on S^2, sorted by y."""
     if integer(n, "n") < 1:
         raise InvalidBound(f"n must be >= 1, got {n}")
+    _check_points(n, "n =")
     return _fibonacci_rows(n, 0, n)
 
 
@@ -262,11 +264,15 @@ def _check_grid(grid_resolution: int) -> int:
     grid_resolution = integer(grid_resolution, "grid_resolution")
     if grid_resolution < 2:
         raise InvalidBound(f"grid_resolution must be >= 2, got {grid_resolution}")
-    if grid_resolution ** 2 > _MAX_BOX_VECTORS:
-        raise InvalidBound(
-            f"grid_resolution {grid_resolution} gives {grid_resolution ** 2} "
-            f"grid points, more than {_MAX_BOX_VECTORS}")
+    _check_points(grid_resolution ** 2, f"grid_resolution {grid_resolution} gives")
     return grid_resolution
+
+
+def _check_points(points: int, given: str) -> None:
+    """Refuse a Fibonacci grid of more than _MAX_BOX_VECTORS points, before
+    any is built; given names what asked for them."""
+    if points > _MAX_BOX_VECTORS:
+        raise InvalidBound(f"{given} {points} grid points, more than {_MAX_BOX_VECTORS}")
 
 
 # bound on |float32 cosine - float64 cosine| of two unit vectors; derived

@@ -15,9 +15,13 @@ the prefix's. The walk hands its consumers the table's distinct
 pairings, found one coordinate at a time with no digit table built, so
 they decide on d rows a prefix instead of one a vector, and the index
 in the whole box of the block's first vector, so the box vectors they
-keep are the digits of their indices (_digits). One key, _ray_order,
-decides ray equality (the table's and the scans' dedup) and ray order
-(emission).
+keep are the digits of their indices (_digits). Each coordinate keeps a
+small map of its candidate pairings to its groups; the group of every
+table row is composed from these maps only for the algebraic scan, the
+one consumer that reads it. The bounded search takes its sine on the
+three float columns of t, with no reduction over a row of 3 (_sine).
+One key, _ray_order, decides ray equality (the table's and the scans'
+dedup) and ray order (emission).
 """
 
 from __future__ import annotations
@@ -80,18 +84,18 @@ def _ray_order(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     absolute value wraps), in lexicographic order of the rows, and for
     each row the position of its distinct row in that order, from one
     stable sort of the row keys."""
-    m = int(np.abs(rays).max(initial=0))
-    base = 2 * m + 1
-    if base ** 3 <= np.iinfo(np.int64).max:  # digits below base: keys sort as rows
-        keys = ((rays[:, 0] + m) * base + rays[:, 1] + m) * base + rays[:, 2] + m
+    base = 2 * int(np.abs(rays).max(initial=0)) + 1
+    if base ** 3 < 2 ** 63:  # entries plus (base-1)/2 are digits below base:
+        keys = rays @ np.array([base * base, base, 1])  # keys sort as rows
     else:  # too large to pack into one int64: records sort as rows too
         keys = np.ascontiguousarray(rays).view([("", np.int64)] * 3).ravel()
-    order = np.argsort(keys, kind="stable")  # equal rows keep their order
+    order = keys.argsort(kind="stable")  # equal rows keep their order
     keys = keys[order]
-    edge = np.ones(len(keys), dtype=bool)  # edge[i]: a run starts at i
+    edge = np.empty(len(keys), dtype=bool)  # edge[i]: a run starts at i
+    edge[:1] = True
     edge[1:] = keys[1:] != keys[:-1]
     groups = np.empty(len(keys), dtype=np.intp)
-    groups[order] = np.cumsum(edge) - 1
+    groups[order] = edge.cumsum() - 1
     return order[edge], groups
 
 
@@ -105,28 +109,42 @@ def _digits(index: np.ndarray, width: int, b: int) -> np.ndarray:
 class _Walk(NamedTuple):
     """H- of a box as _box_pairings walks it. The box vectors are the
     prefix rows of k - free leading coordinates, each followed by every
-    row of the digit table of the free trailing ones, n = (2b+1)^free
+    row of the digit table of the free trailing ones, size = (2b+1)^free
     rows in lexicographic order; the table itself is never built. Table
-    rows with the same pairing rows . low form one group: groups maps
-    each table row to its group, firsts (ascending) gives each group's
-    first table row and pairings its rows . low. blocks yields
+    rows with the same pairing rows . low form one group: firsts
+    (ascending) gives each group's first table row and pairings its
+    rows . low. levels holds one small map a table coordinate, the last
+    first: level j's (2b+1, d) map sends (x, g), x's offset and a group
+    g of level j - 1, to the group of level j of the row (x, rest) for
+    the rows rest of g. groups composes them into the map of each table
+    row to its group, size rows, only when it is read. blocks yields
     (start, high, m, t): the index in the lexicographic box of the
     block's first vector, prefix rows high, the number m of the block's
-    len(high) * n vectors that lie in H-, and
+    len(high) * size vectors that lie in H-, and
     t = pairings + high @ rows_high.T, high-major, one row per group
     whose first vector lies in H-. The vector at position p of a block
     is _digits(start + p, k, b)."""
 
     free: int
-    groups: np.ndarray
+    size: int
+    levels: list[np.ndarray]
     firsts: np.ndarray
     pairings: np.ndarray
     blocks: Iterator[tuple[int, np.ndarray, int, np.ndarray]]
 
+    @property
+    def groups(self) -> np.ndarray:
+        """The group of each table row: one gather a level, the last
+        (size rows) the largest."""
+        groups = np.zeros(1, np.intp)  # level 0: one empty row, its own group
+        for level in self.levels:
+            groups = level[:, groups].ravel()
+        return groups
+
     def position(self, j: np.ndarray) -> np.ndarray:
         """The position in its block of the first vector of each row j of t."""
         d = len(self.firsts)
-        return j // d * len(self.groups) + self.firsts[j % d]
+        return j // d * self.size + self.firsts[j % d]
 
 
 def _box_pairings(rows, b: int) -> _Walk:
@@ -154,10 +172,13 @@ def _box_pairings(rows, b: int) -> _Walk:
     distinct p of level j - 1, (2b+1) * d candidates, x-major. The first
     table row of candidate (x, p) is x's offset plus p's first row, so
     the candidates' first rows ascend, and one _ray_order pass over them
-    numbers level j's groups by their first rows; each table row's group
-    is one gather of the candidate groups (U3 at B=3: 1,183 distinct of
-    16,807 rows; the last level sorts 7 * 169 candidates, not 16,807
-    rows).
+    numbers level j's groups by their first rows (U3 at B=3: 1,183
+    distinct of 16,807 rows; the last level sorts 7 * 169 candidates,
+    not 16,807 rows). Level j keeps its candidates' groups as a
+    (2b+1, d) map, _Walk.levels; the group of each table row, n of them,
+    is composed from the maps only where it is read (_Walk.groups): the
+    algebraic scan reads it once a scan, and the bounded search and the
+    non-general-type scan never do.
 
     A block is as many whole prefixes of the other k - free coordinates
     as fit, per_block // n of them; when free = 0, n = 1 and a block is
@@ -188,17 +209,18 @@ def _box_pairings(rows, b: int) -> _Walk:
     step = per_block // n  # whole prefixes a block: n <= per_block
     x = np.arange(-b, b + 1, dtype=np.int64)[:, None, None]
     # level 0, the table of no coordinate: one empty row, pairing 0
-    groups, firsts = np.zeros(1, np.intp), np.zeros(1, np.intp)
-    pairings = np.zeros((1, 3), np.int64)
+    firsts, pairings, levels = np.zeros(1, np.intp), np.zeros((1, 3), np.int64), []
     for i in range(k - 1, k - free - 1, -1):  # the last coordinate first: it ends minor
-        d, size = len(firsts), len(groups)
+        d, size = len(firsts), side ** (k - 1 - i)
         candidates = (x * rows[:, i] + pairings).reshape(side * d, 3)
         lex, lex_groups = _ray_order(candidates)
         rank = np.argsort(lex)  # the groups in order of their first candidate
         pick = lex[rank]
         firsts = pick // d * size + firsts[pick % d]
         pairings = candidates[pick]
-        groups = np.argsort(rank)[lex_groups].reshape(side, d)[:, groups].ravel()
+        renumber = np.empty_like(rank)  # the inverse of rank
+        renumber[rank] = np.arange(len(rank))
+        levels.append(renumber[lex_groups].reshape(side, d))
     rows_high = rows[:, :k - free].T
 
     def blocks():
@@ -209,7 +231,7 @@ def _box_pairings(rows, b: int) -> _Walk:
             m = min(len(high) * n, half - p * n)
             cut = full * len(firsts) + np.searchsorted(firsts, m - full * n)
             yield p * n, high, m, (pairings + (high @ rows_high)[:, None]).reshape(-1, 3)[:cut]
-    return _Walk(free, groups, firsts, pairings, blocks())
+    return _Walk(free, n, levels, firsts, pairings, blocks())
 
 
 def _cross(a, b):
@@ -427,6 +449,22 @@ def _reduce_witness(w, t, others):
     return tuple(w)
 
 
+def _sine(t: np.ndarray, unit) -> tuple[np.ndarray, np.ndarray]:
+    """(n, sine) for the rows of an (m, 3) int64 array t: each row's norm
+    in floats, and the sine |t x unit| / n of its angle to the unit
+    vector (nan where n = 0). Both are taken on the three float columns
+    of t, each sum of three terms left to right and the cross product as
+    np.cross forms it, so they equal the row formula's n =
+    sqrt((t*t).sum(axis=1)) and sine from c = np.cross(t, unit) bit for
+    bit, with no reduction over an axis of 3."""
+    a, b, c = t.T.astype(float, order="C")
+    x, y, z = unit
+    n = np.sqrt(a * a + b * b + c * c)
+    c0, c1, c2 = b * z - c * y, c * x - a * z, a * y - b * x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return n, np.sqrt(c0 * c0 + c1 * c1 + c2 * c2) / n
+
+
 def is_general_type(lattice: GramLattice, triple: HyperTriple,
                     point: TwistorPoint, bound: int = 3) -> GeneralTypeVerdict:
     """Degree-2 general-type test at a twistor point.
@@ -448,8 +486,10 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
     vector of the group projects to, so each vector gets the verdict it
     would get alone; the groups follow their first vectors, so the first
     passing group holds the first witness, and only its digits are
-    built. A box of more than 10^9 vectors raises InvalidBound, and one
-    whose int64 products could wrap raises Unsupported.
+    built. The sine is taken on t's three float columns (_sine), bit for
+    bit the one from row sums and np.cross. A box of more than 10^9
+    vectors raises InvalidBound, and one whose int64 products could wrap
+    raises Unsupported.
     """
     rows, _ = pairing_rows(lattice, triple)
     bound = integer(bound, "bound")
@@ -473,11 +513,7 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
     # bounded mode: floating direction, on the distinct pairings of each block
     walk = _box_pairings(rows, bound)
     for start, _, _, t in walk.blocks:
-        t = t.astype(float)
-        n = np.sqrt((t * t).sum(axis=1))
-        c = np.cross(t, point.unit)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sine = np.sqrt((c * c).sum(axis=1)) / n
+        n, sine = _sine(t, point.unit)
         hits = np.flatnonzero((n > 0.0) & (sine <= 1e-9))
         if hits.size:  # rows follow their first vectors: the first hit is the first
             witness = _digits(start + walk.position(hits[:1]), lattice.rank, bound)

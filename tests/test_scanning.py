@@ -2,6 +2,7 @@ import hashlib
 import io
 import itertools
 import math
+import os
 import re
 import tracemalloc
 
@@ -220,6 +221,7 @@ class TestBoxVectors:
         side = 2 * b + 1
         free = max(f for f in range(k + 1) if side ** f <= per_block)
         assert walk.free == free
+        assert walk.size == len(walk.groups) == side ** free
         digits = np.array(list(itertools.product(range(-b, b + 1), repeat=free)),
                           dtype=np.int64).reshape(side ** free, free)
         pairings = (digits @ np.array(rows, dtype=np.int64)[:, k - free:].T).tolist()
@@ -230,6 +232,11 @@ class TestBoxVectors:
         assert walk.firsts.tolist() == list(first.values())
         assert walk.pairings.tolist() == [list(pairing) for pairing in first]
         assert walk.groups.tolist() == [position[tuple(row)] for row in pairings]
+        # row j of t is group j % d of prefix j // d of its block
+        d = len(first)
+        j = np.arange(3 * d)
+        assert walk.position(j).tolist() == [
+            i // d * side ** free + list(first.values())[i % d] for i in j.tolist()]
 
     @given(k=st.integers(1, 5), b=st.integers(1, 3), data=st.data())
     @example(k=5, b=3, data=None)  # every entry the largest admitted, 5 table coordinates
@@ -553,15 +560,57 @@ def reference_bounded_witness(lattice, triple, bound, unit):
     """The first vector of the whole box that is_general_type's sine test
     accepts for the unit, or None."""
     for vecs, t in reference_box_pairings(pairing_rows(lattice, triple)[0], bound):
-        t = t.astype(float)
-        n = np.sqrt((t * t).sum(axis=1))
-        c = np.cross(t, unit)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sine = np.sqrt((c * c).sum(axis=1)) / n
+        n, sine = reference_sine(t, unit)
         hits = np.flatnonzero((n > 0.0) & (sine <= 1e-9))
         if hits.size:
             return tuple(vecs[hits[0]].tolist())
     return None
+
+
+def reference_sine(t, unit):
+    """(n, sine) of the rows of t by row sums and np.cross."""
+    t = t.astype(float)
+    n = np.sqrt((t * t).sum(axis=1))
+    c = np.cross(t, unit)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return n, np.sqrt((c * c).sum(axis=1)) / n
+
+
+@st.composite
+def sine_cases(draw):
+    """Rows t and a unit: the float image of a box ray, or of a drawn
+    direction. The rows are int64 rows up to the box walk's int64 bound
+    (below 2^63), zero rows, and multiples of the box ray, which are
+    exactly collinear with its image, then 64 seeded rows of entries of
+    every magnitude up to that bound, where rounding tells sum orders
+    apart."""
+    ray = draw(st.tuples(*[st.integers(-4, 4)] * 3).filter(any))
+    direction = st.tuples(*[st.floats(-1e3, 1e3, allow_subnormal=False)] * 3).filter(
+        lambda v: sum(e * e for e in v) > 1e-6)
+    unit = draw(st.one_of(st.just(TwistorPoint.from_ray(*ray).unit),
+                          direction.map(lambda v: TwistorPoint.from_unit(*v).unit)))
+    reach = 2 ** 63 - 1
+    rows = draw(st.lists(st.one_of(
+        st.tuples(*[st.integers(-reach, reach)] * 3),
+        st.just((0, 0, 0)),
+        st.integers(-(reach // 4), reach // 4).map(lambda k: tuple(k * e for e in ray))),
+        min_size=1, max_size=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32)))
+    spread = rng.integers(-reach, reach, size=(64, 3)) >> rng.integers(0, 63, size=(64, 3))
+    return np.concatenate([np.array(rows, dtype=np.int64).reshape(-1, 3), spread]), unit
+
+
+@given(case=sine_cases())
+@example(case=(np.array([[0, 0, 0], [2, -4, 6], [-3, 6, -9], [1, 0, 0]]),
+               TwistorPoint.from_ray(1, -2, 3).unit))
+def test_column_sine_equals_row_formula(case):
+    # the bounded search's sine on float columns, bit for bit the row sums
+    # and np.cross of reference_bounded_witness: nan on zero rows included
+    t, unit = case
+    n, sine = twistor._sine(t, unit)
+    ref_n, ref_sine = reference_sine(t, unit)
+    assert n.tobytes() == ref_n.tobytes()
+    assert sine.tobytes() == ref_sine.tobytes()
 
 
 @st.composite
@@ -1123,6 +1172,46 @@ def test_error_names_its_input(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    # a flat list: never a bare TypeError from iterating an int
+    (lambda: GramLattice.from_rows([1, 2, 3]), DimensionMismatch,
+     "gram row 0 = 1 is not a sequence"),
+    (lambda: HyperTriple.from_rows([1, 2, 3]), DimensionMismatch,
+     "triple vector 0 = 1 is not a sequence"),
+    (lambda: HyperTriple.from_rows([TRIPLE.w_i, TRIPLE.w_j, "101"]), DimensionMismatch,
+     "triple vector 2 = '101' is not a sequence"),
+    (lambda: GramLattice.from_rows(5), DimensionMismatch, "gram = 5 is not a sequence"),
+    (lambda: HyperTriple.from_rows(5), DimensionMismatch, "triple = 5 is not a sequence"),
+    # never numpy's bare ValueError on allocating 2^70 rows
+    (lambda: fibonacci_sphere(2 ** 70), InvalidBound,
+     "n = 1180591620717411303424 grid points, more than 1000000000"),
+    # an int or bool would be opened as a file descriptor: never reached
+    (lambda: load_lattice(1), TwistorLatticeError,
+     "a lattice source is a built-in name or a file path, got 1"),
+    (lambda: load_lattice(True), TwistorLatticeError,
+     "a lattice source is a built-in name or a file path, got True"),
+    (lambda: load_lattice(0), TwistorLatticeError,
+     "a lattice source is a built-in name or a file path, got 0"),
+    (lambda: load_lattice([]), TwistorLatticeError,
+     "a lattice source is a built-in name or a file path, got []"),
+])
+def test_flat_rows_huge_grid_and_non_path_source_refused(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert message in str(info.value)
+
+
+def test_refused_lattice_source_leaves_descriptors_open(capfd):
+    # load_lattice(1) once closed the process's stdout: a later print failed
+    for source in (0, 1, 2, True, False):
+        with pytest.raises(TwistorLatticeError, match="a lattice source is"):
+            load_lattice(source)
+    for fd in (0, 1, 2):
+        os.fstat(fd)
+    print("still open")
+    assert capfd.readouterr().out == "still open\n"
 
 
 @pytest.mark.parametrize("call", [
