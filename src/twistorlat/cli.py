@@ -23,11 +23,19 @@ from .twistor import TwistorPoint, is_general_type, pi_map, stereographic
 
 
 def domain_errors(f):
+    """Exit 1 with one error line and no traceback when the command fails
+    on domain input or cannot write its output (an OSError, such as a full
+    disk)."""
     @wraps(f)
     def wrapper(*args, **kwargs):
         try:
-            return f(*args, **kwargs)
-        except TwistorLatticeError as exc:
+            try:
+                return f(*args, **kwargs)
+            finally:  # the output files flush here, not after the command returns
+                click.get_current_context().close()
+        except BrokenPipeError:  # a reader that stopped early: click exits 1, silently
+            raise
+        except (TwistorLatticeError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
     return wrapper
@@ -188,6 +196,7 @@ def density(lattice_source, bound, grid, mask):
 
 
 @main.command(name="demo-quaternion")
+@domain_errors
 def demo_quaternion():
     """Verify the flat quaternionic-model identities."""
     rows = verify_model()

@@ -48,9 +48,13 @@ def vector(entries) -> Vector:
     """Coerce a sequence of ints, Fractions and 'p/q' strings to a Vector;
     any other entry (a float, bool, None, ...) is an error, not rounded.
     An int 0 becomes one shared Fraction(0): lattice classes are sparse."""
-    return tuple(e if type(e) is Fraction else
-                 (Fraction(e) if e else _ZERO) if type(e) is int else
-                 _rational(e) for e in entries)
+    try:
+        return tuple(e if type(e) is Fraction else
+                     (Fraction(e) if e else _ZERO) if type(e) is int else
+                     _rational(e) for e in entries)
+    except TypeError:  # checked on the failure path alone: every pi_map builds one
+        _iterable(entries, "vector")
+        raise
 
 
 def _rational(e) -> Fraction:
@@ -132,9 +136,9 @@ class GramLattice:
 
 
 def _iterable(value, what: str):
-    """A matrix given as rows, or one of its rows: a list, tuple, numpy
-    array or other iterable, but not a string. Anything else, as a number
-    from a flat list, is a DimensionMismatch."""
+    """A vector, a matrix given as rows, or one of its rows: a list,
+    tuple, numpy array or other iterable, but not a string. Anything
+    else, as a number from a flat list, is a DimensionMismatch."""
     if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
         raise DimensionMismatch(f"{what} = {value!r} is not a sequence")
     return value
@@ -152,14 +156,22 @@ def q_eval(lattice: GramLattice, x: Vector, y: Vector) -> Fraction:
     vectors."""
     lattice.check_length(x)
     lattice.check_length(y)
-    nz = [j for j, e in enumerate(y) if e != 0]
-    total = 0
-    for i, xi in enumerate(x):
-        if xi == 0:
-            continue
-        row = lattice.gram[i]
-        total += xi * sum(row[j] * y[j] for j in nz)
-    return Fraction(total)
+    try:
+        nz = [j for j, e in enumerate(y) if e != 0]
+        total = 0
+        for i, xi in enumerate(x):
+            if xi == 0:
+                continue
+            row = lattice.gram[i]
+            total += xi * sum(row[j] * y[j] for j in nz)
+        return Fraction(total)
+    except TypeError:  # the entries are checked only when the sum fails: q_eval
+        # is the largest stage of pi_map
+        bad = next(((f"{name}[{i}]", e) for name, v in (("x", x), ("y", y))
+                    for i, e in enumerate(v) if not isinstance(e, Rational)), None)
+        if bad is None:
+            raise
+        raise TwistorLatticeError(f"q_eval entry {bad[0]} = {bad[1]!r} is not a rational") from None
 
 
 @lru_cache(maxsize=64)
@@ -216,10 +228,17 @@ def integer_kernel(rows) -> list[tuple[int, ...]]:
     reduction. Every other column combines only nonzero columns of A, so
     its identity part is kept on those live coordinates alone; the basis
     is scattered into length-n tuples once, at the end. An entry that is
-    not an integer (a float, string or bool) is an error, not truncated.
+    not an integer (a float, string or bool) is an error, not truncated,
+    and rows, or a row, that are not iterable a DimensionMismatch.
     """
-    a = [[e if type(e) is int else integer(e, f"kernel entry ({i}, {j})")
-          for j, e in enumerate(row)] for i, row in enumerate(rows)]
+    try:
+        rows = tuple(rows)
+        a = [[e if type(e) is int else integer(e, f"kernel entry ({i}, {j})")
+              for j, e in enumerate(row)] for i, row in enumerate(rows)]
+    except TypeError:  # checked on the failure path alone: the exact test calls this
+        for i, row in enumerate(_iterable(rows, "kernel rows")):
+            _iterable(row, f"kernel row {i}")
+        raise
     if not a:
         return []
     m, n = len(a), len(a[0])

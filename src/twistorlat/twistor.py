@@ -20,8 +20,9 @@ small map of its candidate pairings to its groups; the group of every
 table row is composed from these maps only for the algebraic scan, the
 one consumer that reads it. The bounded search takes its sine on the
 three float columns of t, with no reduction over a row of 3 (_sine).
-One key, _ray_order, decides ray equality (the table's and the scans'
-dedup) and ray order (emission).
+One key, _ray_keys, decides ray equality (the table's and the scans'
+dedup through _ray_order, and whether one cloud holds another in the
+covering radius) and ray order (emission).
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from .linalg import (
     GramLattice,
     HyperTriple,
     Vector,
+    _iterable,
     clear_denominators,
     dot_rows,
     expand_in_V,
@@ -84,11 +86,7 @@ def _ray_order(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     absolute value wraps), in lexicographic order of the rows, and for
     each row the position of its distinct row in that order, from one
     stable sort of the row keys."""
-    base = 2 * int(np.abs(rays).max(initial=0)) + 1
-    if base ** 3 < 2 ** 63:  # entries plus (base-1)/2 are digits below base:
-        keys = rays @ np.array([base * base, base, 1])  # keys sort as rows
-    else:  # too large to pack into one int64: records sort as rows too
-        keys = np.ascontiguousarray(rays).view([("", np.int64)] * 3).ravel()
+    keys = _ray_keys(rays, int(np.abs(rays).max(initial=0)))
     order = keys.argsort(kind="stable")  # equal rows keep their order
     keys = keys[order]
     edge = np.empty(len(keys), dtype=bool)  # edge[i]: a run starts at i
@@ -97,6 +95,17 @@ def _ray_order(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     groups = np.empty(len(keys), dtype=np.intp)
     groups[order] = edge.cumsum() - 1
     return order[edge], groups
+
+
+def _ray_keys(rays: np.ndarray, top: int) -> np.ndarray:
+    """A key for each row of an (n, 3) int64 array whose entries lie in
+    [-top, top]: equal for equal rows, and sorting as the rows do. Keys
+    of two arrays taken with one top compare as their rows do."""
+    base = 2 * top + 1
+    if base ** 3 < 2 ** 63:  # entries plus (base-1)/2 are digits below base:
+        return rays @ np.array([base * base, base, 1])  # keys sort as rows
+    # too large to pack into one int64: records sort as rows too
+    return np.ascontiguousarray(rays).view([("", np.int64)] * 3).ravel()
 
 
 def _digits(index: np.ndarray, width: int, b: int) -> np.ndarray:
@@ -343,7 +352,8 @@ def pi_map(lattice: GramLattice, triple: HyperTriple, omega) -> PositiveClass:
     cleared multiple, so q and t are taken on it directly, in ints; only
     the returned vec is made of Fractions, on either path."""
     rows, _ = pairing_rows(lattice, triple)
-    omega = tuple(omega)
+    if type(omega) is not tuple:  # a tuple, the common call, needs no check
+        omega = tuple(_iterable(omega, "omega"))
     if all(type(e) is int for e in omega):
         cleared = omega
     else:
@@ -369,7 +379,7 @@ def hodge_type_11(lattice: GramLattice, triple: HyperTriple, x,
     """Whether x has Hodge type (1,1) at the point: the projection of x
     onto V is an exact rational multiple (possibly zero) of the ray.
     An x of ints is its own cleared multiple and builds no Fraction."""
-    x = tuple(x)
+    x = tuple(_iterable(x, "x"))
     if not all(type(e) is int for e in x):
         x = clear_denominators(vector(x))
     rows, _ = pairing_rows(lattice, triple)

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -24,13 +25,18 @@ def invoke(*args):
     return CliRunner().invoke(main, list(args))
 
 
+def run_module(*args, **kwargs):
+    """python -m twistorlat with this checkout's package, in a new process."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "twistorlat", *args], env=env, text=True,
+                          **kwargs)
+
+
 class TestValidate:
     def test_python_dash_m(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        res = subprocess.run([sys.executable, "-m", "twistorlat", "validate", "--lattice", "U3"],
-                             env=env, capture_output=True, text=True)
+        res = run_module("validate", "--lattice", "U3", capture_output=True)
         assert res.returncode == 0, res.stderr
         assert "signature: (3, 3, 0)" in res.stdout
 
@@ -229,6 +235,21 @@ class TestScans:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)  # no traceback
         assert f"Could not open file '{path}'" in res.output
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    @pytest.mark.parametrize("args,stdout", [
+        (["scan-algebraic", "--lattice", "U3", "--bound", "1", "--out", "/dev/full"], None),
+        (["scan-ngt", "--lattice", "U3", "--bound", "1", "--svg", "/dev/full"], None),
+        (["density", "--lattice", "U3", "--bound", "1", "--grid", "10"], "/dev/full"),
+        (["demo-quaternion"], "/dev/full")])
+    def test_failed_write_is_an_error_line(self, args, stdout):
+        # every write to /dev/full fails with ENOSPC: in the command, or
+        # when its buffered output file is closed
+        with open(stdout or os.devnull, "w") as out:
+            res = run_module(*args, stdout=out, stderr=subprocess.PIPE)
+        assert res.returncode == 1
+        assert res.stderr.startswith(f"error: [Errno {errno.ENOSPC}] ")
+        assert res.stderr.count("\n") == 1  # one line, no traceback
 
     def test_failing_scan_leaves_no_file(self, tmp_path):
         path = tmp_path / "cloud.csv"

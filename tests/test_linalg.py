@@ -71,6 +71,18 @@ class TestQEval:
         with pytest.raises(DimensionMismatch):
             q_eval(U3, vector([1, 2]), vector([0] * 6))
 
+    @pytest.mark.parametrize("x,y,named", [
+        ((None,) * 6, (None,) * 6, "x[0] = None"),
+        (("x",) * 6, ("x",) * 6, "x[0] = 'x'"),
+        (("1",) * 6, ("1",) * 6, "x[0] = '1'"),
+        ((1,) * 6, (1, 1, 1, 1, 1, None), "y[5] = None")])
+    def test_non_number_entry_is_named(self, x, y, named):
+        # None does not multiply and an int times a string repeats it: both
+        # raised a bare TypeError
+        with pytest.raises(TwistorLatticeError,
+                           match=re.escape(f"q_eval entry {named} is not a rational")):
+            q_eval(U3, x, y)
+
     def test_integer_and_rational_vectors_agree(self):
         rng = random.Random(7)
         for _ in range(20):
@@ -80,6 +92,19 @@ class TestQEval:
 
 
 class TestVector:
+    @pytest.mark.parametrize("call,named", [
+        (lambda: vector(5), "vector = 5"),
+        (lambda: integer_kernel([1, 2, 3]), "kernel row 0 = 1"),
+        (lambda: integer_kernel(7), "kernel rows = 7"),
+        (lambda: pi_map(U3, U3_TRIPLE, 5), "omega = 5"),
+        (lambda: hodge_type_11(U3, U3_TRIPLE, 5, TwistorPoint.from_ray(1, 0, 0)), "x = 5")],
+        ids=["vector", "kernel_row", "kernel_rows", "pi_map", "hodge_type_11"])
+    def test_non_sequence_is_a_dimension_mismatch(self, call, named):
+        # a number where a vector or matrix is expected raised a bare
+        # TypeError, "'int' object is not iterable"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(named)} is not a sequence$"):
+            call()
+
     @pytest.mark.parametrize("entry", [1, Fraction(1, 2), "1/2", "-3", np.int64(2)])
     def test_rationals_accepted(self, entry):
         assert vector([entry]) == (Fraction(entry),)

@@ -920,6 +920,41 @@ class TestCoveringRadius:
             assert ([repr(r) for r in scanning._covering_radii(clouds, resolution)]
                     == [repr(reference_covering_radius(c, resolution)) for c in clouds])
 
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["uniform", "clustered", "tiny", "huge", "symmetric"]),
+           size=st.integers(1, 300), sizes=st.lists(st.integers(1, 300), min_size=2, max_size=4),
+           outside=st.booleans(), resolution=st.integers(2, 40),
+           block_bytes=st.sampled_from([64, 1024, 4096, 1 << 16, 4 << 20]))
+    # two identical clouds in one-row chunks: the second settles every
+    # row of most chunks
+    @example(seed=0, kind="uniform", size=300, sizes=[300, 300], outside=False,
+             resolution=40, block_bytes=64)
+    @example(seed=1, kind="huge", size=200, sizes=[20, 100, 200], outside=False,
+             resolution=30, block_bytes=4096)
+    @example(seed=2, kind="clustered", size=300, sizes=[50, 300], outside=True,
+             resolution=40, block_bytes=1 << 16)
+    def test_covering_radii_of_nested_clouds(self, seed, kind, size, sizes, outside,
+                                            resolution, block_bytes):
+        # a chain of growing prefixes of the cloud's rows, in a drawn
+        # order, as density's boxes are: each cloud after the first starts
+        # from the lower bounds of the one before. In the outside variant
+        # the second cloud lacks a ray of the first, and starts from none
+        cloud = random_cloud(seed, kind, size)
+        assume(len(cloud))
+        order = np.random.default_rng(seed).permutation(len(cloud))
+        sizes = sorted(min(k, len(cloud)) for k in sizes)
+        cuts = [order[:k] for k in sizes]
+        if outside:  # without the first cloud's first ray, which may repeat
+            cuts[1] = cuts[1][(cloud.dirs[cuts[1]] != cloud.dirs[order[0]]).any(axis=1)]
+            assume(len(cuts[1]))
+        clouds = [PointCloud(cloud.dirs[i], cloud.witnesses[i]) for i in cuts]
+        assert ([scanning._holds(b, a) for a, b in zip(clouds, clouds[1:])]
+                == [not (outside and j == 0) for j in range(len(clouds) - 1)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
+            assert ([repr(r) for r in scanning._covering_radii(clouds, resolution)]
+                    == [repr(reference_covering_radius(c, resolution)) for c in clouds])
+
     def test_near_tie_needs_the_margin(self, monkeypatch):
         # one ray opposite the bisector of two grid rows at resolution 20:
         # those rows are the farthest, a few ulps apart in float64. Take the
