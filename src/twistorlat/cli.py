@@ -7,6 +7,7 @@ non-positive class, ...), 2 usage error.
 from __future__ import annotations
 
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -37,8 +38,19 @@ def domain_errors(f):
             raise
         except (TwistorLatticeError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
+            _settle_stdout()
             sys.exit(1)
     return wrapper
+
+
+def _settle_stdout():
+    """Flush stdout now; if that fails (stdout on a full disk), point its
+    descriptor at devnull, so that the flush at interpreter exit does not
+    fail again, print a second message and exit 120."""
+    try:
+        sys.stdout.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _load(source):

@@ -379,7 +379,8 @@ def hodge_type_11(lattice: GramLattice, triple: HyperTriple, x,
     """Whether x has Hodge type (1,1) at the point: the projection of x
     onto V is an exact rational multiple (possibly zero) of the ray.
     An x of ints is its own cleared multiple and builds no Fraction."""
-    x = tuple(_iterable(x, "x"))
+    if type(x) is not tuple:  # as in pi_map: a tuple needs no check
+        x = tuple(_iterable(x, "x"))
     if not all(type(e) is int for e in x):
         x = clear_denominators(vector(x))
     rows, _ = pairing_rows(lattice, triple)

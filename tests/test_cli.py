@@ -242,9 +242,11 @@ class TestScans:
         (["scan-ngt", "--lattice", "U3", "--bound", "1", "--svg", "/dev/full"], None),
         (["density", "--lattice", "U3", "--bound", "1", "--grid", "10"], "/dev/full"),
         (["demo-quaternion"], "/dev/full")])
-    def test_failed_write_is_an_error_line(self, args, stdout):
+    def test_failed_write_is_an_error_line(self, args, stdout, monkeypatch):
         # every write to /dev/full fails with ENOSPC: in the command, or
-        # when its buffered output file is closed
+        # when its buffered output file is closed. stdout is buffered, as
+        # by default, so a failed flush leaves bytes for the exit flush.
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
         with open(stdout or os.devnull, "w") as out:
             res = run_module(*args, stdout=out, stderr=subprocess.PIPE)
         assert res.returncode == 1
