@@ -18,7 +18,10 @@ each computed once and cached, and returns three primitive integer rows
 and an exact scale, so that q(x, w_a) / q(w_a, w_a) = scale * (rows[a] . x).
 Projection, V-perp bases, pi, Hodge type, witnesses and the scans all
 read it, so all reject a wrong signature and rely on V-perp being
-negative definite: a positive class never projects to 0.
+negative definite: a positive class never projects to 0. The exact
+products read only nonzero entries: q_eval those of each Gram row,
+listed once per lattice, and rows . x those of each pairing row, listed
+in the kernel's cached entry with the live coordinates.
 """
 
 from __future__ import annotations
@@ -116,6 +119,10 @@ class GramLattice:
                         f"gram matrix is not symmetric at ({i}, {j})")
         # hashed once: the kernel's two caches hash the lattice on every call
         object.__setattr__(self, "_hash", hash((self.rank, self.gram)))
+        # each row's nonzero entries (j, g), all q_eval reads: a built-in
+        # Gram has at most 3 a row
+        object.__setattr__(self, "_nonzero", tuple(
+            tuple((j, g) for j, g in enumerate(row) if g) for row in self.gram))
 
     def __hash__(self):
         return self._hash
@@ -152,26 +159,36 @@ def integer(value, what: str) -> int:
 
 
 def q_eval(lattice: GramLattice, x: Vector, y: Vector) -> Fraction:
-    """The bilinear form x^T gram y, exact; summed in ints for integer
-    vectors."""
+    """The bilinear form x^T gram y, exact: the sum of x_i g_ij y_j over
+    the nonzero x_i and the nonzero entries g_ij of their Gram rows; in
+    ints for integer vectors.
+
+    Every entry of x, and of y when it is not x, is checked to be a
+    rational before anything multiplies, also an entry no product
+    reads: a string times an int would build the repeated string."""
     lattice.check_length(x)
     lattice.check_length(y)
-    try:
-        nz = [j for j, e in enumerate(y) if e != 0]
-        total = 0
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            row = lattice.gram[i]
-            total += xi * sum(row[j] * y[j] for j in nz)
-        return Fraction(total)
-    except TypeError:  # the entries are checked only when the sum fails: q_eval
-        # is the largest stage of pi_map
-        bad = next(((f"{name}[{i}]", e) for name, v in (("x", x), ("y", y))
-                    for i, e in enumerate(v) if not isinstance(e, Rational)), None)
-        if bad is None:
-            raise
-        raise TwistorLatticeError(f"q_eval entry {bad[0]} = {bad[1]!r} is not a rational") from None
+    _rationals(x, "x")
+    if y is not x:
+        _rationals(y, "y")
+    total = 0
+    for xi, row in zip(x, lattice._nonzero):
+        if xi:
+            for j, g in row:
+                total += xi * g * y[j]
+    return Fraction(total)
+
+
+_EXACT = frozenset((int, Fraction))
+
+
+def _rationals(v, name: str) -> None:
+    """Refuse the first entry of v that is not a Rational (a float, string,
+    None, ...), naming it; ints and Fractions pass one set test."""
+    if not _EXACT.issuperset(map(type, v)):
+        for i, e in enumerate(v):
+            if not isinstance(e, Rational):
+                raise TwistorLatticeError(f"q_eval entry {name}[{i}] = {e!r} is not a rational")
 
 
 @lru_cache(maxsize=64)
@@ -339,6 +356,14 @@ def pairing_rows(lattice: GramLattice, triple: HyperTriple):
     gcd divided out and the exact positive Fraction with q(x, w_a) /
     q(w_a, w_a) = scale * (rows[a] . x). Every call checks; both checks are
     cached, the signature per lattice and the rows per pair."""
+    return _pairing(lattice, triple)[:2]
+
+
+def _pairing(lattice: GramLattice, triple: HyperTriple):
+    """pairing_rows' checks, then its whole cached entry (rows, scale,
+    nonzero, live): nonzero holds each row's nonzero entries as (j, e)
+    pairs, what the exact products rows . x read (_dot_nonzero), and live
+    the coordinates where some row is nonzero, ascending (K3: 6 of 22)."""
     sig = signature(lattice).as_tuple()
     if sig != (3, lattice.rank - 3, 0):
         raise InvalidSignature(f"twistor calls need signature (3, r-3, 0); got {sig}")
@@ -349,12 +374,14 @@ def pairing_rows(lattice: GramLattice, triple: HyperTriple):
 def _triple_rows(lattice: GramLattice, triple: HyperTriple):
     norm = triple.validate(lattice)
     # the row q(e_i, w) over i is G w
-    pairing = [e for w in triple.vectors for e in dot_rows(lattice.gram, w)]
+    pairing = [e for w in triple.vectors for e in _dot_nonzero(lattice._nonzero, w)]
     flat = primitive(clear_denominators(pairing))
     k = next(i for i, e in enumerate(flat) if e)
     r = lattice.rank
-    return (tuple(flat[a * r:(a + 1) * r] for a in range(3)),
-            pairing[k] / (flat[k] * norm))
+    rows = tuple(flat[a * r:(a + 1) * r] for a in range(3))
+    return (rows, pairing[k] / (flat[k] * norm),
+            tuple(tuple((j, e) for j, e in enumerate(row) if e) for row in rows),
+            tuple(j for j, col in enumerate(zip(*rows)) if any(col)))
 
 
 def dot_rows(rows, x) -> tuple:
@@ -362,13 +389,19 @@ def dot_rows(rows, x) -> tuple:
     return tuple(sum(map(operator.mul, row, x)) for row in rows)
 
 
+def _dot_nonzero(nonzero, x) -> tuple:
+    """The products rows[a] . x, each row given by its nonzero entries as
+    (j, e) pairs: the sum of e * x[j] over them."""
+    return tuple([sum([e * x[j] for j, e in row]) for row in nonzero])
+
+
 def project_to_V(lattice: GramLattice, triple: HyperTriple, x):
     """Coefficients (a, b, c) of the q-orthogonal projection of x onto V,
     so p(x) = a w_I + b w_J + c w_K and x - p(x) is q-orthogonal to V."""
-    rows, scale = pairing_rows(lattice, triple)
+    _, scale, nonzero, _ = _pairing(lattice, triple)
     x = vector(x)
     lattice.check_length(x)
-    return tuple(scale * t for t in dot_rows(rows, x))
+    return tuple(scale * t for t in _dot_nonzero(nonzero, x))
 
 
 def expand_in_V(triple: HyperTriple, coeffs) -> Vector:

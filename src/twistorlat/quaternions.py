@@ -94,9 +94,12 @@ class Quaternion:
             raise InvariantViolation(f"{self} has no unit: norm {n}")
         return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
 
-    def _unit_entries(self, imaginary: bool = False) -> np.ndarray:
+    def _unit_entries(self, imaginary: bool = False, error=InvariantViolation) -> np.ndarray:
         """Per entry, whether it has norm 1 within TOL and, with imaginary,
-        real part 0 within TOL; the norm of x, y and z alone then."""
+        real part 0 within TOL; the norm of x, y and z alone then. A field
+        that is not a number or an array of them raises error, the
+        caller's TwistorLatticeError class, before numpy reads it."""
+        _refuse_non_numbers(error, True, w=self.w, x=self.x, y=self.y, z=self.z)
         _check_broadcast("quaternion fields", *map(np.shape, (self.w, self.x, self.y, self.z)))
         # hypot squares nothing: no square under- or overflows, and a norm
         # past the float range is inf, not 1
@@ -165,8 +168,7 @@ def _require_units(q: "Quaternion", imaginary: bool = False) -> None:
     """Refuse q unless every entry is a unit quaternion (with imaginary, a
     unit imaginary one), naming a field that is not a number or array of
     them, or else the index and fields of the first entry that fails."""
-    _refuse_non_numbers(NotUnitImaginary, True, w=q.w, x=q.x, y=q.y, z=q.z)
-    ok = q._unit_entries(imaginary)
+    ok = q._unit_entries(imaginary, NotUnitImaginary)
     if not np.all(ok):
         i = tuple(int(k) for k in np.argwhere(~ok)[0])  # () for float fields
         entry = Quaternion(*(np.broadcast_to(f, ok.shape)[i].item() for f in (q.w, q.x, q.y, q.z)))

@@ -15,7 +15,8 @@ witnesses of the cloud rows alone are the digits of those keys. The
 same key, _ray_order, sorts the clouds for emission, which works on
 the cloud's columns a chunk of rows at a time: one %-format a CSV row
 or SVG circle, and no TwistorPoint per ray. A cloud is two int64
-arrays, the distinct rays and their witnesses; TwistorPoints are built
+arrays, the distinct rays and their witnesses, cast once when it is
+built from any other integer dtype; TwistorPoints are built
 only when it is iterated, and a cloud of non-integer, zero or
 mis-shaped rows, of entries past int64 or of a ray entry of -2^63, is
 refused when it is built.
@@ -78,18 +79,20 @@ class PointCloud:
             if not np.issubdtype(a.dtype, np.integer):
                 raise InvariantViolation(f"cloud {name} of dtype {a.dtype} are not integers: "
                                          f"row 0 = {a[:1].tolist()}")
-            # _ray_order's int64 view would read a uint64 entry past 2^63 as negative
+            # the int64 cast below would wrap a uint64 entry past 2^63 to a negative one
             if np.iinfo(a.dtype).max > np.iinfo(np.int64).max:
                 past = np.flatnonzero((a > np.iinfo(np.int64).max).any(axis=1))
                 if past.size:
                     raise InvariantViolation(f"cloud {name} row {past[0]} = "
                                              f"{a[past[0]].tolist()} does not fit int64")
-        # and its packed key would take |-2^63| as -2^63: rays of it would merge
-        if np.iinfo(self.dirs.dtype).min == np.iinfo(np.int64).min:
-            low = np.flatnonzero((self.dirs == np.iinfo(np.int64).min).any(axis=1))
-            if low.size:
-                raise InvariantViolation(f"cloud dirs row {low[0]} = {self.dirs[low[0]].tolist()} "
-                                         "holds -2^63, whose negation does not fit int64")
+            # cast once for every reader: _ray_keys packs int64 keys (a uint64
+            # key would be float64), and np.abs wraps an int32 -2^31
+            object.__setattr__(self, name, a.astype(np.int64, copy=False))
+        # the packed key would take |-2^63| as -2^63: rays of it would merge
+        low = np.flatnonzero((self.dirs == np.iinfo(np.int64).min).any(axis=1))
+        if low.size:
+            raise InvariantViolation(f"cloud dirs row {low[0]} = {self.dirs[low[0]].tolist()} "
+                                     "holds -2^63, whose negation does not fit int64")
         zero = np.flatnonzero(~self.dirs.any(axis=1))
         if zero.size:
             raise InvariantViolation(f"zero ray is not a twistor point: dirs row {zero[0]}")
@@ -292,7 +295,7 @@ def _best32(points: np.ndarray, columns: np.ndarray) -> np.ndarray:
 def _holds(cloud: PointCloud, inner: PointCloud) -> bool:
     """Whether every ray of inner is a ray of cloud: inner's keys, packed
     as cloud's, are among cloud's sorted keys."""
-    dirs, rays = (c.dirs.astype(np.int64, copy=False) for c in (cloud, inner))
+    dirs, rays = cloud.dirs, inner.dirs
     top = int(np.abs(dirs).max(initial=0))
     if np.abs(rays).max(initial=0) > top:
         return False

@@ -45,13 +45,13 @@ from .linalg import (
     GramLattice,
     HyperTriple,
     Vector,
+    _dot_nonzero,
     _iterable,
+    _pairing,
     clear_denominators,
-    dot_rows,
     expand_in_V,
     integer,
     integer_kernel,
-    pairing_rows,
     primitive,
     q_eval,
     vector,
@@ -346,12 +346,14 @@ def pi_map(lattice: GramLattice, triple: HyperTriple, omega) -> PositiveClass:
     With the pairing rows of the triple, that is the ray of
     t = rows . omega itself, by construction: for L = t / gcd(t),
     q(omega, omega_L) is a positive multiple of |t|^2. The kernel checks
-    the signature first: V-perp is negative definite, so t != 0.
+    the signature first: V-perp is negative definite, so t != 0. Both q
+    and t read only nonzero entries: q_eval those of the Gram, t those
+    of the pairing rows (K3: 6 of 66).
 
     An omega of ints (type int: not bools, not numpy ints) is its own
     cleared multiple, so q and t are taken on it directly, in ints; only
     the returned vec is made of Fractions, on either path."""
-    rows, _ = pairing_rows(lattice, triple)
+    nonzero = _pairing(lattice, triple)[2]
     if type(omega) is not tuple:  # a tuple, the common call, needs no check
         omega = tuple(_iterable(omega, "omega"))
     if all(type(e) is int for e in omega):
@@ -365,7 +367,7 @@ def pi_map(lattice: GramLattice, triple: HyperTriple, omega) -> PositiveClass:
         raise NotPositive(f"pi_map needs q(omega, omega) > 0, got q = {q / scale ** 2} "
                           f"for omega = ({', '.join(map(str, omega))})")
     return PositiveClass(vec=vector(omega),
-                         point=TwistorPoint._from_ints(dot_rows(rows, cleared)))
+                         point=TwistorPoint._from_ints(_dot_nonzero(nonzero, cleared)))
 
 
 def antipode(point: TwistorPoint) -> TwistorPoint:
@@ -377,16 +379,17 @@ def antipode(point: TwistorPoint) -> TwistorPoint:
 def hodge_type_11(lattice: GramLattice, triple: HyperTriple, x,
                   point: TwistorPoint) -> bool:
     """Whether x has Hodge type (1,1) at the point: the projection of x
-    onto V is an exact rational multiple (possibly zero) of the ray.
-    An x of ints is its own cleared multiple and builds no Fraction."""
+    onto V is an exact rational multiple (possibly zero) of the ray,
+    from the pairing rows' nonzero entries alone, as in pi_map. An x of
+    ints is its own cleared multiple and builds no Fraction."""
     if type(x) is not tuple:  # as in pi_map: a tuple needs no check
         x = tuple(_iterable(x, "x"))
     if not all(type(e) is int for e in x):
         x = clear_denominators(vector(x))
-    rows, _ = pairing_rows(lattice, triple)
+    nonzero = _pairing(lattice, triple)[2]
     lattice.check_length(x)
     d = point.require_exact()
-    return _cross(dot_rows(rows, x), d) == (0, 0, 0)
+    return _cross(_dot_nonzero(nonzero, x), d) == (0, 0, 0)
 
 
 def two_zero_plane(triple: HyperTriple, point: TwistorPoint):
@@ -482,17 +485,28 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
 
     Exact mode (rational ray): solve the integer system p(lambda)
     parallel to the ray; with a rational triple this always produces a
-    witness, so rational points are never of general type. Only the
-    kernel vectors that meet a live coordinate, one where some pairing
-    row is nonzero, enter the reduction: any other projects to 0, so it
-    never starts one, and it never covers the peak of a vector that does,
-    so the witness is the one the whole kernel gives. Bounded mode
-    (irrational point): search the coordinate box [-bound, bound]^r, in
-    lexicographic order and in blocks of bounded memory, for the first
-    witness with sine of the collinearity angle below 1e-9; absence is
-    reported as general type up to the bound, not as a proof. Only H-,
-    the vectors before 0, is searched: -v is a witness when v is, so the
-    first witness of the box lies there. The test runs once per distinct
+    witness, so rational points are never of general type. The system
+    A v = 0, A = (rows . v) x d, is taken on the kept columns only: the
+    live ones, where some pairing row is nonzero, and the first two
+    positions. That is exact, not a heuristic: A has rank 2, so
+    integer_kernel's pivots land at positions 0 and 1, and a zero column
+    at position 2 or later is never a pivot, never reduced and never
+    swapped; its basis vector is e_j in its own slot. Dropping those
+    columns drops only those e_j and leaves the order of the other basis
+    vectors, each zero on every dropped coordinate, as it was. Only the
+    kernel vectors that meet a live coordinate enter the reduction: any
+    other projects to 0, so it never starts one, and it never covers the
+    peak of a vector that does, so the witness is the one the whole
+    kernel gives. The reduction runs on the kept coordinates, where the
+    vectors' norms, supports and lexicographic order are those of their
+    full-length forms, and the witness alone is scattered to rank r.
+
+    Bounded mode (irrational point): search the coordinate box
+    [-bound, bound]^r, in lexicographic order and in blocks of bounded
+    memory, for the first witness with sine of the collinearity angle
+    below 1e-9; absence is reported as general type up to the bound,
+    not as a proof. Only H-, the vectors before 0, is searched: -v is a
+    witness when v is, so the first witness of the box lies there. The test runs once per distinct
     pairing of a block (_box_pairings), on the integer t that every box
     vector of the group projects to, so each vector gets the verdict it
     would get alone; the groups follow their first vectors, so the first
@@ -502,24 +516,27 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
     vectors raises InvalidBound, and one whose int64 products could wrap
     raises Unsupported.
     """
-    rows, _ = pairing_rows(lattice, triple)
+    rows, _, _, live = _pairing(lattice, triple)
     bound = integer(bound, "bound")
     if bound < 1:
         raise InvalidBound(f"bound must be >= 1, got {bound}")
 
     if point.is_exact:
-        # witnesses v solve (rows . v) x d = 0: one cross product per column
-        cols = list(zip(*rows))
-        kernel = integer_kernel(zip(*(_cross(col, point.dir) for col in cols)))
+        # witnesses v solve (rows . v) x d = 0: one cross product per kept column
+        keep = sorted({0, 1, *live})
+        kept = [[row[j] for j in keep] for row in rows]
+        kernel = integer_kernel(zip(*(_cross(col, point.dir) for col in zip(*kept))))
         # nonempty: the cleared class sum d_a w_a lies in the kernel, projecting to != 0
         # the entries on the live coordinates; the three rows are independent,
         # so there are at least three and itemgetter returns a tuple
-        on_live = itemgetter(*(j for j, col in enumerate(cols) if any(col)))
-        steps = _kernel_steps([v for v in kernel if any(on_live(v))], rows)
+        on_live = itemgetter(*(p for p, j in enumerate(keep) if j in live))
+        steps = _kernel_steps([v for v in kernel if any(on_live(v))], kept)
         candidates = [_reduce_witness(v, t, steps[:i] + steps[i + 1:])
                       for i, (v, _, _, t) in enumerate(steps) if any(t)]
-        witness = min(candidates, key=lambda v: (max(abs(e) for e in v), v))
-        return GeneralTypeVerdict(witness=witness)
+        witness = [0] * lattice.rank
+        for j, e in zip(keep, min(candidates, key=lambda v: (max(abs(e) for e in v), v))):
+            witness[j] = e
+        return GeneralTypeVerdict(witness=tuple(witness))
 
     # bounded mode: floating direction, on the distinct pairings of each block
     walk = _box_pairings(rows, bound)

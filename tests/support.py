@@ -98,6 +98,13 @@ def random_positive_class(rng, lattice, q_eval, support=None, max_tries=1000):
     raise AssertionError("could not sample a positive class")
 
 
+def reference_q_eval(gram, x, y):
+    """x^T gram y in Fractions by the dense double loop over every Gram
+    entry, zeros included."""
+    return sum((Fraction(x[i]) * gram[i][j] * Fraction(y[j])
+                for i in range(len(gram)) for j in range(len(gram))), Fraction(0))
+
+
 def random_unimodular(rng: random.Random, n, steps=20):
     """Random integer matrix with determinant +-1 (product of shears
     and swaps)."""

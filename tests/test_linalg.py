@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 from math import gcd as gcd_int
 
@@ -37,12 +38,38 @@ from support import (
     random_unimodular,
     rational_rank,
     reference_integer_kernel,
+    reference_q_eval,
     reference_signature,
 )
 
 U3, U3_TRIPLE = load_lattice("U3")
 K3, K3_TRIPLE = load_lattice("K3")
 D222, D222_TRIPLE = load_lattice("diag222")
+
+
+@st.composite
+def q_eval_inputs(draw):
+    """(gram, x, y): a symmetric Gram, sparse with zero rows or dense, and
+    x and y of ints, Fractions or both, with y drawn or y being x."""
+    r = draw(st.integers(1, 8))
+    sparse = draw(st.booleans())
+    entries = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3]) if sparse else st.integers(-9, 9)
+    gram = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i, r):
+            gram[i][j] = gram[j][i] = draw(entries)
+    if sparse:
+        for i in draw(st.sets(st.integers(0, r - 1))):
+            for j in range(r):
+                gram[i][j] = gram[j][i] = 0
+    numbers = draw(st.sampled_from([
+        st.integers(-10 ** 6, 10 ** 6),
+        st.fractions(-50, 50, max_denominator=9),
+        st.one_of(st.integers(-50, 50), st.fractions(-50, 50, max_denominator=9))]))
+    entry = st.one_of(st.just(0), numbers)
+    x = tuple(draw(st.lists(entry, min_size=r, max_size=r)))
+    y = x if draw(st.booleans()) else tuple(draw(st.lists(entry, min_size=r, max_size=r)))
+    return gram, x, y
 
 
 class TestQEval:
@@ -75,13 +102,34 @@ class TestQEval:
         ((None,) * 6, (None,) * 6, "x[0] = None"),
         (("x",) * 6, ("x",) * 6, "x[0] = 'x'"),
         (("1",) * 6, ("1",) * 6, "x[0] = '1'"),
-        ((1,) * 6, (1, 1, 1, 1, 1, None), "y[5] = None")])
+        ((1,) * 6, (1, 1, 1, 1, 1, None), "y[5] = None"),
+        # no nonzero Gram entry of row 0 reads y[0]: refused all the same
+        ((1, 0, 0, 0, 0, 0), (None, 0, 0, 0, 0, 0), "y[0] = None"),
+        # a float sum was taken as the Fraction of its binary value
+        ((1, 0, 0, 0, 0, 0), (0, 0.5, 0, 0, 0, 0), "y[1] = 0.5")])
     def test_non_number_entry_is_named(self, x, y, named):
         # None does not multiply and an int times a string repeats it: both
         # raised a bare TypeError
         with pytest.raises(TwistorLatticeError,
                            match=re.escape(f"q_eval entry {named} is not a rational")):
             q_eval(U3, x, y)
+
+    def test_string_is_refused_before_it_multiplies(self):
+        # 'a' * 10**6 built a 1 MB string before the sum failed
+        tracemalloc.start()
+        try:
+            with pytest.raises(TwistorLatticeError, match=re.escape("x[0] = 'a'")):
+                q_eval(U3, ("a",) * 6, (10 ** 6,) * 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10
+
+    @given(q_eval_inputs())
+    def test_q_eval_matches_dense_reference(self, inputs):
+        gram, x, y = inputs
+        value = q_eval(GramLattice.from_rows(gram), x, y)
+        assert type(value) is Fraction and value == reference_q_eval(gram, x, y)
 
     def test_integer_and_rational_vectors_agree(self):
         rng = random.Random(7)

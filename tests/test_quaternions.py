@@ -75,6 +75,17 @@ class TestQuaternionAlgebra:
         with pytest.raises(InvariantViolation, match=re.escape(f"{q} has no unit: norm {norm}")):
             q.normalized()
 
+    @pytest.mark.parametrize("method", ["is_unit", "is_unit_imaginary"])
+    @pytest.mark.parametrize("field", [None, "x", 1j, True, np.array(["1.0"])],
+                             ids=["None", "str", "complex", "bool", "str_array"])
+    def test_unit_checks_refuse_non_numbers(self, method, field):
+        # None raised AttributeError, and 'x' and 1j numpy's TypeError
+        for q, name in ((Quaternion(field, 0.0, 0.0, 0.0), "w"),
+                        (Quaternion(0.0, 1.0, 0.0, field), "z")):
+            with pytest.raises(InvariantViolation,
+                               match=re.escape(f"field {name} = {field!r} is not a number")):
+                getattr(q, method)()
+
     def test_associativity(self):
         for _ in range(20):
             p, q, r = (Quaternion(*RNG.normal(size=4)) for _ in range(3))

@@ -817,6 +817,23 @@ class TestPointCloud:
         assert covering_radius(cloud, 30) == covering_radius(
             PointCloud(np.array([[0, 0, 1]]), np.array([[1, 2]])), 30)
 
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.uint32])
+    def test_narrow_dtypes_write_as_int64(self, dtype):
+        # each extreme of the dtype: an int32 or uint32 cloud past the packed
+        # key raised numpy's bare ValueError from the record view, and
+        # np.abs wraps an int32 -2^31
+        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+        dirs = np.array([[hi, 1, 0], [1, 2, 3], [lo, 0, 1], [0, 1, hi]], dtype)
+        witnesses = np.array([[hi, lo], [1, 2], [3, 4], [lo, hi]], dtype)
+        cloud = PointCloud(dirs, witnesses)
+        wide = PointCloud(dirs.astype(np.int64), witnesses.astype(np.int64))
+        assert cloud.dirs.dtype == cloud.witnesses.dtype == np.int64
+        for writer in (write_csv, write_svg):
+            got, want = io.StringIO(), io.StringIO()
+            writer(cloud, got)
+            writer(wide, want)
+            assert got.getvalue() == want.getvalue()
+
 
 def reference_grid(n):
     """fibonacci_sphere as it built the whole grid at once."""
