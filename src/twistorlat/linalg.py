@@ -50,10 +50,12 @@ _ZERO = Fraction(0)  # immutable, so every int 0 entry can share it
 def vector(entries) -> Vector:
     """Coerce a sequence of ints, Fractions and 'p/q' strings to a Vector;
     any other entry (a float, bool, None, ...) is an error, not rounded.
-    An int 0 becomes one shared Fraction(0): lattice classes are sparse."""
-    try:
-        return tuple(e if type(e) is Fraction else
-                     (Fraction(e) if e else _ZERO) if type(e) is int else
+    An int 0 becomes one shared Fraction(0): lattice classes are sparse.
+    Numpy ints, alone or in a Fraction, become ints: their arithmetic
+    wraps past 2^63."""
+    try:  # a Fraction of two ints passes as it is
+        return tuple(e if type(e) is Fraction and type(e.numerator) is int is type(e.denominator)
+                     else (Fraction(e) if e else _ZERO) if type(e) is int else
                      _rational(e) for e in entries)
     except TypeError:  # checked on the failure path alone: every pi_map builds one
         _iterable(entries, "vector")
@@ -61,8 +63,12 @@ def vector(entries) -> Vector:
 
 
 def _rational(e) -> Fraction:
-    # exact ints and Fractions take the fast path of vector
-    if isinstance(e, str) or (isinstance(e, Rational) and not isinstance(e, bool)):
+    # ints and Fractions of ints take the fast path of vector
+    if isinstance(e, Rational) and not isinstance(e, bool):
+        # a numpy int, alone or in a Fraction, would keep int64
+        # arithmetic, which wraps past 2^63
+        return Fraction(int(e.numerator), int(e.denominator))
+    if isinstance(e, str):
         try:
             return Fraction(e)
         except (ValueError, ZeroDivisionError):
@@ -165,12 +171,14 @@ def q_eval(lattice: GramLattice, x: Vector, y: Vector) -> Fraction:
 
     Every entry of x, and of y when it is not x, is checked to be a
     rational before anything multiplies, also an entry no product
-    reads: a string times an int would build the repeated string."""
+    reads: a string times an int would build the repeated string. A
+    numpy int entry is cast to int; Fractions are taken as they are,
+    and vector makes them of ints."""
     lattice.check_length(x)
     lattice.check_length(y)
-    _rationals(x, "x")
-    if y is not x:
-        _rationals(y, "y")
+    same = y is x
+    x = _rationals(x, "x")
+    y = x if same else _rationals(y, "y")
     total = 0
     for xi, row in zip(x, lattice._nonzero):
         if xi:
@@ -182,13 +190,17 @@ def q_eval(lattice: GramLattice, x: Vector, y: Vector) -> Fraction:
 _EXACT = frozenset((int, Fraction))
 
 
-def _rationals(v, name: str) -> None:
-    """Refuse the first entry of v that is not a Rational (a float, string,
-    None, ...), naming it; ints and Fractions pass one set test."""
-    if not _EXACT.issuperset(map(type, v)):
-        for i, e in enumerate(v):
-            if not isinstance(e, Rational):
-                raise TwistorLatticeError(f"q_eval entry {name}[{i}] = {e!r} is not a rational")
+def _rationals(v, name: str):
+    """v, whose ints and Fractions pass one set test and are returned as
+    they are; any other integer entry, a numpy int, becomes an int, as
+    its arithmetic wraps past 2^63. The first entry that is not a
+    Rational (a float, string, None, ...) is refused, named."""
+    if _EXACT.issuperset(map(type, v)):
+        return v
+    for i, e in enumerate(v):
+        if not isinstance(e, Rational):
+            raise TwistorLatticeError(f"q_eval entry {name}[{i}] = {e!r} is not a rational")
+    return tuple(int(e) if isinstance(e, Integral) else e for e in v)
 
 
 @lru_cache(maxsize=64)

@@ -9,41 +9,42 @@ its digit table, so gcd and ray division run on those d rows, not on
 every vector; the algebraic scan's positivity is a sum of per-table and
 per-prefix terms. Each counting group gives two candidates, its ray and
 the negation, keyed by the index in the whole lexicographic box of a
-vector that gives them. After the walk, one twistor._ray_order pass
-over the candidates sorted by key keeps each ray's least key, and the
-witnesses of the cloud rows alone are the digits of those keys. The
-same key, _ray_order, sorts the clouds for emission, which works on
-the cloud's columns a chunk of rows at a time: one %-format a CSV row
-or SVG circle, and no TwistorPoint per ray. A cloud is two int64
-arrays, the distinct rays and their witnesses, cast once when it is
-built from any other integer dtype; TwistorPoints are built
+vector that gives them. After the walk, one sort of the candidates by
+ray key, then key, keeps the first of each ray's run, its least key,
+and the witnesses of the cloud rows alone are the digits of those keys.
+The same ray key, through _ray_order, sorts the clouds for emission,
+which works on the cloud's columns a chunk of rows at a time: one
+%-format a CSV row or SVG circle, and no TwistorPoint per ray. A cloud
+is two int64 arrays, the distinct rays and their witnesses, cast once
+when it is built from any other integer dtype; TwistorPoints are built
 only when it is iterated, and a cloud of non-integer, zero or
 mis-shaped rows, of entries past int64 or of a ray entry of -2^63, is
 refused when it is built.
 Covering radius against a Fibonacci-sphere grid is the desk-scale
-measure of density. One walk of the grid, which is sorted by y, serves
-every cloud of a _covering_radii call, density's clouds of bounds 1..B
-among them: each chunk of grid rows is built and cast to float32 once.
-Each cloud takes the grid in its own kind of block, the full
-grid-by-cloud product's. A float32 screen compares each block only
-with the cloud points in a y-band around it, as wide as the
-nearest-point distance measured on every grid_resolution-th row, and
-rows with no cloud point close enough fall back to the whole cloud. A
-float32 cosine is within _EPS32 of the float64 one, so the blocks whose
-least screened cosine is within 2 * _EPS32 of the least of all are then
-recomputed in float64 against the whole cloud, and the radius is the
-same float as the full product gives. A cloud that holds the cloud
-before it, as density's box B+1 holds box B, leaves unscreened the rows
-whose best against that smaller cloud already lies above its own
-least: the least row is never among them, so its block stays within
-2 * _EPS32 of the least, and the recompute is unchanged. No randomness
-anywhere in this module.
+measure of density: the arccos of the least best cosine of a grid row,
+taken exactly on the float64 grid rows and units, so no BLAS kernel or
+block shape changes it. One walk of the grid, which is sorted by y,
+serves every cloud of a _covering_radii call, density's clouds of
+bounds 1..B among them: each chunk of grid rows is built and cast to
+float32 once. A float32 screen compares each row only with the cloud
+points in a y-band around it, as wide as the nearest-point distance
+measured on every grid_resolution-th row, and rows with no cloud point
+close enough fall back to the whole cloud. A screened best is within
+_EPS32 of the exact one, so the rows whose screened best is within
+2 * _EPS32 of the least of all are kept, and only they are recomputed:
+their float64 products against the whole cloud, each within _DELTA of
+the exact cosine, pick the few dots that can be the least best, and
+those are evaluated as Fractions. A cloud that holds the cloud before
+it, as density's box B+1 holds box B, leaves unscreened the rows whose
+best against that smaller cloud already lies above its own least: the
+least row is never among them. No randomness anywhere in this module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -59,6 +60,7 @@ from .twistor import (
     _int64,
     _ray_keys,
     _ray_order,
+    _run_starts,
 )
 
 
@@ -163,10 +165,11 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
     first vector, key start + first, and -r at the negation of its last,
     key N-1-(start + last). With both_signs every nonzero vector gives r
     and then -r: keys 2(start + first) and 2(start + first) + 1. One
-    _ray_order pass over the candidates sorted by key keeps each ray's
-    least key. That key (halved with both_signs) is the index of the
-    ray's first witness in the whole box, so the witness is its digits:
-    an index past the middle already names -v.
+    lexsort of the candidates by ray key (_ray_keys, packed or records),
+    then key, keeps the first of each ray's run, its least key. That key
+    (halved with both_signs) is the index of the ray's first witness in
+    the whole box, so the witness is its digits: an index past the
+    middle already names -v.
 
     Positivity is separable over the table: with v = high + low,
     q(v, v) = Q_low + 2 P_low . high + q(high), where Q_low = q(low, low)
@@ -225,8 +228,11 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
                  else [first, (2 * bound + 1) ** k - 1 - (start + last[keep])])
         rays += [r, -r]
     keys, rays = np.concatenate(keys), np.concatenate(rays)
-    order = np.argsort(keys)  # the candidates as they occur in the box
-    kept = order[np.sort(_ray_order(rays[order])[0])]
+    # one sort by ray, then key: the first of each ray's run has its least key
+    ray_keys = _ray_keys(rays, int(np.abs(rays).max(initial=0)))
+    order = np.lexsort((keys, ray_keys))
+    kept = order[_run_starts(ray_keys[order])]
+    kept = kept[np.argsort(keys[kept])]  # the cloud as it occurs in the box
     full = np.zeros((len(kept), lattice.rank), dtype=np.int64)  # rank-r witnesses
     full[:, active] = _digits(keys[kept] >> both_signs, k, bound)  # key // 2 with both signs
     return PointCloud(rays[kept], full)
@@ -254,13 +260,11 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     if integer(n, "n") < 1:
         raise InvalidBound(f"n must be >= 1, got {n}")
     _check_points(n, "n =")
-    return _fibonacci_rows(n, 0, n)
+    return _fibonacci_rows(n, np.arange(n))
 
 
-def _fibonacci_rows(n: int, start: int, stop: int, stride: int = 1) -> np.ndarray:
-    """Rows start, start + stride, ... before stop (clipped to n) of
-    fibonacci_sphere(n), bit for bit."""
-    i = np.arange(start, min(stop, n), stride)
+def _fibonacci_rows(n: int, i: np.ndarray) -> np.ndarray:
+    """Rows i, an int array, of fibonacci_sphere(n), bit for bit."""
     y = (i * (2.0 / n)) - 1.0 + 1.0 / n
     r = np.sqrt(np.maximum(0.0, 1.0 - y * y))
     phi = i * (math.pi * (3.0 - math.sqrt(5.0)))
@@ -286,10 +290,21 @@ def _check_points(points: int, given: str) -> None:
 # in covering_radius's docstring
 _EPS32 = 1e-6
 
+# bound on |float64 cosine - exact cosine| of two float64 near-unit
+# vectors: a three-term dot, in any order, with or without FMA, errs by
+# at most gamma_3 = 3*2^-53/(1 - 3*2^-53), about 3.3e-16, of the sum of
+# |products|, which is 1 within a few ulps
+_DELTA = 1e-15
+
 
 def _best32(points: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Each float32 column's best float32 cosine against the points, -inf for none."""
     return np.fmax.reduce(points @ columns, axis=0, initial=-np.inf)
+
+
+def _exact_cosine(row: np.ndarray, unit: np.ndarray) -> Fraction:
+    """The dot of two float64 vectors, exact."""
+    return sum(Fraction(a) * Fraction(b) for a, b in zip(row.tolist(), unit.tolist()))
 
 
 def _holds(cloud: PointCloud, inner: PointCloud) -> bool:
@@ -307,10 +322,10 @@ def _holds(cloud: PointCloud, inner: PointCloud) -> bool:
 class _Screen:
     """One cloud's float32 screen of the grid, fed a chunk of grid rows at
     a time with a lower bound on each row's best. A row whose bound is
-    above c0 + eps is settled: its best is above the least, it is not
-    screened, and it enters its block's least as +inf. The least row is
-    never settled, so its block stays within 2*eps of the least and is
-    recomputed as before; covering_radius has the argument."""
+    above c0 + eps is settled: its best is above the least, and it is not
+    screened. Each open row whose screened best is within 2*eps of the
+    least so far is kept, and radius takes the exact least from the kept
+    rows; covering_radius has the argument."""
 
     def __init__(self, cloud: PointCloud, sample: np.ndarray):
         if len(cloud) == 0:
@@ -322,32 +337,32 @@ class _Screen:
         self.step = max(1, _BLOCK_BYTES // (8 * len(band)))
         self.c0 = float(self._whole(sample).min())  # the least best of the sample rows
         self.h = math.sqrt(2 - 2 * (self.c0 - _EPS32)) + 1e-9
-        self.least, self.kept = math.inf, []  # kept: (block start, a least screened best)
+        self.least, self.kept = math.inf, []  # kept: (grid row, its screened best)
 
     def _whole(self, columns: np.ndarray) -> np.ndarray:
-        """Each float32 column's best against the whole cloud, step columns
-        a product, with the columns as its rows: a max along rows is the
-        faster reduction."""
+        """Each float32 column's best against the whole cloud, with the
+        columns as the product's rows: a max along rows is the faster
+        reduction. A product's cosines fill a quarter of _BLOCK_BYTES,
+        which stays in cache (on a 2-vCPU Xeon, 177 against 236 us for
+        200 columns against the 4034 points of U3 at B=4 in half of it)."""
         best = np.empty(columns.shape[1], np.float32)
-        for s in range(0, len(best), self.step):
-            best[s:s + self.step] = (columns[:, s:s + self.step].T @ self.band.T).max(axis=1)
+        step = max(1, _BLOCK_BYTES // (16 * len(self.band)))
+        for s in range(0, len(best), step):
+            best[s:s + step] = (columns[:, s:s + step].T @ self.band.T).max(axis=1)
         return best
 
     def screen(self, c: int, y: np.ndarray, grid: np.ndarray, lb: np.ndarray):
         """Screen the chunk of grid rows from row c on: y holds their y,
         ascending, grid their float32 columns, and lb a float64 lower bound
         on each row's best. The open rows, those with lb <= c0 + eps, are
-        screened, and their lb becomes their screened best - eps. Each
-        block that meets the chunk keeps its least there."""
+        screened, and their lb becomes their screened best - eps. The kept
+        rows are those within 2*eps of the least so far."""
         step = self.step
-        # the blocks' rows [start, end) in the chunk, cut at its edges
-        starts = np.arange(-(c % step), len(y), step)
-        starts[0] = 0
         rows = np.flatnonzero(lb <= self.c0 + _EPS32)
-        # the open rows, step a product, each against the band of its
+        # the open rows, step a product, each against the band of their
         # product's y-range; grid[:, rows] would be F-ordered, a slower
         # operand (6.6 against 5.4 us for 300 points by 130 rows)
-        cols = np.take(grid, rows, axis=1)
+        cols = grid if len(rows) == len(y) else np.take(grid, rows, axis=1)
         firsts = np.arange(0, len(rows), step)
         lasts = np.minimum(firsts + step, len(rows))
         lo = np.searchsorted(self.ys, y[rows[firsts]] - self.h)
@@ -357,30 +372,33 @@ class _Screen:
             best[a:b] = _best32(self.band[i:j], cols[:, a:b])
         far = np.flatnonzero(best < self.c0 + _EPS32)
         best[far] = self._whole(np.take(cols, far, axis=1))
-        lb[rows] = best.astype(np.float64) - _EPS32
-        bests = np.full(len(y), np.inf, np.float32)  # a settled row's best is above the least
-        bests[rows] = best
-        mins = np.minimum.reduceat(bests, starts)
-        self.least = min(self.least, float(mins.min()))
-        blocks = c - c % step + step * np.arange(len(starts))
-        # a block of settled rows alone reads +inf: it is kept only while
-        # the least is +inf too, and radius drops it
-        self.kept += [(b, m) for b, m in zip(blocks.tolist(), mins.tolist())
-                      if m <= self.least + 2 * _EPS32]
+        best = best.astype(np.float64)  # exact: compared in float64 from here on
+        lb[rows] = best - _EPS32
+        self.least = min(self.least, float(best.min(initial=math.inf)))
+        cut = self.least + 2 * _EPS32
+        near = np.flatnonzero(best <= cut)
+        self.kept = ([(r, m) for r, m in self.kept if m <= cut]
+                     + list(zip((c + rows[near]).tolist(), best[near].tolist())))
 
     def radius(self, n: int) -> float:
-        """The float64 recompute of the kept blocks, as the full product takes them."""
-        blocks = {b for b, m in self.kept if m <= self.least + 2 * _EPS32}
-        least = min(np.max(_fibonacci_rows(n, s, s + self.step) @ self.units.T, axis=1).min()
-                    for s in blocks)
-        return float(np.arccos(np.clip(least, -1.0, 1.0)))
+        """arccos of the least exact best over the kept rows: their float64
+        products against the whole cloud pick the dots to take exactly."""
+        near = []  # (float64 best, grid row, the points within 2*delta of that best)
+        for row in _fibonacci_rows(n, np.array([r for r, _ in self.kept])):
+            cos = self.units @ row
+            best = cos.max()
+            near.append((best, row, self.units[cos >= best - 2 * _DELTA]))
+        cut = min(best for best, _, _ in near) + 2 * _DELTA
+        least = min(max(_exact_cosine(row, unit) for unit in units)
+                    for best, row, units in near if best <= cut)
+        return float(np.arccos(np.clip(float(least), -1.0, 1.0)))
 
 
 def _covering_radii(clouds, grid_resolution: int) -> list[float]:
     """covering_radius of each cloud, in one walk of the grid."""
     g = _check_grid(grid_resolution)
     n = g * g
-    sample = _fibonacci_rows(n, 0, n, g).T.astype(np.float32, order="C")  # every g-th row
+    sample = _fibonacci_rows(n, np.arange(0, n, g)).T.astype(np.float32, order="C")
     screens = [_Screen(cloud, sample) for cloud in clouds]
     # a cloud that holds the one before it starts from the bounds that
     # cloud's screen left; any other, from none
@@ -389,8 +407,9 @@ def _covering_radii(clouds, grid_resolution: int) -> list[float]:
     # tenth of _BLOCK_BYTES
     chunk = max(1, _BLOCK_BYTES // 1024)
     for c in range(0, n, chunk):
-        grid = _fibonacci_rows(n, c, c + chunk)
-        y, grid = grid[:, 1], grid.T.astype(np.float32, order="C")
+        grid = _fibonacci_rows(n, np.arange(c, min(c + chunk, n)))
+        # y a copy, so the float64 chunk is freed before the screens
+        y, grid = grid[:, 1].copy(), grid.T.astype(np.float32, order="C")
         lb = np.empty(len(y))
         for screen, inner in zip(screens, nested):
             if not inner:
@@ -401,18 +420,19 @@ def _covering_radii(clouds, grid_resolution: int) -> list[float]:
 
 def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     """Max over a grid_resolution^2 Fibonacci grid of the angular
-    distance to the nearest cloud point, in radians.
+    distance to the nearest cloud point, in radians: arccos of the least,
+    over the grid rows, of a row's best (max) cosine against the cloud.
+    The cosines are the exact dots of the float64 grid rows and units,
+    and the least is rounded to float64 once, so the radius depends on
+    no BLAS kernel, block shape or _BLOCK_BYTES.
 
-    The nearest point of a grid row is its max cosine, its best. Every
-    float64 product is taken on one block size, that of the full
-    grid-by-cloud product: step grid rows, whose float64 cosines against
-    the whole cloud fill _BLOCK_BYTES. The grid is sorted by y. One walk
-    of it serves every cloud of a _covering_radii call: each chunk of
-    _BLOCK_BYTES // 1024 rows is built once in float64 and cast once to
-    float32 columns, and each cloud screens it with its own step, c0 and
-    band.
+    The grid is sorted by y. One walk of it serves every cloud of a
+    _covering_radii call: each chunk of _BLOCK_BYTES // 1024 rows is
+    built once in float64 and cast once to float32 columns, and each
+    cloud screens it with its own step, c0 and band; step rows of
+    float32 cosines against the whole cloud fill half of _BLOCK_BYTES.
 
-    A float32 screen finds the blocks that can hold the least best.
+    A float32 screen finds the rows that can hold the least best.
     Its band products have the cloud points as rows and the grid rows as
     columns, and a column's max is its row's best; its whole-cloud
     products have the grid rows as rows, the faster reduction for a
@@ -421,21 +441,22 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     a float32 dot of three terms, summed in any order, with or without
     FMA, adds at most gamma_3 = 3*2^-24/(1 - 3*2^-24) of the sum of
     |products|, which is at most 1 for unit vectors. So a float32 cosine
-    is within about 5*2^-24, 3e-7, of the float64 one, and eps = _EPS32 =
-    1e-6 bounds it with room.
+    is within about 5*2^-24, 3e-7, of the float64 one, which is within
+    delta = _DELTA = 1e-15 of the exact one, and eps = _EPS32 = 1e-6
+    bounds their sum, eps' = 3e-7 + delta, with room.
 
     The screen's band is measured on the grid. Every grid_resolution-th
     row is compared with the whole cloud, and c0 is the least of their
     float32 bests. A point whose cosine to a row is at least c0 - eps
     lies within the chord sqrt(2 - 2*(c0 - eps)) of it, and so within
     that distance of it in y (h; 1e-9 is added for rounding). So each
-    block is compared with the cloud points within h of its rows in y.
-    If a row's band best is at least c0 + eps, the row's nearest point
-    has a cosine above c0 - eps, lies in the band, and the band best is
-    within eps of the row's float64 best. A row whose band best is below
-    c0 + eps is far, and is compared with the whole cloud, step such
-    rows a product. So every screened best is within eps of the float64
-    best, whatever c0 is; c0 only sets how wide the band is.
+    step open rows are compared with the cloud points within h of them
+    in y. If a row's band best is at least c0 + eps, the row's nearest
+    point has a cosine above c0 - eps, lies in the band, and the band
+    best is within eps' of the row's exact best. A row whose band best
+    is below c0 + eps is far, and is compared with the whole cloud, step
+    such rows a product. So every screened best is within eps' < eps of
+    the exact best, whatever c0 is; c0 only sets how wide the band is.
 
     Rows are settled, not screened, with lower bounds carried from the
     cloud before. For clouds A within B, as density's boxes are, a row's
@@ -443,26 +464,23 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     screened best - eps. Each chunk row carries such a bound, lb: -inf
     for the first cloud and for any cloud that does not hold the one
     before it (_holds checks it on the rays' keys), and a screened row's
-    screened best - eps after it. Some sample row's float64 best is at
-    most c0 + eps, so the float64 least L is too, and a row with
-    lb > c0 + eps has a best above L: it is settled, and enters its
-    block's least as +inf. The other, open, rows are screened as above,
-    step a product against the band of their y-range. The row of L is
-    never settled, so its screened best, within eps of L, lies within
-    2*eps of the least screened best of all, which is at least L - eps:
-    its block is kept, and the recompute below is unchanged.
+    screened best - eps after it. Some sample row's exact best is at
+    most c0 + eps, so the exact least L is too, and a row with
+    lb > c0 + eps has a best above L: it is settled. The other, open,
+    rows are screened as above.
 
-    Each block's least screened best is kept with the block's start
-    while it is within 2*eps of the least so far. A block that straddles
-    two chunks is screened in each, with the band of its rows there, and
-    each part is kept with the block's start: the block's least is the
-    least of its parts, so it is within 2*eps of a least exactly when
-    one of its parts is. The kept blocks within 2*eps of the least of
-    all, which hold the block of the float64 least, are recomputed
-    exactly as the full product takes them: the block against the whole
-    cloud in enumeration order, in float64. arccos is decreasing, so one
-    arccos of the least recomputed cosine is the radius, the same float
-    as the full product gives.
+    Each open row is kept with its screened best while that is within
+    2*eps of the least screened best so far. The row of L is never
+    settled, and its screened best, within eps' of L, lies within 2*eps'
+    of the least screened best of all, which is at least L - eps': it
+    is kept. The kept rows are rebuilt in float64 and multiplied with
+    the whole cloud, one row at a time, as a filter: each float64
+    cosine is within delta of the exact one. So a row's exact best is
+    the exact cosine of one of its points within 2*delta of the row's
+    float64 best, and the row of L is among the rows whose float64 best
+    is within 2*delta of the least. Those few dots are taken exactly, as
+    Fractions of the float64 entries; the least of the rows' exact bests
+    is L, and arccos, decreasing, of L rounded once is the radius.
     """
     return _covering_radii([cloud], grid_resolution)[0]
 

@@ -20,9 +20,10 @@ small map of its candidate pairings to its groups; the group of every
 table row is composed from these maps only for the algebraic scan, the
 one consumer that reads it. The bounded search takes its sine on the
 three float columns of t, with no reduction over a row of 3 (_sine).
-One key, _ray_keys, decides ray equality (the table's and the scans'
-dedup through _ray_order, and whether one cloud holds another in the
-covering radius) and ray order (emission).
+One key, _ray_keys, decides ray equality (the table's dedup through
+_ray_order, the scans' dedup through one lexsort by ray key then box
+index, and whether one cloud holds another in the covering radius) and
+ray order (emission, through _ray_order).
 """
 
 from __future__ import annotations
@@ -60,8 +61,9 @@ from .quaternions import unit_direction
 
 
 # Memory budget of one block: box rows (int64) in the scans and the
-# bounded search, grid-by-cloud cosines in covering_radius (float64 in
-# its exact recompute; its float32 screen takes half of it).
+# bounded search, float32 grid-by-cloud cosines in covering_radius's
+# screen (its band products take half of it, its whole-cloud products a
+# quarter).
 _BLOCK_BYTES = 4 << 20
 
 # Largest box a scan or bounded search walks, and largest covering-radius
@@ -88,13 +90,18 @@ def _ray_order(rays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     stable sort of the row keys."""
     keys = _ray_keys(rays, int(np.abs(rays).max(initial=0)))
     order = keys.argsort(kind="stable")  # equal rows keep their order
-    keys = keys[order]
-    edge = np.empty(len(keys), dtype=bool)  # edge[i]: a run starts at i
-    edge[:1] = True
-    edge[1:] = keys[1:] != keys[:-1]
+    edge = _run_starts(keys[order])
     groups = np.empty(len(keys), dtype=np.intp)
     groups[order] = edge.cumsum() - 1
     return order[edge], groups
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """For sorted keys, whether a run of equal keys starts at each."""
+    edge = np.empty(len(keys), dtype=bool)
+    edge[:1] = True
+    edge[1:] = keys[1:] != keys[:-1]
+    return edge
 
 
 def _ray_keys(rays: np.ndarray, top: int) -> np.ndarray:
@@ -366,7 +373,7 @@ def pi_map(lattice: GramLattice, triple: HyperTriple, omega) -> PositiveClass:
         scale = math.lcm(*(e.denominator for e in omega))
         raise NotPositive(f"pi_map needs q(omega, omega) > 0, got q = {q / scale ** 2} "
                           f"for omega = ({', '.join(map(str, omega))})")
-    return PositiveClass(vec=vector(omega),
+    return PositiveClass(vec=vector(omega) if cleared is omega else omega,  # once a call
                          point=TwistorPoint._from_ints(_dot_nonzero(nonzero, cleared)))
 
 

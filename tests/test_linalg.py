@@ -157,6 +157,25 @@ class TestVector:
     def test_rationals_accepted(self, entry):
         assert vector([entry]) == (Fraction(entry),)
 
+    @pytest.mark.parametrize("omega", [
+        np.array([2 ** 40, 2 ** 40, 0, 0, 0, 0]),
+        np.array([2 ** 30, 2 ** 30, 0, 0, 0, 0], dtype=np.int32),
+        [Fraction(np.int64(2 ** 40)), Fraction(np.int64(2 ** 41), np.int64(2)), 0, 0, 0, 0]],
+        ids=["int64", "int32", "fraction_of_int64"])
+    def test_numpy_ints_are_cast_to_int(self, omega):
+        # q = 2 * 2^40 * 2^40 wrapped in int64 to 0, and pi_map raised
+        # NotPositive "q = 0" for a positive class
+        ints = tuple(int(e) for e in omega)
+        vec = vector(omega)
+        assert vec == vector(ints)
+        assert all(type(e.numerator) is int and type(e.denominator) is int for e in vec)
+        assert q_eval(U3, vec, vec) == q_eval(U3, ints, ints) == 2 * ints[0] * ints[1]
+        point = pi_map(U3, U3_TRIPLE, omega).point
+        assert pi_map(U3, U3_TRIPLE, omega) == pi_map(U3, U3_TRIPLE, ints)
+        assert hodge_type_11(U3, U3_TRIPLE, omega, point)
+        if isinstance(omega, np.ndarray):
+            assert q_eval(U3, omega, omega) == q_eval(U3, omega, ints) == 2 * ints[0] * ints[1]
+
     @pytest.mark.parametrize("entry", ["x", None, True, 0.5, "1/0"])
     def test_non_rational_entry_rejected(self, entry):
         # a float used to be taken as a binary fraction and a bool as 1;

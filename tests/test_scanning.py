@@ -5,6 +5,7 @@ import math
 import os
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ from twistorlat.quaternions import (
     verify_model,
 )
 from twistorlat.scanning import fibonacci_sphere
-from twistorlat.twistor import _box_pairings, _digits, _ray_order
+from twistorlat.twistor import _box_pairings, _digits, _ray_keys, _ray_order
 
 from support import reference_write_csv, reference_write_svg
 
@@ -492,19 +493,35 @@ def test_clouds_independent_of_block_budget(scan, both_signs, monkeypatch):
 
 @pytest.mark.parametrize("scan", [scan_algebraic, scan_non_general_type])
 def test_one_ray_dedup_per_scan(scan, monkeypatch):
-    # the candidates of all 13 blocks meet in one _ray_order pass
+    # the candidates of all 13 blocks meet in one sort by ray key
     calls = []
 
-    def counting(rays):
+    def counting(rays, top):
         calls.append(len(rays))
-        return _ray_order(rays)
+        return _ray_keys(rays, top)
 
     monkeypatch.setattr(twistor, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
-    monkeypatch.setattr(scanning, "_ray_order", counting)
+    monkeypatch.setattr(scanning, "_ray_keys", counting)
     assert len(list(_box_pairings(pairing_rows(U3, TRIPLE)[0], 2).blocks)) == 13
     cloud = scan(U3, TRIPLE, 2)
     # two candidates, r and -r, per counting group
     assert len(calls) == 1 and calls[0] % 2 == 0 and calls[0] >= len(cloud) > 0
+
+
+@pytest.mark.parametrize("n,packed", [(2 ** 18, True), (2 ** 22, False)])
+def test_dedup_on_both_ray_keys(n, packed):
+    # U3 + <-2n>, w_I = (1, n + 1, 0, 0, 0, 0, 1): rays of entries past
+    # n, whose keys pack into one int64 for n = 2^18 and are records
+    # for n = 2^22
+    lattice, triple = with_summand(U3, TRIPLE, -2 * n, (1, 0, 0))
+    triple = HyperTriple.from_rows([[1, n + 1] + [0] * 4 + [1], triple.w_j, triple.w_k])
+    for scan, both_signs in ((scan_algebraic, False), (scan_non_general_type, True)):
+        cloud = scan(lattice, triple, 1)
+        top = int(np.abs(cloud.dirs).max())
+        assert top > n and ((2 * top + 1) ** 3 < 2 ** 63) == packed
+        dirs, witnesses = reference_scan(lattice, triple, 1, None, both_signs)
+        assert cloud.dirs.tolist() == dirs.tolist()
+        assert cloud.witnesses.tolist() == witnesses.tolist()
 
 
 def reference_box_pairings(rows, b):
@@ -844,14 +861,33 @@ def reference_grid(n):
     return np.column_stack((np.cos(phi) * r, y, np.sin(phi) * r))
 
 
+def exact_cosine(row, unit):
+    """The dot of two float64 vectors as a Fraction."""
+    return sum(Fraction(a) * Fraction(b) for a, b in zip(row.tolist(), unit.tolist()))
+
+
 def reference_covering_radius(cloud, grid_resolution):
-    """covering_radius as the full grid-by-cloud product in blocks."""
+    """covering_radius's definition, arccos of the least exact best cosine
+    over the float64 grid rows and units, from the full float64 product:
+    each of its cosines is within 1e-12 of the exact one, so the rows
+    whose best is within 2e-12 of the least hold the exact least, and
+    only their points within 2e-12 of the row's best are taken exactly."""
     grid = reference_grid(grid_resolution * grid_resolution)
     units = scanning._units(cloud.dirs)
-    step = max(1, scanning._BLOCK_BYTES // (8 * len(units)))
-    least = min(float(np.max(grid[i:i + step] @ units.T, axis=1).min())
-                for i in range(0, grid.shape[0], step))
-    return float(np.arccos(np.clip(least, -1.0, 1.0)))
+    cos = grid @ units.T
+    best = cos.max(axis=1)
+    least = min(max(exact_cosine(grid[i], units[j])
+                    for j in np.flatnonzero(cos[i] >= best[i] - 2e-12))
+                for i in np.flatnonzero(best <= best.min() + 2e-12))
+    return float(np.arccos(np.clip(float(least), -1.0, 1.0)))
+
+
+def brute_covering_radius(cloud, grid_resolution):
+    """The same definition with every cosine a Fraction: no float filter."""
+    grid = reference_grid(grid_resolution * grid_resolution)
+    units = scanning._units(cloud.dirs)
+    least = min(max(exact_cosine(row, unit) for unit in units) for row in grid)
+    return float(np.arccos(np.clip(float(least), -1.0, 1.0)))
 
 
 def random_cloud(seed, kind, size):
@@ -880,7 +916,8 @@ class TestCoveringRadius:
         (37, ("0.3013454777065868", "0.1644588487896601",
               "0.10477985817392532", "0.07557408257263193"))])
     def test_frozen_u3_radii(self, resolution, radii):
-        # U3 at B=1..4, as the full product gave them
+        # U3 at B=1..4: the full float64 product's floats under OpenBLAS's
+        # SkylakeX kernel, and the exact definition's under every kernel
         assert tuple(repr(covering_radius(
             scan_algebraic(U3, TRIPLE, b), resolution))
             for b in (1, 2, 3, 4)) == radii
@@ -890,12 +927,12 @@ class TestCoveringRadius:
            size=st.integers(1, 300), resolution=st.integers(2, 40),
            block_bytes=st.sampled_from([64, 4096, 4 << 20]))
     # band cosines of this cloud, a row at a time, differ in the last ulp
-    # from the full product's
+    # from the full product's float64 ones
     @example(seed=6, kind="uniform", size=60, resolution=2, block_bytes=4 << 20)
     @example(seed=1, kind="clustered", size=300, resolution=40, block_bytes=4096)
     @example(seed=2, kind="tiny", size=5, resolution=30, block_bytes=64)
-    # the least band cosine is an ulp above the full product's: only the
-    # recompute gives the full product's float
+    # the least band cosine is an ulp above the float64 one: only the
+    # exact recompute gives the radius
     @example(seed=14, kind="clustered", size=3, resolution=2, block_bytes=64)
     # blocks taller than the chunk cap: fewer than 128 rays at 4 MB
     @example(seed=3, kind="uniform", size=100, resolution=100, block_bytes=4 << 20)
@@ -928,8 +965,8 @@ class TestCoveringRadius:
     @example(clouds=[(6, "uniform", 60), (14, "clustered", 3)], resolution=20,
              block_bytes=4096)
     def test_covering_radii_equal_full_products(self, clouds, resolution, block_bytes):
-        # one grid walk for all the clouds: each its own blocks, which
-        # straddle the walk's chunks, and each radius the full product's float
+        # one grid walk for all the clouds: each its own steps of rows,
+        # which straddle the walk's chunks, and each radius the exact one
         clouds = [cloud for cloud in (random_cloud(*c) for c in clouds) if len(cloud)]
         assume(clouds)
         with pytest.MonkeyPatch.context() as mp:
@@ -972,12 +1009,43 @@ class TestCoveringRadius:
             assert ([repr(r) for r in scanning._covering_radii(clouds, resolution)]
                     == [repr(reference_covering_radius(c, resolution)) for c in clouds])
 
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["uniform", "clustered", "tiny", "huge", "symmetric"]),
+           size=st.integers(1, 30), resolution=st.integers(2, 12))
+    def test_exact_definition_equals_brute_force(self, seed, kind, size, resolution):
+        # the float64 filters of covering_radius and of the reference drop
+        # no dot that can be the least best
+        cloud = random_cloud(seed, kind, size)
+        assume(len(cloud))
+        expected = repr(brute_covering_radius(cloud, resolution))
+        assert repr(reference_covering_radius(cloud, resolution)) == expected
+        assert repr(covering_radius(cloud, resolution)) == expected
+
+    @pytest.mark.parametrize("dirs", [
+        # one ray nearly opposite the bisector of two grid rows at
+        # resolution 20: float64 ranks the two rows the other way round
+        # from the exact cosines, under OpenBLAS's SkylakeX kernel for the
+        # first and under Haswell and Sandybridge for the second
+        [[-5560059154741885, 72057594037927936, 16632056134705774]],
+        [[4111187884120597, 72057594037927936, 14698418405541062]],
+        # two rays an ulp apart in angle: float64 ranks them the other way
+        # round at the least row, under all three
+        [[-81152900567304, 281474976710656, -37000841683996],
+         [-81152900567303, 281474976710656, -37000841683996]],
+        [[5621369619988, 17592186044416, 2072359433980],
+         [5621369619989, 17592186044416, 2072359433980]]])
+    def test_float64_near_tie_needs_the_margin(self, dirs):
+        # without the 2 * _DELTA margins, the float64 filter would keep
+        # only the row or point it ranks first, and round its exact cosine
+        cloud = PointCloud(np.array(dirs), np.zeros((len(dirs), 1), np.int64))
+        assert repr(covering_radius(cloud, 20)) == repr(brute_covering_radius(cloud, 20))
+
     def test_near_tie_needs_the_margin(self, monkeypatch):
         # one ray opposite the bisector of two grid rows at resolution 20:
         # those rows are the farthest, a few ulps apart in float64. Take the
-        # first pair that float32 ranks strictly the other way round, in two
-        # 8-row blocks (rows 6 and 9 with numpy 2.4's OpenBLAS): without the
-        # margin only the float32 least block would be recomputed
+        # first pair that float32 ranks strictly the other way round (rows 6
+        # and 9 with numpy 2.4's OpenBLAS): without the margin only the
+        # float32 least row would be kept and recomputed
         grid = reference_grid(400)
         for i, j in itertools.combinations(range(30), 2):
             v = -(grid[i] + grid[j])
@@ -1098,8 +1166,12 @@ class TestCoveringRadius:
         # the strided rows covering_radius samples, bit for bit
         for start, stop, stride in ((0, n, math.isqrt(n)), (0, 9 * 200, 200),
                                     (3, n // 2, 7), (n - 1, n + 5, 3)):
-            assert (scanning._fibonacci_rows(n, start, stop, stride).tobytes()
+            rows = np.arange(start, min(stop, n), stride)
+            assert (scanning._fibonacci_rows(n, rows).tobytes()
                     == reference_grid(n)[start:stop:stride].tobytes())
+        # the scattered rows radius rebuilds
+        rows = np.array([n - 1, 0, n // 3, n // 3])
+        assert scanning._fibonacci_rows(n, rows).tobytes() == reference_grid(n)[rows].tobytes()
 
     def test_grid_size_checked(self):
         # 31623^2 is just over 10^9 points: rejected before any is built
