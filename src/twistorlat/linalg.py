@@ -172,8 +172,8 @@ def q_eval(lattice: GramLattice, x: Vector, y: Vector) -> Fraction:
     Every entry of x, and of y when it is not x, is checked to be a
     rational before anything multiplies, also an entry no product
     reads: a string times an int would build the repeated string. A
-    numpy int entry is cast to int; Fractions are taken as they are,
-    and vector makes them of ints."""
+    numpy int, alone or as a part of a Fraction, is cast to int, as
+    vector casts it."""
     lattice.check_length(x)
     lattice.check_length(y)
     same = y is x
@@ -187,20 +187,27 @@ def q_eval(lattice: GramLattice, x: Vector, y: Vector) -> Fraction:
     return Fraction(total)
 
 
+_INT = frozenset((int,))
 _EXACT = frozenset((int, Fraction))
+_NUMERATOR = operator.attrgetter("numerator")
+_DENOMINATOR = operator.attrgetter("denominator")
 
 
 def _rationals(v, name: str):
-    """v, whose ints and Fractions pass one set test and are returned as
-    they are; any other integer entry, a numpy int, becomes an int, as
-    its arithmetic wraps past 2^63. The first entry that is not a
-    Rational (a float, string, None, ...) is refused, named."""
-    if _EXACT.issuperset(map(type, v)):
+    """v as it is when its entries are ints, or ints and Fractions of two
+    ints: an int vector passes one set test, a vector with Fractions
+    three. Any other integer entry or Fraction part, a numpy int, becomes
+    an int, as its arithmetic wraps past 2^63, even a zero one, which
+    would turn the sum it meets into an int64. The first entry that is
+    not a Rational (a float, string, None, ...) is refused, named."""
+    if _INT.issuperset(map(type, v)) or (
+            _EXACT.issuperset(map(type, v)) and _INT.issuperset(map(type, map(_NUMERATOR, v)))
+            and _INT.issuperset(map(type, map(_DENOMINATOR, v)))):
         return v
     for i, e in enumerate(v):
         if not isinstance(e, Rational):
             raise TwistorLatticeError(f"q_eval entry {name}[{i}] = {e!r} is not a rational")
-    return tuple(int(e) if isinstance(e, Integral) else e for e in v)
+    return tuple(int(e) if isinstance(e, Integral) else _rational(e) for e in v)
 
 
 @lru_cache(maxsize=64)

@@ -16,7 +16,7 @@ The same ray key, through _ray_order, sorts the clouds for emission,
 which works on the cloud's columns a chunk of rows at a time: one
 %-format a CSV row or SVG circle, and no TwistorPoint per ray. A cloud
 is two int64 arrays, the distinct rays and their witnesses, cast once
-when it is built from any other integer dtype; TwistorPoints are built
+when it is built from nested lists or any other integer dtype; TwistorPoints are built
 only when it is iterated, and a cloud of non-integer, zero or
 mis-shaped rows, of entries past int64 or of a ray entry of -2^63, is
 refused when it is built.
@@ -26,15 +26,20 @@ taken exactly on the float64 grid rows and units, so no BLAS kernel or
 block shape changes it. One walk of the grid, which is sorted by y,
 serves every cloud of a _covering_radii call, density's clouds of
 bounds 1..B among them: each chunk of grid rows is built and cast to
-float32 once. A float32 screen compares each row only with the cloud
-points in a y-band around it, as wide as the nearest-point distance
-measured on every grid_resolution-th row, and rows with no cloud point
-close enough fall back to the whole cloud. A screened best is within
-_EPS32 of the exact one, so the rows whose screened best is within
-2 * _EPS32 of the least of all are kept, and only they are recomputed:
-their float64 products against the whole cloud, each within _DELTA of
-the exact cosine, pick the few dots that can be the least best, and
-those are evaluated as Fractions. A cloud that holds the cloud before
+float32 once. A cloud whose rays a sign flip of x or of z maps onto
+themselves, as every built-in lattice's are, is folded by it: each grid
+row u is screened as u with |u_i| on those coordinates, against the
+cloud's points >= 0 on them, which hold its best, about a quarter of the
+cloud when both fold. y is not folded: it sorts the band. A float32
+screen compares each row only with the cloud points in a y-band around
+it, as wide as the nearest-point distance measured on every
+grid_resolution-th row, and rows with no cloud point close enough fall
+back to the whole cloud. A screened best is within _EPS32 of the exact
+one, so the rows whose screened best is within 2 * _EPS32 of the least
+of all are kept, and only they are recomputed: their float64 products
+against the whole (folded) cloud, each within _DELTA of the exact
+cosine, pick the few dots that can be the least best, and those are
+evaluated as Fractions. A cloud that holds the cloud before
 it, as density's box B+1 holds box B, leaves unscreened the rows whose
 best against that smaller cloud already lies above its own least: the
 least row is never among them. No randomness anywhere in this module.
@@ -73,8 +78,15 @@ class PointCloud:
     witnesses: np.ndarray
 
     def __post_init__(self):
+        # arrays of nested lists too: an entry past int64 gives object dtype,
+        # refused below, and ragged rows no array at all
+        for name in ("dirs", "witnesses"):
+            try:
+                object.__setattr__(self, name, np.asarray(getattr(self, name)))
+            except ValueError as e:
+                raise DimensionMismatch(f"cloud {name} are not an array: {e}") from None
         # a float ray would be written through %d, and a zero ray has no unit
-        dirs, wit = np.shape(self.dirs), np.shape(self.witnesses)
+        dirs, wit = self.dirs.shape, self.witnesses.shape
         if dirs[1:] != (3,) or len(wit) != 2 or wit[0] != dirs[0]:
             raise DimensionMismatch(f"cloud shapes {dirs} and {wit} are not (n, 3) and (n, r)")
         for name, a in (("dirs", self.dirs), ("witnesses", self.witnesses)):
@@ -102,6 +114,13 @@ class PointCloud:
     @cached_property
     def _index(self) -> dict[tuple[int, int, int], int]:
         return {d: i for i, d in enumerate(map(tuple, self.dirs.tolist()))}
+
+    @cached_property
+    def _keys(self) -> tuple[int, np.ndarray]:
+        """(top, keys): top = max |entry|, and the distinct rays' _ray_keys,
+        taken with top, sorted."""
+        top = int(np.abs(self.dirs).max(initial=0))
+        return top, _distinct(_ray_keys(self.dirs, top))
 
     def __len__(self):
         return len(self.dirs)
@@ -307,21 +326,33 @@ def _exact_cosine(row: np.ndarray, unit: np.ndarray) -> Fraction:
     return sum(Fraction(a) * Fraction(b) for a, b in zip(row.tolist(), unit.tolist()))
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys, sorted."""
+    keys = np.sort(keys)
+    return keys[_run_starts(keys)]
+
+
 def _holds(cloud: PointCloud, inner: PointCloud) -> bool:
     """Whether every ray of inner is a ray of cloud: inner's keys, packed
     as cloud's, are among cloud's sorted keys."""
-    dirs, rays = cloud.dirs, inner.dirs
-    top = int(np.abs(dirs).max(initial=0))
-    if np.abs(rays).max(initial=0) > top:
+    top, keys = cloud._keys
+    if np.abs(inner.dirs).max(initial=0) > top:
         return False
-    keys = np.sort(_ray_keys(dirs, top))
-    find = _ray_keys(rays, top)
+    find = _ray_keys(inner.dirs, top)
     return bool((keys[np.searchsorted(keys, find).clip(max=len(keys) - 1)] == find).all())
+
+
+def _mirrored(cloud: PointCloud, sign: list[int]) -> bool:
+    """Whether the rays times sign, a flip of one coordinate, are the rays."""
+    top, keys = cloud._keys
+    return np.array_equal(_distinct(_ray_keys(cloud.dirs * sign, top)), keys)
 
 
 class _Screen:
     """One cloud's float32 screen of the grid, fed a chunk of grid rows at
-    a time with a lower bound on each row's best. A row whose bound is
+    a time with a lower bound on each row's best. Its units, band and ys
+    are those of C_F, the points >= 0 on the folded coordinates F (flips),
+    and it folds each grid row it reads. A row whose bound is
     above c0 + eps is settled: its best is above the least, and it is not
     screened. Each open row whose screened best is within 2*eps of the
     least so far is kept, and radius takes the exact least from the kept
@@ -331,22 +362,32 @@ class _Screen:
         if len(cloud) == 0:
             raise EmptyCloud("covering radius of an empty cloud is undefined: 0 rays, "
                              f"witnesses of shape {cloud.witnesses.shape}")
-        self.units = _units(cloud.dirs)
-        band = self.units[np.argsort(self.units[:, 1])]  # the cloud by y
+        # F, the folded coordinates: x and z when their sign flip maps the
+        # rays onto themselves. Only C_F, the rays >= 0 on F, is screened
+        dirs = cloud.dirs
+        self.flips = np.array([_mirrored(cloud, [-1, 1, 1]), False,
+                               _mirrored(cloud, [1, 1, -1])])
+        self.units = _units(dirs[(dirs[:, self.flips] >= 0).all(axis=1)])
+        band = self.units[np.argsort(self.units[:, 1])]  # C_F by y
         self.ys, self.band = np.ascontiguousarray(band[:, 1]), band.astype(np.float32)
         self.step = max(1, _BLOCK_BYTES // (8 * len(band)))
+        sample = np.abs(sample, out=sample.copy(), where=self.flips[:, None])
         self.c0 = float(self._whole(sample).min())  # the least best of the sample rows
         self.h = math.sqrt(2 - 2 * (self.c0 - _EPS32)) + 1e-9
         self.least, self.kept = math.inf, []  # kept: (grid row, its screened best)
 
     def _whole(self, columns: np.ndarray) -> np.ndarray:
-        """Each float32 column's best against the whole cloud, with the
-        columns as the product's rows: a max along rows is the faster
-        reduction. A product's cosines fill a quarter of _BLOCK_BYTES,
-        which stays in cache (on a 2-vCPU Xeon, 177 against 236 us for
-        200 columns against the 4034 points of U3 at B=4 in half of it)."""
+        """Each float32 column's best against the whole (folded) cloud,
+        with the columns as the product's rows: a max along rows is the
+        faster reduction. A product's cosines fill a sixteenth of
+        _BLOCK_BYTES. A quarter was faster for large clouds (on a 2-vCPU
+        Xeon, 174 against 223 us for 200 columns against the 4034 points
+        of U3 at B=4, 54 against 65 us against its 1097 folded ones), but
+        then a folded cloud's few sample rows, one product at a small
+        grid, peak far lower than a large grid's full products: memory
+        would follow the grid."""
         best = np.empty(columns.shape[1], np.float32)
-        step = max(1, _BLOCK_BYTES // (16 * len(self.band)))
+        step = max(1, _BLOCK_BYTES // (64 * len(self.band)))
         for s in range(0, len(best), step):
             best[s:s + step] = (columns[:, s:s + step].T @ self.band.T).max(axis=1)
         return best
@@ -358,6 +399,8 @@ class _Screen:
         screened, and their lb becomes their screened best - eps. The kept
         rows are those within 2*eps of the least so far."""
         step = self.step
+        if self.flips.any():  # the chunk folded, a copy: every screen reads grid
+            grid = np.abs(grid, out=grid.copy(), where=self.flips[:, None])
         rows = np.flatnonzero(lb <= self.c0 + _EPS32)
         # the open rows, step a product, each against the band of their
         # product's y-range; grid[:, rows] would be F-ordered, a slower
@@ -384,7 +427,8 @@ class _Screen:
         """arccos of the least exact best over the kept rows: their float64
         products against the whole cloud pick the dots to take exactly."""
         near = []  # (float64 best, grid row, the points within 2*delta of that best)
-        for row in _fibonacci_rows(n, np.array([r for r, _ in self.kept])):
+        rows = _fibonacci_rows(n, np.array([r for r, _ in self.kept]))
+        for row in np.abs(rows, out=rows, where=self.flips):
             cos = self.units @ row
             best = cos.max()
             near.append((best, row, self.units[cos >= best - 2 * _DELTA]))
@@ -432,6 +476,23 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     cloud screens it with its own step, c0 and band; step rows of
     float32 cosines against the whole cloud fill half of _BLOCK_BYTES.
 
+    Each cloud's screen is folded by F, the coordinates among x and z
+    whose sign flip maps the cloud's rays onto themselves, checked
+    exactly on the rays' sorted keys. For a grid row u let u' be u with
+    |u_i| for i in F, exact in floating point, as the flips of the units
+    are. A flip is a bijection of the cloud that negates the same
+    coordinate of the row and of each point, so best(u) = best(u'),
+    exactly. And for a point p with p_i < 0, i in F, its flipped image
+    is in the cloud, and its dot with u' is larger by 2 * u'_i * |p_i|
+    >= 0. So u''s best is reached on C_F, the points with p_i >= 0 for
+    every i in F, and each chunk's float32 columns are folded once a
+    screen, the sample rows and the kept rows too, and compared with
+    C_F alone: its band, ys and units. Everything below holds of u'
+    against C_F as of u against the cloud, so the radius is unchanged,
+    bit for bit. y is not folded: it is the band's sort key, and the
+    grid's. A cloud with no such symmetry has F empty, and is screened
+    whole.
+
     A float32 screen finds the rows that can hold the least best.
     Its band products have the cloud points as rows and the grid rows as
     columns, and a column's max is its row's best; its whole-cloud
@@ -464,10 +525,12 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     screened best - eps. Each chunk row carries such a bound, lb: -inf
     for the first cloud and for any cloud that does not hold the one
     before it (_holds checks it on the rays' keys), and a screened row's
-    screened best - eps after it. Some sample row's exact best is at
-    most c0 + eps, so the exact least L is too, and a row with
-    lb > c0 + eps has a best above L: it is settled. The other, open,
-    rows are screened as above.
+    screened best - eps after it. As best(u) = best(u'), a bound holds
+    for a row folded or not, so a folded cloud starts from the bounds of
+    an unfolded one, and the other way round. Some sample row's exact
+    best is at most c0 + eps, so the exact least L is too, and a row
+    with lb > c0 + eps has a best above L: it is settled. The other,
+    open, rows are screened as above.
 
     Each open row is kept with its screened best while that is within
     2*eps of the least screened best so far. The row of L is never

@@ -63,7 +63,7 @@ from .quaternions import unit_direction
 # Memory budget of one block: box rows (int64) in the scans and the
 # bounded search, float32 grid-by-cloud cosines in covering_radius's
 # screen (its band products take half of it, its whole-cloud products a
-# quarter).
+# sixteenth).
 _BLOCK_BYTES = 4 << 20
 
 # Largest box a scan or bounded search walks, and largest covering-radius

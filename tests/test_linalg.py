@@ -176,6 +176,22 @@ class TestVector:
         if isinstance(omega, np.ndarray):
             assert q_eval(U3, omega, omega) == q_eval(U3, omega, ints) == 2 * ints[0] * ints[1]
 
+    @pytest.mark.parametrize("fractions,ints", [
+        ((Fraction(np.int64(2 ** 40)),) * 2 + (0,) * 4, (2 ** 40, 2 ** 40, 0, 0, 0, 0)),
+        # a numpy int denominator, and a zero numpy numerator: its product
+        # would turn the int sum into an int64 one
+        ((Fraction(2 ** 41, np.int64(2)), Fraction(np.int64(0)), Fraction(3), 0, 0, 0),
+         (2 ** 40, 0, 3, 0, 0, 0))],
+        ids=["numerators", "denominator_and_zero"])
+    def test_fractions_of_numpy_ints_are_cast_to_int(self, fractions, ints):
+        # q_eval took a Fraction entry as it is, so a Fraction of an int64
+        # kept int64 arithmetic: q(x, x) of the first wrapped to 0 with an
+        # overflow RuntimeWarning
+        other = (2 ** 40, 2 ** 40, 5, 7, 0, 1)
+        assert q_eval(U3, fractions, fractions) == q_eval(U3, ints, ints)  # x as y
+        assert q_eval(U3, fractions, other) == q_eval(U3, ints, other)  # x
+        assert q_eval(U3, other, fractions) == q_eval(U3, other, ints)  # y
+
     @pytest.mark.parametrize("entry", ["x", None, True, 0.5, "1/0"])
     def test_non_rational_entry_rejected(self, entry):
         # a float used to be taken as a binary fraction and a bool as 1;

@@ -829,6 +829,25 @@ class TestPointCloud:
             PointCloud(np.asarray(dirs), witnesses)
         assert message in str(info.value)
 
+    def test_nested_lists_accepted(self):
+        # a list field raised a bare AttributeError on its dtype
+        cloud = PointCloud([[1, 0, 0], [0, 2, -1]], [[1], [2]])
+        assert cloud.dirs.dtype == cloud.witnesses.dtype == np.int64
+        assert cloud.rays() == {(1, 0, 0), (0, 2, -1)}
+        assert cloud.witness(TwistorPoint.from_ray(0, 2, -1)) == (2,)
+
+    @pytest.mark.parametrize("dirs,witnesses,error,message", [
+        ([[2 ** 64, 0, 1]], [[1]], InvariantViolation,
+         "cloud dirs of dtype object are not integers: row 0 = [[18446744073709551616, 0, 1]]"),
+        ([[1, 0, 0]], [[-2 ** 63 - 1]], InvariantViolation,
+         "cloud witnesses of dtype object are not integers"),
+        ([[1, 0, 0], [0, 1]], [[1], [2]], DimensionMismatch, "cloud dirs are not an array"),
+        ([[1, 0, 0]], [[1], []], DimensionMismatch, "cloud witnesses are not an array")])
+    def test_bad_nested_lists_refused(self, dirs, witnesses, error, message):
+        with pytest.raises(error) as info:
+            PointCloud(dirs, witnesses)
+        assert message in str(info.value)
+
     def test_int32_rows_accepted(self):
         cloud = PointCloud(np.array([[0, 0, 1]], np.int32), np.array([[1, 2]], np.int32))
         assert covering_radius(cloud, 30) == covering_radius(
@@ -890,6 +909,15 @@ def brute_covering_radius(cloud, grid_resolution):
     return float(np.arccos(np.clip(float(least), -1.0, 1.0)))
 
 
+def mirror(dirs, coordinates):
+    """dirs with their images under the sign flip of each coordinate, in turn."""
+    for i in coordinates:
+        flipped = dirs.copy()
+        flipped[:, i] *= -1
+        dirs = np.vstack([dirs, flipped])
+    return dirs
+
+
 def random_cloud(seed, kind, size):
     rng = np.random.default_rng(seed)
     if kind == "uniform":
@@ -903,6 +931,8 @@ def random_cloud(seed, kind, size):
         cube_diagonals = np.array(list(itertools.product((-1, 1), repeat=3)))
         poles = octahedron[[1, 4]]  # the best cosine is |y|: even grids tie at y = +-1/n
         dirs = (octahedron, cube_diagonals, poles)[seed % 3] * (size % 4 + 1)
+    elif kind == "mirrored":  # folded screens: closed under the x flip, the z flip or both
+        dirs = mirror(rng.integers(-50, 51, (size, 3)), ((0,), (2,), (0, 2))[seed % 3])
     else:
         dirs = rng.integers(-2 ** 62, 2 ** 62, (size, 3))
     dirs = dirs[dirs.any(axis=1)]
@@ -1010,16 +1040,57 @@ class TestCoveringRadius:
                     == [repr(reference_covering_radius(c, resolution)) for c in clouds])
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
-           kind=st.sampled_from(["uniform", "clustered", "tiny", "huge", "symmetric"]),
-           size=st.integers(1, 30), resolution=st.integers(2, 12))
-    def test_exact_definition_equals_brute_force(self, seed, kind, size, resolution):
+           kind=st.sampled_from(["uniform", "clustered", "tiny", "huge", "symmetric", "mirrored"]),
+           size=st.integers(1, 30), resolution=st.integers(2, 12),
+           block_bytes=st.sampled_from([64, 4096, 4 << 20]))
+    def test_exact_definition_equals_brute_force(self, seed, kind, size, resolution,
+                                                 block_bytes):
         # the float64 filters of covering_radius and of the reference drop
-        # no dot that can be the least best
+        # no dot that can be the least best, and a folded screen no point
         cloud = random_cloud(seed, kind, size)
         assume(len(cloud))
         expected = repr(brute_covering_radius(cloud, resolution))
         assert repr(reference_covering_radius(cloud, resolution)) == expected
-        assert repr(covering_radius(cloud, resolution)) == expected
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
+            assert repr(covering_radius(cloud, resolution)) == expected
+
+    @pytest.mark.parametrize("coordinates", [(0,), (2,), (0, 2)])
+    def test_mirrored_cloud_less_one_ray_is_not_folded(self, coordinates):
+        # a ray whose flipped image is missing: folding on its coordinate
+        # would screen the grid rows nearest that image against the ray's
+        # absent place, and miss the image itself
+        dirs = mirror(np.array([[3, 1, 2], [-1, 4, 1], [2, -3, 5], [1, 1, -4]]), coordinates)
+        folds = np.isin([0, 1, 2], coordinates)
+        for cut in (dirs, dirs[1:]):
+            cloud = PointCloud(cut, np.zeros((len(cut), 1), np.int64))
+            screen = scanning._Screen(cloud, np.zeros((3, 1), np.float32))
+            assert screen.flips.tolist() == (folds & (cut is dirs)).tolist()
+            for resolution in (7, 40):
+                assert (repr(covering_radius(cloud, resolution))
+                        == repr(brute_covering_radius(cloud, resolution)))
+
+    @pytest.mark.parametrize("mirrored", ["larger", "smaller"])
+    @pytest.mark.parametrize("block_bytes", [64, 4096, 4 << 20])
+    def test_covering_radii_of_nested_clouds_one_mirrored(self, mirrored, block_bytes):
+        # the larger cloud starts from the smaller one's lower bounds, which
+        # hold for the grid rows, folded or not
+        rng = np.random.default_rng(5)
+        inner = rng.integers(-50, 51, (40, 3))
+        outer = mirror(inner, (0, 2))
+        if mirrored == "smaller":
+            inner, outer = outer, np.vstack([outer, rng.integers(-50, 51, (20, 3))])
+        clouds = [PointCloud(d, np.zeros((len(d), 1), np.int64)) for d in (inner, outer)]
+        assert scanning._holds(clouds[1], clouds[0])
+        sample = np.zeros((3, 1), np.float32)
+        assert ([scanning._Screen(c, sample).flips.any() for c in clouds]
+                == [mirrored == "smaller", mirrored == "larger"])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
+            radii = scanning._covering_radii(clouds, 30)
+            assert radii == [covering_radius(c, 30) for c in clouds]
+        assert [repr(r) for r in radii] == [repr(reference_covering_radius(c, 30))
+                                            for c in clouds]
 
     @pytest.mark.parametrize("dirs", [
         # one ray nearly opposite the bisector of two grid rows at
