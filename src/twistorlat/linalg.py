@@ -173,10 +173,17 @@ def q_eval(lattice: GramLattice, x: Vector, y: Vector) -> Fraction:
     rational before anything multiplies, also an entry no product
     reads: a string times an int would build the repeated string. A
     numpy int, alone or as a part of a Fraction, is cast to int, as
-    vector casts it."""
+    vector casts it. x and y are sequences with a length: not a number,
+    string, bytes or iterator."""
+    same = y is x
+    if type(x) is not tuple or not same and type(y) is not tuple:  # pi_map's tuple passes
+        for v, name in ((x, "x"), (y, "y")):
+            try:  # an iterator or a 0-d array has no length
+                len(_iterable(v, name))
+            except TypeError:
+                raise DimensionMismatch(f"{name} = {v!r} is not a sequence") from None
     lattice.check_length(x)
     lattice.check_length(y)
-    same = y is x
     x = _rationals(x, "x")
     y = x if same else _rationals(y, "y")
     total = 0

@@ -13,8 +13,10 @@ vector that gives them. After the walk, one sort of the candidates by
 ray key, then key, keeps the first of each ray's run, its least key,
 and the witnesses of the cloud rows alone are the digits of those keys.
 The same ray key, through _ray_order, sorts the clouds for emission,
-which works on the cloud's columns a chunk of rows at a time: one
-%-format a CSV row or SVG circle, and no TwistorPoint per ray. A cloud
+which works on the cloud's columns a chunk of rows at a time: each
+distinct float of a chunk is formatted once (_texts), each CSV row or
+SVG circle is one %-format of those texts and the ints, and no
+TwistorPoint is built per ray. A cloud
 is two int64 arrays, the distinct rays and their witnesses, cast once
 when it is built from nested lists or any other integer dtype; TwistorPoints are built
 only when it is iterated, and a cloud of non-integer, zero or
@@ -55,7 +57,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyCloud, InvalidBound, InvariantViolation
-from .linalg import GramLattice, HyperTriple, integer, pairing_rows
+from .linalg import GramLattice, HyperTriple, _iterable, integer, pairing_rows
 from .twistor import (
     _BLOCK_BYTES,
     _MAX_BOX_VECTORS,
@@ -207,7 +209,7 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
     full_rows, _ = pairing_rows(lattice, triple)
     bound = integer(bound, "bound")
     active = (list(range(lattice.rank)) if mask is None
-              else sorted({integer(i, "mask entry") for i in mask}))
+              else sorted({integer(i, "mask entry") for i in _iterable(mask, "mask")}))
     for i in active:
         if not 0 <= i < lattice.rank:
             raise DimensionMismatch(f"mask index {i} out of range for rank {lattice.rank}")
@@ -435,7 +437,7 @@ class _Screen:
         cut = min(best for best, _, _ in near) + 2 * _DELTA
         least = min(max(_exact_cosine(row, unit) for unit in units)
                     for best, row, units in near if best <= cut)
-        return float(np.arccos(np.clip(float(least), -1.0, 1.0)))
+        return math.acos(min(1.0, max(-1.0, float(least))))
 
 
 def _covering_radii(clouds, grid_resolution: int) -> list[float]:
@@ -543,13 +545,17 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     float64 best, and the row of L is among the rows whose float64 best
     is within 2*delta of the least. Those few dots are taken exactly, as
     Fractions of the float64 entries; the least of the rows' exact bests
-    is L, and arccos, decreasing, of L rounded once is the radius.
+    is L, and arccos, decreasing, of L rounded once is the radius. The
+    arccos is libm's math.acos: numpy's takes a SIMD path the CPU picks,
+    and its AVX-512 one is an ulp off the correctly rounded radius of U3
+    at B=4, grid 200.
     """
     return _covering_radii([cloud], grid_resolution)[0]
 
 
 # about what a written field holds: its float64 or int64, a Python object
-# in a column list, and its text (tracemalloc: 668 bytes a 14-field row)
+# in a column list, and its text, a float's shared by its repeats
+# (tracemalloc: 614 bytes a 14-field CSV row, 289 an SVG row of 7)
 _FIELD_BYTES = 48
 
 
@@ -562,13 +568,25 @@ def _by_ray(cloud: PointCloud, row_bytes: int):
     return (order[s:s + step] for s in range(0, len(order), step))
 
 
+def _texts(values: np.ndarray, fmt: str) -> np.ndarray:
+    """fmt % v for each float64 v of values, an object array of their
+    shape, with each distinct value formatted once. The values are told
+    apart by their bits, so 0.0 and -0.0, and NaN payloads, stay apart:
+    every text is fmt % v, byte for byte."""
+    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
+    texts = np.array(list(map(fmt.__mod__, bits.view(np.float64).tolist())), dtype=object)
+    return texts[inverse].reshape(values.shape)
+
+
 def write_csv(cloud: PointCloud, stream):
     """Emit the cloud as CSV, sorted by exact ray. The CP^1 column is
-    stereographic's (b + ic)/(1 - a) of the unit, inf,0 where 1 - a == 0."""
+    stereographic's (b + ic)/(1 - a) of the unit, inf,0 where 1 - a == 0.
+    The five float columns are %.17g texts, each distinct value of a
+    chunk formatted once (_texts)."""
     write = stream.write  # once: a lazy click.File forwards each lookup
     write("a,b,c,ux,uy,uz,cp1_re,cp1_im,witness\n")
     r = cloud.witnesses.shape[1]
-    row = "%d,%d,%d" + ",%.17g" * 5 + "," + ";".join(["%d"] * r) + "\n"
+    row = "%d,%d,%d" + ",%s" * 5 + "," + ";".join(["%d"] * r) + "\n"
     for i in _by_ray(cloud, _FIELD_BYTES * (8 + r)):
         dirs = cloud.dirs[i]
         units = _units(dirs)
@@ -576,7 +594,8 @@ def write_csv(cloud: PointCloud, stream):
         with np.errstate(divide="ignore", invalid="ignore"):
             cp1 = units[:, 1:] / den[:, None]
         cp1[den == 0.0] = (math.inf, 0.0)
-        cols = [*dirs.T, *units.T, *cp1.T, *cloud.witnesses[i].T]
+        floats = _texts(np.concatenate((units, cp1), axis=1), "%.17g")
+        cols = [*dirs.T, *floats.T, *cloud.witnesses[i].T]
         write("".join(map(row.__mod__, zip(*(c.tolist() for c in cols)))))
 
 
@@ -584,7 +603,9 @@ def write_svg(cloud: PointCloud, stream):
     """Scatter plot of the cloud: two Lambert equal-area hemispheres
     (around +a and -a) side by side, each 400 pixels square. A unit u is
     drawn in the hemisphere around s = +1 or -1 when s * u.x >= 0 (both
-    when u.x = 0), at f * (u.y, s * u.z) with f = sqrt(2 / (1 + s * u.x))."""
+    when u.x = 0), at f * (u.y, s * u.z) with f = sqrt(2 / (1 + s * u.x)).
+    The pixel coordinates are %.2f texts, each distinct value of a chunk
+    formatted once (_texts)."""
     size, pad = 400, 10
     scale = (size - 2 * pad) / (2.0 * math.sqrt(2.0))
     width = 2 * size + pad
@@ -597,7 +618,7 @@ def write_svg(cloud: PointCloud, stream):
         write(
             f'<circle cx="{c:.2f}" cy="{size / 2.0:.2f}" '
             f'r="{math.sqrt(2.0) * scale:.2f}" fill="none" stroke="black"/>\n')
-    circle = '<circle cx="%.2f" cy="%.2f" r="1.5"/>\n'
+    circle = '<circle cx="%s" cy="%s" r="1.5"/>\n'
     for i in _by_ray(cloud, _FIELD_BYTES * 7):  # a unit, two circles of two
         x, y, z = (u[:, None] for u in _units(cloud.dirs[i]).T)
         keep = sign * x >= 0  # (rows, 2): each point's circles in hemisphere order
@@ -605,5 +626,6 @@ def write_svg(cloud: PointCloud, stream):
             f = np.sqrt(2.0 / (1.0 + sign * x))
             px = cx + f * y * scale
             py = size / 2.0 - f * sign * z * scale
-        write("".join(map(circle.__mod__, zip(px[keep].tolist(), py[keep].tolist()))))
+        xy = _texts(np.column_stack((px[keep], py[keep])), "%.2f")
+        write("".join(map(circle.__mod__, zip(*xy.T.tolist()))))
     write("</svg>\n")

@@ -114,6 +114,20 @@ class TestQEval:
                            match=re.escape(f"q_eval entry {named} is not a rational")):
             q_eval(U3, x, y)
 
+    @pytest.mark.parametrize("x,y,named", [
+        (5, 5, "x = 5"),
+        (None, None, "x = None"),
+        (iter((1,) * 6), iter((1,) * 6), "x = <tuple_iterator"),
+        ((1,) * 6, iter((1,) * 6), "y = <tuple_iterator"),
+        # its entries are ints: it gave 15928
+        (b"123456", b"123456", "x = b'123456'"),
+        ((1,) * 6, b"123456", "y = b'123456'"),
+        ((1,) * 6, np.array(3), "y = array(3)")])
+    def test_non_sequence_is_refused(self, x, y, named):
+        # a number, None and an iterator raised a bare TypeError from len()
+        with pytest.raises(DimensionMismatch, match=re.escape(named)):
+            q_eval(U3, x, y)
+
     def test_string_is_refused_before_it_multiplies(self):
         # 'a' * 10**6 built a 1 MB string before the sum failed
         tracemalloc.start()

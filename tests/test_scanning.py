@@ -344,6 +344,14 @@ class TestScanAlgebraic:
                                match=f"mask index {index} out of range for rank 6"):
                 scan(U3, TRIPLE, 1, mask)
 
+    @pytest.mark.parametrize("mask", [5, True, math.nan, np.int64(3)])
+    @pytest.mark.parametrize("scan", [scan_algebraic, scan_non_general_type])
+    def test_scalar_mask_is_refused(self, scan, mask):
+        # each raised TypeError: ... object is not iterable
+        with pytest.raises(DimensionMismatch,
+                           match=re.escape(f"mask = {mask!r} is not a sequence")):
+            scan(U3, TRIPLE, 1, mask)
+
     @pytest.mark.parametrize("scan", [scan_algebraic, scan_non_general_type])
     def test_numpy_integers_accepted(self, scan):
         expected = scan(U3, TRIPLE, 1, (2, 3))
@@ -898,7 +906,7 @@ def reference_covering_radius(cloud, grid_resolution):
     least = min(max(exact_cosine(grid[i], units[j])
                     for j in np.flatnonzero(cos[i] >= best[i] - 2e-12))
                 for i in np.flatnonzero(best <= best.min() + 2e-12))
-    return float(np.arccos(np.clip(float(least), -1.0, 1.0)))
+    return math.acos(min(1.0, max(-1.0, float(least))))
 
 
 def brute_covering_radius(cloud, grid_resolution):
@@ -906,7 +914,7 @@ def brute_covering_radius(cloud, grid_resolution):
     grid = reference_grid(grid_resolution * grid_resolution)
     units = scanning._units(cloud.dirs)
     least = min(max(exact_cosine(row, unit) for unit in units) for row in grid)
-    return float(np.arccos(np.clip(float(least), -1.0, 1.0)))
+    return math.acos(min(1.0, max(-1.0, float(least))))
 
 
 def mirror(dirs, coordinates):
@@ -942,12 +950,13 @@ def random_cloud(seed, kind, size):
 class TestCoveringRadius:
     @pytest.mark.parametrize("resolution,radii", [
         (200, ("0.3072311285340005", "0.1697620260111539",
-               "0.1150178514695484", "0.08575841819935419")),
+               "0.1150178514695484", "0.0857584181993542")),
         (37, ("0.3013454777065868", "0.1644588487896601",
               "0.10477985817392532", "0.07557408257263193"))])
     def test_frozen_u3_radii(self, resolution, radii):
-        # U3 at B=1..4: the full float64 product's floats under OpenBLAS's
-        # SkylakeX kernel, and the exact definition's under every kernel
+        # U3 at B=1..4: the exact definition's under every BLAS kernel, each
+        # the correctly rounded arccos of the least cosine (mpmath, 200 bits).
+        # numpy's AVX-512 arccos gives 0.08575841819935419, an ulp off
         assert tuple(repr(covering_radius(
             scan_algebraic(U3, TRIPLE, b), resolution))
             for b in (1, 2, 3, 4)) == radii
@@ -1497,12 +1506,22 @@ RAYS = st.one_of(
 ).filter(any)
 
 
+# rays closed under every sign flip and coordinate permutation, as the
+# scans' clouds nearly are: each float of a chunk repeats
+SYMMETRIC_RAYS = sorted({tuple(s * e for s, e in zip(signs, perm))
+                         for ray in ((1, 2, 3), (0, 1, 1), (0, 0, 2))
+                         for perm in itertools.permutations(ray)
+                         for signs in itertools.product((1, -1), repeat=3)})
+
+
 @given(rays=st.lists(RAYS, max_size=12, unique=True), width=st.integers(1, 22),
        entries=st.integers(-2 ** 63, 2 ** 63 - 1),
        block_bytes=st.sampled_from([1, 4096, None]))
 @example(rays=[(1, 0, 0), (-1, 0, 0), (0, 2, -3), (0, 0, 1), (10 ** 9, 1, 5),
                (10 ** 9, -1, 0), (-10 ** 9, 1, -2), (2, -1, 1)],
          width=6, entries=-7, block_bytes=1)
+@example(rays=SYMMETRIC_RAYS, width=6, entries=0, block_bytes=None)
+@example(rays=SYMMETRIC_RAYS, width=2, entries=5, block_bytes=4096)
 def test_writers_match_the_per_point_writers(rays, width, entries, block_bytes):
     # byte for byte, whatever the rows of a chunk; the empty cloud too
     dirs = np.array(rays, dtype=np.int64).reshape(-1, 3)
@@ -1518,6 +1537,27 @@ def test_writers_match_the_per_point_writers(rays, width, entries, block_bytes):
             writer(cloud, got)
             reference(cloud, want)
             assert got.getvalue() == want.getvalue()
+
+
+# NaNs of other payloads and signs, which % formats as nan
+_NANS = np.array([0x7FF8000000000001, -0x0008000000000000], np.int64).view(np.float64).tolist()
+SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, *_NANS, 5e-324, -5e-324,
+                  2.2250738585072009e-308, 1.0, -1.0, 0.5, 200.0]
+
+
+@given(pool=st.lists(st.floats(), max_size=8), picks=st.lists(st.integers(0, 99), max_size=40),
+       width=st.sampled_from([1, 2, 5]), fmt=st.sampled_from(["%.17g", "%.2f"]))
+@example(pool=[], picks=[0, 1, 1, 0], width=2, fmt="%.17g")
+@example(pool=[], picks=[1, 0], width=1, fmt="%.2f")
+@example(pool=[], picks=[], width=5, fmt="%.17g")
+def test_texts_equal_per_value_format(pool, picks, width, fmt):
+    # the repeats are formatted once, keyed on the bits: -0.0 is not 0.0
+    pool = SPECIAL_FLOATS + pool
+    values = [pool[i % len(pool)] for i in picks]
+    values = np.array(values[:len(values) // width * width], np.float64).reshape(-1, width)
+    texts = scanning._texts(values, fmt)
+    assert texts.shape == values.shape and texts.dtype == object
+    assert texts.ravel().tolist() == [fmt % v for v in values.ravel().tolist()]
 
 
 def test_huge_ray_is_written_at_infinity():
