@@ -190,21 +190,20 @@ def density(lattice_source, bound, grid, mask):
     lattice, triple = _load(lattice_source)
     mask_idx = None if mask is None else _parse_int_csv(mask, "--mask")
     # every argument fails before the header: the grid first, so that a
-    # bad one runs no scan, then the largest box's scan and its radius
-    scanning._check_grid(grid)
-    last = scanning.scan_algebraic(lattice, triple, bound, mask_idx)
-    clouds = [scanning.scan_algebraic(lattice, triple, b, mask_idx) for b in range(1, bound)]
-    clouds.append(last)
-    # one grid walk takes the radii of the clouds before the first empty
-    # one, n, and the largest box's; an empty smaller cloud fails at its
-    # own row, after the rows before it
-    n = next((i for i, cloud in enumerate(clouds) if len(cloud) == 0), bound)
-    radii = scanning._covering_radii(clouds[:n] + clouds[max(n, bound - 1):], grid)
+    # bad one runs no scan, then the largest box's scan and an empty cloud
+    grid = scanning._check_grid(grid)
+    cloud = scanning.scan_algebraic(lattice, triple, bound, mask_idx)
+    scanning._nonempty(cloud)
+    # box b's cloud is the rays of least bound at most b, all from the one
+    # scan of box B. The clouds are nested, so any other empty cloud is
+    # box 1's, and it fails at its own row, after the header
+    clouds = [cloud.dirs[cloud.least_bounds <= b] for b in range(1, bound + 1)]
+    radii = scanning._covering_radii(clouds, grid) if len(clouds[0]) else []
     click.echo("bound,cloud_size,covering_radius")
-    for b, cloud, radius in zip(range(1, n + 1), clouds, radii):
-        click.echo(f"{b},{len(cloud)},{radius:.12f}")
-    if n < bound:
-        scanning.covering_radius(clouds[n], grid)  # the empty cloud's EmptyCloud
+    for b, rays, radius in zip(range(1, bound + 1), clouds, radii):
+        click.echo(f"{b},{len(rays)},{radius:.12f}")
+    if not radii:
+        scanning._nonempty(scanning.PointCloud(clouds[0], cloud.witnesses[:0]))
 
 
 @main.command(name="demo-quaternion")

@@ -10,8 +10,12 @@ every vector; the algebraic scan's positivity is a sum of per-table and
 per-prefix terms. Each counting group gives two candidates, its ray and
 the negation, keyed by the index in the whole lexicographic box of a
 vector that gives them. After the walk, one sort of the candidates by
-ray key, then key, keeps the first of each ray's run, its least key,
-and the witnesses of the cloud rows alone are the digits of those keys.
+ray key makes each ray a run, whose least key names its first witness:
+the witnesses of the cloud rows alone are the digits of those keys. The
+algebraic scan also gives each candidate the least infinity norm of the
+group's positive vectors, and a ray's least over its run is its least
+bound (PointCloud.least_bounds): box b's cloud is the rays of least
+bound at most b, so density takes every box's cloud from one scan.
 The same ray key, through _ray_order, sorts the clouds for emission,
 which works on the cloud's columns a chunk of rows at a time: each
 distinct float of a chunk is formatted once (_texts), each CSV row or
@@ -26,13 +30,13 @@ Covering radius against a Fibonacci-sphere grid is the desk-scale
 measure of density: the arccos of the least best cosine of a grid row,
 taken exactly on the float64 grid rows and units, so no BLAS kernel or
 block shape changes it. One walk of the grid, which is sorted by y,
-serves every cloud of a _covering_radii call, density's clouds of
-bounds 1..B among them: each chunk of grid rows is built and cast to
-float32 once. A cloud whose rays a sign flip of x or of z maps onto
-themselves, as every built-in lattice's are, is folded by it: each grid
-row u is screened as u with |u_i| on those coordinates, against the
-cloud's points >= 0 on them, which hold its best, about a quarter of the
-cloud when both fold. y is not folded: it sorts the band. A float32
+serves every cloud of a _covering_radii call, which reads only rays,
+density's clouds of bounds 1..B among them: each chunk of grid rows is
+built and cast to float32 once. A cloud whose rays a sign flip of x or
+of z maps onto themselves, as every built-in lattice's are, is folded
+by it: each grid row u is screened as u with |u_i| on those
+coordinates, against the cloud's points >= 0 on them, which hold its
+best, about a quarter of the cloud when both fold. y is not folded: it sorts the band. A float32
 screen compares each row only with the cloud points in a y-band around
 it, as wide as the nearest-point distance measured on every
 grid_resolution-th row, and rows with no cloud point close enough fall
@@ -50,7 +54,7 @@ least row is never among them. No randomness anywhere in this module.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -74,10 +78,14 @@ from .twistor import (
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """Exact twistor points as int64 arrays in enumeration order: dirs (n, 3),
-    distinct primitive signed rays, and witnesses (n, r), their first witnesses."""
+    distinct primitive signed rays, and witnesses (n, r), their first witnesses.
+    least_bounds is set on scan_algebraic's clouds alone, None on any
+    other: a read-only (n,) array of each ray's least box bound b, the
+    least b for which scan_algebraic(b) over the same mask holds the ray."""
 
     dirs: np.ndarray
     witnesses: np.ndarray
+    least_bounds: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         # arrays of nested lists too: an entry past int64 gives object dtype,
@@ -117,13 +125,6 @@ class PointCloud:
     def _index(self) -> dict[tuple[int, int, int], int]:
         return {d: i for i, d in enumerate(map(tuple, self.dirs.tolist()))}
 
-    @cached_property
-    def _keys(self) -> tuple[int, np.ndarray]:
-        """(top, keys): top = max |entry|, and the distinct rays' _ray_keys,
-        taken with top, sorted."""
-        top = int(np.abs(self.dirs).max(initial=0))
-        return top, _distinct(_ray_keys(self.dirs, top))
-
     def __len__(self):
         return len(self.dirs)
 
@@ -149,27 +150,32 @@ def _units(dirs: np.ndarray) -> np.ndarray:
     return dirs / norms[:, None]
 
 
-def _table_terms(gram: np.ndarray, free: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """(q_low, p_low) over the digit table of the last free of the k
+def _table_terms(gram: np.ndarray, free: int,
+                 b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(q_low, p_low, lam) over the digit table of the last free of the k
     coordinates of an int64 Gram: each table row low, in lexicographic
-    order (one empty row when free = 0), gives q_low = q(low, low) and
-    p_low = low @ G[lo:, :lo], lo = k - free, with no digit table built.
+    order (one empty row when free = 0), gives q_low = q(low, low),
+    p_low = low @ G[lo:, :lo], lo = k - free, and lam = max |low_i|, in
+    the least integer dtype that holds b + 1, with no digit table built.
 
     They are built one coordinate at a time, the last first, as
     twistor._box_pairings builds its groups. Level j's table has the rows
     (x, v), x in [-b, b] leading, for its coordinate c = k - j and the rows
     v of level j - 1, and p holds v @ G[c + 1:, :c + 1]. So with
     r = G[c, c + 1:] . v, the last column of p,
-    q(x, v) = x * (G_cc * x + 2 * r) + q(v), and (x, v) @ G[c:, :c] is
-    x * G[c, :c] plus the first c columns of p. _scan bounds every
-    partial sum."""
+    q(x, v) = x * (G_cc * x + 2 * r) + q(v), (x, v) @ G[c:, :c] is
+    x * G[c, :c] plus the first c columns of p, and
+    lam(x, v) = max(|x|, lam(v)). _scan bounds every partial sum."""
     k = len(gram)
     x = np.arange(-b, b + 1, dtype=np.int64)[:, None]
+    norm = np.abs(x).astype(np.min_scalar_type(b + 1))  # |x|, in lam's dtype
     q, p = np.zeros(1, np.int64), np.zeros((1, k), np.int64)  # level 0: one empty row
+    lam = np.zeros(1, norm.dtype)
     for c in range(k - 1, k - free - 1, -1):  # the last coordinate first: it ends minor
         q = (x * (gram[c, c] * x + 2 * p[:, c]) + q).ravel()
         p = (x[:, :, None] * gram[c, :c] + p[:, :c]).reshape(len(q), c)
-    return q, p
+        lam = np.maximum(norm, lam).ravel()
+    return q, p, lam
 
 
 def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
@@ -186,23 +192,40 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
     first vector, key start + first, and -r at the negation of its last,
     key N-1-(start + last). With both_signs every nonzero vector gives r
     and then -r: keys 2(start + first) and 2(start + first) + 1. One
-    lexsort of the candidates by ray key (_ray_keys, packed or records),
-    then key, keeps the first of each ray's run, its least key. That key
-    (halved with both_signs) is the index of the ray's first witness in
-    the whole box, so the witness is its digits: an index past the
-    middle already names -v.
+    argsort of the candidates by ray key (_ray_keys, packed or records)
+    makes each ray a run, and np.minimum.reduceat over the runs takes
+    each ray's least key. That key (halved with both_signs) is the index
+    of the ray's first witness in the whole box, so the witness is its
+    digits: an index past the middle already names -v. Distinct rays
+    have distinct least keys, as a key names one vector and its ray.
+
+    The algebraic scan also takes each ray's least bound: the least b
+    whose box [-b, b]^k holds a positive vector of the ray, so that the
+    rays of least bound at most b are scan_algebraic(b)'s. A counting
+    group's level is the least infinity norm of its positive vectors,
+    max(mu, least lam over its positive table rows), with mu its
+    prefix's norm and lam a table row's (_table_terms): one more
+    np.minimum.at over the positive vectors the block picks. -v has v's
+    norm, so r and -r both take the group's level, and a second
+    np.minimum.reduceat over the runs takes each ray's least. Levels are
+    of the least integer dtype that holds bound + 1, the level of a group
+    with no positive vector, which no candidate takes.
 
     Positivity is separable over the table: with v = high + low,
     q(v, v) = Q_low + 2 P_low . high + q(high), where Q_low = q(low, low)
     and P_low = low @ G_lh are built once a call, one coordinate at a
-    time (_table_terms). Every partial sum of a block's q is a partial
-    sum of sum_ij |G_ij v_i v_j|, so at most max|G|*B^2*k^2 in absolute
-    value. So is every partial sum of the recurrence. On level j of it,
-    over j coordinates, r = G_c,rest . v has |r| <= max|G|*B*(j-1), so
-    |G_cc x + 2r| <= max|G|*B*(2j-1), its product with x is at most
-    max|G|*B^2*(2j-1), and adding |q(v)| <= max|G|*B^2*(j-1)^2 gives at
-    most max|G|*B^2*j^2. Every entry of p, x G_c,: plus a partial row of
-    v @ G, is at most max|G|*B*k. That is the bound the int64 check takes."""
+    time (_table_terms). A block's q is built in place: high @ P_low.T,
+    doubled, plus Q_low, plus q(high). Each partial sum on the way,
+    inside the products too, is a sum of some of the terms G_ij v_i v_j
+    (the cross terms once, then both ways, then with the table's and
+    the prefix's own), so at most sum_ij |G_ij v_i v_j| <= max|G|*B^2*k^2
+    in absolute value. So is every partial sum of the recurrence. On
+    level j of it, over j coordinates, r = G_c,rest . v has
+    |r| <= max|G|*B*(j-1), so |G_cc x + 2r| <= max|G|*B*(2j-1), its
+    product with x is at most max|G|*B^2*(2j-1), and adding
+    |q(v)| <= max|G|*B^2*(j-1)^2 gives at most max|G|*B^2*j^2. Every
+    entry of p, x G_c,: plus a partial row of v @ G, is at most
+    max|G|*B*k. That is the bound the int64 check takes."""
     # the kernel checks the signature first; then the box enumerates only the
     # masked coordinates (sorted, without repeats), against the matching
     # columns of the pairing rows and Gram submatrix
@@ -216,6 +239,9 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
     rows = [[row[i] for i in active] for row in full_rows]
     walk = _box_pairings(rows, bound)
     n, d, k = walk.size, len(walk.firsts), len(active)
+    # the candidate rays, their keys and, one sign only, their levels; a walk
+    # over no coordinate yields no block, so the lists start with no candidate
+    keys, rays, levels = [np.empty(0, np.int64)], [np.empty((0, 3), np.int64)], None
     if not both_signs:
         # only the sign of q(v, v) is used, so the Gram content is divided out
         sub = [[lattice.gram[i][j] for j in active] for i in active]
@@ -223,40 +249,56 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
         gram = _int64([[e // content for e in row] for row in sub],
                       (bound * k) ** 2, "max|G|*B^2*k^2").reshape(k, k)
         lo = k - walk.free  # the first table coordinate
-        q_low, p_low = _table_terms(gram, walk.free, bound)
-        g_high = gram[:lo, :lo]
+        q_low, p_low, lam = _table_terms(gram, walk.free, bound)
+        p_low_t, g_high = p_low.T, gram[:lo, :lo]
+        levels = [np.empty(0, lam.dtype)]
+        groups = walk.groups  # composed once a scan
 
-    # the candidate rays and their keys; a walk over no coordinate yields
-    # no block, so the lists start with no candidate
-    keys, rays = [np.empty(0, np.int64)], [np.empty((0, 3), np.int64)]
-    groups = None if both_signs else walk.groups  # composed once a scan
     for start, high, m, t in walk.blocks:
         g = np.gcd(np.gcd(t[:, 0], t[:, 1]), t[:, 2])  # nonnegative
         if both_signs:
             first = walk.position(np.arange(len(t)))
-        else:  # the positive vectors of H-, by position, and their groups
-            q = q_low + 2 * (high @ p_low.T) + ((high @ g_high) * high).sum(axis=1)[:, None]
+        else:  # the positive vectors of H-, by position, their groups and levels
+            q = high @ p_low_t
+            q *= 2
+            q += q_low
+            q += ((high @ g_high) * high).sum(axis=1)[:, None]
             at = np.flatnonzero(q.ravel()[:m] > 0)
-            group = at // n * d + groups[at % n]
+            prefix, row = np.divmod(at, n)
+            group = prefix * d + groups[row]
             first, last = np.full(len(t), m), np.full(len(t), -1)
+            least = np.full((len(high), d), bound + 1, lam.dtype)  # a row a prefix
             np.minimum.at(first, group, at)
             np.maximum.at(last, group, at)
+            np.minimum.at(least.ravel(), group, lam[row])
+            mu = np.abs(high).max(axis=1, initial=0).astype(lam.dtype)  # the prefix norms
+            np.maximum(least, mu[:, None], out=least)
         # positive vectors are not in the negative definite V-perp: g > 0
         keep = g > 0 if both_signs else last >= 0
         r = t[keep] // g[keep, None]
         first = start + first[keep]
-        keys += ([2 * first, 2 * first + 1] if both_signs
-                 else [first, (2 * bound + 1) ** k - 1 - (start + last[keep])])
+        if both_signs:
+            keys += [2 * first, 2 * first + 1]
+        else:
+            keys += [first, (2 * bound + 1) ** k - 1 - (start + last[keep])]
+            level = least.ravel()[:len(t)][keep]
+            levels += [level, level]
         rays += [r, -r]
     keys, rays = np.concatenate(keys), np.concatenate(rays)
-    # one sort by ray, then key: the first of each ray's run has its least key
+    # one sort by ray: each ray's run holds its least key and least level
     ray_keys = _ray_keys(rays, int(np.abs(rays).max(initial=0)))
-    order = np.lexsort((keys, ray_keys))
-    kept = order[_run_starts(ray_keys[order])]
-    kept = kept[np.argsort(keys[kept])]  # the cloud as it occurs in the box
+    order = np.argsort(ray_keys)
+    runs = np.flatnonzero(_run_starts(ray_keys[order]))
+    firsts = np.minimum.reduceat(keys[order], runs)
+    kept = np.argsort(firsts)  # the cloud as it occurs in the box
     full = np.zeros((len(kept), lattice.rank), dtype=np.int64)  # rank-r witnesses
-    full[:, active] = _digits(keys[kept] >> both_signs, k, bound)  # key // 2 with both signs
-    return PointCloud(rays[kept], full)
+    full[:, active] = _digits(firsts[kept] >> both_signs, k, bound)  # key // 2 with both signs
+    cloud = PointCloud(rays[order[runs[kept]]], full)
+    if levels is not None:
+        least = np.minimum.reduceat(np.concatenate(levels)[order], runs)[kept]
+        least.flags.writeable = False
+        object.__setattr__(cloud, "least_bounds", least)
+    return cloud
 
 
 def scan_algebraic(lattice: GramLattice, triple: HyperTriple, bound: int,
@@ -334,20 +376,28 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[_run_starts(keys)]
 
 
-def _holds(cloud: PointCloud, inner: PointCloud) -> bool:
-    """Whether every ray of inner is a ray of cloud: inner's keys, packed
-    as cloud's, are among cloud's sorted keys."""
-    top, keys = cloud._keys
-    if np.abs(inner.dirs).max(initial=0) > top:
+def _keyed(rays: np.ndarray) -> tuple[int, np.ndarray]:
+    """(top, keys): top = max |entry| of the (n, 3) rays, and their
+    distinct _ray_keys, taken with top, sorted."""
+    top = int(np.abs(rays).max(initial=0))
+    return top, _distinct(_ray_keys(rays, top))
+
+
+def _holds(keyed: tuple[int, np.ndarray], inner: np.ndarray) -> bool:
+    """Whether every ray of inner is among the rays keyed (_keyed):
+    inner's keys, packed as theirs, are among their sorted keys."""
+    top, keys = keyed
+    if np.abs(inner).max(initial=0) > top:
         return False
-    find = _ray_keys(inner.dirs, top)
+    find = _ray_keys(inner, top)
     return bool((keys[np.searchsorted(keys, find).clip(max=len(keys) - 1)] == find).all())
 
 
-def _mirrored(cloud: PointCloud, sign: list[int]) -> bool:
-    """Whether the rays times sign, a flip of one coordinate, are the rays."""
-    top, keys = cloud._keys
-    return np.array_equal(_distinct(_ray_keys(cloud.dirs * sign, top)), keys)
+def _mirrored(rays: np.ndarray, keyed: tuple[int, np.ndarray], sign: list[int]) -> bool:
+    """Whether the rays times sign, a flip of one coordinate, are the
+    rays, keyed (_keyed)."""
+    top, keys = keyed
+    return np.array_equal(_distinct(_ray_keys(rays * sign, top)), keys)
 
 
 class _Screen:
@@ -360,15 +410,12 @@ class _Screen:
     least so far is kept, and radius takes the exact least from the kept
     rows; covering_radius has the argument."""
 
-    def __init__(self, cloud: PointCloud, sample: np.ndarray):
-        if len(cloud) == 0:
-            raise EmptyCloud("covering radius of an empty cloud is undefined: 0 rays, "
-                             f"witnesses of shape {cloud.witnesses.shape}")
+    def __init__(self, dirs: np.ndarray, sample: np.ndarray):
         # F, the folded coordinates: x and z when their sign flip maps the
         # rays onto themselves. Only C_F, the rays >= 0 on F, is screened
-        dirs = cloud.dirs
-        self.flips = np.array([_mirrored(cloud, [-1, 1, 1]), False,
-                               _mirrored(cloud, [1, 1, -1])])
+        self.keyed = _keyed(dirs)
+        self.flips = np.array([_mirrored(dirs, self.keyed, [-1, 1, 1]), False,
+                               _mirrored(dirs, self.keyed, [1, 1, -1])])
         self.units = _units(dirs[(dirs[:, self.flips] >= 0).all(axis=1)])
         band = self.units[np.argsort(self.units[:, 1])]  # C_F by y
         self.ys, self.band = np.ascontiguousarray(band[:, 1]), band.astype(np.float32)
@@ -440,15 +487,17 @@ class _Screen:
         return math.acos(min(1.0, max(-1.0, float(least))))
 
 
-def _covering_radii(clouds, grid_resolution: int) -> list[float]:
-    """covering_radius of each cloud, in one walk of the grid."""
-    g = _check_grid(grid_resolution)
+def _covering_radii(clouds, g: int) -> list[float]:
+    """covering_radius of each cloud, in one walk of the grid of
+    resolution g, as _check_grid returns it. A cloud is given as its rays
+    alone, a nonempty (n, 3) int64 array of a PointCloud's dirs or of
+    rows of them, as density's smaller boxes are."""
     n = g * g
     sample = _fibonacci_rows(n, np.arange(0, n, g)).T.astype(np.float32, order="C")
-    screens = [_Screen(cloud, sample) for cloud in clouds]
+    screens = [_Screen(dirs, sample) for dirs in clouds]
     # a cloud that holds the one before it starts from the bounds that
     # cloud's screen left; any other, from none
-    nested = [False] + [_holds(b, a) for a, b in zip(clouds, clouds[1:])]
+    nested = [False] + [_holds(b.keyed, a) for a, b in zip(clouds, screens[1:])]
     # chunks of rows whose dozen or so float64 temporaries a row fill a
     # tenth of _BLOCK_BYTES
     chunk = max(1, _BLOCK_BYTES // 1024)
@@ -550,7 +599,24 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     and its AVX-512 one is an ulp off the correctly rounded radius of U3
     at B=4, grid 200.
     """
-    return _covering_radii([cloud], grid_resolution)[0]
+    cloud = _cloud(cloud)
+    g = _check_grid(grid_resolution)  # a bad grid is named before an empty cloud
+    return _covering_radii([_nonempty(cloud)], g)[0]
+
+
+def _cloud(cloud) -> PointCloud:
+    """cloud, refused unless it is a PointCloud: never a bare AttributeError."""
+    if not isinstance(cloud, PointCloud):
+        raise DimensionMismatch(f"cloud = {cloud!r} is not a PointCloud")
+    return cloud
+
+
+def _nonempty(cloud: PointCloud) -> np.ndarray:
+    """The rays of a cloud that has one; an empty cloud has no covering radius."""
+    if len(cloud) == 0:
+        raise EmptyCloud("covering radius of an empty cloud is undefined: 0 rays, "
+                         f"witnesses of shape {cloud.witnesses.shape}")
+    return cloud.dirs
 
 
 # about what a written field holds: its float64 or int64, a Python object
@@ -583,9 +649,9 @@ def write_csv(cloud: PointCloud, stream):
     stereographic's (b + ic)/(1 - a) of the unit, inf,0 where 1 - a == 0.
     The five float columns are %.17g texts, each distinct value of a
     chunk formatted once (_texts)."""
+    r = _cloud(cloud).witnesses.shape[1]
     write = stream.write  # once: a lazy click.File forwards each lookup
     write("a,b,c,ux,uy,uz,cp1_re,cp1_im,witness\n")
-    r = cloud.witnesses.shape[1]
     row = "%d,%d,%d" + ",%s" * 5 + "," + ";".join(["%d"] * r) + "\n"
     for i in _by_ray(cloud, _FIELD_BYTES * (8 + r)):
         dirs = cloud.dirs[i]
@@ -606,6 +672,7 @@ def write_svg(cloud: PointCloud, stream):
     when u.x = 0), at f * (u.y, s * u.z) with f = sqrt(2 / (1 + s * u.x)).
     The pixel coordinates are %.2f texts, each distinct value of a chunk
     formatted once (_texts)."""
+    _cloud(cloud)
     size, pad = 400, 10
     scale = (size - 2 * pad) / (2.0 * math.sqrt(2.0))
     width = 2 * size + pad

@@ -390,21 +390,31 @@ class TestDensity:
         assert res.output == ("error: covering radius of an empty cloud is undefined: "
                               "0 rays, witnesses of shape (0, 22)\n")
 
-    @pytest.mark.parametrize("empty_at,rows", [(1, ""), (2, "1,98,0.290399831136\n")])
-    def test_empty_smaller_cloud_fails_at_its_row(self, monkeypatch, empty_at, rows):
-        # the header and the rows before the empty cloud's, then its error
-        scan = scanning.scan_algebraic
-
-        def scan_empty_at(lattice, triple, b, mask):
-            cloud = scan(lattice, triple, b, mask)
-            if b != empty_at:
-                return cloud
-            return scanning.PointCloud(cloud.dirs[:0], cloud.witnesses[:0])
-
-        monkeypatch.setattr(scanning, "scan_algebraic", scan_empty_at)
-        res = invoke("density", "--lattice", "U3", "--bound", "3", "--grid", "20")
+    # U + U + a block whose first positive vector over coordinates 4 and
+    # 5, (2, 1) or (3, 2), has infinity norm 2 or 3: the triple's third
+    # vector. Boxes below that norm have an empty cloud
+    @pytest.mark.parametrize("block,triple,level", [
+        ([[-1, 2], [2, -3]], [["1/2", 1], ["1/2", 1], [2, 1]], 2),
+        ([[-2, 3], [3, -4]], [[1, 1], [1, 1], [3, 2]], 3)], ids=["level2", "level3"])
+    @pytest.mark.parametrize("above", [-1, 0, 1], ids=["below", "at", "past"])
+    def test_empty_smaller_cloud_fails_at_its_row(self, tmp_path, block, triple, level, above):
+        # box 1's cloud is the smallest, so it is the first empty one: the
+        # header, then its row's error. An empty largest cloud fails before
+        # the header
+        gram = [[0] * 6 for _ in range(6)]
+        for i, j in ((0, 1), (2, 3)):
+            gram[i][j] = gram[j][i] = 1
+        for i, row in enumerate(block):
+            gram[4 + i][4:] = row
+        vectors = [[0] * 6 for _ in range(3)]
+        for i, pair in enumerate(triple):
+            vectors[i][2 * i:2 * i + 2] = pair
+        f = tmp_path / "lattice.json"
+        f.write_text(json.dumps({"rank": 6, "gram": gram, "triple": vectors}))
+        res = invoke("density", "--lattice", str(f), "--bound", str(level + above),
+                     "--mask", "4,5", "--grid", "20")
         assert res.exit_code == 1
-        assert res.output == ("bound,cloud_size,covering_radius\n" + rows
+        assert res.output == ("bound,cloud_size,covering_radius\n" * (above >= 0)
                               + "error: covering radius of an empty cloud is undefined: "
                               "0 rays, witnesses of shape (0, 6)\n")
 

@@ -242,8 +242,8 @@ class TestBoxVectors:
     @given(k=st.integers(1, 5), b=st.integers(1, 3), data=st.data())
     @example(k=5, b=3, data=None)  # every entry the largest admitted, 5 table coordinates
     def test_table_terms_are_the_digit_forms(self, k, b, data):
-        # q_low and p_low over the table's digits, for symmetric Grams with
-        # entries up to the largest that the int64 check admits
+        # q_low, p_low and lam over the table's digits, for symmetric Grams
+        # with entries up to the largest that the int64 check admits
         largest = (2 ** 63 - 1) // (b * k) ** 2
         if data is None:
             free, upper = k, [largest] * (k * (k + 1) // 2)
@@ -255,7 +255,7 @@ class TestBoxVectors:
         gram = np.zeros((k, k), dtype=object)
         for i, j in itertools.combinations_with_replacement(range(k), 2):
             gram[i, j] = gram[j, i] = next(entries)
-        q_low, p_low = scanning._table_terms(
+        q_low, p_low, lam = scanning._table_terms(
             scanning._int64(gram.tolist(), (b * k) ** 2, "max|G|*B^2*k^2"), free, b)
         lo = k - free
         digits = np.array(list(itertools.product(range(-b, b + 1), repeat=free)),
@@ -263,6 +263,8 @@ class TestBoxVectors:
         assert q_low.dtype == p_low.dtype == np.int64
         assert q_low.tolist() == ((digits @ gram[lo:, lo:]) * digits).sum(axis=1).tolist()
         assert p_low.tolist() == (digits @ gram[lo:, :lo]).tolist()
+        assert lam.dtype == np.uint8
+        assert lam.tolist() == [max(map(abs, row), default=0) for row in digits.tolist()]
 
     def test_invalid_bound(self):
         with pytest.raises(InvalidBound, match="box_bound must be >= 1"):
@@ -694,6 +696,72 @@ def test_half_walk_gives_full_walk_results(case, picks, gauss):
                     for p in points] == witnesses
 
 
+def reference_least_bounds(lattice, triple, bound, mask):
+    """{ray: the least infinity norm of a positive vector of the box that
+    projects onto it}, over the whole box, a block of the walk at a time."""
+    active = range(lattice.rank) if mask is None else sorted(set(mask))
+    rows = [[row[i] for i in active] for row in pairing_rows(lattice, triple)[0]]
+    gram = np.array([[lattice.gram[i][j] for j in active] for i in active],
+                    dtype=np.int64).reshape(len(active), len(active))
+    rays, norms = [np.empty((0, 3), np.int64)], [np.empty(0, np.int64)]
+    for vecs, t in reference_box_pairings(rows, bound):
+        keep = (vecs @ gram * vecs).sum(axis=1) > 0
+        rays.append(t[keep] // np.gcd.reduce(np.abs(t[keep]), axis=1)[:, None])
+        norms.append(np.abs(vecs[keep]).max(axis=1, initial=0))
+    norms = np.concatenate(norms)
+    by_norm = np.argsort(norms, kind="stable")  # a ray's first row has its least norm
+    rays, first = np.unique(np.concatenate(rays)[by_norm], axis=0, return_index=True)
+    return dict(zip(map(tuple, rays.tolist()), norms[by_norm][first].tolist()))
+
+
+@st.composite
+def level_cases(draw):
+    """A lattice, bound and mask, small enough for the brute force, and a
+    block budget: the default, room for one leading coordinate's split,
+    or 64 bytes, when no coordinate's range fits a block (free = 0)."""
+    name = draw(st.sampled_from(["U3", "diag222", "K3"]))
+    lattice, triple = load_lattice(name)
+    width = {"U3": 6, "diag222": 3, "K3": 5}[name]
+    mask = draw(st.none() | st.lists(st.integers(0, lattice.rank - 1), max_size=width))
+    if name == "K3" and mask is None:
+        mask = [0, 1, 2, 3]
+    k = lattice.rank if mask is None else len(set(mask))
+    bound = draw(st.integers(1, max(1, {6: 2, 5: 2, 4: 3}.get(k, 4))))
+    side = 2 * bound + 1
+    return lattice, triple, bound, mask, draw(st.sampled_from(
+        [None, 8 * max(k, 1) * side ** max(k - 1, 0), 64]))
+
+
+@given(case=level_cases())
+@example(case=(U3, TRIPLE, 5, None, None))
+@example(case=(K3, K3_TRIPLE, 2, list(range(8)), None))
+@example(case=(D222, D222_TRIPLE, 4, None, None))
+@example(case=(U3, TRIPLE, 2, None, TINY_BLOCK_BYTES))  # 13 blocks
+@example(case=(U3, TRIPLE, 2, [5, 0, 3, 2], 64))  # free = 0
+# past 255, levels in uint16: rays (x, y, 0) of least bound max(|x|, |y|),
+# up to 257, and at bound 256 one ray
+@example(case=(D222, D222_TRIPLE, 257, [0, 1], None))
+@example(case=(D222, D222_TRIPLE, 256, [2], None))
+def test_least_bounds_are_the_smaller_boxes(case):
+    # each least bound is the least norm of the ray's positive vectors in
+    # the box, and the rays of least bound at most b are box b's cloud
+    lattice, triple, bound, mask, block_bytes = case
+    expected = reference_least_bounds(lattice, triple, bound, mask)
+    with pytest.MonkeyPatch.context() as mp:
+        if block_bytes:
+            mp.setattr(twistor, "_BLOCK_BYTES", block_bytes)
+        cloud = scan_algebraic(lattice, triple, bound, mask)
+    least = cloud.least_bounds
+    assert least.dtype == np.min_scalar_type(bound + 1) and not least.flags.writeable
+    assert dict(zip(map(tuple, cloud.dirs.tolist()), least.tolist())) == expected
+    # every b of a small box; of a large one, the ends and the b's around 255
+    for b in range(1, bound + 1) if bound <= 5 else (1, 2, 255, 256, bound):
+        assert (set(map(tuple, cloud.dirs[least <= b].tolist()))
+                == scan_algebraic(lattice, triple, b, mask).rays())
+    assert scan_non_general_type(lattice, triple, 1, mask).least_bounds is None
+    assert PointCloud(cloud.dirs, cloud.witnesses).least_bounds is None
+
+
 @pytest.mark.parametrize("scan,digest", [
     (scan_algebraic, "525450b474dc0da33bbcbc2239e4a4ad685183d723972db785273547807db16f"),
     (scan_non_general_type,
@@ -1010,7 +1078,8 @@ class TestCoveringRadius:
         assume(clouds)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
-            assert ([repr(r) for r in scanning._covering_radii(clouds, resolution)]
+            radii = scanning._covering_radii([c.dirs for c in clouds], resolution)
+            assert ([repr(r) for r in radii]
                     == [repr(reference_covering_radius(c, resolution)) for c in clouds])
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -1041,11 +1110,13 @@ class TestCoveringRadius:
             cuts[1] = cuts[1][(cloud.dirs[cuts[1]] != cloud.dirs[order[0]]).any(axis=1)]
             assume(len(cuts[1]))
         clouds = [PointCloud(cloud.dirs[i], cloud.witnesses[i]) for i in cuts]
-        assert ([scanning._holds(b, a) for a, b in zip(clouds, clouds[1:])]
+        assert ([scanning._holds(scanning._keyed(b.dirs), a.dirs)
+                 for a, b in zip(clouds, clouds[1:])]
                 == [not (outside and j == 0) for j in range(len(clouds) - 1)])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
-            assert ([repr(r) for r in scanning._covering_radii(clouds, resolution)]
+            radii = scanning._covering_radii([c.dirs for c in clouds], resolution)
+            assert ([repr(r) for r in radii]
                     == [repr(reference_covering_radius(c, resolution)) for c in clouds])
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -1073,7 +1144,7 @@ class TestCoveringRadius:
         folds = np.isin([0, 1, 2], coordinates)
         for cut in (dirs, dirs[1:]):
             cloud = PointCloud(cut, np.zeros((len(cut), 1), np.int64))
-            screen = scanning._Screen(cloud, np.zeros((3, 1), np.float32))
+            screen = scanning._Screen(cut, np.zeros((3, 1), np.float32))
             assert screen.flips.tolist() == (folds & (cut is dirs)).tolist()
             for resolution in (7, 40):
                 assert (repr(covering_radius(cloud, resolution))
@@ -1090,13 +1161,13 @@ class TestCoveringRadius:
         if mirrored == "smaller":
             inner, outer = outer, np.vstack([outer, rng.integers(-50, 51, (20, 3))])
         clouds = [PointCloud(d, np.zeros((len(d), 1), np.int64)) for d in (inner, outer)]
-        assert scanning._holds(clouds[1], clouds[0])
+        assert scanning._holds(scanning._keyed(outer), inner)
         sample = np.zeros((3, 1), np.float32)
-        assert ([scanning._Screen(c, sample).flips.any() for c in clouds]
+        assert ([scanning._Screen(d, sample).flips.any() for d in (inner, outer)]
                 == [mirrored == "smaller", mirrored == "larger"])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
-            radii = scanning._covering_radii(clouds, 30)
+            radii = scanning._covering_radii([inner, outer], 30)
             assert radii == [covering_radius(c, 30) for c in clouds]
         assert [repr(r) for r in radii] == [repr(reference_covering_radius(c, 30))
                                             for c in clouds]
@@ -1179,10 +1250,10 @@ class TestCoveringRadius:
         budget = 1 << 18
         monkeypatch.setattr(scanning, "_BLOCK_BYTES", budget)
         clouds = [scan_algebraic(U3, TRIPLE, b) for b in (3, 5, 7)]
-        scanning._covering_radii(clouds, 200)  # numpy's first-call allocations
+        scanning._covering_radii([c.dirs for c in clouds], 200)  # numpy's first-call allocations
         tracemalloc.start()
         try:
-            scanning._covering_radii(clouds, 200)
+            scanning._covering_radii([c.dirs for c in clouds], 200)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1405,6 +1476,21 @@ def test_flat_rows_huge_grid_and_non_path_source_refused(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("call,value", [
+    (lambda c, out: covering_radius(c, 10), None),
+    (lambda c, out: covering_radius(c, 10), [[1, 0, 0]]),
+    (write_csv, None),
+    (write_svg, np.array([[1, 0, 0]])),
+    (write_svg, "cloud.svg")])
+def test_non_cloud_is_refused(call, value):
+    # never a bare TypeError or AttributeError, and no byte written
+    out = io.StringIO()
+    with pytest.raises(DimensionMismatch) as info:
+        call(value, out)
+    assert str(info.value) == f"cloud = {value!r} is not a PointCloud"
+    assert out.getvalue() == ""
 
 
 def test_refused_lattice_source_leaves_descriptors_open(capfd):
