@@ -157,6 +157,14 @@ def _iterable(value, what: str):
     return value
 
 
+def of_kind(value, kind: type, what: str):
+    """value, refused unless it is an instance of kind: a DimensionMismatch
+    that names it, not the AttributeError of a later attribute read."""
+    if not isinstance(value, kind):
+        raise DimensionMismatch(f"{what} = {value!r} is not a {kind.__name__}")
+    return value
+
+
 def integer(value, what: str) -> int:
     """An integer (numpy ints too) as an int; a float, string or bool is an error."""
     if isinstance(value, bool) or not isinstance(value, Integral):
@@ -228,9 +236,10 @@ def signature(lattice: GramLattice) -> SignatureReport:
     nonzero m[i][j] is folded in (row and column j added to row and
     column i, which puts 2 m[i][j] on the diagonal); with no such entry,
     what is left is the zero form. By Sylvester's law the counts do not
-    depend on the pivot order. Cached: every twistor call asks.
+    depend on the pivot order. Cached: every twistor call asks, and only
+    a miss checks that lattice is a GramLattice.
     """
-    m = [[Fraction(e) for e in row] for row in lattice.gram]
+    m = [[Fraction(e) for e in row] for row in of_kind(lattice, GramLattice, "lattice").gram]
     counts = [0, 0]  # n_plus, n_minus
     while m:
         piv = next((i for i, row in enumerate(m) if row[i]), None)
@@ -337,7 +346,7 @@ class HyperTriple:
 
     def __post_init__(self):
         # hashed once: the kernel's row cache hashes the triple on every
-        # call, and a Fraction hash costs about 0.4 us an entry
+        # call, and would otherwise hash every Fraction entry
         object.__setattr__(self, "_hash", hash(self.vectors))
 
     def __hash__(self):

@@ -17,10 +17,11 @@ group's positive vectors, and a ray's least over its run is its least
 bound (PointCloud.least_bounds): box b's cloud is the rays of least
 bound at most b, so density takes every box's cloud from one scan.
 The same ray key, through _ray_order, sorts the clouds for emission,
-which works on the cloud's columns a chunk of rows at a time: each
-distinct float of a chunk is formatted once (_texts), each CSV row or
-SVG circle is one %-format of those texts and the ints, and no
-TwistorPoint is built per ray. A cloud
+which works on the cloud's columns a chunk of rows at a time: every
+field is a piece, its text with its separator, formatted once for each
+distinct value of its run of columns (_texts), and a chunk's pieces are
+joined once, with no Python work a row and no TwistorPoint built per
+ray. A cloud
 is two int64 arrays, the distinct rays and their witnesses, cast once
 when it is built from nested lists or any other integer dtype; TwistorPoints are built
 only when it is iterated, and a cloud of non-integer, zero or
@@ -53,6 +54,7 @@ least row is never among them. No randomness anywhere in this module.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -61,7 +63,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyCloud, InvalidBound, InvariantViolation
-from .linalg import GramLattice, HyperTriple, _iterable, integer, pairing_rows
+from .linalg import GramLattice, HyperTriple, _iterable, integer, of_kind, pairing_rows
 from .twistor import (
     _BLOCK_BYTES,
     _MAX_BOX_VECTORS,
@@ -144,10 +146,20 @@ class PointCloud:
         return set(self._index)
 
 
+# the largest |entry| whose three squares sum within int64
+_INT64_SQUARES = math.isqrt((2 ** 63 - 1) // 3)
+
+
 def _units(dirs: np.ndarray) -> np.ndarray:
-    """TwistorPoint.from_ray's units: exact int sums of squares, not int64."""
-    norms = np.sqrt((dirs.astype(object) ** 2).sum(axis=1).astype(float))
-    return dirs / norms[:, None]
+    """TwistorPoint.from_ray's units. Each sum of squares is exact: in
+    int64 when every |entry| is at most _INT64_SQUARES, in Python ints
+    past it, where int64 would wrap. Either exact sum is rounded to the
+    nearest float64, ties to even, so both give the same bits."""
+    if dirs.max(initial=0) <= _INT64_SQUARES and dirs.min(initial=0) >= -_INT64_SQUARES:
+        sums = (dirs * dirs).sum(axis=1)
+    else:
+        sums = (dirs.astype(object) ** 2).sum(axis=1)
+    return dirs / np.sqrt(sums.astype(float))[:, None]
 
 
 def _table_terms(gram: np.ndarray, free: int,
@@ -429,12 +441,10 @@ class _Screen:
         """Each float32 column's best against the whole (folded) cloud,
         with the columns as the product's rows: a max along rows is the
         faster reduction. A product's cosines fill a sixteenth of
-        _BLOCK_BYTES. A quarter was faster for large clouds (on a 2-vCPU
-        Xeon, 174 against 223 us for 200 columns against the 4034 points
-        of U3 at B=4, 54 against 65 us against its 1097 folded ones), but
-        then a folded cloud's few sample rows, one product at a small
-        grid, peak far lower than a large grid's full products: memory
-        would follow the grid."""
+        _BLOCK_BYTES. A quarter was faster for large clouds, but then a
+        folded cloud's few sample rows, one product at a small grid, peak
+        far lower than a large grid's full products: memory would follow
+        the grid."""
         best = np.empty(columns.shape[1], np.float32)
         step = max(1, _BLOCK_BYTES // (64 * len(self.band)))
         for s in range(0, len(best), step):
@@ -453,7 +463,7 @@ class _Screen:
         rows = np.flatnonzero(lb <= self.c0 + _EPS32)
         # the open rows, step a product, each against the band of their
         # product's y-range; grid[:, rows] would be F-ordered, a slower
-        # operand (6.6 against 5.4 us for 300 points by 130 rows)
+        # operand
         cols = grid if len(rows) == len(y) else np.take(grid, rows, axis=1)
         firsts = np.arange(0, len(rows), step)
         lasts = np.minimum(firsts + step, len(rows))
@@ -599,16 +609,9 @@ def covering_radius(cloud: PointCloud, grid_resolution: int) -> float:
     and its AVX-512 one is an ulp off the correctly rounded radius of U3
     at B=4, grid 200.
     """
-    cloud = _cloud(cloud)
+    cloud = of_kind(cloud, PointCloud, "cloud")
     g = _check_grid(grid_resolution)  # a bad grid is named before an empty cloud
     return _covering_radii([_nonempty(cloud)], g)[0]
-
-
-def _cloud(cloud) -> PointCloud:
-    """cloud, refused unless it is a PointCloud: never a bare AttributeError."""
-    if not isinstance(cloud, PointCloud):
-        raise DimensionMismatch(f"cloud = {cloud!r} is not a PointCloud")
-    return cloud
 
 
 def _nonempty(cloud: PointCloud) -> np.ndarray:
@@ -619,9 +622,10 @@ def _nonempty(cloud: PointCloud) -> np.ndarray:
     return cloud.dirs
 
 
-# about what a written field holds: its float64 or int64, a Python object
-# in a column list, and its text, a float's shared by its repeats
-# (tracemalloc: 614 bytes a 14-field CSV row, 289 an SVG row of 7)
+# about what a written field holds: its float64 or int64, its piece in
+# the object array and its text, shared by the value's repeats
+# (tracemalloc, one chunk: 493 bytes a 15-piece CSV row of U3, 1070 a
+# 31-piece row of masked K3, 218 an SVG row of 7)
 _FIELD_BYTES = 48
 
 
@@ -634,35 +638,55 @@ def _by_ray(cloud: PointCloud, row_bytes: int):
     return (order[s:s + step] for s in range(0, len(order), step))
 
 
-def _texts(values: np.ndarray, fmt: str) -> np.ndarray:
-    """fmt % v for each float64 v of values, an object array of their
-    shape, with each distinct value formatted once. The values are told
-    apart by their bits, so 0.0 and -0.0, and NaN payloads, stay apart:
-    every text is fmt % v, byte for byte."""
-    bits, inverse = np.unique(values.view(np.int64).ravel(), return_inverse=True)
-    texts = np.array(list(map(fmt.__mod__, bits.view(np.float64).tolist())), dtype=object)
-    return texts[inverse].reshape(values.shape)
+def _texts(values: np.ndarray, formats) -> np.ndarray:
+    """formats[j] % v for each v of column j of values, a (rows, cols)
+    float64 or int64 array: an object array of its shape. Each run of
+    columns of one format formats each of its distinct values once and
+    takes their texts in one gather. Values are keyed by their int64
+    bits, so 0.0 and -0.0, and NaN payloads, stay apart: every text is
+    fmt % v, byte for byte. A run whose keys span fewer than a quarter
+    of its entries, as rays' and witnesses' small ints do, formats every
+    key of that span and gathers at key - least, with no sort."""
+    texts = np.empty(values.shape, object)
+    col = 0
+    for fmt, run in itertools.groupby(formats):
+        end = col + len(list(run))
+        keys = values[:, col:end].view(np.int64)
+        least, most = (int(keys.min()), int(keys.max())) if keys.size else (0, -1)
+        if most - least < keys.size // 4:
+            distinct, inverse = np.arange(least, most + 1, dtype=np.int64), keys - least
+        else:
+            distinct, inverse = np.unique(keys, return_inverse=True)
+        made = np.array(list(map(fmt.__mod__, distinct.view(values.dtype).tolist())), object)
+        texts[:, col:end] = made[inverse.reshape(keys.shape)]
+        col = end
+    return texts
 
 
 def write_csv(cloud: PointCloud, stream):
     """Emit the cloud as CSV, sorted by exact ray. The CP^1 column is
     stereographic's (b + ic)/(1 - a) of the unit, inf,0 where 1 - a == 0.
-    The five float columns are %.17g texts, each distinct value of a
-    chunk formatted once (_texts)."""
-    r = _cloud(cloud).witnesses.shape[1]
+    A chunk's rows are its pieces, each a field's text with its separator
+    (_texts; the floats %.17g), then the row's end, joined once."""
+    r = of_kind(cloud, PointCloud, "cloud").witnesses.shape[1]
     write = stream.write  # once: a lazy click.File forwards each lookup
     write("a,b,c,ux,uy,uz,cp1_re,cp1_im,witness\n")
-    row = "%d,%d,%d" + ",%s" * 5 + "," + ";".join(["%d"] * r) + "\n"
-    for i in _by_ray(cloud, _FIELD_BYTES * (8 + r)):
+    # a row is the ray, the five floats, the witness and the end: with no
+    # witness entry the row still ends with the witness column's comma
+    ray, floats, witness = ("%d", ",%d", ",%d"), (",%.17g",) * 5, (",%d", *[";%d"] * (r - 1))[:r]
+    for i in _by_ray(cloud, _FIELD_BYTES * (9 + r)):
         dirs = cloud.dirs[i]
         units = _units(dirs)
         den = 1.0 - units[:, 0]
         with np.errstate(divide="ignore", invalid="ignore"):
             cp1 = units[:, 1:] / den[:, None]
         cp1[den == 0.0] = (math.inf, 0.0)
-        floats = _texts(np.concatenate((units, cp1), axis=1), "%.17g")
-        cols = [*dirs.T, *floats.T, *cloud.witnesses[i].T]
-        write("".join(map(row.__mod__, zip(*(c.tolist() for c in cols)))))
+        pieces = np.empty((len(i), 9 + r), object)
+        pieces[:, :3] = _texts(dirs, ray)
+        pieces[:, 3:8] = _texts(np.concatenate((units, cp1), axis=1), floats)
+        pieces[:, 8:-1] = _texts(cloud.witnesses[i], witness)
+        pieces[:, -1] = "\n" if r else ",\n"
+        write("".join(pieces.ravel().tolist()))
 
 
 def write_svg(cloud: PointCloud, stream):
@@ -670,9 +694,9 @@ def write_svg(cloud: PointCloud, stream):
     (around +a and -a) side by side, each 400 pixels square. A unit u is
     drawn in the hemisphere around s = +1 or -1 when s * u.x >= 0 (both
     when u.x = 0), at f * (u.y, s * u.z) with f = sqrt(2 / (1 + s * u.x)).
-    The pixel coordinates are %.2f texts, each distinct value of a chunk
-    formatted once (_texts)."""
-    _cloud(cloud)
+    A circle is two pieces, each a %.2f pixel coordinate's text with the
+    markup around it (_texts), and a chunk's circles are joined once."""
+    of_kind(cloud, PointCloud, "cloud")
     size, pad = 400, 10
     scale = (size - 2 * pad) / (2.0 * math.sqrt(2.0))
     width = 2 * size + pad
@@ -685,7 +709,7 @@ def write_svg(cloud: PointCloud, stream):
         write(
             f'<circle cx="{c:.2f}" cy="{size / 2.0:.2f}" '
             f'r="{math.sqrt(2.0) * scale:.2f}" fill="none" stroke="black"/>\n')
-    circle = '<circle cx="%s" cy="%s" r="1.5"/>\n'
+    circle = '<circle cx="%.2f', '" cy="%.2f" r="1.5"/>\n'
     for i in _by_ray(cloud, _FIELD_BYTES * 7):  # a unit, two circles of two
         x, y, z = (u[:, None] for u in _units(cloud.dirs[i]).T)
         keep = sign * x >= 0  # (rows, 2): each point's circles in hemisphere order
@@ -693,6 +717,5 @@ def write_svg(cloud: PointCloud, stream):
             f = np.sqrt(2.0 / (1.0 + sign * x))
             px = cx + f * y * scale
             py = size / 2.0 - f * sign * z * scale
-        xy = _texts(np.column_stack((px[keep], py[keep])), "%.2f")
-        write("".join(map(circle.__mod__, zip(*xy.T.tolist()))))
+        write("".join(_texts(np.column_stack((px[keep], py[keep])), circle).ravel().tolist()))
     write("</svg>\n")

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Complex
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
@@ -53,6 +54,7 @@ from .linalg import (
     expand_in_V,
     integer,
     integer_kernel,
+    of_kind,
     primitive,
     q_eval,
     vector,
@@ -343,7 +345,7 @@ class GeneralTypeVerdict:
 
 def omega_of(triple: HyperTriple, point: TwistorPoint) -> Vector:
     """The class a w_I + b w_J + c w_K for the point's primitive ray."""
-    return expand_in_V(triple, point.require_exact())
+    return expand_in_V(triple, of_kind(point, TwistorPoint, "point").require_exact())
 
 
 def pi_map(lattice: GramLattice, triple: HyperTriple, omega) -> PositiveClass:
@@ -378,7 +380,7 @@ def pi_map(lattice: GramLattice, triple: HyperTriple, omega) -> PositiveClass:
 
 
 def antipode(point: TwistorPoint) -> TwistorPoint:
-    if point.dir is not None:  # -dir is primitive too
+    if of_kind(point, TwistorPoint, "point").dir is not None:  # -dir is primitive too
         return TwistorPoint._from_ints(tuple(-e for e in point.dir))
     return TwistorPoint(dir=None, unit=tuple(-e for e in point.unit))
 
@@ -389,6 +391,7 @@ def hodge_type_11(lattice: GramLattice, triple: HyperTriple, x,
     onto V is an exact rational multiple (possibly zero) of the ray,
     from the pairing rows' nonzero entries alone, as in pi_map. An x of
     ints is its own cleared multiple and builds no Fraction."""
+    of_kind(point, TwistorPoint, "point")
     if type(x) is not tuple:  # as in pi_map: a tuple needs no check
         x = tuple(_iterable(x, "x"))
     if not all(type(e) is int for e in x):
@@ -404,7 +407,7 @@ def two_zero_plane(triple: HyperTriple, point: TwistorPoint):
     spanning the real (2,0)+(0,2) plane at the point.
 
     For the ray (1,0,0) this returns (w_J, w_K)."""
-    d = point.require_exact()
+    d = of_kind(point, TwistorPoint, "point").require_exact()
     k = min(range(3), key=lambda i: (abs(d[i]), i))
     e = tuple(1 if i == k else 0 for i in range(3))
     u = _cross(d, e)
@@ -523,6 +526,7 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
     vectors raises InvalidBound, and one whose int64 products could wrap
     raises Unsupported.
     """
+    of_kind(point, TwistorPoint, "point")
     rows, _, _, live = _pairing(lattice, triple)
     bound = integer(bound, "bound")
     if bound < 1:
@@ -562,14 +566,14 @@ INFINITY = complex(math.inf, 0.0)
 def stereographic(point: TwistorPoint) -> complex:
     """CP^1 coordinate (b + ic)/(1 - a) of the unit representative;
     the north pole (1,0,0) maps to infinity."""
-    a, b, c = point.unit
+    a, b, c = of_kind(point, TwistorPoint, "point").unit
     if 1.0 - a == 0.0:
         return INFINITY
     return complex(b / (1.0 - a), c / (1.0 - a))
 
 
 def stereographic_inverse(zeta: complex) -> TwistorPoint:
-    if math.isinf(zeta.real) or math.isinf(zeta.imag):
+    if math.isinf(of_kind(zeta, Complex, "zeta").real) or math.isinf(zeta.imag):
         return TwistorPoint.from_ray(1, 0, 0)
     try:
         s = abs(zeta) ** 2

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from twistorlat import stereographic
+from twistorlat import TwistorPoint, stereographic
 from twistorlat.quaternions import (
     QUAT_I,
     QUAT_J,
@@ -245,12 +245,21 @@ def reference_signature(gram):
     return (n_plus, n_minus, n_zero)
 
 
+def _reference_points(cloud):
+    """(TwistorPoint, witness list) for each ray of the cloud, sorted by
+    exact ray. Each unit is the ray over the sqrt of its Python int sum
+    of squares, as TwistorPoint.from_ray takes a primitive ray's, not the
+    cloud's array units."""
+    for d, w in sorted(zip(map(tuple, cloud.dirs.tolist()), cloud.witnesses.tolist())):
+        n = math.sqrt(d[0] ** 2 + d[1] ** 2 + d[2] ** 2)
+        yield TwistorPoint(dir=d, unit=(d[0] / n, d[1] / n, d[2] / n)), w
+
+
 def reference_write_csv(cloud, stream):
-    """The per-point CSV writer the array writer replaced: it iterates the
-    cloud, a TwistorPoint per ray, sorted by exact ray, and calls
-    stereographic per point."""
+    """The per-point CSV writer the array writer replaced: a TwistorPoint
+    per ray, sorted by exact ray, and stereographic per point."""
     stream.write("a,b,c,ux,uy,uz,cp1_re,cp1_im,witness\n")
-    for p, w in sorted(zip(cloud, cloud.witnesses.tolist()), key=lambda pw: pw[0].dir):
+    for p, w in _reference_points(cloud):
         a, b, c = p.dir
         z = stereographic(p)
         witness = ";".join(str(e) for e in w)
@@ -281,7 +290,7 @@ def reference_write_svg(cloud, stream):
         stream.write(
             f'<circle cx="{cx:.2f}" cy="{size / 2.0:.2f}" '
             f'r="{math.sqrt(2.0) * scale:.2f}" fill="none" stroke="black"/>\n')
-    for p in sorted(cloud, key=lambda p: p.dir):
+    for p, _ in _reference_points(cloud):
         for cx, sgn in centers:
             if sgn * p.unit[0] < 0:
                 continue

@@ -824,6 +824,10 @@ def test_ray_order_equals_sorted(rays):
     assert groups.tolist() == [distinct.index(row) for row in rays]
 
 
+# the largest |entry| whose three squares sum within int64: _units sums
+# a chunk's squares in int64 up to it and in Python ints past it
+EDGE = 1_753_413_056
+
 # a cloud whose entries are too large for the packed int64 key
 BIG = 2 ** 62 - 1
 BIG_CLOUD = PointCloud(np.array([[BIG, 0, -1], [-BIG, 1, 0], [0, -1, BIG], [-BIG, 0, 1]]),
@@ -833,10 +837,15 @@ BIG_CLOUD = PointCloud(np.array([[BIG, 0, -1], [-BIG, 1, 0], [0, -1, BIG], [-BIG
 class TestPointCloud:
     def test_units_match_from_ray(self):
         # this ray's sum of squares wraps in int64, and float64 squares
-        # round it to a different unit
+        # round it to a different unit. The first edge ray alone sums in
+        # int64, at the edge; the second's sum would wrap, and with it
+        # all three sum in Python ints
         big = [2342548891, -2558966741, -2170644487]
+        edge = [[EDGE, -EDGE, EDGE - 1], [EDGE + 1, EDGE + 1, -EDGE], [-EDGE - 1, 1, 0]]
         for cloud in (scan_algebraic(U3, TRIPLE, 2),
-                      PointCloud(np.array([big, [1, 0, 0]]), np.zeros((2, 6), np.int64))):
+                      PointCloud(np.array([big, [1, 0, 0]]), np.zeros((2, 6), np.int64)),
+                      PointCloud(np.array(edge[:1]), np.zeros((1, 0), np.int64)),
+                      PointCloud(np.array(edge), np.zeros((3, 0), np.int64))):
             assert [p.unit for p in cloud] == \
                 [TwistorPoint.from_ray(*d).unit for d in cloud.dirs.tolist()]
 
@@ -1599,8 +1608,12 @@ SYMMETRIC_RAYS = sorted({tuple(s * e for s, e in zip(signs, perm))
                          for perm in itertools.permutations(ray)
                          for signs in itertools.product((1, -1), repeat=3)})
 
+# rays at EDGE and one past it; the fifth one's sum of squares would wrap in int64
+EDGE_RAYS = [(EDGE, EDGE, -EDGE), (EDGE + 1, 1, 0), (-EDGE, 0, 1), (1, EDGE, EDGE - 1),
+             (EDGE + 1, -EDGE - 1, EDGE + 1), (2, -1, 1)]
 
-@given(rays=st.lists(RAYS, max_size=12, unique=True), width=st.integers(1, 22),
+
+@given(rays=st.lists(RAYS, max_size=12, unique=True), width=st.integers(0, 22),
        entries=st.integers(-2 ** 63, 2 ** 63 - 1),
        block_bytes=st.sampled_from([1, 4096, None]))
 @example(rays=[(1, 0, 0), (-1, 0, 0), (0, 2, -3), (0, 0, 1), (10 ** 9, 1, 5),
@@ -1608,10 +1621,14 @@ SYMMETRIC_RAYS = sorted({tuple(s * e for s, e in zip(signs, perm))
          width=6, entries=-7, block_bytes=1)
 @example(rays=SYMMETRIC_RAYS, width=6, entries=0, block_bytes=None)
 @example(rays=SYMMETRIC_RAYS, width=2, entries=5, block_bytes=4096)
+@example(rays=SYMMETRIC_RAYS, width=0, entries=0, block_bytes=None)
+@example(rays=EDGE_RAYS, width=3, entries=-1, block_bytes=None)  # one chunk: Python ints
+@example(rays=EDGE_RAYS, width=1, entries=2, block_bytes=1)  # a chunk a row: both sums
 def test_writers_match_the_per_point_writers(rays, width, entries, block_bytes):
-    # byte for byte, whatever the rows of a chunk; the empty cloud too
+    # byte for byte, whatever the rows of a chunk; the empty cloud and
+    # rows with no witness entry too
     dirs = np.array(rays, dtype=np.int64).reshape(-1, 3)
-    witnesses = (np.arange(len(rays) * width, dtype=np.int64).reshape(-1, width)
+    witnesses = (np.arange(len(rays) * width, dtype=np.int64).reshape(len(rays), width)
                  * 7919 + entries)  # wraps: any int64 entries
     cloud = PointCloud(dirs, witnesses)
     with pytest.MonkeyPatch.context() as mp:
@@ -1629,21 +1646,38 @@ def test_writers_match_the_per_point_writers(rays, width, entries, block_bytes):
 _NANS = np.array([0x7FF8000000000001, -0x0008000000000000], np.int64).view(np.float64).tolist()
 SPECIAL_FLOATS = [0.0, -0.0, math.inf, -math.inf, math.nan, *_NANS, 5e-324, -5e-324,
                   2.2250738585072009e-308, 1.0, -1.0, 0.5, 200.0]
+SPECIAL_INTS = [0, 1, -1, 2 ** 63 - 1, -2 ** 63 + 1, -2 ** 63, 7, -3]
+# each column takes one of these, so runs of one format and their
+# separators meet: the writers' pieces among them
+TEXT_FORMATS = {np.float64: ["%.17g", ",%.17g", '<circle cx="%.2f', '" cy="%.2f" r="1.5"/>\n'],
+                np.int64: ["%d", ",%d", ";%d"]}
 
 
-@given(pool=st.lists(st.floats(), max_size=8), picks=st.lists(st.integers(0, 99), max_size=40),
-       width=st.sampled_from([1, 2, 5]), fmt=st.sampled_from(["%.17g", "%.2f"]))
-@example(pool=[], picks=[0, 1, 1, 0], width=2, fmt="%.17g")
-@example(pool=[], picks=[1, 0], width=1, fmt="%.2f")
-@example(pool=[], picks=[], width=5, fmt="%.17g")
-def test_texts_equal_per_value_format(pool, picks, width, fmt):
-    # the repeats are formatted once, keyed on the bits: -0.0 is not 0.0
-    pool = SPECIAL_FLOATS + pool
+@given(dtype=st.sampled_from([np.float64, np.int64]),
+       pool=st.lists(st.floats() | st.integers(-2 ** 63, 2 ** 63 - 1), max_size=8),
+       picks=st.lists(st.integers(0, 99), max_size=40),
+       columns=st.lists(st.integers(0, 3), min_size=1, max_size=5))
+@example(dtype=np.float64, pool=[], picks=[0, 1, 1, 0], columns=[1, 1])
+@example(dtype=np.float64, pool=[], picks=[1, 0], columns=[2])
+@example(dtype=np.float64, pool=[], picks=[], columns=[0, 0, 1, 1, 1])
+@example(dtype=np.float64, pool=[], picks=list(range(14)) * 2, columns=[3, 2])
+@example(dtype=np.int64, pool=[], picks=list(range(8)) * 5, columns=[0, 1, 1, 2, 2])
+@example(dtype=np.int64, pool=[], picks=[0, 1, 2] * 13, columns=[1, 2, 2])  # spans 3 keys
+@example(dtype=np.float64, pool=[], picks=[0] * 40, columns=[0, 1])  # spans 1 key
+def test_texts_equal_per_value_format(dtype, pool, picks, columns):
+    # the repeats are formatted once a run of columns, keyed on the bits:
+    # -0.0 is not 0.0; a run whose keys span few values is gathered
+    # without a sort, and every text is still its own value's
+    pool = [e for e in pool if isinstance(e, float) == (dtype is np.float64)]
+    pool = (SPECIAL_FLOATS if dtype is np.float64 else SPECIAL_INTS) + pool
+    formats = [TEXT_FORMATS[dtype][k % len(TEXT_FORMATS[dtype])] for k in columns]
+    width = len(formats)
     values = [pool[i % len(pool)] for i in picks]
-    values = np.array(values[:len(values) // width * width], np.float64).reshape(-1, width)
-    texts = scanning._texts(values, fmt)
+    values = np.array(values[:len(values) // width * width], dtype).reshape(-1, width)
+    texts = scanning._texts(values, formats)
     assert texts.shape == values.shape and texts.dtype == object
-    assert texts.ravel().tolist() == [fmt % v for v in values.ravel().tolist()]
+    assert texts.tolist() == [[fmt % v for fmt, v in zip(formats, row)]
+                              for row in values.tolist()]
 
 
 def test_huge_ray_is_written_at_infinity():

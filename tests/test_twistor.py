@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistorlat import (
+    DimensionMismatch,
     GramLattice,
     HyperTriple,
     InvalidBound,
@@ -38,7 +39,7 @@ from twistorlat import (
     vector,
 )
 from twistorlat import twistor
-from twistorlat.linalg import dot_rows, expand_in_V, integer_kernel, pairing_rows
+from twistorlat.linalg import dot_rows, integer_kernel, pairing_rows, signature
 
 from support import (
     K3_INTERLEAVED,
@@ -228,6 +229,30 @@ DIAG4_TRIPLE = HyperTriple.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])
 def test_wrong_signature_rejected_by_every_call(call):
     with pytest.raises(InvalidSignature, match=r"\(4, 0, 0\)"):
         call(DIAG4, DIAG4_TRIPLE)
+
+
+@pytest.mark.parametrize("call,text", [
+    (lambda: is_general_type(K3, K3_TRIPLE, None), "point = None is not a TwistorPoint"),
+    (lambda: is_general_type(U3, TRIPLE, (1.0, 0.0, 0.0), bound=1),
+     "point = (1.0, 0.0, 0.0) is not a TwistorPoint"),
+    (lambda: hodge_type_11(U3, TRIPLE, [1, 0, 0, 0, 0, 0], None),
+     "point = None is not a TwistorPoint"),
+    (lambda: stereographic(None), "point = None is not a TwistorPoint"),
+    (lambda: antipode((1, 2, 3)), "point = (1, 2, 3) is not a TwistorPoint"),
+    (lambda: omega_of(TRIPLE, 5), "point = 5 is not a TwistorPoint"),
+    (lambda: two_zero_plane(TRIPLE, None), "point = None is not a TwistorPoint"),
+    (lambda: stereographic_inverse("x"), "zeta = 'x' is not a Complex"),
+    (lambda: stereographic_inverse(None), "zeta = None is not a Complex"),
+    (lambda: signature(None), "lattice = None is not a GramLattice"),
+    (lambda: pi_map(None, TRIPLE, [1, 0, 0, 0, 0, 0]), "lattice = None is not a GramLattice"),
+], ids=["general_type_exact", "general_type_bounded", "hodge_type_11", "stereographic",
+        "antipode", "omega_of", "two_zero_plane", "stereographic_inverse_str",
+        "stereographic_inverse_none", "signature", "pi_map_lattice"])
+def test_object_of_the_wrong_kind_is_refused(call, text):
+    # a DimensionMismatch that names the argument, never a bare AttributeError
+    with pytest.raises(DimensionMismatch) as info:
+        call()
+    assert str(info.value) == text
 
 
 class TestHodgeType:
