@@ -27,10 +27,9 @@ from .linalg import (
     signature,
     vector,
 )
+from .covering import covering_radius, fibonacci_sphere
 from .scanning import (
     PointCloud,
-    covering_radius,
-    fibonacci_sphere,
     scan_algebraic,
     scan_non_general_type,
     write_csv,
@@ -50,5 +49,8 @@ from .twistor import (
     two_zero_plane,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name bound above, and the six submodules that their imports
+# bind; box and covering are reached through the names they export
+__all__ = [name for name in dir()
+           if not name.startswith("_") and name not in {"box", "covering"}]
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from functools import wraps
 
 import click
 
-from . import scanning, twistor
+from . import covering, scanning
 from .errors import TwistorLatticeError
 from .lattices import load_lattice
 from .linalg import q_eval, signature, vector
@@ -191,19 +191,19 @@ def density(lattice_source, bound, grid, mask):
     mask_idx = None if mask is None else _parse_int_csv(mask, "--mask")
     # every argument fails before the header: the grid first, so that a
     # bad one runs no scan, then the largest box's scan and an empty cloud
-    grid = scanning._check_grid(grid)
+    grid = covering.check_grid(grid)
     cloud = scanning.scan_algebraic(lattice, triple, bound, mask_idx)
-    scanning._nonempty(cloud)
+    covering.nonempty(cloud)
     # box b's cloud is the rays of least bound at most b, all from the one
     # scan of box B. The clouds are nested, so any other empty cloud is
     # box 1's, and it fails at its own row, after the header
     clouds = [cloud.dirs[cloud.least_bounds <= b] for b in range(1, bound + 1)]
-    radii = scanning._covering_radii(clouds, grid) if len(clouds[0]) else []
+    radii = covering.covering_radii(clouds, grid) if len(clouds[0]) else []
     click.echo("bound,cloud_size,covering_radius")
     for b, rays, radius in zip(range(1, bound + 1), clouds, radii):
         click.echo(f"{b},{len(rays)},{radius:.12f}")
     if not radii:
-        scanning._nonempty(scanning.PointCloud(clouds[0], cloud.witnesses[:0]))
+        covering.nonempty(scanning.PointCloud(clouds[0], cloud.witnesses[:0]))
 
 
 @main.command(name="demo-quaternion")

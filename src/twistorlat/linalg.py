@@ -58,7 +58,7 @@ def vector(entries) -> Vector:
                      else (Fraction(e) if e else _ZERO) if type(e) is int else
                      _rational(e) for e in entries)
     except TypeError:  # checked on the failure path alone: every pi_map builds one
-        _iterable(entries, "vector")
+        iterable(entries, "vector")
         raise
 
 
@@ -109,7 +109,7 @@ class GramLattice:
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if self.rank < 1:
+        if integer(self.rank, "rank") < 1:
             raise DimensionMismatch(f"a lattice needs rank >= 1, got rank {self.rank}")
         if len(self.gram) != self.rank:
             raise DimensionMismatch(
@@ -138,8 +138,8 @@ class GramLattice:
         """The lattice of a Gram matrix given as rows of integers; any
         other entry (a float, string or bool) is an error, not rounded."""
         g = tuple(tuple(integer(e, f"gram entry ({i}, {j})")
-                        for j, e in enumerate(_iterable(row, f"gram row {i}")))
-                  for i, row in enumerate(_iterable(rows, "gram")))
+                        for j, e in enumerate(iterable(row, f"gram row {i}")))
+                  for i, row in enumerate(iterable(rows, "gram")))
         return GramLattice(rank=len(g), gram=g)
 
     def check_length(self, x):
@@ -148,7 +148,7 @@ class GramLattice:
                 f"vector has length {len(x)}, lattice rank is {self.rank}")
 
 
-def _iterable(value, what: str):
+def iterable(value, what: str):
     """A vector, a matrix given as rows, or one of its rows: a list,
     tuple, numpy array or other iterable, but not a string. Anything
     else, as a number from a flat list, is a DimensionMismatch."""
@@ -187,7 +187,7 @@ def q_eval(lattice: GramLattice, x: Vector, y: Vector) -> Fraction:
     if type(x) is not tuple or not same and type(y) is not tuple:  # pi_map's tuple passes
         for v, name in ((x, "x"), (y, "y")):
             try:  # an iterator or a 0-d array has no length
-                len(_iterable(v, name))
+                len(iterable(v, name))
             except TypeError:
                 raise DimensionMismatch(f"{name} = {v!r} is not a sequence") from None
     lattice.check_length(x)
@@ -225,9 +225,20 @@ def _rationals(v, name: str):
     return tuple(int(e) if isinstance(e, Integral) else _rational(e) for e in v)
 
 
-@lru_cache(maxsize=64)
 def signature(lattice: GramLattice) -> SignatureReport:
-    """Inertia (n_plus, n_minus, n_zero) by exact congruence reduction.
+    """Inertia (n_plus, n_minus, n_zero) by exact congruence reduction,
+    cached per lattice. The cache hashes the lattice first, so an
+    unhashable one, such as a list, is named on the failure path alone."""
+    try:
+        return _inertia(lattice)
+    except TypeError:
+        of_kind(lattice, GramLattice, "lattice")
+        raise
+
+
+@lru_cache(maxsize=64)
+def _inertia(lattice: GramLattice) -> SignatureReport:
+    """signature's cached body.
 
     The matrix is a list of Fraction rows. Each step pops the row and
     column of the first nonzero diagonal entry d, counts its sign, and
@@ -261,6 +272,10 @@ def signature(lattice: GramLattice) -> SignatureReport:
     return SignatureReport(*counts, lattice.rank - sum(counts))
 
 
+# the cache's counters and reset, read through the public name
+signature.cache_info, signature.cache_clear = _inertia.cache_info, _inertia.cache_clear
+
+
 def integer_kernel(rows) -> list[tuple[int, ...]]:
     """Saturated basis of {v integral : A v = 0} for an integer matrix A.
 
@@ -288,8 +303,8 @@ def integer_kernel(rows) -> list[tuple[int, ...]]:
         a = [[e if type(e) is int else integer(e, f"kernel entry ({i}, {j})")
               for j, e in enumerate(row)] for i, row in enumerate(rows)]
     except TypeError:  # checked on the failure path alone: the exact test calls this
-        for i, row in enumerate(_iterable(rows, "kernel rows")):
-            _iterable(row, f"kernel row {i}")
+        for i, row in enumerate(iterable(rows, "kernel rows")):
+            iterable(row, f"kernel row {i}")
         raise
     if not a:
         return []
@@ -354,10 +369,10 @@ class HyperTriple:
 
     @staticmethod
     def from_rows(rows) -> "HyperTriple":
-        rows = list(_iterable(rows, "triple"))
+        rows = list(iterable(rows, "triple"))
         if len(rows) != 3:
             raise InvalidTriple(f"a triple needs exactly three vectors, got {len(rows)}")
-        return HyperTriple(*(vector(_iterable(r, f"triple vector {a}"))
+        return HyperTriple(*(vector(iterable(r, f"triple vector {a}"))
                              for a, r in enumerate(rows)))
 
     @property
@@ -391,13 +406,13 @@ def pairing_rows(lattice: GramLattice, triple: HyperTriple):
     gcd divided out and the exact positive Fraction with q(x, w_a) /
     q(w_a, w_a) = scale * (rows[a] . x). Every call checks; both checks are
     cached, the signature per lattice and the rows per pair."""
-    return _pairing(lattice, triple)[:2]
+    return pairing(lattice, triple)[:2]
 
 
-def _pairing(lattice: GramLattice, triple: HyperTriple):
+def pairing(lattice: GramLattice, triple: HyperTriple):
     """pairing_rows' checks, then its whole cached entry (rows, scale,
     nonzero, live): nonzero holds each row's nonzero entries as (j, e)
-    pairs, what the exact products rows . x read (_dot_nonzero), and live
+    pairs, what the exact products rows . x read (dot_nonzero), and live
     the coordinates where some row is nonzero, ascending (K3: 6 of 22)."""
     sig = signature(lattice).as_tuple()
     if sig != (3, lattice.rank - 3, 0):
@@ -409,7 +424,7 @@ def _pairing(lattice: GramLattice, triple: HyperTriple):
 def _triple_rows(lattice: GramLattice, triple: HyperTriple):
     norm = triple.validate(lattice)
     # the row q(e_i, w) over i is G w
-    pairing = [e for w in triple.vectors for e in _dot_nonzero(lattice._nonzero, w)]
+    pairing = [e for w in triple.vectors for e in dot_nonzero(lattice._nonzero, w)]
     flat = primitive(clear_denominators(pairing))
     k = next(i for i, e in enumerate(flat) if e)
     r = lattice.rank
@@ -424,7 +439,7 @@ def dot_rows(rows, x) -> tuple:
     return tuple(sum(map(operator.mul, row, x)) for row in rows)
 
 
-def _dot_nonzero(nonzero, x) -> tuple:
+def dot_nonzero(nonzero, x) -> tuple:
     """The products rows[a] . x, each row given by its nonzero entries as
     (j, e) pairs: the sum of e * x[j] over them."""
     return tuple([sum([e * x[j] for j, e in row]) for row in nonzero])
@@ -433,10 +448,10 @@ def _dot_nonzero(nonzero, x) -> tuple:
 def project_to_V(lattice: GramLattice, triple: HyperTriple, x):
     """Coefficients (a, b, c) of the q-orthogonal projection of x onto V,
     so p(x) = a w_I + b w_J + c w_K and x - p(x) is q-orthogonal to V."""
-    _, scale, nonzero, _ = _pairing(lattice, triple)
+    _, scale, nonzero, _ = pairing(lattice, triple)
     x = vector(x)
     lattice.check_length(x)
-    return tuple(scale * t for t in _dot_nonzero(nonzero, x))
+    return tuple(scale * t for t in dot_nonzero(nonzero, x))
 
 
 def expand_in_V(triple: HyperTriple, coeffs) -> Vector:

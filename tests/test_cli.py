@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from twistorlat import scanning, twistor
+from twistorlat import box, scanning
 from twistorlat.cli import main
 
 
@@ -376,11 +376,24 @@ class TestDensity:
     def test_largest_box_fails_before_header(self, monkeypatch):
         # B=3 gives 7^6 vectors, over a limit of 1000; B=1 and B=2 would
         # pass, and used to print the header and their rows first
-        monkeypatch.setattr(twistor, "_MAX_BOX_VECTORS", 1000)
+        monkeypatch.setattr(box, "MAX_BOX_VECTORS", 1000)
         res = invoke("density", "--lattice", "U3", "--bound", "3", "--grid", "20")
         assert res.exit_code == 1
         assert res.output == ("error: box bound B=3 over k=6 coordinates gives "
                               "(2B+1)^k = 117649 vectors, more than 1000\n")
+
+    def test_one_box_cap_refuses_the_box_and_the_grid(self, monkeypatch):
+        # the cap is bound once, in box, and read there at each call: one
+        # patch lowers both the box walk's and the grid's
+        monkeypatch.setattr(box, "MAX_BOX_VECTORS", 1000)
+        for args, message in ((("--bound", "3", "--grid", "20"),
+                               "box bound B=3 over k=6 coordinates gives (2B+1)^k = 117649 "
+                               "vectors, more than 1000"),
+                              (("--bound", "1", "--grid", "40"),
+                               "grid_resolution 40 gives 1600 grid points, more than 1000")):
+            res = invoke("density", "--lattice", "U3", *args)
+            assert res.exit_code == 1
+            assert res.output == f"error: {message}\n"
 
     def test_empty_largest_cloud_fails_before_header(self):
         # K3's coordinates 6 and 7 span no positive vector at any bound

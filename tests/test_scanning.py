@@ -21,6 +21,7 @@ from twistorlat import (
     InvalidSignature,
     InvalidTriple,
     InvariantViolation,
+    IrrationalPoint,
     NotPositive,
     NotUnitImaginary,
     PointCloud,
@@ -31,6 +32,7 @@ from twistorlat import (
     integer_kernel,
     is_general_type,
     load_lattice,
+    omega_of,
     pi_map,
     scan_algebraic,
     scan_non_general_type,
@@ -38,7 +40,9 @@ from twistorlat import (
     write_csv,
     write_svg,
 )
-from twistorlat import scanning, twistor
+from twistorlat import box, covering, scanning, twistor
+from twistorlat.box import box_pairings, digits, ray_keys, ray_order
+from twistorlat.covering import fibonacci_sphere
 from twistorlat.linalg import pairing_rows, signature
 from twistorlat.quaternions import (
     ComplexStructureMatrix,
@@ -50,8 +54,6 @@ from twistorlat.quaternions import (
     two_form_from_coords,
     verify_model,
 )
-from twistorlat.scanning import fibonacci_sphere
-from twistorlat.twistor import _box_pairings, _digits, _ray_keys, _ray_order
 
 from support import reference_write_csv, reference_write_svg
 
@@ -73,11 +75,11 @@ def walk_blocks(k, b):
     of H- in each block, the digits of their indices in the whole box from
     the block's start, and the pairing of each, the row of t of its table
     row's group. A block's prefix rows high are its vectors' leading digits."""
-    walk = _box_pairings(rows_of_width(k), b)
+    walk = box_pairings(rows_of_width(k), b)
     n, d = len(walk.groups), len(walk.firsts)
     for start, high, m, t in walk.blocks:
         at = np.arange(m)
-        vecs = _digits(start + at, k, b)
+        vecs = digits(start + at, k, b)
         assert (vecs[:, :k - walk.free] == high[at // n]).all()
         yield vecs, t[at // n * d + walk.groups[at % n]]
 
@@ -115,14 +117,14 @@ class TestBoxVectors:
         # a masked scan walks only its k coordinates (here 2 of 22); the
         # witnesses are spread to rank r (TestScanAlgebraic.test_masked_k3)
         blocks = []
-        box_pairings = scanning._box_pairings
+        box_pairings = scanning.box_pairings
 
         def recording(rows, b):
             walk = box_pairings(rows, b)
             blocks.extend(walk.blocks)
             return walk._replace(blocks=iter(blocks))
 
-        monkeypatch.setattr(scanning, "_box_pairings", recording)
+        monkeypatch.setattr(scanning, "box_pairings", recording)
         scan_algebraic(K3, K3_TRIPLE, 1, (0, 1))
         # one block: no prefix coordinate, and the 4 vectors of H- of a
         # table of 9 rows; t = (x0 + x1, 0, 0) takes 5 values on the table,
@@ -139,10 +141,10 @@ class TestBoxVectors:
         assert all(next(e for e in v if e) < 0 for v in vecs)
 
     def test_array_agrees_with_generator(self, monkeypatch):
-        monkeypatch.setattr(twistor, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
+        monkeypatch.setattr(box, "BLOCK_BYTES", TINY_BLOCK_BYTES)
         # the full walk's 25, 1 and 5 blocks, up to the one where H- ends
         for k, b, n_blocks in ((6, 2, 13), (3, 1, 1), (5, 2, 3)):
-            blocks = list(_box_pairings(rows_of_width(k), b).blocks)
+            blocks = list(box_pairings(rows_of_width(k), b).blocks)
             assert len(blocks) == n_blocks
             assert all(high.dtype == t.dtype == np.int64 for _, high, _, t in blocks)
             assert box_rows(k, b) == reference_half(k, b)
@@ -155,8 +157,8 @@ class TestBoxVectors:
     def test_coordinate_over_budget_is_cut(self, k, monkeypatch):
         # 64 bytes hold 8 // k rows, fewer than the 21 values of one
         # coordinate at B=10: the last coordinate's range is cut into chunks
-        monkeypatch.setattr(twistor, "_BLOCK_BYTES", 64)
-        blocks = list(_box_pairings(rows_of_width(k), 10).blocks)
+        monkeypatch.setattr(box, "BLOCK_BYTES", 64)
+        blocks = list(box_pairings(rows_of_width(k), 10).blocks)
         assert all(1 < len(high) and high.nbytes <= 64 for _, high, _, _ in blocks)
         assert box_rows(k, 10) == reference_half(k, 10)
         # no coordinate fits: blocks of 8 // k consecutive vectors of H-,
@@ -171,16 +173,16 @@ class TestBoxVectors:
         # per_block // (2B+1)^free whole prefixes over all of them, or
         # per_block vectors when free = 0
         if block_bytes:
-            monkeypatch.setattr(twistor, "_BLOCK_BYTES", block_bytes)
+            monkeypatch.setattr(box, "BLOCK_BYTES", block_bytes)
         for k, b in itertools.product(range(1, 7), (1, 2, 10)):
             side = 2 * b + 1
             if side ** k > 10 ** 6:
                 continue
-            per_block = twistor._BLOCK_BYTES // (8 * k)
+            per_block = box.BLOCK_BYTES // (8 * k)
             free = max(f for f in range(k + 1) if side ** f <= per_block)
             step = per_block // side ** free  # prefixes a block: per_block when free = 0
             size = step * side ** free
-            walk = _box_pairings(rows_of_width(k), b)
+            walk = box_pairings(rows_of_width(k), b)
             assert walk.free == free and len(walk.groups) == side ** free
             if not free:  # the table is one empty row
                 assert walk.groups.tolist() == walk.firsts.tolist() == [0]
@@ -195,7 +197,7 @@ class TestBoxVectors:
             assert sum(lengths) == (side ** k - 1) // 2
             # what a block materializes: its prefix rows, and a row of t
             # for each distinct pairing (at most one a vector)
-            assert all(high.nbytes <= twistor._BLOCK_BYTES and len(t) <= per_block
+            assert all(high.nbytes <= box.BLOCK_BYTES and len(t) <= per_block
                        for _, high, _, t in blocks)
             # t holds the groups whose first vector lies in H-: all of them
             # in every block but the last
@@ -216,9 +218,9 @@ class TestBoxVectors:
                                            max_size=k), min_size=3, max_size=3))
         with pytest.MonkeyPatch.context() as mp:
             if block_bytes:
-                mp.setattr(twistor, "_BLOCK_BYTES", block_bytes)
-            walk = _box_pairings(rows, b)
-            per_block = twistor._BLOCK_BYTES // (8 * k)
+                mp.setattr(box, "BLOCK_BYTES", block_bytes)
+            walk = box_pairings(rows, b)
+            per_block = box.BLOCK_BYTES // (8 * k)
         side = 2 * b + 1
         free = max(f for f in range(k + 1) if side ** f <= per_block)
         assert walk.free == free
@@ -256,7 +258,7 @@ class TestBoxVectors:
         for i, j in itertools.combinations_with_replacement(range(k), 2):
             gram[i, j] = gram[j, i] = next(entries)
         q_low, p_low, lam = scanning._table_terms(
-            scanning._int64(gram.tolist(), (b * k) ** 2, "max|G|*B^2*k^2"), free, b)
+            box.int64(gram.tolist(), (b * k) ** 2, "max|G|*B^2*k^2"), free, b)
         lo = k - free
         digits = np.array(list(itertools.product(range(-b, b + 1), repeat=free)),
                           dtype=object).reshape((2 * b + 1) ** free, free)
@@ -273,10 +275,10 @@ class TestBoxVectors:
     def test_box_size_guard(self):
         # 9^6 = 531441, the largest box the suite and the bench walk: H- is
         # (9^6 - 1) / 2 of it
-        assert (sum(m for _, _, m, _ in _box_pairings(rows_of_width(6), 4).blocks)
+        assert (sum(m for _, _, m, _ in box_pairings(rows_of_width(6), 4).blocks)
                 == (9 ** 6 - 1) // 2)
         with pytest.raises(InvalidBound, match=r"B=1 over k=22 .* 31381059609"):
-            _box_pairings(rows_of_width(22), 1)
+            box_pairings(rows_of_width(22), 1)
 
     def test_k3_bounded_search_fails_fast(self):
         point = TwistorPoint.from_unit(1.0, math.sqrt(2.0), 0.3)
@@ -496,9 +498,19 @@ def test_clouds_independent_of_block_budget(scan, both_signs, monkeypatch):
         return [(p.dir, cloud.witness(p)) for p in cloud]
 
     default = entries()
-    monkeypatch.setattr(twistor, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
-    assert len(list(_box_pairings(pairing_rows(U3, TRIPLE)[0], 2).blocks)) == 13
+    monkeypatch.setattr(box, "BLOCK_BYTES", TINY_BLOCK_BYTES)
+    assert len(list(box_pairings(pairing_rows(U3, TRIPLE)[0], 2).blocks)) == 13
     assert entries() == default == reference_cloud(both_signs)
+
+
+def test_one_block_budget_moves_the_walk_and_the_screen(monkeypatch):
+    # the budget is bound once, in box, and read there at each call: one
+    # patch moves the walk's rows a block and the screen's rows a product
+    dirs = np.array([[1, 2, 3], [4, -5, 7]])  # no sign flip folds it: a band of 2
+    monkeypatch.setattr(box, "BLOCK_BYTES", TINY_BLOCK_BYTES)
+    walk = box_pairings(rows_of_width(6), 2)
+    assert walk.free == 4 and [len(high) for _, high, _, _ in walk.blocks] == [1] * 13
+    assert covering._Screen(dirs, np.zeros((3, 1), np.float32)).step == TINY_BLOCK_BYTES // 16
 
 
 @pytest.mark.parametrize("scan", [scan_algebraic, scan_non_general_type])
@@ -508,11 +520,11 @@ def test_one_ray_dedup_per_scan(scan, monkeypatch):
 
     def counting(rays, top):
         calls.append(len(rays))
-        return _ray_keys(rays, top)
+        return ray_keys(rays, top)
 
-    monkeypatch.setattr(twistor, "_BLOCK_BYTES", TINY_BLOCK_BYTES)
-    monkeypatch.setattr(scanning, "_ray_keys", counting)
-    assert len(list(_box_pairings(pairing_rows(U3, TRIPLE)[0], 2).blocks)) == 13
+    monkeypatch.setattr(box, "BLOCK_BYTES", TINY_BLOCK_BYTES)
+    monkeypatch.setattr(scanning, "ray_keys", counting)
+    assert len(list(box_pairings(pairing_rows(U3, TRIPLE)[0], 2).blocks)) == 13
     cloud = scan(U3, TRIPLE, 2)
     # two candidates, r and -r, per counting group
     assert len(calls) == 1 and calls[0] % 2 == 0 and calls[0] >= len(cloud) > 0
@@ -541,7 +553,7 @@ def reference_box_pairings(rows, b):
     k = len(rows[0])
     rows = np.array(rows, dtype=np.int64)
     side = 2 * b + 1
-    per_block = max(1, twistor._BLOCK_BYTES // (8 * max(k, 1)))
+    per_block = max(1, box.BLOCK_BYTES // (8 * max(k, 1)))
     free = k
     while free > 1 and side ** free > per_block:
         free -= 1
@@ -685,8 +697,7 @@ def test_half_walk_gives_full_walk_results(case, picks, gauss):
                      for p in points]
     with pytest.MonkeyPatch.context() as mp:
         if block_bytes:
-            mp.setattr(twistor, "_BLOCK_BYTES", block_bytes)
-            mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(box, "BLOCK_BYTES", block_bytes)
         for scan, both in ((scan_algebraic, False), (scan_non_general_type, True)):
             cloud = scan(lattice, triple, bound, mask)
             assert cloud.dirs.tolist() == expected[both][0].tolist()
@@ -749,7 +760,7 @@ def test_least_bounds_are_the_smaller_boxes(case):
     expected = reference_least_bounds(lattice, triple, bound, mask)
     with pytest.MonkeyPatch.context() as mp:
         if block_bytes:
-            mp.setattr(twistor, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(box, "BLOCK_BYTES", block_bytes)
         cloud = scan_algebraic(lattice, triple, bound, mask)
     least = cloud.least_bounds
     assert least.dtype == np.min_scalar_type(bound + 1) and not least.flags.writeable
@@ -795,7 +806,7 @@ def test_ray_order(rays, order):
     # the first index of each distinct row, in lexicographic row order,
     # and the position of each row's distinct row in that order
     rays = np.array(rays, dtype=np.int64).reshape(-1, 3)
-    firsts, groups = _ray_order(rays)
+    firsts, groups = ray_order(rays)
     assert firsts.tolist() == order
     first = {}
     for i, row in enumerate(map(tuple, rays.tolist())):
@@ -817,7 +828,7 @@ EXTREMES = [2 ** 63 - 1, 2 ** 62, 2 ** 20, 2 ** 20 - 1, 1, 0]
 def test_ray_order_equals_sorted(rays):
     # packed or as records, the rows sort as Python sorts their tuples,
     # for every int64 entry but -2^63, which PointCloud refuses
-    firsts, groups = _ray_order(np.array(rays, dtype=np.int64).reshape(-1, 3))
+    firsts, groups = ray_order(np.array(rays, dtype=np.int64).reshape(-1, 3))
     distinct = sorted(set(rays))
     assert [rays[i] for i in firsts.tolist()] == distinct
     assert firsts.tolist() == [rays.index(row) for row in distinct]
@@ -977,7 +988,7 @@ def reference_covering_radius(cloud, grid_resolution):
     whose best is within 2e-12 of the least hold the exact least, and
     only their points within 2e-12 of the row's best are taken exactly."""
     grid = reference_grid(grid_resolution * grid_resolution)
-    units = scanning._units(cloud.dirs)
+    units = scanning.units(cloud.dirs)
     cos = grid @ units.T
     best = cos.max(axis=1)
     least = min(max(exact_cosine(grid[i], units[j])
@@ -989,7 +1000,7 @@ def reference_covering_radius(cloud, grid_resolution):
 def brute_covering_radius(cloud, grid_resolution):
     """The same definition with every cosine a Fraction: no float filter."""
     grid = reference_grid(grid_resolution * grid_resolution)
-    units = scanning._units(cloud.dirs)
+    units = scanning.units(cloud.dirs)
     least = min(max(exact_cosine(row, unit) for unit in units) for row in grid)
     return math.acos(min(1.0, max(-1.0, float(least))))
 
@@ -1064,7 +1075,7 @@ class TestCoveringRadius:
         assume(len(cloud))
         with pytest.MonkeyPatch.context() as mp:
             # small blocks put the rows near the least cosine in many blocks
-            mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(box, "BLOCK_BYTES", block_bytes)
             assert (repr(covering_radius(cloud, resolution))
                     == repr(reference_covering_radius(cloud, resolution)))
 
@@ -1086,8 +1097,8 @@ class TestCoveringRadius:
         clouds = [cloud for cloud in (random_cloud(*c) for c in clouds) if len(cloud)]
         assume(clouds)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
-            radii = scanning._covering_radii([c.dirs for c in clouds], resolution)
+            mp.setattr(box, "BLOCK_BYTES", block_bytes)
+            radii = covering.covering_radii([c.dirs for c in clouds], resolution)
             assert ([repr(r) for r in radii]
                     == [repr(reference_covering_radius(c, resolution)) for c in clouds])
 
@@ -1119,12 +1130,12 @@ class TestCoveringRadius:
             cuts[1] = cuts[1][(cloud.dirs[cuts[1]] != cloud.dirs[order[0]]).any(axis=1)]
             assume(len(cuts[1]))
         clouds = [PointCloud(cloud.dirs[i], cloud.witnesses[i]) for i in cuts]
-        assert ([scanning._holds(scanning._keyed(b.dirs), a.dirs)
+        assert ([covering._holds(covering._keyed(b.dirs), a.dirs)
                  for a, b in zip(clouds, clouds[1:])]
                 == [not (outside and j == 0) for j in range(len(clouds) - 1)])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
-            radii = scanning._covering_radii([c.dirs for c in clouds], resolution)
+            mp.setattr(box, "BLOCK_BYTES", block_bytes)
+            radii = covering.covering_radii([c.dirs for c in clouds], resolution)
             assert ([repr(r) for r in radii]
                     == [repr(reference_covering_radius(c, resolution)) for c in clouds])
 
@@ -1141,7 +1152,7 @@ class TestCoveringRadius:
         expected = repr(brute_covering_radius(cloud, resolution))
         assert repr(reference_covering_radius(cloud, resolution)) == expected
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(box, "BLOCK_BYTES", block_bytes)
             assert repr(covering_radius(cloud, resolution)) == expected
 
     @pytest.mark.parametrize("coordinates", [(0,), (2,), (0, 2)])
@@ -1153,7 +1164,7 @@ class TestCoveringRadius:
         folds = np.isin([0, 1, 2], coordinates)
         for cut in (dirs, dirs[1:]):
             cloud = PointCloud(cut, np.zeros((len(cut), 1), np.int64))
-            screen = scanning._Screen(cut, np.zeros((3, 1), np.float32))
+            screen = covering._Screen(cut, np.zeros((3, 1), np.float32))
             assert screen.flips.tolist() == (folds & (cut is dirs)).tolist()
             for resolution in (7, 40):
                 assert (repr(covering_radius(cloud, resolution))
@@ -1170,13 +1181,13 @@ class TestCoveringRadius:
         if mirrored == "smaller":
             inner, outer = outer, np.vstack([outer, rng.integers(-50, 51, (20, 3))])
         clouds = [PointCloud(d, np.zeros((len(d), 1), np.int64)) for d in (inner, outer)]
-        assert scanning._holds(scanning._keyed(outer), inner)
+        assert covering._holds(covering._keyed(outer), inner)
         sample = np.zeros((3, 1), np.float32)
-        assert ([scanning._Screen(d, sample).flips.any() for d in (inner, outer)]
+        assert ([covering._Screen(d, sample).flips.any() for d in (inner, outer)]
                 == [mirrored == "smaller", mirrored == "larger"])
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
-            radii = scanning._covering_radii([inner, outer], 30)
+            mp.setattr(box, "BLOCK_BYTES", block_bytes)
+            radii = covering.covering_radii([inner, outer], 30)
             assert radii == [covering_radius(c, 30) for c in clouds]
         assert [repr(r) for r in radii] == [repr(reference_covering_radius(c, 30))
                                             for c in clouds]
@@ -1210,7 +1221,7 @@ class TestCoveringRadius:
         for i, j in itertools.combinations(range(30), 2):
             v = -(grid[i] + grid[j])
             ray = np.rint(v / np.abs(v).max() * 2.0 ** 40).astype(np.int64)
-            units = scanning._units(ray[None])
+            units = scanning.units(ray[None])
             cos64 = (grid @ units.T)[:, 0]
             cos32 = (grid.astype(np.float32) @ units.astype(np.float32).T)[:, 0]
             if ({np.argmin(cos64), np.argmin(cos32)} == {i, j} and i // 8 != j // 8
@@ -1220,7 +1231,7 @@ class TestCoveringRadius:
             pytest.fail("no pair of rows 0..29 ranks differently in float32")
         assert 0 < cos64[np.argmin(cos32)] - cos64.min() < 1e-12
         cloud = PointCloud(ray[None], np.zeros((1, 1), np.int64))
-        monkeypatch.setattr(scanning, "_BLOCK_BYTES", 64)  # 8 rows a block
+        monkeypatch.setattr(box, "BLOCK_BYTES", 64)  # 8 rows a block
         assert repr(covering_radius(cloud, 20)) == repr(reference_covering_radius(cloud, 20))
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -1232,18 +1243,18 @@ class TestCoveringRadius:
         cloud = random_cloud(seed, kind, size)
         assume(len(cloud))
         grid = reference_grid(resolution ** 2)
-        units = scanning._units(cloud.dirs)
+        units = scanning.units(cloud.dirs)
         best64 = np.max(grid @ units.T, axis=1)
         best32 = np.max(grid.astype(np.float32) @ units.astype(np.float32).T, axis=1)
         assert np.abs(best32 - best64).max() <= 5 * 2.0 ** -24 * (1 + 2.0 ** -20)
-        assert 5 * 2.0 ** -24 * (1 + 2.0 ** -20) < scanning._EPS32
+        assert 5 * 2.0 ** -24 * (1 + 2.0 ** -20) < covering._EPS32
 
     def test_memory_within_the_cloud_and_two_budgets(self, monkeypatch):
         # the sample rows and the far rows go a block at a time: at once,
         # their float32 cosines against this cloud would take 16 MB and 9 MB
         budget = 1 << 18
-        monkeypatch.setattr(scanning, "_BLOCK_BYTES", budget)
         cloud = scan_algebraic(U3, TRIPLE, 7)
+        monkeypatch.setattr(box, "BLOCK_BYTES", budget)
         covering_radius(cloud, 200)  # numpy's first-call allocations
         tracemalloc.start()
         try:
@@ -1257,12 +1268,12 @@ class TestCoveringRadius:
         # every cloud's band is held for the whole walk, and the products
         # go a block at a time
         budget = 1 << 18
-        monkeypatch.setattr(scanning, "_BLOCK_BYTES", budget)
         clouds = [scan_algebraic(U3, TRIPLE, b) for b in (3, 5, 7)]
-        scanning._covering_radii([c.dirs for c in clouds], 200)  # numpy's first-call allocations
+        monkeypatch.setattr(box, "BLOCK_BYTES", budget)
+        covering.covering_radii([c.dirs for c in clouds], 200)  # numpy's first-call allocations
         tracemalloc.start()
         try:
-            scanning._covering_radii([c.dirs for c in clouds], 200)
+            covering.covering_radii([c.dirs for c in clouds], 200)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -1327,11 +1338,11 @@ class TestCoveringRadius:
         for start, stop, stride in ((0, n, math.isqrt(n)), (0, 9 * 200, 200),
                                     (3, n // 2, 7), (n - 1, n + 5, 3)):
             rows = np.arange(start, min(stop, n), stride)
-            assert (scanning._fibonacci_rows(n, rows).tobytes()
+            assert (covering._fibonacci_rows(n, rows).tobytes()
                     == reference_grid(n)[start:stop:stride].tobytes())
         # the scattered rows radius rebuilds
         rows = np.array([n - 1, 0, n // 3, n // 3])
-        assert scanning._fibonacci_rows(n, rows).tobytes() == reference_grid(n)[rows].tobytes()
+        assert covering._fibonacci_rows(n, rows).tobytes() == reference_grid(n)[rows].tobytes()
 
     def test_grid_size_checked(self):
         # 31623^2 is just over 10^9 points: rejected before any is built
@@ -1451,6 +1462,11 @@ EMPTY_CLOUD = PointCloud(np.empty((0, 3), dtype=np.int64), np.empty((0, 6), dtyp
      "expected a 4x4 matrix of numbers, got dtype <U1"),
     (lambda: TwoForm(n=2, mat=np.eye(8, dtype=bool)), DimensionMismatch,
      "expected a 8x8 matrix of numbers, got dtype bool"),
+    # never a bare TypeError from comparing None with 1
+    (lambda: GramLattice(gram=((1,),), rank=None), TwistorLatticeError,
+     "rank = None is not an integer"),
+    (lambda: omega_of(TRIPLE, TwistorPoint.from_unit(0.0, 3.0, 4.0)), IrrationalPoint,
+     "operation needs an exact rational ray, got TwistorPoint(unit=(0.0, 0.6, 0.8))"),
 ])
 def test_error_names_its_input(call, error, message):
     with pytest.raises(error) as info:
@@ -1530,7 +1546,7 @@ def test_walk_memory_within_two_blocks_and_the_cloud(call):
         tracemalloc.stop()
     held = (result.dirs.nbytes + result.witnesses.nbytes
             if isinstance(result, PointCloud) else 0)
-    assert peak <= 2 * twistor._BLOCK_BYTES + held
+    assert peak <= 2 * box.BLOCK_BYTES + held
 
 
 class TestEmission:
@@ -1633,7 +1649,7 @@ def test_writers_match_the_per_point_writers(rays, width, entries, block_bytes):
     cloud = PointCloud(dirs, witnesses)
     with pytest.MonkeyPatch.context() as mp:
         if block_bytes:
-            mp.setattr(scanning, "_BLOCK_BYTES", block_bytes)
+            mp.setattr(box, "BLOCK_BYTES", block_bytes)
         for writer, reference in ((write_csv, reference_write_csv),
                                   (write_svg, reference_write_svg)):
             got, want = io.StringIO(), io.StringIO()
@@ -1699,8 +1715,8 @@ def test_writer_memory_within_the_cloud_and_two_budgets(writer, monkeypatch):
     # the text goes out a chunk of rows at a time: a CSV of many budgets
     # peaks within the cloud's bytes and two budgets
     budget = 1 << 13
-    monkeypatch.setattr(scanning, "_BLOCK_BYTES", budget)
     cloud = scan_algebraic(U3, TRIPLE, 3)
+    monkeypatch.setattr(box, "BLOCK_BYTES", budget)
     buf = io.StringIO()
     write_csv(cloud, buf)
     assert len(buf.getvalue()) > 20 * budget

@@ -38,7 +38,7 @@ from twistorlat import (
     two_zero_plane,
     vector,
 )
-from twistorlat import twistor
+from twistorlat import box, twistor
 from twistorlat.linalg import dot_rows, integer_kernel, pairing_rows, signature
 
 from support import (
@@ -245,9 +245,14 @@ def test_wrong_signature_rejected_by_every_call(call):
     (lambda: stereographic_inverse(None), "zeta = None is not a Complex"),
     (lambda: signature(None), "lattice = None is not a GramLattice"),
     (lambda: pi_map(None, TRIPLE, [1, 0, 0, 0, 0, 0]), "lattice = None is not a GramLattice"),
+    # unhashable: the cache's hash fails before its body runs
+    (lambda: signature([[1]]), "lattice = [[1]] is not a GramLattice"),
+    (lambda: signature({}), "lattice = {} is not a GramLattice"),
+    (lambda: pi_map([[1]], TRIPLE, [1, 0, 0, 0, 0, 0]), "lattice = [[1]] is not a GramLattice"),
 ], ids=["general_type_exact", "general_type_bounded", "hodge_type_11", "stereographic",
         "antipode", "omega_of", "two_zero_plane", "stereographic_inverse_str",
-        "stereographic_inverse_none", "signature", "pi_map_lattice"])
+        "stereographic_inverse_none", "signature", "pi_map_lattice", "signature_list",
+        "signature_dict", "pi_map_unhashable_lattice"])
 def test_object_of_the_wrong_kind_is_refused(call, text):
     # a DimensionMismatch that names the argument, never a bare AttributeError
     with pytest.raises(DimensionMismatch) as info:
@@ -346,8 +351,8 @@ class TestGeneralType:
         # first box vector whose projection t is exactly collinear with
         # it, also when H- is searched in 13 blocks
         if block_bytes:
-            monkeypatch.setattr(twistor, "_BLOCK_BYTES", block_bytes)
-            blocks = twistor._box_pairings(pairing_rows(U3, TRIPLE)[0], 2).blocks
+            monkeypatch.setattr(box, "BLOCK_BYTES", block_bytes)
+            blocks = box.box_pairings(pairing_rows(U3, TRIPLE)[0], 2).blocks
             assert len(list(blocks)) == 13
 
         def collinear(t, d):
