@@ -27,7 +27,7 @@ in the kernel's cached entry with the live coordinates.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,22 +44,42 @@ from .errors import (
 
 Vector = tuple[Fraction, ...]
 
-_ZERO = Fraction(0)  # immutable, so every int 0 entry can share it
+# the Fractions of the ints within _SMALL of 0, built once: a Fraction is
+# immutable, so every int vector's small entries share them
+_SMALL = 128
+_FRACTIONS = {e: Fraction(e) for e in range(-_SMALL, _SMALL + 1)}
+# an int vector's entry types, INTS.issuperset(map(type, v)): not bools,
+# not numpy ints
+INTS = frozenset((int,))
 
 
 def vector(entries) -> Vector:
     """Coerce a sequence of ints, Fractions and 'p/q' strings to a Vector;
-    any other entry (a float, bool, None, ...) is an error, not rounded.
-    An int 0 becomes one shared Fraction(0): lattice classes are sparse.
-    Numpy ints, alone or in a Fraction, become ints: their arithmetic
-    wraps past 2^63."""
-    try:  # a Fraction of two ints passes as it is
-        return tuple(e if type(e) is Fraction and type(e.numerator) is int is type(e.denominator)
-                     else (Fraction(e) if e else _ZERO) if type(e) is int else
-                     _rational(e) for e in entries)
-    except TypeError:  # checked on the failure path alone: every pi_map builds one
-        iterable(entries, "vector")
-        raise
+    any other entry (a float, bool, None, ...) is an error, not rounded,
+    and what iterable refuses (a number, a string, a set or a mapping) a
+    DimensionMismatch. An int entry's Fraction comes from a table of the
+    small ints, as in int_vector. Numpy ints, alone or in a Fraction,
+    become ints: their arithmetic wraps past 2^63."""
+    if type(entries) is not tuple:  # a tuple, the common call, needs no check
+        entries = tuple(iterable(entries, "vector"))
+    if INTS.issuperset(map(type, entries)):
+        return int_vector(entries)
+    # a Fraction of two ints passes as it is
+    return tuple(e if type(e) is Fraction and type(e.numerator) is int is type(e.denominator)
+                 else _fraction(e) if type(e) is int else _rational(e) for e in entries)
+
+
+def int_vector(ints) -> Vector:
+    """The Vector of a tuple of ints (type int, as INTS tests): each
+    entry's Fraction from the table of the small ints, built only past it."""
+    try:  # one lookup an entry
+        return tuple(map(_FRACTIONS.__getitem__, ints))
+    except KeyError:
+        return tuple(map(_fraction, ints))
+
+
+def _fraction(e: int) -> Fraction:
+    return _FRACTIONS[e] if e in _FRACTIONS else Fraction(e)
 
 
 def _rational(e) -> Fraction:
@@ -85,10 +105,13 @@ def clear_denominators(v: Vector) -> tuple[int, ...]:
 
 
 def primitive(v) -> tuple[int, ...]:
-    """Divide an integer vector by the gcd of its entries (sign kept)."""
-    v = tuple(map(int, v))
+    """Divide an integer vector by the gcd of its entries (sign kept). A
+    tuple of ints is read as it is; any other entries (numpy ints) are
+    cast to int first."""
+    if type(v) is not tuple or not INTS.issuperset(map(type, v)):
+        v = tuple(map(int, v))
     g = gcd(*v)
-    return tuple(e // g for e in v) if g else v
+    return tuple([e // g for e in v]) if g > 1 else v
 
 
 @dataclass(frozen=True)
@@ -150,9 +173,10 @@ class GramLattice:
 
 def iterable(value, what: str):
     """A vector, a matrix given as rows, or one of its rows: a list,
-    tuple, numpy array or other iterable, but not a string. Anything
+    tuple, numpy array or other iterable in the caller's order, but not
+    a string, and not a set or mapping, whose order is its own. Anything
     else, as a number from a flat list, is a DimensionMismatch."""
-    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+    if isinstance(value, (str, bytes, Set, Mapping)) or not isinstance(value, Iterable):
         raise DimensionMismatch(f"{what} = {value!r} is not a sequence")
     return value
 
@@ -166,7 +190,10 @@ def of_kind(value, kind: type, what: str):
 
 
 def integer(value, what: str) -> int:
-    """An integer (numpy ints too) as an int; a float, string or bool is an error."""
+    """An integer as an int: an int as it is, with no further test, and a
+    numpy int cast; a float, string or bool is an error."""
+    if type(value) is int:
+        return value
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise TwistorLatticeError(f"{what} = {value!r} is not an integer")
     return int(value)
@@ -184,7 +211,7 @@ def q_eval(lattice: GramLattice, x: Vector, y: Vector) -> Fraction:
     vector casts it. x and y are sequences with a length: not a number,
     string, bytes or iterator."""
     same = y is x
-    if type(x) is not tuple or not same and type(y) is not tuple:  # pi_map's tuple passes
+    if type(x) is not tuple or not same and type(y) is not tuple:  # a tuple needs no check
         for v, name in ((x, "x"), (y, "y")):
             try:  # an iterator or a 0-d array has no length
                 len(iterable(v, name))
@@ -193,16 +220,22 @@ def q_eval(lattice: GramLattice, x: Vector, y: Vector) -> Fraction:
     lattice.check_length(x)
     lattice.check_length(y)
     x = _rationals(x, "x")
-    y = x if same else _rationals(y, "y")
+    return Fraction(q_sum(lattice, x, x if same else _rationals(y, "y")))
+
+
+def q_sum(lattice: GramLattice, x, y):
+    """q_eval's sum, unchecked: x_i g_ij y_j over the nonzero x_i and the
+    nonzero entries g_ij of their Gram rows, for sequences x and y of the
+    lattice's rank whose entries are ints or Fractions of ints. An int
+    when both are of ints."""
     total = 0
     for xi, row in zip(x, lattice._nonzero):
         if xi:
             for j, g in row:
                 total += xi * g * y[j]
-    return Fraction(total)
+    return total
 
 
-_INT = frozenset((int,))
 _EXACT = frozenset((int, Fraction))
 _NUMERATOR = operator.attrgetter("numerator")
 _DENOMINATOR = operator.attrgetter("denominator")
@@ -215,9 +248,9 @@ def _rationals(v, name: str):
     an int, as its arithmetic wraps past 2^63, even a zero one, which
     would turn the sum it meets into an int64. The first entry that is
     not a Rational (a float, string, None, ...) is refused, named."""
-    if _INT.issuperset(map(type, v)) or (
-            _EXACT.issuperset(map(type, v)) and _INT.issuperset(map(type, map(_NUMERATOR, v)))
-            and _INT.issuperset(map(type, map(_DENOMINATOR, v)))):
+    if INTS.issuperset(map(type, v)) or (
+            _EXACT.issuperset(map(type, v)) and INTS.issuperset(map(type, map(_NUMERATOR, v)))
+            and INTS.issuperset(map(type, map(_DENOMINATOR, v)))):
         return v
     for i, e in enumerate(v):
         if not isinstance(e, Rational):
@@ -441,15 +474,21 @@ def dot_rows(rows, x) -> tuple:
 
 def dot_nonzero(nonzero, x) -> tuple:
     """The products rows[a] . x, each row given by its nonzero entries as
-    (j, e) pairs: the sum of e * x[j] over them."""
-    return tuple([sum([e * x[j] for j, e in row]) for row in nonzero])
+    (j, e) pairs: the sum of e * x[j] over them, left to right."""
+    out = []
+    for row in nonzero:  # plain loops: a comprehension would make a frame a row
+        total = 0
+        for j, e in row:
+            total += e * x[j]
+        out.append(total)
+    return tuple(out)
 
 
 def project_to_V(lattice: GramLattice, triple: HyperTriple, x):
     """Coefficients (a, b, c) of the q-orthogonal projection of x onto V,
     so p(x) = a w_I + b w_J + c w_K and x - p(x) is q-orthogonal to V."""
     _, scale, nonzero, _ = pairing(lattice, triple)
-    x = vector(x)
+    x = vector(x if type(x) is tuple else iterable(x, "x"))
     lattice.check_length(x)
     return tuple(scale * t for t in dot_nonzero(nonzero, x))
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Set
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -78,6 +79,11 @@ class PointCloud:
     @cached_property
     def _index(self) -> dict[tuple[int, int, int], int]:
         return {d: i for i, d in enumerate(map(tuple, self.dirs.tolist()))}
+
+    @cached_property
+    def _ray_order(self) -> np.ndarray:
+        """The row indices in exact ray order, sorted once for both writers."""
+        return ray_order(self.dirs)[0]
 
     def __len__(self):
         return len(self.dirs)
@@ -196,7 +202,8 @@ def _scan(lattice: GramLattice, triple: HyperTriple, bound: int, mask,
     full_rows, _ = pairing_rows(lattice, triple)
     bound = integer(bound, "bound")
     active = (list(range(lattice.rank)) if mask is None
-              else sorted({integer(i, "mask entry") for i in iterable(mask, "mask")}))
+              else sorted({integer(i, "mask entry") for i in  # a set too: the order is dropped
+                           (mask if isinstance(mask, Set) else iterable(mask, "mask"))}))
     for i in active:
         if not 0 <= i < lattice.rank:
             raise DimensionMismatch(f"mask index {i} out of range for rank {lattice.rank}")
@@ -294,7 +301,7 @@ def _by_ray(cloud: PointCloud, row_bytes: int):
     """The cloud's row indices in exact ray order, in chunks of rows whose
     arrays, Python objects and text, about row_bytes a row, fill at most
     box.BLOCK_BYTES."""
-    order = ray_order(cloud.dirs)[0]
+    order = cloud._ray_order
     step = max(1, box.BLOCK_BYTES // row_bytes)
     return (order[s:s + step] for s in range(0, len(order), step))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from numbers import Complex
 from operator import itemgetter
 from typing import Optional
@@ -24,19 +25,21 @@ import numpy as np
 from .box import box_pairings, digits
 from .errors import InvalidBound, InvariantViolation, IrrationalPoint, NotPositive
 from .linalg import (
+    INTS,
     GramLattice,
     HyperTriple,
     Vector,
     clear_denominators,
     dot_nonzero,
     expand_in_V,
+    int_vector,
     integer,
     integer_kernel,
     iterable,
     of_kind,
     pairing,
     primitive,
-    q_eval,
+    q_sum,
     vector,
 )
 from .quaternions import unit_direction
@@ -146,27 +149,30 @@ def pi_map(lattice: GramLattice, triple: HyperTriple, omega) -> PositiveClass:
     t = rows . omega itself, by construction: for L = t / gcd(t),
     q(omega, omega_L) is a positive multiple of |t|^2. The kernel checks
     the signature first: V-perp is negative definite, so t != 0. Both q
-    and t read only nonzero entries: q_eval those of the Gram, t those
-    of the pairing rows (K3: 6 of 66).
+    and t read only nonzero entries: q (q_sum, q_eval's sum) those of
+    the Gram, t those of the pairing rows (K3: 6 of 66). Both are taken
+    in ints on the cleared multiple of omega, after one length check.
 
     An omega of ints (type int: not bools, not numpy ints) is its own
-    cleared multiple, so q and t are taken on it directly, in ints; only
-    the returned vec is made of Fractions, on either path."""
+    cleared multiple and is not parsed: its vec takes each Fraction from
+    linalg's table of the small ints (int_vector). Any other omega is
+    parsed by vector, to the same vec for the same values. A set or
+    mapping, whose order is its own, is a DimensionMismatch."""
     nonzero = pairing(lattice, triple)[2]
     if type(omega) is not tuple:  # a tuple, the common call, needs no check
         omega = tuple(iterable(omega, "omega"))
-    if all(type(e) is int for e in omega):
-        cleared = omega
+    if INTS.issuperset(map(type, omega)):
+        cleared, vec = omega, int_vector(omega)
     else:
-        omega = vector(omega)
-        cleared = clear_denominators(omega)  # a positive multiple: same sign of q
-    q = q_eval(lattice, cleared, cleared)
+        vec = vector(omega)
+        cleared = clear_denominators(vec)  # a positive multiple: same sign of q
+    lattice.check_length(cleared)
+    q = q_sum(lattice, cleared, cleared)
     if q <= 0:  # q(omega, omega) is q / lcm(denominators)^2
-        scale = math.lcm(*(e.denominator for e in omega))
-        raise NotPositive(f"pi_map needs q(omega, omega) > 0, got q = {q / scale ** 2} "
-                          f"for omega = ({', '.join(map(str, omega))})")
-    return PositiveClass(vec=vector(omega) if cleared is omega else omega,  # once a call
-                         point=TwistorPoint._from_ints(dot_nonzero(nonzero, cleared)))
+        scale = math.lcm(*(e.denominator for e in vec))
+        raise NotPositive(f"pi_map needs q(omega, omega) > 0, got q = {Fraction(q, scale ** 2)} "
+                          f"for omega = ({', '.join(map(str, vec))})")
+    return PositiveClass(vec=vec, point=TwistorPoint._from_ints(dot_nonzero(nonzero, cleared)))
 
 
 def antipode(point: TwistorPoint) -> TwistorPoint:
@@ -184,7 +190,7 @@ def hodge_type_11(lattice: GramLattice, triple: HyperTriple, x,
     of_kind(point, TwistorPoint, "point")
     if type(x) is not tuple:  # as in pi_map: a tuple needs no check
         x = tuple(iterable(x, "x"))
-    if not all(type(e) is int for e in x):
+    if not INTS.issuperset(map(type, x)):
         x = clear_denominators(vector(x))
     nonzero = pairing(lattice, triple)[2]
     lattice.check_length(x)

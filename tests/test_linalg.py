@@ -153,17 +153,34 @@ class TestQEval:
             assert isinstance(q_eval(K3, x, x), Fraction)
 
 
+# a set of six ints: its order is not the order it was written in
+SIX = {3, 1, 2, 5, 4, 6}
+
+
 class TestVector:
     @pytest.mark.parametrize("call,named", [
         (lambda: vector(5), "vector = 5"),
         (lambda: integer_kernel([1, 2, 3]), "kernel row 0 = 1"),
         (lambda: integer_kernel(7), "kernel rows = 7"),
         (lambda: pi_map(U3, U3_TRIPLE, 5), "omega = 5"),
-        (lambda: hodge_type_11(U3, U3_TRIPLE, 5, TwistorPoint.from_ray(1, 0, 0)), "x = 5")],
-        ids=["vector", "kernel_row", "kernel_rows", "pi_map", "hodge_type_11"])
+        (lambda: hodge_type_11(U3, U3_TRIPLE, 5, TwistorPoint.from_ray(1, 0, 0)), "x = 5"),
+        (lambda: vector({1, 2}), "vector = {1, 2}"),
+        (lambda: q_eval(U3, SIX, SIX), f"x = {SIX!r}"),
+        (lambda: q_eval(U3, tuple(SIX), SIX), f"y = {SIX!r}"),
+        (lambda: pi_map(U3, U3_TRIPLE, SIX), f"omega = {SIX!r}"),
+        (lambda: project_to_V(U3, U3_TRIPLE, dict.fromkeys(SIX, 1)),
+         f"x = {dict.fromkeys(SIX, 1)!r}"),
+        (lambda: hodge_type_11(U3, U3_TRIPLE, SIX, TwistorPoint.from_ray(1, 0, 0)),
+         f"x = {SIX!r}"),
+        (lambda: HyperTriple.from_rows([SIX] * 3), f"triple vector 0 = {SIX!r}"),
+        (lambda: GramLattice.from_rows([{2}]), "gram row 0 = {2}")],
+        ids=["vector", "kernel_row", "kernel_rows", "pi_map", "hodge_type_11", "vector_set",
+             "q_eval_set", "q_eval_set_y", "pi_map_set", "project_to_V_dict",
+             "hodge_type_11_set", "triple_set", "gram_row_set"])
     def test_non_sequence_is_a_dimension_mismatch(self, call, named):
         # a number where a vector or matrix is expected raised a bare
-        # TypeError, "'int' object is not iterable"
+        # TypeError, "'int' object is not iterable"; a set or mapping was
+        # read in its own order (q_eval: "'set' object is not subscriptable")
         with pytest.raises(DimensionMismatch, match=f"^{re.escape(named)} is not a sequence$"):
             call()
 

@@ -11,8 +11,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twistorlat import (
+    DimensionMismatch,
     GramLattice,
     HyperTriple,
+    NotPositive,
     TwistorLatticeError,
     TwistorPoint,
     antipode,
@@ -23,9 +25,12 @@ from twistorlat import (
     project_to_V,
     q_eval,
 )
+from twistorlat import linalg
 from twistorlat.linalg import dot_rows, pairing_rows
 
-from support import conjugate_gram, random_unimodular, solve_in_span
+from support import conjugate_gram, random_unimodular, reference_q_eval, solve_in_span
+
+SMALL = linalg._SMALL  # the edge of vector's table of small ints
 
 U3, U3_TRIPLE = load_lattice("U3")
 LATTICES = {"U3": (U3, U3_TRIPLE), "K3": load_lattice("K3")}
@@ -119,21 +124,83 @@ def as_parsed(x):
 
 
 # omega = scale * base + nudge on the six live coordinates (the bench's K3
-# support), zero elsewhere; at scale 10^400 the ray is past the float range
+# support), zero elsewhere; at scale SMALL an entry is at the edge of
+# vector's table of small ints, one inside it or one past it, and at scale
+# 10^400 the ray is past the float range
 @given(name=st.sampled_from(sorted(LATTICES)), base=st.tuples(*[st.integers(-9, 9)] * 6),
-       scale=st.sampled_from([1, 10 ** 400]), nudge=st.tuples(*[st.integers(-1, 1)] * 6))
+       scale=st.sampled_from([1, SMALL, 10 ** 400]),
+       nudge=st.tuples(*[st.integers(-1, 1)] * 6))
 @example(name="K3", base=(1,) * 6, scale=10 ** 400, nudge=(1, 0, 0, 0, 0, 0))
+@example(name="U3", base=(1, 1, -1, -1, 1, 0), scale=SMALL, nudge=(0, 1, 0, -1, -1, 0))
 def test_pi_map_int_path_matches_the_parsing_path(name, base, scale, nudge):
     lattice, triple = LATTICES[name]
     omega = tuple(scale * a + b for a, b in zip(base, nudge)) + (0,) * (lattice.rank - 6)
     assume(q_eval(lattice, omega, omega) > 0)
     want = pi_map(lattice, triple, omega)
-    assert all(type(e) is Fraction for e in want.vec)
+    # each entry is omega's as a Fraction; one within the table is the table's
+    assert len(want.vec) == len(omega)
+    assert all(type(e) is Fraction and e == o for e, o in zip(want.vec, omega))
+    assert all(e is linalg._FRACTIONS[o] for e, o in zip(want.vec, omega) if abs(o) <= SMALL)
     for form in as_parsed(omega):
         got = pi_map(lattice, triple, form)
         assert same_point(got.point, want.point)
         assert got.vec == want.vec
         assert all(type(e) is Fraction for e in got.vec)
+    # no call changed a shared Fraction
+    assert ({e: (f.numerator, f.denominator) for e, f in linalg._FRACTIONS.items()}
+            == {e: (e, 1) for e in range(-SMALL, SMALL + 1)})
+
+
+# the refusals of the parent commit's pi_map, byte for byte, where the
+# int path took the parsing path's checks and its q_eval
+@pytest.mark.parametrize("omega,error,message", [
+    ((1, 2, 3, 4, 5), DimensionMismatch, "vector has length 5, lattice rank is 6"),
+    ((1,) * 7, DimensionMismatch, "vector has length 7, lattice rank is 6"),
+    ((), DimensionMismatch, "vector has length 0, lattice rank is 6"),
+    ((True, 0, 0, 0, 0, 0), TwistorLatticeError, "cannot parse rational entry True"),
+    ((1, 0, 0, 0, 0, True), TwistorLatticeError, "cannot parse rational entry True"),
+    ((0,) * 6, NotPositive,
+     "pi_map needs q(omega, omega) > 0, got q = 0 for omega = (0, 0, 0, 0, 0, 0)"),
+    ((1, 0, 0, 0, 0, 0), NotPositive,
+     "pi_map needs q(omega, omega) > 0, got q = 0 for omega = (1, 0, 0, 0, 0, 0)"),
+    ((129, -129, 0, 0, 0, 0), NotPositive,
+     "pi_map needs q(omega, omega) > 0, got q = -33282 for omega = (129, -129, 0, 0, 0, 0)"),
+])
+def test_pi_map_refusals_word_the_parent_messages(omega, error, message):
+    for form in [omega, list(omega)]:
+        with pytest.raises(TwistorLatticeError) as info:
+            pi_map(U3, U3_TRIPLE, form)
+        assert type(info.value) is error and str(info.value) == message
+
+
+def refusal(lattice, omega):
+    """pi_map's refusal of omega, as the parsing path words it: its
+    length first, then the sign of q(omega, omega)."""
+    if len(omega) != lattice.rank:
+        return DimensionMismatch(f"vector has length {len(omega)}, lattice rank is {lattice.rank}")
+    q = reference_q_eval(lattice.gram, omega, omega)
+    if q <= 0:
+        omega = ", ".join(str(Fraction(e)) for e in omega)
+        return NotPositive(f"pi_map needs q(omega, omega) > 0, got q = {q} for omega = ({omega})")
+    return None
+
+
+# an int omega of any length, entries about the table's edge and past the
+# float range; with a length of the rank, q(omega, omega) <= 0
+@given(name=st.sampled_from(sorted(LATTICES)), length=st.integers(0, 24),
+       entries=st.lists(st.sampled_from([0, 1, -1, SMALL, -SMALL, SMALL + 1, -SMALL - 1,
+                                         10 ** 400, -10 ** 400]), min_size=24, max_size=24))
+@example(name="U3", length=6, entries=[SMALL + 1, -SMALL, 0, 0, 0, 0] + [0] * 18)
+@example(name="K3", length=21, entries=[1] * 24)
+def test_pi_map_refusals_match_the_parsing_path(name, length, entries):
+    lattice, triple = LATTICES[name]
+    omega = tuple(entries[:length])
+    want = refusal(lattice, omega)
+    assume(want is not None)
+    for form in [omega] + as_parsed(omega):
+        with pytest.raises(TwistorLatticeError) as info:
+            pi_map(lattice, triple, form)
+        assert type(info.value) is type(want) and str(info.value) == str(want)
 
 
 def test_the_example_reaches_the_unit_overflow_branch():

@@ -337,9 +337,11 @@ class TestScanAlgebraic:
 
     def test_mask_sorted_without_repeats(self):
         expected = scan_algebraic(U3, TRIPLE, 1)
-        cloud = scan_algebraic(U3, TRIPLE, 1, (5, 3, 1, 4, 0, 2, 3))
-        assert cloud.dirs.tolist() == expected.dirs.tolist()
-        assert cloud.witnesses.tolist() == expected.witnesses.tolist()
+        # a set too: a mask's order is dropped, unlike a vector's
+        for mask in ((5, 3, 1, 4, 0, 2, 3), {5, 3, 1, 4, 0, 2}):
+            cloud = scan_algebraic(U3, TRIPLE, 1, mask)
+            assert cloud.dirs.tolist() == expected.dirs.tolist()
+            assert cloud.witnesses.tolist() == expected.witnesses.tolist()
 
     @pytest.mark.parametrize("mask,index", [((0, 6), 6), ((-1, 7), -1)])
     def test_mask_out_of_range(self, mask, index):
@@ -1656,6 +1658,24 @@ def test_writers_match_the_per_point_writers(rays, width, entries, block_bytes):
             writer(cloud, got)
             reference(cloud, want)
             assert got.getvalue() == want.getvalue()
+
+
+def test_both_writers_share_one_ray_order(monkeypatch):
+    # the cloud sorts its rays once, for the CSV and the SVG
+    calls = []
+
+    def counted(dirs):
+        calls.append(len(dirs))
+        return ray_order(dirs)
+
+    monkeypatch.setattr(scanning, "ray_order", counted)
+    cloud = scan_non_general_type(U3, TRIPLE, 2)
+    for writer, reference in ((write_csv, reference_write_csv), (write_svg, reference_write_svg)):
+        got, want = io.StringIO(), io.StringIO()
+        writer(cloud, got)
+        reference(cloud, want)
+        assert got.getvalue() == want.getvalue()
+    assert calls == [len(cloud)]
 
 
 # NaNs of other payloads and signs, which % formats as nan
