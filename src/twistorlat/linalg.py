@@ -174,9 +174,11 @@ class GramLattice:
 def iterable(value, what: str):
     """A vector, a matrix given as rows, or one of its rows: a list,
     tuple, numpy array or other iterable in the caller's order, but not
-    a string, and not a set or mapping, whose order is its own. Anything
-    else, as a number from a flat list, is a DimensionMismatch."""
-    if isinstance(value, (str, bytes, Set, Mapping)) or not isinstance(value, Iterable):
+    a string, not a set or mapping, whose order is its own, and not a 0-d
+    array, which numpy's type calls iterable but which does not iterate.
+    Anything else, as a number from a flat list, is a DimensionMismatch."""
+    if (isinstance(value, (str, bytes, Set, Mapping)) or not isinstance(value, Iterable)
+            or getattr(value, "ndim", None) == 0):
         raise DimensionMismatch(f"{what} = {value!r} is not a sequence")
     return value
 
@@ -329,16 +331,12 @@ def integer_kernel(rows) -> list[tuple[int, ...]]:
     its identity part is kept on those live coordinates alone; the basis
     is scattered into length-n tuples once, at the end. An entry that is
     not an integer (a float, string or bool) is an error, not truncated,
-    and rows, or a row, that are not iterable a DimensionMismatch.
+    and rows, or a row, that iterable refuses (a set among them) a
+    DimensionMismatch.
     """
-    try:
-        rows = tuple(rows)
-        a = [[e if type(e) is int else integer(e, f"kernel entry ({i}, {j})")
-              for j, e in enumerate(row)] for i, row in enumerate(rows)]
-    except TypeError:  # checked on the failure path alone: the exact test calls this
-        for i, row in enumerate(iterable(rows, "kernel rows")):
-            iterable(row, f"kernel row {i}")
-        raise
+    a = [[e if type(e) is int else integer(e, f"kernel entry ({i}, {j})")
+          for j, e in enumerate(row if type(row) is tuple else iterable(row, f"kernel row {i}"))]
+         for i, row in enumerate(iterable(rows, "kernel rows"))]
     if not a:
         return []
     m, n = len(a), len(a[0])
@@ -467,11 +465,6 @@ def _triple_rows(lattice: GramLattice, triple: HyperTriple):
             tuple(j for j, col in enumerate(zip(*rows)) if any(col)))
 
 
-def dot_rows(rows, x) -> tuple:
-    """The products rows[a] . x."""
-    return tuple(sum(map(operator.mul, row, x)) for row in rows)
-
-
 def dot_nonzero(nonzero, x) -> tuple:
     """The products rows[a] . x, each row given by its nonzero entries as
     (j, e) pairs: the sum of e * x[j] over them, left to right."""
@@ -498,7 +491,7 @@ def expand_in_V(triple: HyperTriple, coeffs) -> Vector:
     coeffs = vector(coeffs)
     if len(coeffs) != 3:
         raise DimensionMismatch(f"expand_in_V needs 3 coefficients, got {len(coeffs)}")
-    return dot_rows(zip(*triple.vectors), coeffs)
+    return tuple(sum(map(operator.mul, row, coeffs)) for row in zip(*triple.vectors))
 
 
 def perp_V_basis(lattice: GramLattice, triple: HyperTriple):

@@ -7,14 +7,13 @@ Metric <p, q> = Re(p conj(q)) per component, orientation (1, i, j, k).
 
 The model's constructors and maps take stacked quaternions, as the
 quaternion operations do: for array fields of shape s,
-complex_structure_from, SU2Element.from_quaternion and induced_two_form
-hold stacks of shape s + (4n, 4n), checked on their trailing two axes,
-two_form_coords gives shape s + (6,), and su2_act_on_form broadcasts
-stacks of elements against stacks of forms as numpy's @ does. One
-formula serves one quaternion and a stack, entry for entry the same
-floats. TwoForm.__call__ and hodge_star take one form, not a stack.
-A field that is not a number is refused with the caller's error, naming
-the field, and the model size n is at most _MAX_N. Stacks whose shapes
+complex_structure_from, SU2Element and induced_two_form hold stacks of
+shape s + (4n, 4n), checked on their trailing two axes, two_form_coords
+gives shape s + (6,), and su2_act_on_form broadcasts stacks of elements
+against stacks of forms as numpy's @ does. One formula serves one
+quaternion and a stack, entry for entry the same floats. A field that
+is not a number is refused with the caller's error, naming the field,
+and the model size n is at most _MAX_N. Stacks whose shapes
 do not broadcast, and matrices of strings, objects or bools, are refused
 with a DimensionMismatch that names the shapes or the dtype.
 """
@@ -22,7 +21,7 @@ with a DimensionMismatch that names the shapes or the dtype.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -65,8 +64,8 @@ class Quaternion:
     shape shared by the array fields: then *, conjugate, left_mult_matrix,
     rotation_from_quaternion and the model's constructors work
     elementwise, one quaternion per entry, with the same arithmetic as on
-    floats, and is_unit and is_unit_imaginary hold when they hold for
-    every entry. norm and normalized take floats only."""
+    floats. unit_imaginary and QUAT_I, QUAT_J and QUAT_K give the units
+    u = a i + b j + c k of the paper's complex structures L = aI + bJ + cK."""
 
     w: float
     x: float
@@ -83,37 +82,6 @@ class Quaternion:
 
     def conjugate(self) -> "Quaternion":
         return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def norm(self) -> float:
-        _refuse_non_numbers(InvariantViolation, w=self.w, x=self.x, y=self.y, z=self.z)
-        return math.hypot(self.w, self.x, self.y, self.z)  # no square under- or overflows
-
-    def normalized(self) -> "Quaternion":
-        n = self.norm()
-        if not 0.0 < n < math.inf:  # zero, nan or inf entries
-            raise InvariantViolation(f"{self} has no unit: norm {n}")
-        return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
-
-    def _unit_entries(self, imaginary: bool = False, error=InvariantViolation) -> np.ndarray:
-        """Per entry, whether it has norm 1 within TOL and, with imaginary,
-        real part 0 within TOL; the norm of x, y and z alone then. A field
-        that is not a number or an array of them raises error, the
-        caller's TwistorLatticeError class, before numpy reads it."""
-        _refuse_non_numbers(error, True, w=self.w, x=self.x, y=self.y, z=self.z)
-        _check_broadcast("quaternion fields", *map(np.shape, (self.w, self.x, self.y, self.z)))
-        # hypot squares nothing: no square under- or overflows, and a norm
-        # past the float range is inf, not 1
-        with np.errstate(over="ignore"):
-            norm = np.hypot(np.hypot(0.0 if imaginary else self.w, self.x),
-                            np.hypot(self.y, self.z))
-        return (np.abs(norm - 1.0) <= TOL) & ((np.abs(self.w) <= TOL) | (not imaginary))
-
-    def is_unit(self) -> bool:
-        """Whether every entry has norm 1 within TOL."""
-        return bool(np.all(self._unit_entries()))
-
-    def is_unit_imaginary(self) -> bool:
-        return bool(np.all(self._unit_entries(imaginary=True)))
 
     @staticmethod
     def unit_imaginary(x: float, y: float, z: float) -> "Quaternion":
@@ -165,10 +133,18 @@ def _dim(n) -> int:
 
 
 def _require_units(q: "Quaternion", imaginary: bool = False) -> None:
-    """Refuse q unless every entry is a unit quaternion (with imaginary, a
-    unit imaginary one), naming a field that is not a number or array of
-    them, or else the index and fields of the first entry that fails."""
-    ok = q._unit_entries(imaginary, NotUnitImaginary)
+    """Refuse q unless every entry is a unit quaternion: norm 1 within TOL
+    and, with imaginary, real part 0 within TOL, the norm then of x, y and
+    z alone. Names a field that is not a number or array of them, before
+    numpy reads it, or else the index and fields of the first entry that
+    fails."""
+    _refuse_non_numbers(NotUnitImaginary, True, w=q.w, x=q.x, y=q.y, z=q.z)
+    _check_broadcast("quaternion fields", *map(np.shape, (q.w, q.x, q.y, q.z)))
+    # hypot squares nothing: no square under- or overflows, and a norm
+    # past the float range is inf, not 1
+    with np.errstate(over="ignore"):
+        norm = np.hypot(np.hypot(0.0 if imaginary else q.w, q.x), np.hypot(q.y, q.z))
+    ok = (np.abs(norm - 1.0) <= TOL) & ((np.abs(q.w) <= TOL) | (not imaginary))
     if not np.all(ok):
         i = tuple(int(k) for k in np.argwhere(~ok)[0])  # () for float fields
         entry = Quaternion(*(np.broadcast_to(f, ok.shape)[i].item() for f in (q.w, q.x, q.y, q.z)))
@@ -197,13 +173,6 @@ def _check_shape(n, mat) -> None:
         raise DimensionMismatch(f"expected a {d}x{d} matrix of numbers, got dtype {dtype}")
 
 
-def _one_form(f: "TwoForm") -> "TwoForm":
-    """f, when it is one form and not a stack of them."""
-    if np.ndim(f.mat) != 2:
-        raise DimensionMismatch(f"expected one 2-form, got a stack of shape {np.shape(f.mat)}")
-    return f
-
-
 def _block_diag(mat4: np.ndarray, n: int) -> np.ndarray:
     """n copies of each 4x4 matrix of the stack mat4 down the diagonal:
     np.kron(np.eye(n), mat4), entry for entry the same products."""
@@ -229,33 +198,19 @@ class TwoForm:
     def __post_init__(self):
         _check_shape(self.n, self.mat)
 
-    def __call__(self, x, y) -> float:
-        d = len(_one_form(self).mat)
-        if np.shape(x) != (d,) or np.shape(y) != (d,):
-            raise DimensionMismatch(
-                f"a 2-form on R^{d} takes two vectors of length {d}, "
-                f"got shapes {np.shape(x)} and {np.shape(y)}")
-        return float(np.asarray(x) @ self.mat @ np.asarray(y))
-
 
 @dataclass(frozen=True)
 class SU2Element:
     """Left multiplication by the unit quaternion q on H^n; rep, its
-    4n x 4n matrix, is built from q when none is given."""
+    4n x 4n matrix, is built from q."""
 
     q: Quaternion
-    n: int
-    rep: np.ndarray = None
+    n: int = 1
+    rep: np.ndarray = field(init=False)
 
     def __post_init__(self):
         _require_units(self.q)  # before a matrix is built from the fields
-        if self.rep is None:
-            object.__setattr__(self, "rep", _block_diag(left_mult_matrix(self.q), self.n))
-        _check_shape(self.n, self.rep)
-
-    @staticmethod
-    def from_quaternion(q: Quaternion, n: int = 1) -> "SU2Element":
-        return SU2Element(q=q, n=n)
+        object.__setattr__(self, "rep", _block_diag(left_mult_matrix(self.q), self.n))
 
 
 def complex_structure_from(u: Quaternion, n: int = 1) -> ComplexStructureMatrix:
@@ -315,10 +270,6 @@ def hodge_star_2forms() -> np.ndarray:
     return star
 
 
-def hodge_star(f: TwoForm) -> TwoForm:
-    return two_form_from_coords(hodge_star_2forms() @ two_form_coords(_one_form(f)))
-
-
 def rotation_from_quaternion(q: Quaternion) -> np.ndarray:
     """SO(3) matrix of v -> q v conj(q) on imaginary quaternions (x,y,z);
     for array fields of shape s, the stack of shape s + (3, 3)."""
@@ -352,7 +303,7 @@ def verify_model(seed: int = 7):
     omega_u and omega_{g^-1 u g} as two_form_coords(induced_two_form(
     complex_structure_from(.))), the rotations of g^-1, and one
     su2_act_on_form pullback of all 6 basis forms by all g, whose
-    SU2Element.from_quaternion has (_TRIALS, 1) fields. Backs the
+    SU2Element has (_TRIALS, 1) fields. Backs the
     demo-quaternion CLI command.
     """
     if integer(seed, "seed") < 0:
@@ -392,7 +343,7 @@ def verify_model(seed: int = 7):
     u = Quaternion(0.0, *(v / np.sqrt(x * x + y * y + z * z)[:, None]).T)
     # element t, of (_TRIALS, 1) fields, pulls back all 6 basis forms at once;
     # act[t]: column k is the pullback of basis form k by element t
-    pulled = su2_act_on_form(SU2Element.from_quaternion(Quaternion(*q[..., None])),
+    pulled = su2_act_on_form(SU2Element(Quaternion(*q[..., None])),
                              TwoForm(n=1, mat=_BASIS))
     act = np.swapaxes(two_form_coords(pulled), -1, -2)
     # the columns omega_u; two_form_coords reads entries off the diagonal,

@@ -36,7 +36,10 @@ class PointCloud:
     distinct primitive signed rays, and witnesses (n, r), their first witnesses.
     least_bounds is set on scan_algebraic's clouds alone, None on any
     other: a read-only (n,) array of each ray's least box bound b, the
-    least b for which scan_algebraic(b) over the same mask holds the ray."""
+    least b for which scan_algebraic(b) over the same mask holds the ray.
+    The cloud is also a set of points: point in cloud, witness(point) and
+    rays() answer exact ray membership, a ray's first witness and the set
+    of rays, from one dict of the rays (_index)."""
 
     dirs: np.ndarray
     witnesses: np.ndarray

@@ -131,10 +131,6 @@ class GeneralTypeVerdict:
     witness: Optional[tuple[int, ...]]
     bound: Optional[int] = None
 
-    @property
-    def is_general_type_up_to_bound(self) -> bool:
-        return self.witness is None
-
 
 def omega_of(triple: HyperTriple, point: TwistorPoint) -> Vector:
     """The class a w_I + b w_J + c w_K for the point's primitive ray."""
@@ -211,20 +207,30 @@ def two_zero_plane(triple: HyperTriple, point: TwistorPoint):
     return (expand_in_V(triple, primitive(v)), expand_in_V(triple, primitive(u)))
 
 
-def _kernel_steps(kernel, rows):
+def _kernel_steps(kernel, rows, d):
     """Each kernel vector b as the reduction reads it: (b, its support as
-    (index, entry) pairs, b . b, rows . b)."""
+    (index, entry) pairs, b . b, lambda_b), where rows . b = lambda_b d.
+
+    The kernel is that of v -> (rows . v) x d, so rows . b is parallel to
+    d, an exact rational multiple lambda_b d. rows . b is an integer
+    vector and d a primitive one, so lambda_b is an integer: if
+    lambda_b = p / q in lowest terms, q divides p d_i for every i, so it
+    divides every d_i and their gcd, 1. So lambda_b = (rows[i] . b) // d_i,
+    exact, for the first i with d_i != 0, and rows . b is 0 exactly when
+    lambda_b is."""
+    i = next(i for i, e in enumerate(d) if e)
+    row, di = rows[i], d[i]
     steps = []
     for b in kernel:
-        support = [(i, e) for i, e in enumerate(b) if e]
+        support = [(j, e) for j, e in enumerate(b) if e]
         steps.append((b, support, sum(e * e for _, e in support),
-                      tuple(sum([row[i] * e for i, e in support]) for row in rows)))
+                      sum([row[j] * e for j, e in support]) // di))
     return steps
 
 
-def _reduce_witness(w, t, others):
+def _reduce_witness(w, lam, others):
     """Greedy infinity-norm reduction of a kernel vector w, with pairing
-    t = rows . w, by the rest of the kernel basis (others, from
+    rows . w = lam d, by the rest of the kernel basis (others, from
     _kernel_steps); stays inside the kernel lattice and keeps the
     projection nonzero.
 
@@ -233,9 +239,10 @@ def _reduce_witness(w, t, others):
     nonzero projection. A step changes w only on supp(b), so it can lower
     the norm only if supp(b) covers every index where |w| attains it: any
     other b is skipped unbuilt, and a candidate is built on supp(b) alone,
-    with projection t - k (rows . b). Only candidates that rule would
-    reject are skipped, so the order, k0 and the rule, and with them the
-    witness, are those of the loop over whole vectors."""
+    with projection (lam - k lambda_b) d, nonzero exactly when
+    lam - k lambda_b is. Only candidates that rule would reject are
+    skipped, so the order, k0 and the rule, and with them the witness,
+    are those of the loop over whole vectors."""
     w = list(w)
 
     def peak():
@@ -246,7 +253,7 @@ def _reduce_witness(w, t, others):
     improved = True
     while improved:
         improved = False
-        for b, support, bb, tb in others:
+        for b, support, bb, lam_b in others:
             if not all(b[i] for i in top):
                 continue
             wb = sum(w[i] * e for i, e in support)
@@ -257,11 +264,10 @@ def _reduce_witness(w, t, others):
                 cand = [w[i] - k * e for i, e in support]
                 if max(map(abs, cand)) >= norm:
                     continue
-                t_cand = tuple(a - k * e for a, e in zip(t, tb))
-                if any(t_cand):
+                if lam != k * lam_b:
                     for (i, _), e in zip(support, cand):
                         w[i] = e
-                    t = t_cand
+                    lam -= k * lam_b
                     norm, top = peak()
                     improved = True
                     if not all(b[i] for i in top):
@@ -329,17 +335,20 @@ def is_general_type(lattice: GramLattice, triple: HyperTriple,
         raise InvalidBound(f"bound must be >= 1, got {bound}")
 
     if point.is_exact:
+        # the primitive ray, as _kernel_steps needs, also for a dir built
+        # directly as a multiple of it; a zero dir is refused
+        d = TwistorPoint._from_ints(point.dir).dir
         # witnesses v solve (rows . v) x d = 0: one cross product per kept column
         keep = sorted({0, 1, *live})
         kept = [[row[j] for j in keep] for row in rows]
-        kernel = integer_kernel(zip(*(_cross(col, point.dir) for col in zip(*kept))))
+        kernel = integer_kernel(zip(*(_cross(col, d) for col in zip(*kept))))
         # nonempty: the cleared class sum d_a w_a lies in the kernel, projecting to != 0
         # the entries on the live coordinates; the three rows are independent,
         # so there are at least three and itemgetter returns a tuple
         on_live = itemgetter(*(p for p, j in enumerate(keep) if j in live))
-        steps = _kernel_steps([v for v in kernel if any(on_live(v))], kept)
-        candidates = [_reduce_witness(v, t, steps[:i] + steps[i + 1:])
-                      for i, (v, _, _, t) in enumerate(steps) if any(t)]
+        steps = _kernel_steps([v for v in kernel if any(on_live(v))], kept, d)
+        candidates = [_reduce_witness(v, lam, steps[:i] + steps[i + 1:])
+                      for i, (v, _, _, lam) in enumerate(steps) if lam]
         witness = [0] * lattice.rank
         for j, e in zip(keep, min(candidates, key=lambda v: (max(abs(e) for e in v), v))):
             witness[j] = e

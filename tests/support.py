@@ -98,6 +98,12 @@ def random_positive_class(rng, lattice, q_eval, support=None, max_tries=1000):
     raise AssertionError("could not sample a positive class")
 
 
+def dot_rows(rows, x):
+    """The products rows[a] . x, each a sum over every entry, zeros
+    included."""
+    return tuple(sum(a * b for a, b in zip(row, x)) for row in rows)
+
+
 def reference_q_eval(gram, x, y):
     """x^T gram y in Fractions by the dense double loop over every Gram
     entry, zeros included."""
@@ -336,7 +342,7 @@ def reference_verify_model(seed):
     diffs = []
     for _ in range(100):
         v = rng.normal(size=4)
-        g = SU2Element.from_quaternion(Quaternion(*(v / np.linalg.norm(v))))
+        g = SU2Element(Quaternion(*(v / np.linalg.norm(v))))
         u = Quaternion.unit_imaginary(*rng.normal(size=3))
         w = g.q.conjugate() * u * g.q
         act = np.column_stack([two_form_coords(su2_act_on_form(g, e)) for e in basis])

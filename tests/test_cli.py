@@ -2,6 +2,8 @@ import errno
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -32,6 +34,27 @@ def run_module(*args, **kwargs):
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-m", "twistorlat", *args], env=env, text=True,
                           **kwargs)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_lines():
+    """Each command of README's CLI block, with its [...] optional parts dropped."""
+    blocks = re.findall(r"^```\w*\n(.*?)^```$", README.read_text(), re.S | re.M)
+    block = next(b for b in blocks if b.startswith("twistorlat "))
+    lines = [re.sub(r" *\[[^]]*\]", "", line) for line in block.splitlines()
+             if line.startswith(("twistorlat ", "python -m twistorlat "))]
+    assert lines
+    return lines
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_line_exits_0(line):
+    # in process: the words after the program name go to the click group
+    words = shlex.split(line)
+    res = invoke(*words[words.index("twistorlat") + 1:])
+    assert res.exit_code == 0, res.output
 
 
 class TestValidate:

@@ -173,14 +173,22 @@ class TestVector:
         (lambda: hodge_type_11(U3, U3_TRIPLE, SIX, TwistorPoint.from_ray(1, 0, 0)),
          f"x = {SIX!r}"),
         (lambda: HyperTriple.from_rows([SIX] * 3), f"triple vector 0 = {SIX!r}"),
-        (lambda: GramLattice.from_rows([{2}]), "gram row 0 = {2}")],
+        (lambda: GramLattice.from_rows([{2}]), "gram row 0 = {2}"),
+        (lambda: integer_kernel([{1, 2}]), "kernel row 0 = {1, 2}"),
+        (lambda: integer_kernel({(1, 2)}), "kernel rows = {(1, 2)}"),
+        (lambda: vector(np.array(5)), "vector = array(5)"),
+        (lambda: pi_map(U3, U3_TRIPLE, np.array(5)), "omega = array(5)"),
+        (lambda: hodge_type_11(U3, U3_TRIPLE, np.array(5), TwistorPoint.from_ray(1, 0, 0)),
+         "x = array(5)")],
         ids=["vector", "kernel_row", "kernel_rows", "pi_map", "hodge_type_11", "vector_set",
              "q_eval_set", "q_eval_set_y", "pi_map_set", "project_to_V_dict",
-             "hodge_type_11_set", "triple_set", "gram_row_set"])
+             "hodge_type_11_set", "triple_set", "gram_row_set", "kernel_row_set",
+             "kernel_rows_set", "vector_zero_dim", "pi_map_zero_dim", "hodge_type_11_zero_dim"])
     def test_non_sequence_is_a_dimension_mismatch(self, call, named):
         # a number where a vector or matrix is expected raised a bare
-        # TypeError, "'int' object is not iterable"; a set or mapping was
-        # read in its own order (q_eval: "'set' object is not subscriptable")
+        # TypeError, "'int' object is not iterable", as did a 0-d array,
+        # "iteration over a 0-d array"; a set or mapping was read in its
+        # own order (q_eval: "'set' object is not subscriptable")
         with pytest.raises(DimensionMismatch, match=f"^{re.escape(named)} is not a sequence$"):
             call()
 

@@ -26,9 +26,15 @@ from twistorlat import (
     q_eval,
 )
 from twistorlat import linalg
-from twistorlat.linalg import dot_rows, pairing_rows
+from twistorlat.linalg import pairing_rows
 
-from support import conjugate_gram, random_unimodular, reference_q_eval, solve_in_span
+from support import (
+    conjugate_gram,
+    dot_rows,
+    random_unimodular,
+    reference_q_eval,
+    solve_in_span,
+)
 
 SMALL = linalg._SMALL  # the edge of vector's table of small ints
 

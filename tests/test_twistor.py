@@ -39,11 +39,12 @@ from twistorlat import (
     vector,
 )
 from twistorlat import box, twistor
-from twistorlat.linalg import dot_rows, integer_kernel, pairing_rows, signature
+from twistorlat.linalg import integer_kernel, pairing_rows, signature
 
 from support import (
     K3_INTERLEAVED,
     conjugate_gram,
+    dot_rows,
     permute_coordinates,
     random_positive_class,
     random_rational_vector,
@@ -330,7 +331,7 @@ class TestGeneralType:
     def test_irrational_ray_general_type_up_to_bound(self):
         point = TwistorPoint.from_unit(1.0, math.sqrt(2.0), 0.0)
         verdict = is_general_type(U3, TRIPLE, point, bound=4)
-        assert verdict.is_general_type_up_to_bound
+        assert verdict.witness is None
         assert verdict.bound == 4
 
     def test_irrational_ray_oracle(self):
@@ -472,13 +473,12 @@ def assert_reference_witness(lattice, triple, ray):
     point = TwistorPoint.from_ray(*ray)
     rows, _ = pairing_rows(lattice, triple)
     kernel = integer_kernel(zip(*(twistor._cross(col, point.dir) for col in zip(*rows))))
-    steps = twistor._kernel_steps(kernel, rows)
+    steps = twistor._kernel_steps(kernel, rows, point.dir)
     candidates = []
-    for i, v in enumerate(kernel):
+    for i, (v, _, _, lam) in enumerate(steps):
         if any(dot_rows(rows, v)):
             candidates.append(reference_reduce_witness(v, kernel[:i] + kernel[i + 1:], rows))
-            assert twistor._reduce_witness(
-                v, dot_rows(rows, v), steps[:i] + steps[i + 1:]) == candidates[-1]
+            assert twistor._reduce_witness(v, lam, steps[:i] + steps[i + 1:]) == candidates[-1]
     expected = min(candidates, key=lambda v: (max(abs(e) for e in v), v))
     assert is_general_type(lattice, triple, point).witness == expected
 
@@ -522,6 +522,28 @@ class TestReduceWitness:
         lattice, triple = load_lattice(name)
         half = HyperTriple.from_rows([[e / 2 for e in w] for w in triple.vectors])
         assert_reference_witness(lattice, half, ray)
+
+    @given(name=st.sampled_from(["U3", "K3", "diag222"]),
+           ray=st.tuples(*[st.integers(-10 ** 6, 10 ** 6)] * 3).filter(any))
+    def test_kernel_pairings_are_lambda_times_the_ray(self, name, ray):
+        # rows . b = lambda_b d exactly for every kernel vector b: the one
+        # integer that the reduction carries in place of rows . b
+        lattice, triple = load_lattice(name)
+        d = TwistorPoint.from_ray(*ray).dir
+        rows, _ = pairing_rows(lattice, triple)
+        kernel = integer_kernel(zip(*(twistor._cross(col, d) for col in zip(*rows))))
+        for b, _, _, lam in twistor._kernel_steps(kernel, rows, d):
+            assert dot_rows(rows, b) == tuple(lam * e for e in d)
+
+    def test_a_dir_built_directly_is_read_as_its_ray(self):
+        # lambda_b is an integer only for a primitive ray, and a zero dir has none
+        point = TwistorPoint.from_ray(1, 2, 3)
+        multiple = TwistorPoint(dir=(2, 4, 6), unit=point.unit)
+        for lattice, triple in ((U3, TRIPLE), (K3, K3_TRIPLE)):
+            assert (is_general_type(lattice, triple, multiple).witness
+                    == is_general_type(lattice, triple, point).witness)
+        with pytest.raises(InvariantViolation, match="zero ray is not a twistor point"):
+            is_general_type(U3, TRIPLE, TwistorPoint(dir=(0, 0, 0), unit=point.unit))
 
 
 class TestTripleHash:
